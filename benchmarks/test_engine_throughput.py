@@ -66,16 +66,43 @@ def test_simulator_cancel_churn_throughput(benchmark):
     assert pending < 200
 
 
+#: Floor for rack events/s over raw-loop events/s: both the best of five
+#: alternating runs in this process, so the host's speed cancels and a
+#: disturbed run (interference only ever slows one down) drops out.
+#: Measured 0.101-0.130 with the data path as callback machines (PR 14)
+#: and 0.075-0.080 with the generator processes before it, four runs each
+#: on the same 2-core host while its raw loop swung between 0.77 M and
+#: 1.26 M events/s: the floor sits between, so putting a generator hop
+#: back on the per-request path fails here.
+_RACK_TO_RAW_FLOOR = 0.085
+
+
 def test_rack_run_reports_engine_throughput(benchmark):
+    # 1,500 requests per pair: enough events that building the rack is a
+    # small share of the run's wall clock.
     spec = RunSpec.create(
-        SystemType.RACKBLOX, ycsb(0.5), 300, 1500.0, 42,
+        SystemType.RACKBLOX, ycsb(0.5), 1500, 1500.0, 42,
         num_servers=2, num_pairs=2,
     )
-    result = run_once(benchmark, spec.execute)
+
+    def measured() -> list:
+        pairs = []
+        for _ in range(5):
+            raw = _EVENT_TARGET / _event_churn(_EVENT_TARGET)
+            pairs.append((raw, spec.execute()))
+        return pairs
+
+    pairs = run_once(benchmark, measured)
+    raw = max(raw for raw, _ in pairs)
+    result = max((result for _, result in pairs),
+                 key=lambda result: result.events_per_sec())
+    ratio = result.events_per_sec() / raw
     print()
     print(f"rack run: {result.events} events in {result.wall_clock_s:.2f}s "
-          f"-> {result.events_per_sec():,.0f} events/sec")
-    assert result.events_per_sec() > 0
+          f"-> {result.events_per_sec():,.0f} events/sec; raw loop "
+          f"{raw:,.0f} events/sec; rack/raw {ratio:.3f} "
+          f"(floor {_RACK_TO_RAW_FLOOR})")
+    assert ratio > _RACK_TO_RAW_FLOOR
 
 
 def test_serial_vs_parallel_figure_sweep(benchmark):

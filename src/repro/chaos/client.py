@@ -30,6 +30,11 @@ class ChaosClient(Client):
         self.op_timeout_us = schedule.op_timeout_us
         self.max_attempts = schedule.max_attempts
 
+    def _launch(self, issue, lpn: int) -> None:
+        # Retry loops read best as processes; the spawn's start tick stands
+        # where the plain client schedules its issue callback.
+        self.sim.spawn(issue(lpn))
+
     def _issue_read(self, lpn: int) -> Generator:
         t0 = self.sim.now
         attempts = 0

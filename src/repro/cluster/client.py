@@ -6,6 +6,7 @@ in-rack replicas and complete when *all* replicas hold a DRAM copy
 (§3.5.1's durability semantics).
 """
 
+from functools import partial
 from typing import Generator, Optional
 
 from repro.cluster.rack import Rack
@@ -46,7 +47,8 @@ class Client:
         for request in self.generator.requests(num_requests):
             yield Timeout(self.sim, request.gap_us)
             self.issued += 1
-            self.sim.spawn(self._issue(request))
+            # tick: was Process start
+            self.sim.schedule_after(0.0, partial(self._issue, request))
         while self.completed < self.issued:
             self._drained = Event(self.sim)
             yield self._drained
@@ -57,29 +59,43 @@ class Client:
         if self._drained is not None and not self._drained.triggered:
             self._drained.succeed()
 
-    def _issue(self, request: Request) -> Generator:
+    def _issue(self, request: Request) -> None:
         lpn = request.lpn % self.key_space
-        if request.kind == "read":
-            yield self.sim.spawn(self._issue_read(lpn))
-        else:
-            yield self.sim.spawn(self._issue_write(lpn))
+        issue = self._issue_read if request.kind == "read" else self._issue_write
+        self._launch(issue, lpn)
 
-    def _issue_read(self, lpn: int) -> Generator:
-        t0 = self.sim.now
-        response = yield self.rack.issue_read(self.pair, lpn, client=self.name)
-        storage_us = response.payload.get("storage_us")
+    def _launch(self, issue, lpn: int) -> None:
+        """Start one operation; subclasses whose operations are processes
+        spawn them here instead."""
+        # tick: was Process start
+        self.sim.schedule_after(0.0, partial(issue, lpn))
+
+    def _issue_read(self, lpn: int) -> None:
+        done = self.rack.issue_read(self.pair, lpn, client=self.name)
+        done.add_callback(partial(self._read_done, self.sim.now))
+
+    def _read_done(self, t0: float, done: Event) -> None:
+        storage_us = done.value.payload.get("storage_us")
         self.metrics.record(
             "read", self.sim.now - t0, at=self.sim.now, storage_us=storage_us
         )
         self._note_done()
 
-    def _issue_write(self, lpn: int) -> Generator:
+    def _issue_write(self, lpn: int) -> None:
         # Writes are issued to all replicas and complete when every replica
         # has the DRAM copy (the write-cache admission ack).  Replicas the
         # failure detector has declared dead are skipped -- the membership
         # view clients get from the heartbeat machinery.
         t0 = self.sim.now
-        responses = yield self.rack.issue_write(self.pair, lpn, client=self.name)
+        done = self.rack.issue_write(self.pair, lpn, client=self.name)
+        if done.triggered:
+            # tick: was yield on triggered event
+            self.sim.schedule_after(0.0, partial(self._write_done, t0, done))
+        else:
+            done.add_callback(partial(self._write_done, t0))
+
+    def _write_done(self, t0: float, done: Event) -> None:
+        responses = done.value
         if not responses:
             # Both in-rack replicas are down; the out-of-rack replica (out
             # of scope here) would take over.  Count the op as done so the

@@ -6,20 +6,34 @@ queued request -- this is precisely the head-of-line blocking that
 RackBlox's coordinated GC routes around.
 """
 
-from typing import Generator
+from collections import deque
+from typing import Callable, Deque, Generator, Optional, Tuple
 
-from repro.sim import Resource, Simulator, Timeout
+from repro.sim import Event, Simulator
 from repro.flash.timing import DeviceProfile
+
+#: One bus command: (kind, duration, continuation).
+_Command = Tuple[str, float, Callable[[], None]]
 
 
 class Channel:
-    """One channel as a capacity-1 resource with timed operations."""
+    """One channel: a bus that carries one timed command at a time.
+
+    :meth:`submit` is the whole machine -- a FIFO of commands and two
+    scheduler callbacks.  The generator methods (``execute`` and the
+    page/block operations built on it) are adapters over it for callers
+    that are processes (GC, the scrubber, chaos stalls), so host I/O and
+    GC commands share one queue and are served strictly in arrival order.
+    """
 
     def __init__(self, sim: Simulator, channel_id: int, profile: DeviceProfile) -> None:
         self.sim = sim
         self.channel_id = channel_id
         self.profile = profile
-        self._bus = Resource(sim, capacity=1)
+        #: The command holding the bus (``None`` when the bus is free).
+        self._active: Optional[_Command] = None
+        #: Commands waiting for the bus, oldest first.
+        self._waiters: Deque[_Command] = deque()
         #: Accumulated busy time, for utilisation reporting.
         self.busy_time = 0.0
         #: Commands served, by kind.
@@ -49,22 +63,45 @@ class Channel:
     @property
     def queue_depth(self) -> int:
         """Commands waiting for the bus (excludes the one in service)."""
-        return self._bus.queued
+        return len(self._waiters)
 
     @property
     def busy(self) -> bool:
-        return self._bus.in_use > 0
+        return self._active is not None
+
+    def submit(self, kind: str, duration: float, then: Callable[[], None]) -> None:
+        """Occupy the channel for ``duration`` microseconds once the bus is
+        free, then call ``then()``."""
+        command = (kind, duration, then)
+        if self._active is None:
+            self._active = command
+            # tick: was yield on triggered event (acquiring a free bus)
+            self.sim.schedule_after(0.0, self._start)
+        else:
+            self._waiters.append(command)
+
+    def _start(self) -> None:
+        self.sim.schedule_after(self._active[1], self._finish)
+
+    def _finish(self) -> None:
+        # Order matters to whoever shares this instant: account, pass the
+        # bus on (the next command's timer starts now), then continue.
+        kind, duration, then = self._active
+        self.busy_time += duration
+        if kind in self.op_counts:
+            self.op_counts[kind] += 1
+        if self._waiters:
+            self._active = self._waiters.popleft()
+            self.sim.schedule_after(self._active[1], self._finish)
+        else:
+            self._active = None
+        then()
 
     def execute(self, kind: str, duration: float) -> Generator:
         """Process: occupy the channel for ``duration`` microseconds."""
-        yield self._bus.acquire()
-        try:
-            yield Timeout(self.sim, duration)
-            self.busy_time += duration
-            if kind in self.op_counts:
-                self.op_counts[kind] += 1
-        finally:
-            self._bus.release()
+        done = Event(self.sim)
+        self.submit(kind, duration, done.succeed)
+        yield done
 
     def read_page(self, size_kb: float) -> Generator:
         """Process: one page read (array sense + bus transfer)."""
@@ -90,13 +127,10 @@ class Channel:
         remaining = self.profile.erase_us
         while remaining > 0:
             this_slice = min(self.suspend_slice_us, remaining)
-            yield self._bus.acquire()
-            try:
-                yield Timeout(self.sim, this_slice)
-                self.busy_time += this_slice
-            finally:
-                must_yield = remaining > this_slice and self._bus.queued > 0
-                self._bus.release()
+            yield from self.execute("erase_slice", this_slice)
+            # We resume inside the release: the bus is busy again only if
+            # a queued command took it over.
+            must_yield = remaining > this_slice and self.busy
             remaining -= this_slice
             if remaining > 0 and must_yield:
                 # Someone was waiting: the erase actually suspended and

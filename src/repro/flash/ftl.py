@@ -22,9 +22,23 @@ from repro.flash.chip import FlashChip
 class PhysicalAddr:
     """A physical flash location: chip object + block + page."""
 
+    # One instance per mapped page: slots halve the mapping table's memory.
+    # (``dataclass(slots=True)`` needs Python 3.10; we support 3.9.)
+    __slots__ = ("chip", "block_id", "page")
+
     chip: FlashChip
     block_id: int
     page: int
+
+    # Frozen + slots: the default slot-state restore goes through
+    # ``setattr`` and trips the frozen guard, so pickle and deepcopy need
+    # the state protocol spelled out (as ``dataclass(slots=True)`` does).
+    def __getstate__(self) -> Tuple[FlashChip, int, int]:
+        return (self.chip, self.block_id, self.page)
+
+    def __setstate__(self, state: Tuple[FlashChip, int, int]) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     def key(self) -> Tuple[int, int, int]:
         return (self.chip.chip_id, self.block_id, self.page)

@@ -16,7 +16,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.packet import Packet
-from repro.sim import Event, Simulator, Timeout
+from repro.sim import Event, Simulator
 
 
 class FifoScheduler:
@@ -193,42 +193,45 @@ class EgressPort:
         self.scheduler = scheduler
         self.rate = rate_kb_per_us
         self.on_transmit = on_transmit
-        self._arrival: Optional[Event] = None
         self._completions: Dict[int, Event] = {}
-        self._busy = False
+        #: The packet on the wire (``None`` while the port is idle).
+        self._sending: Optional[Packet] = None
         self.packets_sent = 0
-        sim.spawn(self._serve())
 
     def enqueue(self, packet: Packet, flow_id: str = "default", priority: int = 0) -> Event:
         done = Event(self.sim)
         self._completions[packet.packet_id] = done
         self.scheduler.enqueue(packet, flow_id, priority)
-        if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.succeed()
+        if self._sending is None:
+            self._send_next()
         return done
 
     @property
     def queue_depth(self) -> int:
         return len(self.scheduler)
 
-    def _serve(self):
-        while True:
-            entry = self.scheduler.next(self.sim.now)
-            if entry is None:
-                self._arrival = Event(self.sim)
-                yield self._arrival
-                self._arrival = None
-                continue
-            packet, ready = entry
-            # One combined wait for pacing delay + serialization: the
-            # completion instant is identical to waiting them separately.
-            wait = packet.size_kb / self.rate
-            if ready > self.sim.now:
-                wait += ready - self.sim.now
-            yield Timeout(self.sim, wait)
-            self.packets_sent += 1
-            done = self._completions.pop(packet.packet_id, None)
-            if self.on_transmit is not None:
-                self.on_transmit(packet, self.sim.now)
-            if done is not None:
-                done.succeed(packet)
+    def _send_next(self) -> None:
+        entry = self.scheduler.next(self.sim.now)
+        if entry is None:
+            self._sending = None
+            return
+        self._sending, ready = entry
+        # One combined wait for pacing delay + serialization: the
+        # completion instant is identical to waiting them separately.
+        wait = self._sending.size_kb / self.rate
+        if ready > self.sim.now:
+            wait += ready - self.sim.now
+        self.sim.schedule_after(wait, self._sent)
+
+    def _sent(self) -> None:
+        # Complete the packet, then pick the next: the port counts as busy
+        # while completion callbacks run, so an enqueue from one of them
+        # joins the policy's choice instead of jumping it.
+        packet = self._sending
+        self.packets_sent += 1
+        done = self._completions.pop(packet.packet_id, None)
+        if self.on_transmit is not None:
+            self.on_transmit(packet, self.sim.now)
+        if done is not None:
+            done.succeed(packet)
+        self._send_next()

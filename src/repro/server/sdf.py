@@ -7,7 +7,8 @@ return-latency predictor from the INT field of every incoming packet and
 exposes per-request hooks the rack uses to time responses.
 """
 
-from typing import Callable, Dict, Generator, Optional
+from functools import partial
+from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigError
 from repro.net.packet import OpType, Packet
@@ -15,7 +16,7 @@ from repro.server.idle import IdlePredictor
 from repro.server.iosched import IoRequest
 from repro.server.predictor import ReturnLatencyPredictor
 from repro.server.write_cache import WriteCache
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 from repro.vssd.vssd import VSsd
 
 
@@ -63,23 +64,23 @@ class StorageServer:
         #: the way Kyber limits in-device tokens on real hardware.
         self._vssd_inflight: Dict[int, int] = {}
         self._vssd_limit: Dict[int, int] = {}
-        #: vSSDs currently at their device-queue limit.  The dispatch loop
-        #: passes no eligibility predicate at all while this is empty, so
+        #: vSSDs currently at their device-queue limit.  Dispatch passes
+        #: no eligibility predicate at all while this is empty, so
         #: the scheduler's selection scans skip the per-candidate check in
         #: the common uncongested case.
         self._vssd_blocked: set = set()
-        self._work: Optional[Event] = None
         self.reads_received = 0
         self.writes_received = 0
         self.reads_completed = 0
         self.flushes_completed = 0
         self.software_redirects = 0
+        #: Requests the device refused (bad address, out of space).
+        self.requests_failed = 0
         #: Reads whose flash service overlapped a GC pass on their vSSD.
         self.gc_blocked_reads = 0
         # Route cache flushes through this server's scheduler, so
         # background writes contend with reads like any other request.
         self.write_cache.submit_fn = self._submit_flush
-        sim.spawn(self._dispatch_loop())
 
     # ----------------------------------------------------------- topology
 
@@ -118,7 +119,8 @@ class StorageServer:
         """Entry point from the rack: Algorithm 2 dispatch."""
         if pkt.op is OpType.WRITE:
             self.writes_received += 1
-            self.sim.spawn(self._handle_write(pkt))
+            # tick: was Process start
+            self.sim.schedule_after(0.0, partial(self._handle_write, pkt))
         elif pkt.op is OpType.READ:
             self.reads_received += 1
             self._handle_read(pkt)
@@ -127,15 +129,18 @@ class StorageServer:
                 f"server {self.name} received unexpected op {pkt.op.name}"
             )
 
-    def _handle_write(self, pkt: Packet) -> Generator:
+    def _handle_write(self, pkt: Packet) -> None:
         vssd = self.vssd(pkt.vssd_id)
         self.predictor.observe(pkt.vssd_id, "write", pkt.lat)
         self.idle_predictors[pkt.vssd_id].record_request(self.sim.now)
         lpn = pkt.payload.get("lpn", 0)
-        arrived = self.sim.now
-        # Line 2-4: cache the write (blocking only when the cache is full);
+        # Line 2-4: cache the write (parking only when the cache is full);
         # the write is complete once the DRAM copy exists.
-        yield from self.write_cache.admit(vssd, lpn)
+        self.write_cache.start_admit(
+            vssd, lpn, partial(self._write_cached, pkt, self.sim.now)
+        )
+
+    def _write_cached(self, pkt: Packet, arrived: float) -> None:
         trace = pkt.payload.get("trace")
         if trace is not None:
             trace.add_span(
@@ -170,11 +175,10 @@ class StorageServer:
             context=pkt,
         )
         self.scheduler.push(request, self.sim.now)
-        self._kick()
+        self._dispatch()
 
-    def _submit_flush(self, vssd: VSsd, lpn: int) -> Event:
-        """Queue one cache flush as a write request; returns its completion."""
-        done = Event(self.sim)
+    def _submit_flush(self, vssd: VSsd, lpn: int, then: Callable[[], None]) -> None:
+        """Queue one cache flush as a write request; ``then()`` on completion."""
         request = IoRequest(
             kind="write",
             vssd_id=vssd.vssd_id,
@@ -182,17 +186,12 @@ class StorageServer:
             arrival_time=self.sim.now,
             net_time=0.0,
             predict_time=self.predictor.predict(vssd.vssd_id, "write"),
-            context=done,
+            context=then,
         )
         self.scheduler.push(request, self.sim.now)
-        self._kick()
-        return done
+        self._dispatch()
 
     # ------------------------------------------------------------- dispatch
-
-    def _kick(self) -> None:
-        if self._work is not None and not self._work.triggered:
-            self._work.succeed()
 
     def _dispatchable(self, request: IoRequest) -> bool:
         return request.vssd_id not in self._vssd_blocked
@@ -207,24 +206,20 @@ class StorageServer:
         self._vssd_inflight[vssd_id] -= 1
         self._vssd_blocked.discard(vssd_id)
 
-    def _dispatch_loop(self) -> Generator:
-        while True:
-            dispatched = False
-            while self._inflight < self.max_inflight:
-                eligible = self._dispatchable if self._vssd_blocked else None
-                request = self.scheduler.pop(self.sim.now, eligible)
-                if request is None:
-                    break
-                self._inflight += 1
-                self._vssd_acquire(request.vssd_id)
-                dispatched = True
-                self.sim.spawn(self._service(request))
-            if not dispatched or self._inflight >= self.max_inflight:
-                self._work = Event(self.sim)
-                yield self._work
-                self._work = None
+    def _dispatch(self) -> None:
+        """Move requests from the scheduler to the device while slots are
+        free.  Runs whenever a request is queued or a slot is released."""
+        while self._inflight < self.max_inflight:
+            eligible = self._dispatchable if self._vssd_blocked else None
+            request = self.scheduler.pop(self.sim.now, eligible)
+            if request is None:
+                return
+            self._inflight += 1
+            self._vssd_acquire(request.vssd_id)
+            # tick: was Process start
+            self.sim.schedule_after(0.0, partial(self._service, request))
 
-    def _service(self, request: IoRequest) -> Generator:
+    def _service(self, request: IoRequest) -> None:
         vssd = self.vssd(request.vssd_id)
         trace = None
         context = request.context
@@ -236,17 +231,34 @@ class StorageServer:
                     server=self.name, vssd=request.vssd_id,
                     queue_depth=len(self.scheduler),
                 )
-        service_start = self.sim.now
-        gc_seen = vssd.gc_active
-        try:
-            if request.kind == "read":
-                yield from vssd.read(request.lpn)
-            else:
-                yield from vssd.write(request.lpn)
-        finally:
-            self._inflight -= 1
-            self._vssd_release(request.vssd_id)
-            self._kick()
+        done = partial(
+            self._service_done, request, vssd, trace, self.sim.now, vssd.gc_active
+        )
+        fail = partial(self._service_failed, request)
+        if request.kind == "read":
+            vssd.start_read(request.lpn, done, fail)
+        else:
+            vssd.start_write(request.lpn, done, fail)
+
+    def _service_failed(self, request: IoRequest, _exc: Exception) -> None:
+        """The device refused the request (bad address, out of space): it
+        fails alone.  The slot is freed and refilled as on completion; a
+        read is dropped unanswered (its client times out), a flush hands
+        its cache slot back."""
+        self._inflight -= 1
+        self._vssd_release(request.vssd_id)
+        self._dispatch()
+        self.requests_failed += 1
+        if request.kind != "read":
+            request.context()
+
+    def _service_done(self, request: IoRequest, vssd: VSsd, trace,
+                      service_start: float, gc_seen: bool) -> None:
+        # Free the slot and refill it before completing this request, so a
+        # queued request's service tick precedes our response in the heap.
+        self._inflight -= 1
+        self._vssd_release(request.vssd_id)
+        self._dispatch()
         gc_seen = gc_seen or vssd.gc_active
         if request.kind == "read" and gc_seen:
             self.gc_blocked_reads += 1
@@ -266,9 +278,7 @@ class StorageServer:
                 self._respond(response)
         else:
             self.flushes_completed += 1
-            done = request.context
-            if isinstance(done, Event) and not done.triggered:
-                done.succeed()
+            request.context()
 
     def _respond(self, response: Packet) -> None:
         if self.respond_fn is not None:

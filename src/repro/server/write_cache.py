@@ -13,11 +13,18 @@ coordinated GC like any other request.
 """
 
 from collections import OrderedDict, deque
+from functools import partial
 from typing import Callable, Deque, Generator, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.sim import Event, Simulator, Timeout
+from repro.sim import Event, Simulator
 from repro.vssd.vssd import VSsd
+
+#: Below the watermark the flusher batches lazily behind this dwell.
+_DWELL_US = 200.0
+
+#: A parked admission: (dirty key, vssd, continuation).
+_ParkedAdmission = Tuple[Tuple[int, int], VSsd, Callable[[], None]]
 
 
 class WriteCache:
@@ -29,7 +36,7 @@ class WriteCache:
         capacity_pages: int = 1024,
         flush_watermark: float = 0.5,
         flush_parallelism: int = 4,
-        submit_fn: Optional[Callable[[VSsd, int], Event]] = None,
+        submit_fn: Optional[Callable[[VSsd, int, Callable[[], None]], None]] = None,
     ) -> None:
         if capacity_pages <= 0:
             raise ConfigError(f"capacity must be positive, got {capacity_pages}")
@@ -42,19 +49,19 @@ class WriteCache:
         self.flush_watermark = flush_watermark
         self.flush_parallelism = flush_parallelism
         #: When set, flushes go through the server's I/O scheduler instead
-        #: of straight to the device.
+        #: of straight to the device: ``submit_fn(vssd, lpn, then)``.
         self.submit_fn = submit_fn
         #: Dirty entries in flush order: (vssd_id, lpn) -> vssd.  Duplicate
         #: writes to a hot page coalesce (write combining).
         self._dirty: "OrderedDict[Tuple[int, int], VSsd]" = OrderedDict()
-        self._admission_waiters: Deque[Event] = deque()
-        self._flush_kick: Optional[Event] = None
+        self._admission_waiters: Deque[_ParkedAdmission] = deque()
+        #: True while the flusher sits out its low-pressure dwell.
+        self._dwelling = False
         self._outstanding = 0
         self.admissions = 0
         self.coalesced = 0
         self.flushes = 0
         self.full_stalls = 0
-        sim.spawn(self._flusher())
 
     @property
     def dirty_pages(self) -> int:
@@ -66,58 +73,82 @@ class WriteCache:
         """Fill fraction including flushes still in flight."""
         return (len(self._dirty) + self._outstanding) / self.capacity
 
-    def admit(self, vssd: VSsd, lpn: int) -> Generator:
-        """Process: admit one write; blocks while the cache is full."""
+    def start_admit(self, vssd: VSsd, lpn: int, then: Callable[[], None]) -> None:
+        """Admit one write and call ``then()`` once the DRAM copy exists --
+        at once unless the cache is full, in which case the admission
+        parks until a flush frees a slot."""
         key = (vssd.vssd_id, lpn)
         if key in self._dirty:
             self._dirty.move_to_end(key)
             self.coalesced += 1
             self.admissions += 1
+            then()
             return
-        while len(self._dirty) + self._outstanding >= self.capacity:
+        self._admit_or_park(key, vssd, then)
+
+    def _admit_or_park(self, key: Tuple[int, int], vssd: VSsd,
+                       then: Callable[[], None]) -> None:
+        if len(self._dirty) + self._outstanding >= self.capacity:
             self.full_stalls += 1
-            waiter = Event(self.sim)
-            self._admission_waiters.append(waiter)
-            yield waiter
+            self._admission_waiters.append((key, vssd, then))
+            return
         self._dirty[key] = vssd
         self.admissions += 1
-        self._kick_flusher()
+        self._run_flusher()
+        then()
 
-    def _kick_flusher(self) -> None:
-        if self._flush_kick is not None and not self._flush_kick.triggered:
-            self._flush_kick.succeed()
+    def _wake_one_admission(self) -> None:
+        if self._admission_waiters:
+            self._admit_or_park(*self._admission_waiters.popleft())
 
-    def _flusher(self) -> Generator:
-        """Background process: drain dirty pages, lazily below the
-        watermark, aggressively above it, with bounded parallelism."""
-        dwell_us = 200.0
-        while True:
-            if not self._dirty or self._outstanding >= self.flush_parallelism:
-                self._flush_kick = Event(self.sim)
-                yield self._flush_kick
-                self._flush_kick = None
-                continue
+    def admit(self, vssd: VSsd, lpn: int) -> Generator:
+        """Process: :meth:`start_admit` for callers that are processes."""
+        done = Event(self.sim)
+        self.start_admit(vssd, lpn, done.succeed)
+        if not done.triggered:
+            yield done
+
+    def _run_flusher(self) -> None:
+        """Drain dirty pages, lazily below the watermark, aggressively
+        above it, with bounded parallelism.  Runs whenever a page is
+        admitted or a flush completes; a dwell in progress absorbs both."""
+        if self._dwelling:
+            return
+        while self._dirty and self._outstanding < self.flush_parallelism:
             if self.occupancy < self.flush_watermark:
                 # Light pressure: batch lazily behind a dwell.
-                yield Timeout(self.sim, dwell_us)
-                if not self._dirty:
-                    continue
-            key, vssd = self._dirty.popitem(last=False)
-            self._outstanding += 1
-            self.sim.spawn(self._flush_one(vssd, key[1]))
+                self._dwelling = True
+                self.sim.schedule_after(_DWELL_US, self._dwell_over)
+                return
+            self._flush_oldest()
 
-    def _flush_one(self, vssd: VSsd, lpn: int) -> Generator:
-        try:
-            if self.submit_fn is not None:
-                yield self.submit_fn(vssd, lpn)
-            else:
-                yield from vssd.write(lpn)
-        finally:
-            self._outstanding -= 1
-            self.flushes += 1
-            if self._admission_waiters:
-                self._admission_waiters.popleft().succeed()
-            self._kick_flusher()
+    def _dwell_over(self) -> None:
+        self._dwelling = False
+        if self._dirty:
+            self._flush_oldest()
+        self._run_flusher()
+
+    def _flush_oldest(self) -> None:
+        key, vssd = self._dirty.popitem(last=False)
+        self._outstanding += 1
+        # tick: was Process start
+        self.sim.schedule_after(0.0, partial(self._flush_one, vssd, key[1]))
+
+    def _flush_one(self, vssd: VSsd, lpn: int) -> None:
+        if self.submit_fn is not None:
+            self.submit_fn(vssd, lpn, self._flush_done)
+        else:
+            vssd.start_write(lpn, self._flush_done, self._flush_failed)
+
+    def _flush_done(self) -> None:
+        self._outstanding -= 1
+        self.flushes += 1
+        self._wake_one_admission()
+        self._run_flusher()
+
+    def _flush_failed(self, _exc: Exception) -> None:
+        # The device refused the page: the slot is free all the same.
+        self._flush_done()
 
     def flush_all(self) -> Generator:
         """Process: synchronously drain the whole cache (used in tests)."""
@@ -125,5 +156,4 @@ class WriteCache:
             key, vssd = self._dirty.popitem(last=False)
             yield from vssd.write(key[1])
             self.flushes += 1
-            if self._admission_waiters:
-                self._admission_waiters.popleft().succeed()
+            self._wake_one_admission()

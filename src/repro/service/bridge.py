@@ -169,7 +169,7 @@ class SimTimeBridge:
         """
         pair = self._pair(pair_index)
         done = self.rack.issue_read(
-            pair, int(lpn), client=client,
+            pair, self._lpn(pair, lpn), client=client,
             target="replica" if replica else "primary",
         )
         return self._track("read", done, lambda pkt: {
@@ -182,7 +182,7 @@ class SimTimeBridge:
         """Inject a replicated write; resolves once every live replica acks."""
         pair = self._pair(pair_index)
         t0 = self.rack.sim.now
-        done = self.rack.issue_write(pair, int(lpn), client=client)
+        done = self.rack.issue_write(pair, self._lpn(pair, lpn), client=client)
         return self._track("write", done, lambda responses: {
             "replicas": len(responses),
             "latency_us": self.rack.sim.now - t0,
@@ -232,6 +232,16 @@ class SimTimeBridge:
                 f"pair index {pair_index} out of range [0, {len(pairs)})"
             )
         return pairs[pair_index]
+
+    @staticmethod
+    def _lpn(pair, lpn: int) -> int:
+        """``lpn`` checked against the pair's logical size, so a bad
+        address is a ``BAD_REQUEST`` now and not a timeout later."""
+        lpn = int(lpn)
+        pages = pair.primary.logical_pages
+        if not 0 <= lpn < pages:
+            raise ConfigError(f"lpn {lpn} out of range [0, {pages})")
+        return lpn
 
     def _track(self, kind: str, event, shape) -> "asyncio.Future":
         """Register a sim event as a live request with an asyncio future.

@@ -102,7 +102,9 @@ class Resource:
     """A counted resource: at most ``capacity`` concurrent holders.
 
     ``acquire`` returns an event that fires when a slot is granted; the
-    holder must call ``release`` exactly once.
+    holder must call ``release`` exactly once.  A general-purpose kernel
+    primitive for process-style models; nothing on the rack's data path
+    uses it (the flash channel bus keeps its own FIFO of callbacks).
     """
 
     def __init__(self, sim, capacity: int = 1) -> None:

@@ -10,11 +10,22 @@ latency is trending (the INT aggregate the paper's coordinated scheduling
 consumes).
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
+
+
+@functools.lru_cache(maxsize=4096)
+def _sketch_positions(key: str, width: int, depth: int) -> Tuple[int, ...]:
+    # A pure function of its arguments, and a rack sees a handful of flow
+    # ids for millions of packets: hash each once.
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "little")
+    h2 = int.from_bytes(digest[8:], "little") | 1
+    return tuple((h1 + i * h2) % width for i in range(depth))
 
 
 class CountMinSketch:
@@ -28,11 +39,8 @@ class CountMinSketch:
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
         self.total = 0
 
-    def _positions(self, key: str) -> List[int]:
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1
-        return [(h1 + i * h2) % self.width for i in range(self.depth)]
+    def _positions(self, key: str) -> Tuple[int, ...]:
+        return _sketch_positions(key, self.width, self.depth)
 
     def add(self, key: str, count: int = 1) -> None:
         if count < 0:

@@ -6,10 +6,8 @@ rate, so a tenant exceeding its share is delayed rather than starving
 neighbours.
 """
 
-from typing import Generator
-
 from repro.errors import ConfigError
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 
 
 class TokenBucket:
@@ -65,9 +63,3 @@ class TokenBucket:
         self.total_consumed += amount
         self.total_delay_us += wait
         return wait
-
-    def throttle(self, amount: float) -> Generator:
-        """Process: block until ``amount`` tokens are granted."""
-        wait = self.delay_for(amount)
-        if wait > 0:
-            yield Timeout(self.sim, wait)

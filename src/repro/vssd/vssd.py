@@ -1,19 +1,21 @@
 """The vSSD: a virtual SSD instance with its own FTL and GC.
 
-Reads and writes are timed processes that occupy the backing flash
+Reads and writes are timed operations that occupy the backing flash
 channels; GC occupies the victim's channel for the duration of its page
 migrations and erase, producing exactly the head-of-line blocking the
 paper's coordinated GC is designed to hide.
 """
 
 import enum
-from typing import Generator, List, Optional
+from functools import partial
+from typing import Callable, Generator, List, Optional
 
-from repro.errors import VSSDError
+from repro.errors import FlashError, VSSDError
 from repro.flash.chip import FlashChip
 from repro.flash.ftl import PageMappedFtl
 from repro.flash.gc import GreedyGcPolicy
 from repro.flash.ssd import Ssd
+from repro.sim import Event
 from repro.vssd.token_bucket import TokenBucket
 
 
@@ -79,11 +81,43 @@ class VSsd:
 
     # ------------------------------------------------------------------- I/O
 
-    def read(self, lpn: int) -> Generator:
-        """Process: read one logical page, including channel queueing."""
+    def start_read(self, lpn: int, then: Callable[[], None],
+                   fail: Optional[Callable[[FlashError], None]] = None) -> None:
+        """Read one logical page, including rate limiting and channel
+        queueing; ``then()`` runs when the data is off the bus.
+
+        A mapping error (an ``lpn`` outside the logical space) goes to
+        ``fail(exc)`` when given, so one bad request fails alone; without
+        it the error propagates to whoever runs the simulator.
+        """
+        self._throttled(partial(self._read_media, lpn, then, fail))
+
+    def start_write(self, lpn: int, then: Callable[[], None],
+                    fail: Optional[Callable[[FlashError], None]] = None) -> None:
+        """Program one logical page out-of-place; ``then()`` runs when the
+        program completes.  Mapping and out-of-space errors go to
+        ``fail(exc)`` as for :meth:`start_read`."""
+        self._throttled(partial(self._program_media, lpn, then, fail))
+
+    def _throttled(self, media_op: Callable[[], None]) -> None:
+        # Software isolation: an op over its tenant's rate waits out the
+        # token bucket before it may touch the shared channels.
         if self.rate_limiter is not None:
-            yield from self.rate_limiter.throttle(1)
-        addr = self.ftl.lookup(lpn)
+            wait = self.rate_limiter.delay_for(1)
+            if wait > 0:
+                self.sim.schedule_after(wait, media_op)
+                return
+        media_op()
+
+    def _read_media(self, lpn: int, then: Callable[[], None],
+                    fail: Optional[Callable[[FlashError], None]]) -> None:
+        try:
+            addr = self.ftl.lookup(lpn)
+        except FlashError as exc:
+            if fail is None:
+                raise
+            fail(exc)
+            return
         if addr is None:
             # Unwritten page: the device still performs an array read (it
             # returns the erased pattern); charge the stripe-target chip.
@@ -91,18 +125,47 @@ class VSsd:
         else:
             chip = addr.chip
         channel = self.ssd.channel_of_chip(chip)
-        yield from channel.read_page(self.page_kb)
-        self.reads_served += 1
+        channel.submit(
+            "read", channel.profile.read_latency(self.page_kb),
+            partial(self._read_done, then),
+        )
 
-    def write(self, lpn: int) -> Generator:
-        """Process: program one logical page out-of-place."""
-        if self.rate_limiter is not None:
-            yield from self.rate_limiter.throttle(1)
-        addr = self.ftl.place_write(lpn)
+    def _read_done(self, then: Callable[[], None]) -> None:
+        self.reads_served += 1
+        then()
+
+    def _program_media(self, lpn: int, then: Callable[[], None],
+                       fail: Optional[Callable[[FlashError], None]]) -> None:
+        try:
+            addr = self.ftl.place_write(lpn)
+        except FlashError as exc:
+            if fail is None:
+                raise
+            fail(exc)
+            return
         channel = self.ssd.channel_of_chip(addr.chip)
-        yield from channel.program_page(self.page_kb)
+        channel.submit(
+            "program", channel.profile.program_latency(self.page_kb),
+            partial(self._program_done, then),
+        )
+
+    def _program_done(self, then: Callable[[], None]) -> None:
         self.ssd.pages_written += 1
         self.writes_served += 1
+        then()
+
+    def read(self, lpn: int) -> Generator:
+        """Process: :meth:`start_read` for callers that are processes (a
+        mapping error is raised in the caller)."""
+        done = Event(self.sim)
+        self.start_read(lpn, done.succeed, done.fail)
+        yield done
+
+    def write(self, lpn: int) -> Generator:
+        """Process: :meth:`start_write` for callers that are processes."""
+        done = Event(self.sim)
+        self.start_write(lpn, done.succeed, done.fail)
+        yield done
 
     # -------------------------------------------------------------------- GC
 

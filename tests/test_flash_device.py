@@ -105,6 +105,59 @@ class TestChannel:
         sim.run()
         assert read_done[0] == pytest.approx(PSSD.erase_us + PSSD.read_latency(4.0))
 
+    def test_processes_and_callbacks_share_one_fifo(self):
+        # GC (a process, through the generator adapters) and host I/O
+        # (callbacks, through submit) contend for the bus: whoever asked
+        # first is served first, whatever kind of caller it is.
+        sim = Simulator()
+        channel = Channel(sim, 0, PSSD)
+        served = []
+
+        def gc_step(tag, op):
+            yield from op
+            served.append((tag, sim.now))
+
+        def host_read(tag):
+            channel.submit("read", PSSD.read_latency(4.0),
+                           lambda: served.append((tag, sim.now)))
+
+        host_read("host-0")                                      # takes the bus
+        sim.spawn(gc_step("gc-program", channel.program_page(4.0)))  # t=0
+        sim.schedule_after(1.0, lambda: host_read("host-1"))
+        sim.schedule_after(
+            2.0, lambda: sim.spawn(gc_step("gc-erase", channel.erase_block())))
+        sim.schedule_after(3.0, lambda: host_read("host-2"))
+        sim.run(until=5.0)
+        assert channel.busy and channel.queue_depth == 4
+        sim.run()
+        read, program = PSSD.read_latency(4.0), PSSD.program_latency(4.0)
+        assert [tag for tag, _ in served] == [
+            "host-0", "gc-program", "host-1", "gc-erase", "host-2"]
+        assert [t for _, t in served] == pytest.approx([
+            read,
+            read + program,
+            2 * read + program,
+            2 * read + program + PSSD.erase_us,
+            3 * read + program + PSSD.erase_us,
+        ])
+        assert channel.op_counts == {"read": 3, "program": 1, "erase": 1}
+        assert not channel.busy and channel.queue_depth == 0
+
+    def test_continuation_runs_after_the_bus_moved_on(self):
+        # Inside a hop the order is: account, hand the bus to the next
+        # command, then continue -- a continuation that looks at the
+        # channel sees the successor already in service.
+        sim = Simulator()
+        channel = Channel(sim, 0, PSSD)
+        seen = []
+        channel.submit("read", 10.0, lambda: seen.append(
+            (channel.op_counts["read"], channel.busy, channel.queue_depth)))
+        channel.submit("read", 10.0, lambda: seen.append(
+            (channel.op_counts["read"], channel.busy, channel.queue_depth)))
+        sim.run()
+        assert seen == [(1, True, 0), (2, False, 0)]
+        assert channel.busy_time == pytest.approx(20.0)
+
     def test_op_counters_and_utilisation(self):
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)

@@ -32,6 +32,23 @@ class TestMapping:
 
         assert first.chip.blocks[first.block_id].page_state(first.page) is PageState.INVALID
 
+    def test_ftl_survives_pickle_and_deepcopy(self):
+        # PhysicalAddr is frozen *and* slotted; a checkpoint or a process
+        # pool result must still round-trip the mapping table.
+        import copy
+        import pickle
+
+        ftl = make_ftl()
+        for lpn in range(6):
+            ftl.place_write(lpn)
+        for clone in (pickle.loads(pickle.dumps(ftl)), copy.deepcopy(ftl)):
+            for lpn in range(6):
+                addr, original = clone.lookup(lpn), ftl.lookup(lpn)
+                assert addr.key() == original.key()
+                assert addr.chip is not original.chip
+                assert addr.chip is clone.chips[addr.chip.chip_id]
+            assert clone.place_write(6) == clone.lookup(6)
+
     def test_writes_stripe_across_chips(self):
         ftl = make_ftl(chips=4)
         chips_used = {ftl.place_write(i).chip.chip_id for i in range(8)}

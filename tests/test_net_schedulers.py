@@ -157,6 +157,53 @@ class TestEgressPort:
         # Two extra packets each wait 4ms for tokens.
         assert sim.now >= 8000.0
 
+    def test_token_bucket_pacing_delays_the_start_not_just_the_queue(self):
+        # A head-of-line packet short of tokens has ready > now: the port
+        # waits out the refill *and* the serialisation before completing.
+        sim = Simulator()
+        sched = TokenBucketScheduler(flow_rate_kb_per_sec=1000.0, burst_kb=4.0)
+        port = EgressPort(sim, sched, rate_kb_per_us=100.0)
+        done_at = []
+        for _ in range(2):
+            port.enqueue(pkt(size_kb=4.0), flow_id="f").add_callback(
+                lambda ev: done_at.append(sim.now))
+        sim.run()
+        # First: burst covers it, 4 KB at 100 KB/us.  Second: picked at
+        # t=0.04 with an (almost) empty bucket, ready once 4 KB of tokens
+        # have accrued at 1 KB/ms, then serialised.
+        assert done_at == pytest.approx([0.04, 4000.04])
+
+    def test_priority_port_lets_a_later_packet_overtake(self):
+        sim = Simulator()
+        port = EgressPort(sim, PriorityScheduler(), rate_kb_per_us=1.0)
+        order = []
+
+        def send(tag, priority):
+            port.enqueue(pkt(size_kb=5.0), priority=priority).add_callback(
+                lambda ev: order.append((tag, sim.now)))
+
+        send("low-0", 1)   # idle port: on the wire at once
+        send("low-1", 1)   # queued
+        sim.schedule_after(1.0, lambda: send("high", 0))
+        sim.run()
+        assert order == [("low-0", 5.0), ("high", 10.0), ("low-1", 15.0)]
+
+    def test_enqueue_from_a_completion_callback_waits_its_turn(self):
+        # The port is still busy while completion callbacks run, so a
+        # packet they enqueue goes through the policy like any other.
+        sim = Simulator()
+        port = EgressPort(sim, PriorityScheduler(), rate_kb_per_us=1.0)
+        order = []
+        first = port.enqueue(pkt(size_kb=1.0), priority=1)
+        port.enqueue(pkt(size_kb=1.0), priority=0).add_callback(
+            lambda ev: order.append("queued-high"))
+        first.add_callback(lambda ev: port.enqueue(
+            pkt(size_kb=1.0), priority=1).add_callback(
+                lambda ev: order.append("from-callback")))
+        sim.run()
+        assert order == ["queued-high", "from-callback"]
+        assert port.packets_sent == 3
+
     def test_on_transmit_hook(self):
         sim = Simulator()
         seen = []

@@ -181,6 +181,58 @@ class TestWriteCache:
         # The stalled writes completed later than the cached ones.
         assert max(responses) > min(responses)
 
+    def test_full_cache_wakes_exactly_one_admission_per_flush(self):
+        sim, _, vssd = make_server()
+        flushes = []  # (lpn, completion) handed to the stand-in device
+        cache = WriteCache(
+            sim, capacity_pages=2,
+            submit_fn=lambda vssd, lpn, then: flushes.append((lpn, then)),
+        )
+        admitted = []
+        for lpn in range(4):
+            cache.start_admit(vssd, lpn, lambda lpn=lpn: admitted.append(lpn))
+        # Two fit; the other two park in arrival order.
+        assert admitted == [0, 1]
+        assert cache.full_stalls == 2
+        sim.run(until=1.0)
+        assert [lpn for lpn, _ in flushes] == [0, 1]
+        assert cache.occupancy == 1.0  # in-flight flushes still hold slots
+
+        flushes[0][1]()  # first flush lands
+        assert admitted == [0, 1, 2]
+        assert cache.flushes == 1
+        flushes[1][1]()
+        assert admitted == [0, 1, 2, 3]
+        # The woken admissions are dirty pages like any other.
+        sim.run(until=2.0)
+        assert [lpn for lpn, _ in flushes] == [0, 1, 2, 3]
+        assert cache.full_stalls == 2 and cache.admissions == 4
+
+    def test_flusher_dwells_below_the_watermark(self):
+        sim, _, vssd = make_server()
+        flushes = []
+        cache = WriteCache(
+            sim, capacity_pages=8, flush_watermark=0.5,
+            submit_fn=lambda vssd, lpn, then: flushes.append((sim.now, lpn)),
+        )
+        cache.start_admit(vssd, 0, lambda: None)
+        sim.run(until=150.0)
+        cache.start_admit(vssd, 1, lambda: None)  # absorbed by the dwell
+        sim.run(until=199.0)
+        assert flushes == []
+        sim.run(until=1000.0)
+        # One page per dwell while pressure stays light.
+        assert flushes == [(200.0, 0), (400.0, 1)]
+
+    def test_admit_process_adapter_matches_the_callback_core(self):
+        sim, _, vssd = make_server()
+        cache = WriteCache(sim, capacity_pages=1,
+                           submit_fn=lambda vssd, lpn, then: then())
+        done = [sim.spawn(cache.admit(vssd, lpn)) for lpn in range(3)]
+        sim.run(until=10.0)
+        assert all(process.triggered for process in done)
+        assert cache.admissions == 3 and cache.full_stalls == 2
+
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ConfigError):
@@ -223,6 +275,86 @@ class TestStorageServerReads:
         sim.run(until=1.0)
         # Only 2 dispatched; 4 still queued.
         assert server.queue_depth() == 4
+
+    def test_slot_is_refilled_before_the_response_goes_out(self):
+        # Inside a completion: release the slot, dispatch the next queued
+        # request, only then respond.
+        seen = []
+        sim, server, vssd = make_server(
+            respond_fn=lambda pkt, srv: seen.append(
+                (srv.reads_completed, srv.queue_depth(), srv._inflight))
+        )
+        server.max_inflight = 1
+        for lpn in range(3):
+            pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
+            pkt.payload["lpn"] = lpn
+            server.receive_packet(pkt)
+        sim.run(until=10 * MSEC)
+        assert seen == [(1, 1, 1), (2, 0, 1), (3, 0, 0)]
+
+    def test_crashed_server_drops_packets_without_leaking_inflight(self):
+        from repro.cluster import Rack, RackConfig
+
+        rack = Rack(RackConfig(num_servers=2, num_pairs=1, seed=3))
+        pair = rack.pairs[0]
+        server = rack.server_by_ip[pair.primary_server_ip]
+        # One read is already in the device when the server dies: it
+        # finishes and frees its slot.
+        first = rack.issue_read(pair, 0)
+        while server._inflight == 0:
+            rack.sim.run(max_events=1)
+        server.alive = False
+        dropped = [rack.issue_read(pair, lpn) for lpn in range(1, 6)]
+        rack.sim.run(until=rack.sim.now + 50 * MSEC)
+        assert first.triggered
+        assert not any(event.triggered for event in dropped)
+        assert server.reads_received == 1
+        assert server._inflight == 0 and server.queue_depth() == 0
+        assert not server._vssd_blocked
+
+    def test_bad_address_fails_one_request_alone(self):
+        # An lpn outside the vSSD makes the FTL raise; that request is
+        # dropped and its slot freed, the simulator and the requests
+        # around it carry on.
+        responses = []
+        sim, server, vssd = make_server(
+            respond_fn=lambda pkt, srv: responses.append(pkt.payload["lpn"])
+        )
+        server.max_inflight = 1
+        for lpn in (0, vssd.logical_pages + 7, 1):
+            pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
+            pkt.payload["lpn"] = lpn
+            server.receive_packet(pkt)
+        sim.run(until=10 * MSEC)
+        assert server.requests_failed == 1
+        assert server.reads_completed == 2 and len(responses) == 2
+        assert server._inflight == 0 and not server._vssd_blocked
+
+    def test_bad_address_is_contained_behind_the_token_bucket_wait(self):
+        from repro.vssd.token_bucket import TokenBucket
+
+        sim, server, vssd = make_server()
+        # One token per 100 us: the second request waits before it maps.
+        vssd.rate_limiter = TokenBucket(sim, rate_per_sec=1e4, capacity=1)
+        for lpn in (0, vssd.logical_pages):
+            pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
+            pkt.payload["lpn"] = lpn
+            server.receive_packet(pkt)
+        sim.run(until=10 * MSEC)
+        assert server.reads_completed == 1 and server.requests_failed == 1
+        assert server._inflight == 0
+
+    def test_refused_flush_hands_its_cache_slot_back(self):
+        sim, server, vssd = make_server(cache_pages=2)
+        for lpn in (vssd.logical_pages, 2, 3):
+            pkt = write_request(vssd.vssd_id, "client", server.ip, 0.0)
+            pkt.payload["lpn"] = lpn
+            server.receive_packet(pkt)
+        sim.run(until=100 * MSEC)
+        cache = server.write_cache
+        assert server.requests_failed == 1 and server.flushes_completed == 2
+        assert cache.dirty_pages == 0 and cache.occupancy == 0.0
+        assert vssd.writes_served == 2
 
     def test_unknown_vssd_rejected(self):
         sim, server, vssd = make_server()

@@ -139,6 +139,42 @@ class TestSimTimeBridge:
 
         asyncio.run(scenario())
 
+    def test_lpn_validated_and_later_requests_unharmed(self):
+        async def scenario():
+            bridge = SimTimeBridge(small_config())
+            await bridge.start()
+            try:
+                with pytest.raises(ConfigError):
+                    bridge.submit_read(0, 4_000_000_000)
+                with pytest.raises(ConfigError):
+                    bridge.submit_write(0, -1)
+                return await bridge.submit_read(0, 5)
+            finally:
+                await bridge.stop()
+
+        assert asyncio.run(scenario())["latency_us"] > 0
+
+    def test_bad_address_past_the_edge_fails_alone(self):
+        # A request that reaches the device with an unmappable address
+        # (here injected below the bridge's own check) times out by
+        # itself; the pump and the next request are unharmed.
+        async def scenario():
+            bridge = SimTimeBridge(small_config(), request_timeout_us=50_000.0)
+            await bridge.start()
+            try:
+                rack = bridge.rack
+                bad = bridge._track(
+                    "read", rack.issue_read(rack.pairs[0], 10**12),
+                    lambda pkt: {},
+                )
+                with pytest.raises(asyncio.TimeoutError):
+                    await bad
+                return await bridge.submit_read(0, 5)
+            finally:
+                await bridge.stop()
+
+        assert asyncio.run(scenario())["latency_us"] > 0
+
     def test_idle_bridge_freezes_sim_clock(self):
         async def scenario():
             bridge = SimTimeBridge(small_config())

@@ -261,20 +261,26 @@ class TestTokenBucket:
         sim.run()
         assert bucket.tokens == pytest.approx(5.0)
 
-    def test_throttle_process_blocks(self):
+    def test_waiting_out_the_delay_paces_a_caller(self):
         sim = Simulator()
         bucket = TokenBucket(sim, rate_per_sec=1_000_000.0, capacity=1.0)
         times = []
 
-        def worker():
-            for _ in range(3):
-                yield from bucket.throttle(1)
-                times.append(sim.now)
+        def take():
+            times.append(sim.now)
+            if len(times) < 3:
+                sim.schedule_after(bucket.delay_for(1), take)
 
-        sim.spawn(worker())
+        sim.schedule_after(bucket.delay_for(1), take)
         sim.run()
         # First op free; each next op waits 1 us at 1M tokens/s.
         assert times == pytest.approx([0.0, 1.0, 2.0])
+
+    def test_concurrent_requests_queue_behind_each_other(self):
+        sim = Simulator()
+        bucket = TokenBucket(sim, rate_per_sec=1_000_000.0, capacity=1.0)
+        waits = [bucket.delay_for(1) for _ in range(3)]
+        assert waits == pytest.approx([0.0, 1.0, 2.0])
 
     def test_queued_waiters_serialise(self):
         sim = Simulator()

@@ -5,13 +5,16 @@ Unlike the figure benches (which record *rack behaviour*), these record
 loop and the experiment fan-out from this PR onward.
 """
 
+import asyncio
+import random
 import time
 
 from conftest import run_once
 
-from repro.cluster.config import SystemType
+from repro.cluster.config import RackConfig, SystemType
 from repro.experiments.figures import clear_cache, fig9_p999_latency
 from repro.experiments.parallel import ParallelRunner, RunCache, RunSpec, using_jobs
+from repro.service.bridge import SimTimeBridge
 from repro.sim import Simulator
 from repro.trace import NullTracer
 from repro.workloads.spec import ycsb
@@ -103,6 +106,73 @@ def test_rack_run_reports_engine_throughput(benchmark):
           f"{raw:,.0f} events/sec; rack/raw {ratio:.3f} "
           f"(floor {_RACK_TO_RAW_FLOOR})")
     assert ratio > _RACK_TO_RAW_FLOOR
+
+
+#: Ceiling for bridge host-us per request at QD1 over the same at QD32:
+#: one process, one rack, the best of three alternating phases each, so
+#: the host's speed cancels as above.  With ``chunk_us=8000`` a pump turn
+#: that always ran the whole chunk measured ~6 (every lone request
+#: dragged 8 simulated ms of rack housekeeping behind it); a turn that
+#: stops at the last live completion measures 1.2-1.5 -- what is left is
+#: the asyncio round trip QD32 amortises over 32 requests.
+_QD1_TO_QD32_CEILING = 2.5
+
+
+async def _bridge_us_per_request(rounds: int = 3) -> tuple:
+    """Best host-us per request of a raw 70/30 closed loop through one
+    ``SimTimeBridge`` at QD32 and at QD1."""
+    bridge = SimTimeBridge(RackConfig(num_servers=2, num_pairs=4, seed=42),
+                           chunk_us=8000.0)
+    rng = random.Random(42)
+    pages = bridge.rack.pairs[0].primary.logical_pages
+
+    async def closed_loop(depth: int, ops: int) -> float:
+        unsent, unanswered, failures = [ops], [ops], []
+        finished = asyncio.Event()
+
+        def submit_next() -> None:
+            if unsent[0] == 0:
+                return
+            unsent[0] -= 1
+            submit = (bridge.submit_write if rng.random() < 0.3
+                      else bridge.submit_read)
+            submit(rng.randrange(4), rng.randrange(pages)).add_done_callback(done)
+
+        def done(future: "asyncio.Future") -> None:
+            if future.exception() is not None:
+                failures.append(future.exception())
+            unanswered[0] -= 1
+            if unanswered[0] == 0 or failures:
+                finished.set()
+            else:
+                submit_next()
+
+        started = time.perf_counter()
+        for _ in range(depth):
+            submit_next()
+        await finished.wait()
+        assert not failures, failures[0]
+        return (time.perf_counter() - started) * 1e6 / ops
+
+    await bridge.start()
+    try:
+        await closed_loop(32, 2000)  # warm the rack and the interpreter
+        qd32, qd1 = [], []
+        for _ in range(rounds):
+            qd32.append(await closed_loop(32, 4000))
+            qd1.append(await closed_loop(1, 1000))
+    finally:
+        await bridge.stop()
+    return min(qd32), min(qd1)
+
+
+def test_pump_costs_a_lone_request_little_more_than_a_batched_one(benchmark):
+    qd32, qd1 = run_once(benchmark, asyncio.run, _bridge_us_per_request())
+    ratio = qd1 / qd32
+    print()
+    print(f"bridge host time per request: QD32 {qd32:.0f} us, QD1 {qd1:.0f} us; "
+          f"QD1/QD32 {ratio:.2f} (ceiling {_QD1_TO_QD32_CEILING})")
+    assert ratio <= _QD1_TO_QD32_CEILING
 
 
 def test_serial_vs_parallel_figure_sweep(benchmark):

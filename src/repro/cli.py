@@ -164,9 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--trace-sample-rate", type=float, default=0.0,
                          help="request-tracing head-sample rate in [0,1]")
     serve_p.add_argument("--chunk-us", type=float, default=1000.0,
-                         help="simulated microseconds advanced per pump "
-                              "chunk; larger chunks batch more responses "
-                              "per socket write (default 1000)")
+                         help="upper bound, in simulated microseconds, "
+                              "per pump turn; the clock freezes at the "
+                              "last live completion (default 1000)")
     serve_p.add_argument("--fault-schedule", metavar="PATH", default=None,
                          help="arm this fault-injection schedule JSON on "
                               "the served rack (chaos testing)")

@@ -208,6 +208,16 @@ class PageMappedFtl:
         _, chip, block = best
         return PhysicalAddr(chip, block.block_id, 0)
 
+    def has_stale(self) -> bool:
+        """Whether :meth:`select_victim` would find a victim, without the
+        whole-device scan: stops at the first eligible block."""
+        for chip in self.chips:
+            active = self._active[chip.chip_id]
+            for block in chip.blocks:
+                if block.invalid_count > 0 and block is not active:
+                    return True
+        return False
+
     def victim_valid_lpns(self, victim: PhysicalAddr) -> List[int]:
         """Logical pages that must be migrated before erasing the victim."""
         block = victim.chip.blocks[victim.block_id]

@@ -112,8 +112,8 @@ class GcMonitor:
         kind = vssd.gc_needed()
         if kind is None:
             predictor = self.idle_predictors.get(vssd.vssd_id)
-            has_stale = vssd.ftl.select_victim() is not None
-            if predictor is not None and predictor.should_background_gc() and has_stale:
+            if (predictor is not None and predictor.should_background_gc()
+                    and vssd.ftl.has_stale()):
                 kind = "bg"
         if kind is None:
             return

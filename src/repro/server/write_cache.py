@@ -58,6 +58,10 @@ class WriteCache:
         #: True while the flusher sits out its low-pressure dwell.
         self._dwelling = False
         self._outstanding = 0
+        #: Called each time the last dirty page reaches flash.  The live
+        #: service's pump ends its turn here: an acked write's flush is
+        #: part of the work that write brought.
+        self.on_clean: Optional[Callable[[], None]] = None
         self.admissions = 0
         self.coalesced = 0
         self.flushes = 0
@@ -67,6 +71,11 @@ class WriteCache:
     def dirty_pages(self) -> int:
         """Pages cached but not yet handed to the flusher."""
         return len(self._dirty)
+
+    @property
+    def clean(self) -> bool:
+        """Nothing dirty and no flush in flight."""
+        return not self._dirty and not self._outstanding
 
     @property
     def occupancy(self) -> float:
@@ -145,6 +154,8 @@ class WriteCache:
         self.flushes += 1
         self._wake_one_admission()
         self._run_flusher()
+        if self.on_clean is not None and self.clean:
+            self.on_clean()
 
     def _flush_failed(self, _exc: Exception) -> None:
         # The device refused the page: the slot is free all the same.

@@ -3,24 +3,32 @@
 The simulator only moves when :meth:`Simulator.run` is called, so a live
 service needs something to turn the crank.  The bridge runs a *pump*
 task on the asyncio event loop: whenever at least one live request is in
-flight it advances the simulator in bounded chunks (event-driven -- the
-clock jumps straight to the next event, it does not tick), completing
-each request's :class:`asyncio.Future` the moment its simulated response
-reaches the client edge.  With nothing in flight the pump parks and the
-simulated clock freezes, so an idle service burns neither CPU nor
-simulated time.
+flight it advances the simulator (event-driven -- the clock jumps
+straight to the next event, it does not tick), completing each request's
+:class:`asyncio.Future` the moment its simulated response reaches the
+client edge.  A pump turn stops when the work does: the last live
+completion calls :meth:`Simulator.stop` (once the writes the turn acked
+are flushed) and the clock freezes at that instant.  ``chunk_us`` is only
+the upper bound of a turn: it hands the loop to the socket handlers
+while stragglers are in flight and walks the clock to the deadline of a
+request nothing will answer.  With nothing in flight the pump parks, so
+simulated time -- and with it the rack's own housekeeping (GC monitors,
+heartbeats, predictors, chaos schedules) -- advances only under load.
 
-Everything runs on the event-loop thread -- the simulator is never
-touched concurrently -- which keeps the rack exactly as deterministic as
-it is under the batch experiment runner.
+An exception escaping the simulator fails the requests live in that
+turn and is logged; the pump keeps turning.  Everything runs on the
+event-loop thread -- the simulator is never touched concurrently --
+which keeps the rack exactly as deterministic as it is under the batch
+experiment runner.
 
-Optionally the pump is *paced*: ``pace=1.0`` advances one simulated
-microsecond per wall-clock microsecond (real time), ``pace=10`` runs the
-rack ten times faster than real time, and the default ``pace=0`` is
+Optionally the pump is *paced*: ``pace=1.0`` sleeps each turn out to
+the simulated time it advanced (real time), ``pace=10`` runs the rack
+ten times faster than real time, and the default ``pace=0`` is
 free-running (as fast as the host allows; what benchmarks want).
 """
 
 import asyncio
+import logging
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -30,6 +38,8 @@ from repro.errors import ConfigError
 from repro.kvstore.store import RackKvStore
 from repro.metrics.collector import ExperimentMetrics
 from repro.sim.core import MSEC, SEC
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -88,6 +98,9 @@ class SimTimeBridge:
         if precondition:
             self.rack.precondition()
         self.kv = RackKvStore(self.rack, client_name="svc-kv")
+        self._write_caches = [s.write_cache for s in self.rack.servers]
+        for cache in self._write_caches:
+            cache.on_clean = self._stop_if_settled
         #: Sim-time latencies of live requests (read/write classes), the
         #: same collector the batch runner uses -- so ``/stats`` reports
         #: the service with the experiment engine's vocabulary.
@@ -104,7 +117,7 @@ class SimTimeBridge:
         self._running = False
         self._pump_task: Optional["asyncio.Task"] = None
         self._wakeup: Optional["asyncio.Event"] = None
-        #: Called after every simulated chunk, once the completions in it
+        #: Called after every pump turn, once the completions in it
         #: have resolved their futures.  The server hangs its response
         #: flush here: one socket write per connection per chunk instead
         #: of one per response (each tiny cross-process send pays a
@@ -262,7 +275,10 @@ class SimTimeBridge:
 
         def _on_done(ev) -> None:
             live = self._live.pop(token, None)
-            if live is None or future.done():
+            if live is None:
+                return
+            self._stop_if_settled()
+            if future.done():
                 return
             self.completed += 1
             try:
@@ -295,7 +311,14 @@ class SimTimeBridge:
                     await self._wakeup.wait()
                 continue
             wall_start = loop.time()
-            sim.run(until=sim.now + self.chunk_us)
+            sim_start = sim.now
+            try:
+                # At most chunk_us; the last live completion stops it.
+                sim.run(until=sim_start + self.chunk_us)
+            except Exception as exc:
+                logger.exception("simulator raised at %.1f sim-us; failing "
+                                 "%d live request(s)", sim.now, len(self._live))
+                self._fail_live(exc)
             self.sim_chunks += 1
             self._expire(sim.now)
             if self.after_chunk is not None:
@@ -304,13 +327,28 @@ class SimTimeBridge:
                 loop.call_soon(self.after_chunk)
             if self.pace > 0:
                 # Hold the simulated clock to pace * wall-clock.
-                target_s = (self.chunk_us / SEC) / self.pace
+                target_s = ((sim.now - sim_start) / SEC) / self.pace
                 remaining = target_s - (loop.time() - wall_start)
                 await asyncio.sleep(max(0.0, remaining))
             else:
                 # Yield so connection handlers can read/write sockets
                 # between chunks; free-running otherwise.
                 await asyncio.sleep(0)
+
+    def _stop_if_settled(self) -> None:
+        """End this pump turn once nothing is left of the requests it
+        served: no live request, and every write they left in a DRAM
+        cache flushed (else the flushes would land on the next turn's
+        requests instead of behind these)."""
+        if not self._live and all(c.clean for c in self._write_caches):
+            self.rack.sim.stop()
+
+    def _fail_live(self, exc: BaseException) -> None:
+        """Fail every live request with ``exc`` (a contained pump fault)."""
+        live, self._live = self._live, {}
+        for entry in live.values():
+            if not entry.future.done():
+                entry.future.set_exception(exc)
 
     def _expire(self, now_us: float) -> None:
         """Fail live requests whose sim deadline has passed.

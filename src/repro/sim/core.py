@@ -35,7 +35,8 @@ class Simulator:
     heap without limit.
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_running", "_event_count", "_cancelled")
+    __slots__ = ("_now", "_heap", "_seq", "_running", "_event_count", "_cancelled",
+                 "_stopping")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -44,6 +45,7 @@ class Simulator:
         self._running = False
         self._event_count = 0
         self._cancelled = 0  # cancelled entries still sitting in the heap
+        self._stopping = False  # a stop() sentinel is sitting in the heap
 
     @property
     def now(self) -> float:
@@ -89,6 +91,20 @@ class Simulator:
             raise SimulationError(f"negative delay {delay!r}")
         heapq.heappush(self._heap, (self._now + delay, next(self._seq), fn))
 
+    def stop(self) -> None:
+        """End the current :meth:`run` from inside a callback.
+
+        The run returns once the events already queued for this instant
+        have fired, with the clock frozen here; everything later stays in
+        the heap for the next ``run()``.  Outside a run it does nothing.
+        The run loop pays nothing for it: ``stop`` queues a zero-delay
+        sentinel whose exception ``run`` catches, so no flag is tested
+        after each callback.
+        """
+        if self._running and not self._stopping:
+            self._stopping = True
+            heapq.heappush(self._heap, (self._now, next(self._seq), _raise_stop))
+
     def spawn(self, generator: Generator) -> "Any":
         """Start a new :class:`~repro.sim.process.Process` from a generator."""
         from repro.sim.process import Process
@@ -121,8 +137,9 @@ class Simulator:
         """Run the event loop.
 
         Stops when the heap drains, when the next event would pass ``until``
-        (the clock is then advanced exactly to ``until``), or after
-        ``max_events`` callbacks.  Returns the final simulated time.
+        (the clock is then advanced exactly to ``until``), after
+        ``max_events`` callbacks, or at the instant a callback called
+        :meth:`stop`.  Returns the final simulated time.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
@@ -139,34 +156,38 @@ class Simulator:
         heappop = heapq.heappop
         count = self._event_count
         try:
-            budget = max_events if max_events is not None else -1
-            while heap:
-                head = heap[0]
-                when = head[0]
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                heappop(heap)
-                entry = head[2]
-                if entry.__class__ is _Entry:
-                    if entry.cancelled:
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        continue
-                    fn = entry.fn
-                else:
-                    fn = entry  # bare callable from schedule_after
-                self._now = when
-                count += 1
-                fn()
-                if budget > 0:
-                    budget -= 1
-                    if budget == 0:
+            try:
+                budget = max_events if max_events is not None else -1
+                while heap:
+                    head = heap[0]
+                    when = head[0]
+                    if until is not None and when > until:
+                        self._now = until
                         break
-            else:
-                # Heap drained; if an explicit horizon was given, honour it.
-                if until is not None and until > self._now:
-                    self._now = until
+                    heappop(heap)
+                    entry = head[2]
+                    if entry.__class__ is _Entry:
+                        if entry.cancelled:
+                            if self._cancelled > 0:
+                                self._cancelled -= 1
+                            continue
+                        fn = entry.fn
+                    else:
+                        fn = entry  # bare callable from schedule_after
+                    self._now = when
+                    count += 1
+                    fn()
+                    if budget > 0:
+                        budget -= 1
+                        if budget == 0:
+                            break
+                else:
+                    # Heap drained; if an explicit horizon was given, honour it.
+                    if until is not None and until > self._now:
+                        self._now = until
+            except _StopRun:
+                count -= 1  # the sentinel is not an event
+                self._stopping = False
         finally:
             self._event_count = count
             self._running = False
@@ -182,6 +203,14 @@ class Simulator:
         if not heap:
             return None
         return heap[0][0]
+
+
+class _StopRun(Exception):
+    """Raised by the :meth:`Simulator.stop` sentinel, caught by ``run``."""
+
+
+def _raise_stop() -> None:
+    raise _StopRun
 
 
 class _Entry:

@@ -311,3 +311,51 @@ class TestFtlProperties:
                 policy.collect_until(ftl, target_ratio=0.4)
                 assert ftl.free_blocks_total() >= before
             ftl.place_write(rng.randrange(ftl.logical_pages))
+
+    @pytest.mark.parametrize("borrowing", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_has_stale_agrees_with_select_victim(self, seed, borrowing):
+        """``has_stale()`` is ``select_victim() is not None`` without the
+        scan -- after every write, trim, migration and erase, with and
+        without borrowed blocks in play."""
+        import random
+
+        rng = random.Random(seed)
+        ftl = make_ftl(chips=2, blocks=6, pages=4, overprovision=0.25)
+        ftls = [ftl]
+        gc_share = 0.25
+        if borrowing:
+            # Rare GC, so the borrower runs dry and spills into the loan.
+            gc_share = 0.03
+            # Chip ids are unique within a device.
+            lender = PageMappedFtl("lender", [FlashChip(7, 8, 4)], 4)
+            lender.lend_free_blocks(3, ftl)
+            ftls.append(lender)
+        spilled = False
+
+        def check():
+            for each in ftls:
+                assert each.has_stale() == (each.select_victim() is not None)
+
+        check()
+        for _ in range(400):
+            target = rng.choice(ftls)
+            roll = rng.random()
+            try:
+                if roll < gc_share:
+                    # One GC pass on the borrower, checked step by step.
+                    victim = ftl.select_victim()
+                    if victim is not None:
+                        for lpn in ftl.victim_valid_lpns(victim):
+                            ftl.migrate_page(lpn)
+                            check()
+                        ftl.commit_erase(victim)
+                elif roll < gc_share + 0.15:
+                    target.trim(rng.randrange(target.logical_pages))
+                else:
+                    target.place_write(rng.randrange(target.logical_pages))
+            except OutOfSpaceError:
+                pass
+            spilled = spilled or bool(ftl._borrowed_in_use)
+            check()
+        assert spilled == borrowing

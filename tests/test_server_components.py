@@ -224,6 +224,26 @@ class TestWriteCache:
         # One page per dwell while pressure stays light.
         assert flushes == [(200.0, 0), (400.0, 1)]
 
+    def test_on_clean_fires_when_the_last_flush_lands(self):
+        sim, _, vssd = make_server()
+        flushes = []
+        cache = WriteCache(
+            sim, capacity_pages=4, flush_watermark=0.0,
+            submit_fn=lambda vssd, lpn, then: flushes.append(then),
+        )
+        cleaned = []
+        cache.on_clean = lambda: cleaned.append(sim.now)
+        assert cache.clean
+        for lpn in range(3):
+            cache.start_admit(vssd, lpn, lambda: None)
+        sim.run(until=1.0)
+        assert len(flushes) == 3 and not cache.clean
+        flushes[0]()
+        flushes[1]()
+        assert cleaned == []  # one flush is still in flight
+        flushes[2]()
+        assert cleaned == [1.0] and cache.clean
+
     def test_admit_process_adapter_matches_the_callback_core(self):
         sim, _, vssd = make_server()
         cache = WriteCache(sim, capacity_pages=1,

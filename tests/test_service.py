@@ -190,6 +190,105 @@ class TestSimTimeBridge:
 
         asyncio.run(scenario())
 
+    def test_pump_turn_ends_at_the_last_live_completion(self):
+        async def scenario():
+            bridge = SimTimeBridge(small_config(), chunk_us=8000.0)
+            await bridge.start()
+            try:
+                sim = bridge.rack.sim
+                t0, turns = sim.now, bridge.sim_chunks
+                read = await bridge.submit_read(0, 5)
+                # Frozen at the completion, not at the 8 ms turn bound.
+                assert sim.now == pytest.approx(t0 + read["latency_us"])
+                assert bridge.sim_chunks == turns + 1
+
+                t0, turns = sim.now, bridge.sim_chunks
+                both = await asyncio.gather(
+                    bridge.submit_read(0, 6), bridge.submit_read(1, 7)
+                )
+                fast, slow = sorted(r["latency_us"] for r in both)
+                assert fast < slow
+                # One turn served both: it did not stop at the first.
+                assert bridge.sim_chunks == turns + 1
+                assert sim.now == pytest.approx(t0 + slow)
+            finally:
+                await bridge.stop()
+
+        asyncio.run(scenario())
+
+    def test_pump_turn_covers_the_flush_of_an_acked_write(self):
+        # The ack comes when both DRAM copies exist; the turn runs on
+        # until they reached flash, so the flushes trail this write and
+        # do not land on whatever request comes next.
+        async def scenario():
+            bridge = SimTimeBridge(small_config(), chunk_us=50_000.0)
+            await bridge.start()
+            try:
+                sim = bridge.rack.sim
+                t0, turns = sim.now, bridge.sim_chunks
+                write = await bridge.submit_write(0, 9)
+                caches = [s.write_cache for s in bridge.rack.servers]
+                assert sum(c.flushes for c in caches) == 2
+                assert all(c.clean for c in caches)
+                assert bridge.sim_chunks == turns + 1
+                assert t0 + write["latency_us"] < sim.now < t0 + 50_000.0
+            finally:
+                await bridge.stop()
+
+        asyncio.run(scenario())
+
+    def test_paced_pump_sleeps_for_the_time_advanced(self, monkeypatch):
+        slept = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args):
+            slept.append(delay)
+            await real_sleep(0)
+
+        async def scenario():
+            # A thousandth of real time: the sleep dwarfs the host time
+            # the turn itself took.
+            bridge = SimTimeBridge(small_config(), chunk_us=8000.0, pace=1e-3)
+            await bridge.start()
+            monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+            try:
+                read = await bridge.submit_read(0, 5)
+            finally:
+                monkeypatch.undo()
+                await bridge.stop()
+            return read
+
+        read = asyncio.run(scenario())
+        assert len(slept) == 1
+        assert slept[0] == pytest.approx(read["latency_us"] / 1e6 / 1e-3, rel=0.1)
+
+    def test_pump_contains_an_exception_from_the_simulator(self, caplog):
+        def boom():
+            raise ValueError("boom")
+
+        async def scenario():
+            bridge = SimTimeBridge(small_config())
+            await bridge.start()
+            try:
+                bridge.rack.sim.schedule_after(1.0, boom)
+                lost = await asyncio.gather(
+                    bridge.submit_read(0, 1), bridge.submit_write(1, 2),
+                    return_exceptions=True,
+                )
+                # Costs the requests live in that turn, nothing after it.
+                after = await bridge.submit_read(0, 1)
+                assert bridge.inflight == 0
+            finally:
+                await asyncio.wait_for(bridge.stop(), timeout=5.0)
+            return lost, after
+
+        with caplog.at_level("ERROR", logger="repro.service.bridge"):
+            lost, after = asyncio.run(scenario())
+        assert [type(exc) for exc in lost] == [ValueError, ValueError]
+        assert after["latency_us"] > 0
+        assert len(caplog.records) == 1
+        assert "boom" in caplog.text
+
     def test_timeout_expires_undeliverable_request(self):
         async def scenario():
             bridge = SimTimeBridge(

@@ -94,6 +94,94 @@ class TestSimulatorClock:
         assert sim.event_count == 3
 
 
+class TestStop:
+    def test_stop_ends_run_at_that_instant(self):
+        sim = Simulator()
+        seen = []
+        sim.call_after(5.0, lambda: (seen.append("a"), sim.stop()))
+        sim.call_after(9.0, lambda: seen.append("late"))
+        assert sim.run(until=100.0) == 5.0
+        assert seen == ["a"] and sim.now == 5.0
+        # The later event stayed queued and fires on the next run.
+        assert sim.peek() == 9.0
+        assert sim.run() == 9.0
+        assert seen == ["a", "late"]
+
+    def test_events_already_queued_for_the_instant_still_run(self):
+        sim = Simulator()
+        seen = []
+        sim.call_after(5.0, sim.stop)
+        sim.call_after(5.0, lambda: seen.append("same instant"))
+        sim.schedule_after(5.0, lambda: sim.schedule_after(
+            0.0, lambda: seen.append("queued after the stop")))
+        sim.run()
+        assert seen == ["same instant"] and sim.now == 5.0
+        sim.run()
+        assert seen == ["same instant", "queued after the stop"]
+        assert sim.now == 5.0
+
+    def test_stop_outside_run_is_a_no_op(self):
+        sim = Simulator()
+        sim.stop()
+        assert sim.pending_count == 0
+        seen = []
+        sim.call_after(1.0, lambda: seen.append(1))
+        sim.call_after(2.0, lambda: seen.append(2))
+        assert sim.run() == 2.0
+        assert seen == [1, 2]
+
+    def test_stopping_twice_in_one_run_stops_once(self):
+        sim = Simulator()
+        sim.call_after(1.0, lambda: (sim.stop(), sim.stop()))
+        sim.call_after(2.0, lambda: None)
+        sim.run()
+        assert sim.now == 1.0 and sim.pending_count == 1
+        assert sim.run() == 2.0
+
+    def test_event_count_excludes_the_sentinel(self):
+        sim = Simulator()
+        sim.call_after(1.0, lambda: None)
+        sim.call_after(2.0, sim.stop)
+        sim.call_after(3.0, lambda: None)
+        sim.run()
+        assert sim.event_count == 2
+        sim.run()
+        assert sim.event_count == 3
+
+    def test_stop_under_a_max_events_budget(self):
+        sim = Simulator()
+        sim.call_after(1.0, sim.stop)
+        sim.call_after(1.0, lambda: None)
+        sim.call_after(2.0, lambda: None)
+        sim.run(max_events=10)
+        assert sim.now == 1.0 and sim.event_count == 2
+
+    def test_run_until_without_stop_is_unchanged(self):
+        sim = Simulator()
+        seen = []
+        for delay in (10.0, 20.0, 60.0):
+            sim.call_after(delay, lambda d=delay: seen.append(d))
+        assert sim.run(until=50.0) == 50.0
+        assert seen == [10.0, 20.0] and sim.event_count == 2
+        assert sim.run(until=500.0) == 500.0
+        assert seen == [10.0, 20.0, 60.0] and sim.event_count == 3
+
+    def test_a_raising_callback_does_not_swallow_a_pending_stop(self):
+        sim = Simulator()
+
+        def boom():
+            sim.stop()
+            raise ValueError("boom")
+
+        sim.call_after(1.0, boom)
+        sim.call_after(2.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.run()
+        # The stop is still owed: the next run ends at once, then all is normal.
+        assert sim.run() == 1.0
+        assert sim.run() == 2.0
+
+
 class TestCancelledEntryCompaction:
     def test_heap_stays_bounded_under_cancel_churn(self):
         # Schedule-then-cancel churn (timeout guards that never fire) must

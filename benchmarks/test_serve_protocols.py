@@ -1,17 +1,12 @@
 """Protocol-matrix perf-smoke: the PR-6 acceptance artifact.
 
-Three closed-loop rows against real TCP serve subprocesses --
+Two closed-loop rows against real TCP serve subprocesses --
 
 * ``json-1core``   -- the v1 wire, one acceptor process (the baseline);
-* ``bin-1core``    -- the negotiated binary fast path, same server;
-* ``bin-percore``  -- binary + ``--workers N`` SO_REUSEPORT acceptors,
-  driven by N concurrent loadgen processes.
+* ``bin-1core``    -- the negotiated binary fast path, same server.
 
 Every run's admitted req/s lands in ``BENCH_serve.json`` (path override:
-``BENCH_SERVE_OUT``).  The headline >= 5x gate for ``bin-percore`` over
-``json-1core`` is **core-count gated**: per-core acceptors cannot beat a
-single core on a box that only has one, so the gate arms at
-``GATE_CORES`` cores and the artifact records whether it was enforced.
+``BENCH_SERVE_OUT``).
 """
 
 import json
@@ -21,21 +16,13 @@ import signal
 import subprocess
 import sys
 
-import pytest
-
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _OUT_PATH = os.environ.get(
     "BENCH_SERVE_OUT", os.path.join(_REPO_ROOT, "BENCH_serve.json"))
 
-CORES = os.cpu_count() or 1
-#: Cores needed before the 5x speedup assertion arms.  The fleet needs
-#: headroom for the acceptors *and* the loadgen processes driving them.
-GATE_CORES = 8
-SPEEDUP_FLOOR = 5.0
 #: Absolute sanity floor for every row (localhost, admitted req/s).
 ROW_FLOOR_RPS = 1_000.0
 
-PERCORE_WORKERS = max(2, min(8, CORES))
 CLIENTS = 16
 REQUESTS_PER_CLIENT = 200
 PIPELINE = 6
@@ -46,12 +33,12 @@ SERVE_ARGS = ["--servers", "2", "--pairs", "4", "--queue-depth", "512",
 _rows = {}
 
 
-def _spawn_serve(extra):
+def _spawn_serve():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         *SERVE_ARGS, *extra],
+         *SERVE_ARGS],
         cwd=_REPO_ROOT, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
@@ -80,27 +67,21 @@ def _loadgen_cmd(port, protocol):
             "--write-ratio", "0.0", "--pairs", "4", "--seed", "7"]
 
 
-def _drive(port, protocol, procs=1):
-    """Run ``procs`` concurrent loadgen subprocesses; sum admitted req/s."""
+def _drive(port, protocol):
+    """Run one loadgen subprocess; its admitted req/s."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
-    running = [
-        subprocess.Popen(_loadgen_cmd(port, protocol), cwd=_REPO_ROOT,
-                         env=env, stdout=subprocess.PIPE,
-                         stderr=subprocess.STDOUT, text=True)
-        for _ in range(procs)
-    ]
-    total_rps = 0.0
-    for proc in running:
-        out, _ = proc.communicate(timeout=300)
-        assert proc.returncode == 0, f"loadgen failed:\n{out}"
-        assert "errors 0" in out, f"loadgen saw errors:\n{out}"
-        assert f"protocol {protocol}" in out, (
-            f"negotiation landed off-target:\n{out}")
-        match = re.search(r"throughput ([\d,]+) req/s", out)
-        assert match, f"no throughput line:\n{out}"
-        total_rps += float(match.group(1).replace(",", ""))
-    return total_rps
+    proc = subprocess.Popen(_loadgen_cmd(port, protocol), cwd=_REPO_ROOT,
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True)
+    out, _ = proc.communicate(timeout=300)
+    assert proc.returncode == 0, f"loadgen failed:\n{out}"
+    assert "errors 0" in out, f"loadgen saw errors:\n{out}"
+    assert f"protocol {protocol}" in out, (
+        f"negotiation landed off-target:\n{out}")
+    match = re.search(r"throughput ([\d,]+) req/s", out)
+    assert match, f"no throughput line:\n{out}"
+    return float(match.group(1).replace(",", ""))
 
 
 def _record(row, rps):
@@ -113,7 +94,7 @@ def _record(row, rps):
 
 
 def test_json_one_core(benchmark):
-    proc, port = _spawn_serve([])
+    proc, port = _spawn_serve()
     try:
         rps = benchmark.pedantic(_drive, args=(port, "json"),
                                  rounds=1, iterations=1)
@@ -123,7 +104,7 @@ def test_json_one_core(benchmark):
 
 
 def test_bin_one_core(benchmark):
-    proc, port = _spawn_serve([])
+    proc, port = _spawn_serve()
     try:
         rps = benchmark.pedantic(_drive, args=(port, "bin"),
                                  rounds=1, iterations=1)
@@ -132,56 +113,21 @@ def test_bin_one_core(benchmark):
     _record("bin-1core", rps)
 
 
-def test_bin_percore(benchmark):
-    proc, port = _spawn_serve(["--workers", str(PERCORE_WORKERS)])
-    try:
-        rps = benchmark.pedantic(
-            _drive, args=(port, "bin"),
-            kwargs={"procs": min(PERCORE_WORKERS, 4)},
-            rounds=1, iterations=1,
-        )
-    finally:
-        _stop_serve(proc)
-    _record("bin-percore", rps)
-
-
-def test_emit_artifact_and_gate():
-    # Runs last (definition order): the three rows above have filled
-    # ``_rows``; write the artifact, then enforce the core-gated floor.
-    assert set(_rows) == {"json-1core", "bin-1core", "bin-percore"}, (
+def test_emit_artifact():
+    # Runs last (definition order): the two rows above have filled
+    # ``_rows``.
+    assert set(_rows) == {"json-1core", "bin-1core"}, (
         f"rows missing (ran out of order?): {sorted(_rows)}")
-    speedup = _rows["bin-percore"] / _rows["json-1core"]
-    gated = CORES >= GATE_CORES
     artifact = {
         "bench": "serve-protocol-matrix",
-        "cores": CORES,
-        "workers": PERCORE_WORKERS,
+        "cores": os.cpu_count() or 1,
         "clients": CLIENTS,
         "requests_per_client": REQUESTS_PER_CLIENT,
         "pipeline": PIPELINE,
         "rows_rps": dict(_rows),
-        "speedup_bin_percore_vs_json_1core": round(speedup, 2),
-        "gate": {
-            "floor": SPEEDUP_FLOOR,
-            "enforced": gated,
-            "reason": (None if gated else
-                       f"host has {CORES} cores < {GATE_CORES}"),
-        },
     }
     with open(_OUT_PATH, "w") as fh:
         json.dump(artifact, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"\nwrote {_OUT_PATH}")
     print(json.dumps(artifact["rows_rps"], indent=2, sort_keys=True))
-    print(f"speedup bin-percore / json-1core: {speedup:.2f}x "
-          f"(gate {'ENFORCED' if gated else 'waived'}: "
-          f">= {SPEEDUP_FLOOR}x needs >= {GATE_CORES} cores)")
-    if gated:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"bin-percore is only {speedup:.2f}x json-1core on a "
-            f"{CORES}-core host -- the fast path + per-core acceptors "
-            f"must clear {SPEEDUP_FLOOR}x"
-        )
-    elif CORES == 1:
-        pytest.skip(f"speedup gate waived: {CORES} core < {GATE_CORES} "
-                    f"(artifact still written)")

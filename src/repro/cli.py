@@ -124,16 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(deterministic, full semantics); process: "
                               "one backend serve process per rack behind "
                               "a relay proxy (scales across cores)")
-    serve_p.add_argument("--workers", type=int, default=1,
-                         help="per-core acceptors: N single-rack worker "
-                              "processes sharing one port via "
-                              "SO_REUSEPORT (the kernel balances "
-                              "connections across them; each worker is "
-                              "an independent rack simulator). Requires "
-                              "--racks 1")
-    serve_p.add_argument("--reuseport", action="store_true",
-                         help="bind the listener with SO_REUSEPORT "
-                              "(set automatically on --workers children)")
     serve_p.add_argument("--queue-depth", type=int, default=256,
                          help="global in-flight cap before BUSY shedding")
     serve_p.add_argument("--client-rate", type=float, default=0.0,
@@ -146,18 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "file path or inline JSON (enables the "
                               "weighted-fair scheduler and the DRAM "
                               "read cache; see docs/serving.md)")
-    serve_p.add_argument("--admission-queue-depth", type=int,
-                         dest="queue_depth", default=argparse.SUPPRESS,
-                         metavar="N",
-                         help="(deprecated alias for --queue-depth)")
-    serve_p.add_argument("--admission-client-rate", type=float,
-                         dest="client_rate", default=argparse.SUPPRESS,
-                         metavar="RPS",
-                         help="(deprecated alias for --client-rate)")
-    serve_p.add_argument("--admission-client-burst", type=float,
-                         dest="client_burst", default=argparse.SUPPRESS,
-                         metavar="N",
-                         help="(deprecated alias for --client-burst)")
     serve_p.add_argument("--pace", type=float, default=0.0,
                          help="sim-time speed vs wall-clock (1.0 = real "
                               "time; 0 = free-running, the default)")
@@ -410,10 +388,33 @@ def _load_qos(args):
     return qos, cache
 
 
-def _cmd_serve(args) -> int:
+def _serve_until_signal(start) -> None:
+    """Run one served deployment: ``stop = await start()`` brings it up
+    and prints the "serving ... on host:port" line, then wait for
+    SIGINT/SIGTERM and ``await stop()`` -- the graceful drain, run on
+    any exit once ``start`` has returned."""
     import asyncio
-    import socket
+    import signal
 
+    async def main() -> None:
+        stop = await start()
+        try:
+            stopping = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(signum, stopping.set)
+                except NotImplementedError:  # pragma: no cover - non-POSIX
+                    pass
+            await stopping.wait()
+            print("draining in-flight requests...", flush=True)
+        finally:
+            await stop()
+
+    asyncio.run(main())
+
+
+def _cmd_serve(args) -> int:
     from repro.service.admission import AdmissionController
     from repro.service.server import RackService
 
@@ -423,19 +424,6 @@ def _cmd_serve(args) -> int:
     _require(args.shard_mode == "inproc" or args.fault_schedule is None,
              "--fault-schedule requires --shard-mode inproc (backend "
              "processes cannot share one schedule deterministically)")
-    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
-    _require(args.workers == 1 or args.racks == 1,
-             "--workers > 1 requires --racks 1 (per-core acceptors "
-             "multiply one rack; shard with --racks instead)")
-    _require(args.workers == 1 or args.fault_schedule is None,
-             "--fault-schedule requires --workers 1 (workers cannot "
-             "share one schedule deterministically)")
-    _require((args.workers == 1 and not args.reuseport)
-             or hasattr(socket, "SO_REUSEPORT"),
-             "--workers / --reuseport need SO_REUSEPORT, which this "
-             "platform does not provide")
-    _require(not args.reuseport or args.racks == 1,
-             "--reuseport applies to the single-rack service only")
     _require(args.queue_depth >= 1,
              f"--queue-depth must be >= 1, got {args.queue_depth}")
     _require(args.client_rate >= 0,
@@ -471,12 +459,17 @@ def _cmd_serve(args) -> int:
         trace_sample_rate=args.trace_sample_rate,
         fault_schedule=fault_schedule,
     )
-    if args.racks > 1 and args.shard_mode == "process":
-        return _serve_proxy(args)
-    if args.workers > 1:
-        return _serve_percore(args)
-
     qos, read_cache = _load_qos(args)
+    label = f"{args.system} rack"
+    if args.racks > 1:
+        label += f" x{args.racks}"
+        if args.read_policy != "hash":
+            label += f" [{args.read_policy} reads]"
+    if qos is not None:
+        label += " [qos]"
+    if args.racks > 1 and args.shard_mode == "process":
+        return _serve_proxy(args, label, qos, read_cache)
+
     if args.racks == 1:
         # The single-rack special case: exactly the unsharded service.
         service = RackService(
@@ -489,11 +482,9 @@ def _cmd_serve(args) -> int:
             pace=args.pace,
             chunk_us=args.chunk_us,
             request_timeout_us=args.request_timeout_us,
-            reuse_port=args.reuseport,
             qos=qos,
             read_cache=read_cache,
         )
-        label = f"{args.system} rack"
     else:
         from repro.service.router import ShardedRackService, ShardRouter
 
@@ -510,43 +501,31 @@ def _cmd_serve(args) -> int:
         )
         service = ShardedRackService(router, host=args.host, port=args.port,
                                      qos=qos, read_cache=read_cache)
-        label = f"{args.system} rack x{args.racks}"
-        if args.read_policy != "hash":
-            label += f" [{args.read_policy} reads]"
-    if qos is not None:
-        label += " [qos]"
 
-    async def serve() -> None:
-        import signal
-
+    async def start():
         await service.start()
         print(f"serving {label} "
               f"({args.pairs} pairs / {args.servers} servers) "
               f"on {service.host}:{service.port}", flush=True)
-        stopping = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stopping.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        await stopping.wait()
-        print("draining in-flight requests...", flush=True)
+        return stop
+
+    async def stop() -> None:
         await service.stop()
         stats = service.bridge.stats()
         print(f"served {stats.completed} requests "
               f"({stats.timed_out} timed out) over "
               f"{stats.sim_now_us / 1e6:.3f} simulated seconds", flush=True)
 
-    asyncio.run(serve())
+    _serve_until_signal(start)
     return 0
 
 
-def _serve_proxy(args) -> int:
+def _serve_proxy(args, label: str, qos, read_cache) -> int:
     """``serve --racks N --shard-mode process``: one backend serve
-    process per rack behind a frame-relay proxy (scales across cores)."""
-    import asyncio
-
+    process per rack behind a frame-relay proxy (scales across cores).
+    Tenancy lives at the proxy front-end: the relay schedules and caches
+    per tenant while the backend racks keep plain admission (a backend
+    never sees ``--tenants``)."""
     from repro.service.router import (
         ShardProxy,
         launch_backends,
@@ -570,14 +549,7 @@ def _serve_proxy(args) -> int:
     if args.request_timeout_us is not None:
         backend_args += ["--request-timeout-us", str(args.request_timeout_us)]
 
-    # Tenancy lives at the proxy front-end: the relay schedules and
-    # caches per tenant while the backend racks keep plain admission
-    # (a backend never sees --tenants).
-    qos, read_cache = _load_qos(args)
-
-    async def serve() -> None:
-        import signal
-
+    async def start():
         procs, endpoints = await launch_backends(
             args.racks, backend_args, seed=args.seed
         )
@@ -585,113 +557,27 @@ def _serve_proxy(args) -> int:
                            pairs_per_rack=args.pairs,
                            read_policy=args.read_policy,
                            qos=qos, read_cache=read_cache)
+
+        async def stop() -> None:
+            try:
+                await proxy.stop()
+            finally:
+                await shutdown_backends(procs)
+            print(f"served {proxy.routed} requests "
+                  f"(relayed across {args.racks} racks)", flush=True)
+
         try:
             await proxy.start()
-            label = f"{args.system} rack x{args.racks}"
-            if args.read_policy != "hash":
-                label += f" [{args.read_policy} reads]"
-            if qos is not None:
-                label += " [qos]"
-            print(f"serving {label} "
-                  f"({args.pairs} pairs / {args.servers} servers, "
-                  f"process shards) "
-                  f"on {proxy.host}:{proxy.port}", flush=True)
-            stopping = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(signum, stopping.set)
-                except NotImplementedError:  # pragma: no cover - non-POSIX
-                    pass
-            await stopping.wait()
-            print("draining in-flight requests...", flush=True)
-            await proxy.stop()
-        finally:
+        except BaseException:
             await shutdown_backends(procs)
-        print(f"served {proxy.routed} requests "
-              f"(relayed across {args.racks} racks)", flush=True)
+            raise
+        print(f"serving {label} "
+              f"({args.pairs} pairs / {args.servers} servers, "
+              f"process shards) "
+              f"on {proxy.host}:{proxy.port}", flush=True)
+        return stop
 
-    asyncio.run(serve())
-    return 0
-
-
-def _serve_percore(args) -> int:
-    """``serve --workers N``: N single-rack worker processes sharing one
-    port via SO_REUSEPORT -- the kernel spreads incoming connections
-    across them, so each acceptor (and its rack simulator) owns a core.
-
-    Workers are independent simulators (seeds ``seed + worker``): any
-    one connection sees one consistent rack, but state is not shared
-    across workers -- the per-core mode is a throughput fan-out, like N
-    racks behind one VIP, not a coherent single rack.
-    """
-    import asyncio
-    import socket
-
-    from repro.service.router import launch_backends, shutdown_backends
-
-    worker_args = [
-        "--racks", "1",
-        "--workers", "1",
-        "--reuseport",
-        "--host", args.host,
-        "--system", args.system,
-        "--servers", str(args.servers),
-        "--pairs", str(args.pairs),
-        "--device", args.device,
-        "--network", args.network,
-        "--queue-depth", str(args.queue_depth),
-        "--client-rate", str(args.client_rate),
-        "--client-burst", str(args.client_burst),
-        "--pace", str(args.pace),
-        "--chunk-us", str(args.chunk_us),
-        "--trace-sample-rate", str(args.trace_sample_rate),
-    ]
-    if args.request_timeout_us is not None:
-        worker_args += ["--request-timeout-us", str(args.request_timeout_us)]
-    if args.tenants is not None:
-        # Validate up front (exit 2 here, not in N children), then let
-        # each worker build its own scheduler/cache from the same spec.
-        _load_qos(args)
-        worker_args += ["--tenants", args.tenants]
-
-    async def serve() -> None:
-        import signal
-
-        # Reserve the shared port before any worker exists: a bound
-        # (never listening) SO_REUSEPORT probe socket holds the number,
-        # the workers bind beside it, and connections only ever land on
-        # listening sockets -- so there is no startup race and no
-        # ephemeral-port guessing.
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            probe.bind((args.host, args.port))
-            port = probe.getsockname()[1]
-            procs, _endpoints = await launch_backends(
-                args.workers, worker_args, seed=args.seed, port=port,
-            )
-        finally:
-            probe.close()
-        try:
-            print(f"serving {args.system} rack "
-                  f"({args.pairs} pairs / {args.servers} servers, "
-                  f"{args.workers} per-core workers) "
-                  f"on {args.host}:{port}", flush=True)
-            stopping = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(signum, stopping.set)
-                except NotImplementedError:  # pragma: no cover - non-POSIX
-                    pass
-            await stopping.wait()
-            print("draining in-flight requests...", flush=True)
-        finally:
-            await shutdown_backends(procs)
-        print(f"stopped {args.workers} per-core workers", flush=True)
-
-    asyncio.run(serve())
+    _serve_until_signal(start)
     return 0
 
 

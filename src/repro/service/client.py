@@ -8,8 +8,7 @@ just works (and is exactly how the closed-loop load generator drives a
 connection at depth > 1).
 
 Behaviour is configured with one :class:`ClientConfig` object
-(``ServiceClient(host, port, name, config=ClientConfig(...))``); the
-pre-config individual kwargs still work behind a deprecation shim.
+(``ServiceClient(host, port, name, config=ClientConfig(...))``).
 Resilience is opt-in and off by default (``max_retries=0`` keeps the
 historical fail-fast behaviour):
 
@@ -42,7 +41,6 @@ import asyncio
 import dataclasses
 import itertools
 import time
-import warnings
 from typing import Any, Dict, List, Optional
 
 from repro.service import protocol
@@ -52,10 +50,7 @@ from repro.service import protocol
 class ClientConfig:
     """Connection behaviour for :class:`ServiceClient`, as one object.
 
-    Replaces the client's historical sprawl of constructor kwargs;
-    ``ServiceClient(host, port, name, config=ClientConfig(...))`` is the
-    supported spelling, the old kwargs still work through a deprecation
-    shim.  All fields default to the historical fail-fast behaviour.
+    All fields default to the historical fail-fast behaviour.
 
     ``tenant`` names the QoS tenant this connection serves (declared in
     the server's tenant spec); it is announced in the ``hello`` exchange
@@ -89,33 +84,6 @@ class ClientConfig:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-
-
-#: Constructor kwargs the pre-``ClientConfig`` client accepted directly.
-_LEGACY_KWARGS = frozenset(
-    field.name for field in dataclasses.fields(ClientConfig)
-) - {"tenant"}
-
-_legacy_kwargs_warned = False
-
-
-def _config_from_legacy(kwargs: Dict[str, Any]) -> ClientConfig:
-    """Map deprecated ``ServiceClient`` kwargs onto a ClientConfig."""
-    global _legacy_kwargs_warned
-    unknown = set(kwargs) - _LEGACY_KWARGS
-    if unknown:
-        raise TypeError(
-            f"ServiceClient() got unexpected keyword argument(s) "
-            f"{sorted(unknown)}; pass a ClientConfig via config=..."
-        )
-    if not _legacy_kwargs_warned:
-        _legacy_kwargs_warned = True
-        warnings.warn(
-            f"passing {sorted(kwargs)} directly to ServiceClient() is "
-            f"deprecated; pass config=ClientConfig(...) instead",
-            DeprecationWarning, stacklevel=3,
-        )
-    return ClientConfig(**kwargs)
 
 
 class ServiceError(Exception):
@@ -152,15 +120,7 @@ class ServiceClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7337,
                  client_name: Optional[str] = None, *,
-                 config: Optional[ClientConfig] = None,
-                 **legacy_kwargs: Any) -> None:
-        if legacy_kwargs:
-            if config is not None:
-                raise TypeError(
-                    "pass either config=ClientConfig(...) or the "
-                    "deprecated individual kwargs, not both"
-                )
-            config = _config_from_legacy(legacy_kwargs)
+                 config: Optional[ClientConfig] = None) -> None:
         if config is None:
             config = ClientConfig()
         #: The resolved :class:`ClientConfig`; the flat attributes below

@@ -27,11 +27,10 @@ increasing **epoch**, and walks one membership change at a time through a
 3. a :class:`~repro.service.migration.MigrationStream` copies the cold
    keys over (skipping anything the write path already forwarded);
 4. ``commit()`` installs the new ring and bumps the epoch -- the single
-   atomic flip the :class:`~repro.service.router.ShardRouter`,
-   :class:`~repro.service.router.ShardProxy`, and every per-core worker
-   observe.  Clients that pinned an epoch get ``WRONG_SHARD`` and
-   refresh; ``abort()`` discards the plan and the old ring simply keeps
-   ruling.
+   atomic flip the :class:`~repro.service.router.ShardRouter` and
+   :class:`~repro.service.router.ShardProxy` observe.  Clients that
+   pinned an epoch get ``WRONG_SHARD`` and refresh; ``abort()`` discards
+   the plan and the old ring simply keeps ruling.
 
 This mirrors RackBlox's control-plane state synchronisation: membership
 is coordinator-driven, versioned, and changes visibility in one step

@@ -29,17 +29,24 @@ Two properties keep it correct under live load:
 
 Any endpoint failure (a rack crash mid-migration surfaces here as a
 timeout or connection error) aborts the run with the partial tally
-attached; the caller decides whether to retry -- tainted, per
-:meth:`FleetController.retry` -- or abort the plan outright.
+attached.  :func:`run_membership_change` is the one driver around the
+stream -- retry tainted with back-off, then abort or commit, fence the
+read cache, clean up, report -- that both deployment shapes call with
+their own endpoints.
 """
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.service.client import ServiceError
-from repro.service.membership import FleetController, MigrationPlan
+from repro.service.membership import (
+    FleetController,
+    MembershipError,
+    MigrationPlan,
+)
+from repro.service.readcache import ReadCache
 
 #: Keys copied per scan page / applied per burst.
 DEFAULT_BATCH_SIZE = 64
@@ -50,6 +57,10 @@ DEFAULT_PAUSE_S = 0.002
 ScanFn = Callable[[int, str, int], Awaitable[List[Tuple[str, str]]]]
 PutFn = Callable[[int, str, str], Awaitable[None]]
 DeleteFn = Callable[[int, str], Awaitable[None]]
+CloseFn = Callable[[], Awaitable[None]]
+#: Builds one attempt's ``(scan, put, delete, close)``; called afresh
+#: per attempt so a crashed peer gets a new dial.
+EndpointFactory = Callable[[], Tuple[ScanFn, PutFn, DeleteFn, CloseFn]]
 
 
 class MigrationStreamError(ReproError):
@@ -180,3 +191,75 @@ class MigrationStream:
                 await asyncio.sleep(self.pause_s)
         self.controller.counters["cleanup_deletes"] += deleted
         return deleted
+
+
+async def run_membership_change(
+    controller: FleetController, plan: MigrationPlan,
+    endpoints: EndpointFactory, *,
+    read_cache: Optional[ReadCache] = None,
+    batch_size: int = DEFAULT_BATCH_SIZE, pause_s: float = DEFAULT_PAUSE_S,
+    max_attempts: int = 3, retry_backoff_s: float = 0.05,
+) -> Dict[str, Any]:
+    """Drive a begun ``plan`` to its cutover, or abort it.
+
+    Streams the moving keys through ``endpoints()``; a mid-stream
+    failure (a rack crash during migration lands here) retries tainted
+    -- reads pin to the old owner -- with linear back-off.  Past
+    ``max_attempts`` the plan aborts, the old ring keeps ruling, and
+    :class:`MembershipError` is raised: no acked write is lost either
+    way.  On success the epoch commits, ``read_cache`` is fenced, an add
+    deletes the moved keys' shadow copies from their old owners (a
+    drained rack's copies leave with it), and the report both shapes
+    answer ``admin`` with is returned.  Stream puts and deletes bypass
+    the front door, so they invalidate ``read_cache`` here.  The caller
+    owns the node bookkeeping on either side of this call.
+    """
+    while True:
+        scan, put, delete, close = endpoints()
+        if read_cache is not None:
+            put = _then_invalidate(put, read_cache)
+            delete = _then_invalidate(delete, read_cache)
+        stream = MigrationStream(
+            controller, plan, scan=scan, put=put, delete=delete,
+            batch_size=batch_size, pause_s=pause_s,
+        )
+        try:
+            report = await stream.run()
+            break
+        except MigrationStreamError as exc:
+            await close()
+            if plan.attempt >= max_attempts:
+                attempts = plan.attempt
+                controller.abort()
+                verb = "admitting" if plan.kind == "add" else "draining"
+                raise MembershipError(
+                    f"{verb} rack {plan.node} failed after {attempts} "
+                    f"attempt(s): {exc}"
+                ) from exc
+            plan = controller.retry()
+            await asyncio.sleep(retry_backoff_s * plan.attempt)
+    epoch = controller.commit()
+    if read_cache is not None:
+        read_cache.fence(epoch)
+    try:
+        if plan.kind == "add":
+            await stream.cleanup(report)
+    finally:
+        await close()
+    return {
+        "rack": plan.node, "epoch": epoch, "kind": plan.kind,
+        "keys_moved": report.keys_moved,
+        "bytes_streamed": report.bytes_streamed,
+        "skipped_forwarded": report.skipped_forwarded,
+        "attempts": plan.attempt,
+        "moved_fraction": round(plan.moved_fraction, 6),
+        "racks": controller.ring.nodes,
+    }
+
+
+def _then_invalidate(endpoint: Callable[..., Awaitable[None]],
+                     read_cache: ReadCache) -> Callable[..., Awaitable[None]]:
+    async def wrapped(node: int, key: str, *value: str) -> None:
+        await endpoint(node, key, *value)
+        read_cache.invalidate(key)
+    return wrapped

@@ -490,6 +490,20 @@ class BinFrameCodec:
 BIN_CODEC = BinFrameCodec()
 
 
+def decode_json_body(body: bytes) -> Dict[str, Any]:
+    """The object one JSON frame's body encodes (length prefix already
+    stripped); :class:`FrameError` if it is not a JSON object."""
+    try:
+        obj = json.loads(body)
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise FrameError(f"frame body is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FrameError(
+            f"frame must encode a JSON object, got {type(obj).__name__}"
+        )
+    return obj
+
+
 def encode_frame_as(obj: Dict[str, Any], binary: bool) -> bytes:
     """Encode one message, preferring binary when asked and possible.
 
@@ -587,19 +601,9 @@ class FrameDecoder:
                     if end - pos < _LEN.size + need:
                         break
                     start = pos + _LEN.size
-                    body_bytes = bytes(memoryview(buffer)[start:start + need])
-                    try:
-                        obj = json.loads(body_bytes)
-                    except (UnicodeDecodeError, ValueError) as exc:
-                        raise FrameError(
-                            f"frame body is not valid JSON: {exc}"
-                        ) from exc
-                    if not isinstance(obj, dict):
-                        raise FrameError(
-                            f"frame must encode a JSON object, "
-                            f"got {type(obj).__name__}"
-                        )
-                    out.append((obj, False))
+                    out.append((decode_json_body(
+                        bytes(memoryview(buffer)[start:start + need])
+                    ), False))
                     pos += _LEN.size + need
         finally:
             self._pos = pos
@@ -734,17 +738,12 @@ def frame_request_id(frame: bytes) -> Any:
     """The ``id`` a complete frame carries (``None`` when it has none).
 
     Binary frames give it up from the fixed header; JSON frames pay one
-    parse.  Raises :class:`FrameError` for malformed JSON bodies.
+    parse.  Raises :class:`FrameError` for JSON bodies that are
+    malformed or not an object.
     """
     if frame_is_binary(frame):
         return _BIN_HEADER_TAIL.unpack_from(frame, 1)[2]
-    try:
-        obj = json.loads(bytes(frame[_LEN.size:]))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise FrameError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        return None
-    return obj.get("id")
+    return decode_json_body(bytes(frame[_LEN.size:])).get("id")
 
 
 def bin_frame_route(frame: bytes) -> Optional[Tuple[str, Any]]:
@@ -855,15 +854,7 @@ async def read_frame(reader, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         raise TruncatedFrame(
             f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
         ) from exc
-    try:
-        obj = json.loads(body)
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise FrameError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FrameError(
-            f"frame must encode a JSON object, got {type(obj).__name__}"
-        )
-    return obj
+    return decode_json_body(body)
 
 
 def write_frame(writer, obj: Dict[str, Any]) -> None:

@@ -46,7 +46,6 @@ Routing rules (both shapes):
 
 import asyncio
 import dataclasses
-import json
 import re
 import time
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -54,16 +53,12 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.cluster.config import RackConfig
 from repro.errors import ConfigError
 from repro.metrics.collector import ExperimentMetrics
-from repro.service import protocol, schema
+from repro.service import frontdoor, protocol, schema
 from repro.service.admission import AdmissionController
 from repro.service.bridge import BridgeStats, SimTimeBridge
-from repro.service.membership import (
-    FleetController,
-    MembershipBusy,
-    MembershipError,
-)
-from repro.service.migration import MigrationStream, MigrationStreamError
-from repro.service.qos import DEFAULT_TENANT, QosScheduler
+from repro.service.membership import FleetController, MembershipError
+from repro.service.migration import run_membership_change
+from repro.service.qos import QosScheduler
 from repro.service.readcache import ReadCache
 from repro.service.selector import (
     DEFAULT_EWMA_ALPHA,
@@ -75,7 +70,7 @@ from repro.service.selector import (
     ReplicaStats,
     RoutingTrace,
 )
-from repro.service.server import CACHE_HIT_LATENCY_US, RackService
+from repro.service.server import RackService
 from repro.service.shard import (
     DEFAULT_RING_SEED,
     DEFAULT_VNODES,
@@ -120,6 +115,52 @@ def build_shard_configs(config: RackConfig, racks: int) -> List[RackConfig]:
     return out
 
 
+def _blend(ewma: Dict[int, float], node: int, latency_us: float,
+           alpha: float) -> None:
+    """Fold one observed latency into ``node``'s EWMA (a cold one seeds)."""
+    prev = ewma.get(node, 0.0)
+    if prev <= 0.0:
+        ewma[node] = float(latency_us)
+    else:
+        ewma[node] = (1.0 - alpha) * prev + alpha * float(latency_us)
+
+
+def _live_replica(fleet: FleetController, node: int, depth: float,
+                  ewma: Dict[int, float],
+                  stamps: Dict[int, float]) -> ReplicaStats:
+    """A registered replica's stats: a stamp never set reads as stale."""
+    stamp = stamps.get(node)
+    plan = fleet.plan
+    return ReplicaStats(
+        depth=float(depth),
+        ewma_us=ewma.get(node, 0.0),
+        age_s=float("inf") if stamp is None else time.monotonic() - stamp,
+        live=True,
+        draining=(plan is not None and plan.kind == "drain"
+                  and plan.node == node),
+    )
+
+
+def _routing_section(selector: ReplicaSelector, load_view: Any,
+                     nodes: Sequence[int]) -> Dict[str, Any]:
+    """The ``routing`` stats section: selector counters plus the live
+    per-replica load view of ``nodes`` (absent entirely under hash
+    policy, keeping that mode's payload byte-identical)."""
+    out: Dict[str, Any] = selector.stats_section()
+    replicas: Dict[str, Dict[str, float]] = {}
+    for node in nodes:
+        stats = load_view.replica(node)
+        replicas[str(node)] = {
+            "depth": float(stats.depth),
+            "ewma_us": float(stats.ewma_us),
+            # never-synced reads as -1 (inf is not valid JSON)
+            "age_s": (-1.0 if stats.age_s == float("inf")
+                      else float(stats.age_s)),
+        }
+    out[schema.FIELD_ROUTING_REPLICAS] = replicas
+    return out
+
+
 class RouterLoadView:
     """The in-process router's live load view, one signal per layer.
 
@@ -143,12 +184,7 @@ class RouterLoadView:
         self._synced: Dict[int, float] = {}
 
     def observe(self, node: int, latency_us: float) -> None:
-        prev = self._ewma.get(node, 0.0)
-        if prev <= 0.0:
-            self._ewma[node] = float(latency_us)
-        else:
-            alpha = self.ewma_alpha
-            self._ewma[node] = (1.0 - alpha) * prev + alpha * float(latency_us)
+        _blend(self._ewma, node, latency_us, self.ewma_alpha)
         self._synced[node] = time.monotonic()
 
     def sync(self) -> None:
@@ -165,17 +201,8 @@ class RouterLoadView:
         shard = self._router._by_index.get(node)
         if shard is None:  # deregistered = epoch-retired: dead to us
             return ReplicaStats(live=False, age_s=float("inf"))
-        synced = self._synced.get(node)
-        age = float("inf") if synced is None else time.monotonic() - synced
-        plan = self._router.fleet.plan
-        return ReplicaStats(
-            depth=float(shard.inflight),
-            ewma_us=self._ewma.get(node, 0.0),
-            age_s=age,
-            live=True,
-            draining=(plan is not None and plan.kind == "drain"
-                      and plan.node == node),
-        )
+        return _live_replica(self._router.fleet, node, shard.inflight,
+                             self._ewma, self._synced)
 
 
 class ShardRouter:
@@ -716,25 +743,6 @@ class ShardRouter:
             "gc_view_commits": float(self.gc_view_commits),
         }
 
-    def routing_section(self) -> Dict[str, Any]:
-        """The ``routing`` stats section: selector counters plus the
-        live per-replica load view (absent entirely under hash policy,
-        keeping that mode's payload byte-identical)."""
-        assert self.selector is not None and self.load_view is not None
-        out: Dict[str, Any] = self.selector.stats_section()
-        replicas: Dict[str, Dict[str, float]] = {}
-        for shard in self.shards:
-            stats = self.load_view.replica(shard.index)
-            replicas[str(shard.index)] = {
-                "depth": float(stats.depth),
-                "ewma_us": float(stats.ewma_us),
-                # never-synced reads as -1 (inf is not valid JSON)
-                "age_s": (-1.0 if stats.age_s == float("inf")
-                          else float(stats.age_s)),
-            }
-        out[schema.FIELD_ROUTING_REPLICAS] = replicas
-        return out
-
     def stats_payload(self) -> Dict[str, Any]:
         """The sharded stats body: aggregate sections + per-shard slices
         (see :mod:`repro.service.schema`)."""
@@ -747,13 +755,16 @@ class ShardRouter:
         out[schema.SECTION_MIGRATION] = self.fleet.stats_section()
         out[schema.SECTION_SHARDS] = sections
         if self.selector is not None:
-            out[schema.SECTION_ROUTING] = self.routing_section()
+            out[schema.SECTION_ROUTING] = _routing_section(
+                self.selector, self.load_view,
+                [shard.index for shard in self.shards],
+            )
         return out
 
     # ------------------------------------------------------------ membership
 
     def _stream_endpoints(self):
-        """Bridge-level scan/put/delete endpoints for the migration
+        """Bridge-level ``(scan, put, delete, close)`` for the migration
         stream -- the same simulated serving path foreground traffic
         takes, under the ``"migrate"`` client name."""
         async def scan(src: int, start: str, count: int):
@@ -764,37 +775,15 @@ class ShardRouter:
 
         async def put(dst: int, key: str, value: str) -> None:
             await self._by_index[dst].bridge.submit_put(key, value, "migrate")
-            if self.read_cache is not None:
-                self.read_cache.invalidate(key)
 
         async def delete(src: int, key: str) -> None:
             if src in self._by_index:
                 await self._by_index[src].bridge.submit_delete(key, "migrate")
-            if self.read_cache is not None:
-                self.read_cache.invalidate(key)
 
-        return scan, put, delete
+        async def close() -> None:
+            pass
 
-    async def _run_stream(self, plan, *, batch_size: int, pause_s: float,
-                          max_attempts: int,
-                          retry_backoff_s: float) -> Tuple[MigrationStream,
-                                                           Any]:
-        """Drive the migration stream to completion, retrying tainted on
-        mid-stream failure (a rack crash during migration lands here);
-        raises :class:`MigrationStreamError` after the last attempt."""
-        scan, put, delete = self._stream_endpoints()
-        while True:
-            stream = MigrationStream(
-                self.fleet, plan, scan=scan, put=put, delete=delete,
-                batch_size=batch_size, pause_s=pause_s,
-            )
-            try:
-                return stream, await stream.run()
-            except MigrationStreamError:
-                if plan.attempt >= max_attempts:
-                    raise
-                plan = self.fleet.retry()
-                await asyncio.sleep(retry_backoff_s * plan.attempt)
+        return scan, put, delete, close
 
     def _register_shard(self, shard: RackShard) -> None:
         self.shards.append(shard)
@@ -811,22 +800,19 @@ class ShardRouter:
         self._by_index.pop(shard.index, None)
         self._gc_views.pop(shard.index, None)
 
-    async def admit_rack(self, config: Optional[RackConfig] = None, *,
-                         batch_size: int = 64, pause_s: float = 0.002,
-                         max_attempts: int = 3,
-                         retry_backoff_s: float = 0.05) -> Dict[str, Any]:
+    async def admit_rack(self, config: Optional[RackConfig] = None,
+                         **knobs: Any) -> Dict[str, Any]:
         """Admit a new rack shard under live load.
 
         Builds rack ``max(index) + 1`` from the fleet's construction
         recipe (seed and fault-schedule slice derived exactly as
-        :func:`build_shard_configs` would have), registers it, streams
-        the moving ~1/(N+1) of keys over while dual-read and
-        write-forwarding keep every request correct, then commits the
-        epoch cutover and deletes the moved keys' shadow copies from
-        their old owners.  A mid-stream failure retries up to
-        ``max_attempts`` times (tainted: reads pin to the old owner);
-        past that the plan aborts, the new shard is torn down, and the
-        fleet is exactly as before -- no acked write lost either way.
+        :func:`build_shard_configs` would have), registers it, and hands
+        the plan to :func:`~repro.service.migration.run_membership_change`
+        (``knobs`` are its ``batch_size``/``pause_s``/``max_attempts``/
+        ``retry_backoff_s``): the moving ~1/(N+1) of keys stream over
+        while dual-read and write-forwarding keep every request correct,
+        then the epoch cuts over.  If the change aborts, the new shard
+        is torn down and the fleet is exactly as before.
         """
         base = config if config is not None else self._base_config
         if base is None:
@@ -854,38 +840,17 @@ class ShardRouter:
             self.fleet.abort()
             raise
         try:
-            stream, report = await self._run_stream(
-                plan, batch_size=batch_size, pause_s=pause_s,
-                max_attempts=max_attempts, retry_backoff_s=retry_backoff_s,
+            return await run_membership_change(
+                self.fleet, plan, self._stream_endpoints,
+                read_cache=self.read_cache, **knobs,
             )
-        except MigrationStreamError as exc:
-            attempts = self.fleet.plan.attempt if self.fleet.plan else 0
-            self.fleet.abort()
+        except MembershipError:
             self._deregister_shard(shard)
             await shard.stop(drain=False)
-            raise MembershipError(
-                f"admitting rack {index} failed after {attempts} "
-                f"attempt(s): {exc}"
-            ) from exc
-        epoch = self.fleet.commit()
-        if self.read_cache is not None:
-            self.read_cache.fence(epoch)
-        await stream.cleanup(report)
-        return {
-            "rack": index, "epoch": epoch, "kind": "add",
-            "keys_moved": report.keys_moved,
-            "bytes_streamed": report.bytes_streamed,
-            "skipped_forwarded": report.skipped_forwarded,
-            "attempts": plan.attempt,
-            "moved_fraction": round(plan.moved_fraction, 6),
-            "racks": self.ring.nodes,
-        }
+            raise
 
-    async def drain_rack(self, index: int, *,
-                         batch_size: int = 64, pause_s: float = 0.002,
-                         max_attempts: int = 3,
-                         retry_backoff_s: float = 0.05,
-                         drain_timeout_s: float = 10.0) -> Dict[str, Any]:
+    async def drain_rack(self, index: int, *, drain_timeout_s: float = 10.0,
+                         **knobs: Any) -> Dict[str, Any]:
         """Drain rack ``index`` out of the fleet under live load.
 
         Streams its keys to their new owners (the rack keeps serving --
@@ -893,39 +858,21 @@ class ShardRouter:
         the epoch bump, then stops the shard with a graceful drain.  A
         rack that is already crashed drains through its own replica
         fail-over path; if even that cannot complete, the plan aborts
-        and the rack simply stays a member.
+        and the rack simply stays a member.  ``knobs`` as for
+        :meth:`admit_rack`.
         """
         index = int(index)
         if index not in self._by_index:
             raise MembershipError(f"rack {index} is not part of this fleet")
         plan = self.fleet.begin_drain(index)
         shard = self._by_index[index]
-        try:
-            stream, report = await self._run_stream(
-                plan, batch_size=batch_size, pause_s=pause_s,
-                max_attempts=max_attempts, retry_backoff_s=retry_backoff_s,
-            )
-        except MigrationStreamError as exc:
-            attempts = self.fleet.plan.attempt if self.fleet.plan else 0
-            self.fleet.abort()
-            raise MembershipError(
-                f"draining rack {index} failed after {attempts} "
-                f"attempt(s): {exc}"
-            ) from exc
-        epoch = self.fleet.commit()
-        if self.read_cache is not None:
-            self.read_cache.fence(epoch)
+        report = await run_membership_change(
+            self.fleet, plan, self._stream_endpoints,
+            read_cache=self.read_cache, **knobs,
+        )
         self._deregister_shard(shard)
         await shard.stop(drain=True, drain_timeout_s=drain_timeout_s)
-        return {
-            "rack": index, "epoch": epoch, "kind": "drain",
-            "keys_moved": report.keys_moved,
-            "bytes_streamed": report.bytes_streamed,
-            "skipped_forwarded": report.skipped_forwarded,
-            "attempts": plan.attempt,
-            "moved_fraction": round(plan.moved_fraction, 6),
-            "racks": self.ring.nodes,
-        }
+        return report
 
     # --------------------------------------------------------- construction
 
@@ -1008,15 +955,8 @@ class ShardedRackService(RackService):
     def _fleet_status(self) -> Dict[str, Any]:
         return self.router.fleet.status()
 
-    def _admin_mutation(self, op: str,
-                        request: Dict[str, Any]) -> Optional[Any]:
-        knobs: Dict[str, Any] = {}
-        if "batch_size" in request:
-            knobs["batch_size"] = int(request["batch_size"])
-        if "pause_s" in request:
-            knobs["pause_s"] = float(request["pause_s"])
-        if "max_attempts" in request:
-            knobs["max_attempts"] = int(request["max_attempts"])
+    def _admin_mutation(self, op: str, request: Dict[str, Any],
+                        knobs: Dict[str, Any]) -> Optional[Any]:
         if op == "add_rack":
             return self.router.admit_rack(**knobs)
         if op == "drain_rack":
@@ -1039,11 +979,7 @@ class ShardedRackService(RackService):
 
 _SERVING_RE = re.compile(r"\bon ([0-9.]+):(\d+)\s*$")
 
-#: Request types the proxy meters against a tenant's QoS budget --
-#: everything that reaches a backend's simulated data path.
-_QOS_DATA_TYPES = frozenset(("read", "write", "get", "put", "del", "scan"))
-
-#: Binary opcode -> request type, for the relay's QoS/cache bookkeeping.
+#: Binary opcode -> request type, for the front door.
 _BIN_RTYPE = {
     protocol.OP_READ: "read", protocol.OP_WRITE: "write",
     protocol.OP_GET: "get", protocol.OP_PUT: "put",
@@ -1076,12 +1012,7 @@ class ProxyLoadView:
 
     def done(self, node: int, latency_us: float) -> None:
         self._depth[node] = max(0, self._depth.get(node, 0) - 1)
-        prev = self._ewma.get(node, 0.0)
-        if prev <= 0.0:
-            self._ewma[node] = float(latency_us)
-        else:
-            alpha = self.ewma_alpha
-            self._ewma[node] = (1.0 - alpha) * prev + alpha * float(latency_us)
+        _blend(self._ewma, node, latency_us, self.ewma_alpha)
         self._seen[node] = time.monotonic()
 
     def lost(self, node: int, count: int) -> None:
@@ -1092,17 +1023,8 @@ class ProxyLoadView:
         if not 0 <= node < len(self._proxy.backends) \
                 or node in self._proxy.drained:
             return ReplicaStats(live=False, age_s=float("inf"))
-        seen = self._seen.get(node)
-        age = float("inf") if seen is None else time.monotonic() - seen
-        plan = self._proxy.fleet.plan
-        return ReplicaStats(
-            depth=float(self._depth.get(node, 0)),
-            ewma_us=self._ewma.get(node, 0.0),
-            age_s=age,
-            live=True,
-            draining=(plan is not None and plan.kind == "drain"
-                      and plan.node == node),
-        )
+        return _live_replica(self._proxy.fleet, node,
+                             self._depth.get(node, 0), self._ewma, self._seen)
 
 
 class _BackendLink:
@@ -1223,6 +1145,49 @@ class _BackendLink:
             self.relay_task = None
 
 
+class _ClientConn(frontdoor.Conn):
+    """One proxy client connection: the front door's state plus the
+    relay's -- the client socket, one link per backend dialed so far,
+    the frames queued for each link by the current socket read, and the
+    tickets of relayed requests still awaiting their response."""
+
+    __slots__ = ("writer", "links", "batches", "pending", "hook")
+
+    def __init__(self, writer: "asyncio.StreamWriter") -> None:
+        super().__init__()
+        self.writer = writer
+        self.links: Dict[int, _BackendLink] = {}
+        #: link -> (frames, request ids): every frame bound for the same
+        #: backend inside one socket read goes out as one ``writelines``,
+        #: preserving arrival order per link.
+        self.batches: Dict[_BackendLink, Tuple[List[Any], List[Any]]] = {}
+        self.pending: Dict[Any, frontdoor.Ticket] = {}
+        #: The links' completion hook; ``None`` on a plain relay, which
+        #: then never decodes a response.
+        self.hook: Optional[Any] = None
+
+    def reply(self, response: Dict[str, Any], binary: bool) -> None:
+        """Immediate relay-side answer, in the request's codec."""
+        if not self.writer.is_closing():
+            self.writer.write(protocol.encode_frame_as(response, binary))
+
+    def enqueue(self, link: _BackendLink, frame: Any,
+                request_id: Any) -> None:
+        batch = self.batches.get(link)
+        if batch is None:
+            batch = self.batches[link] = ([], [])
+        batch[0].append(frame)
+        batch[1].append(request_id)
+
+    def flush(self) -> None:
+        if not self.batches:
+            return
+        batches, self.batches = self.batches, {}
+        for link, (frames, request_ids) in batches.items():
+            if not link.dead:
+                link.send_frames(frames, request_ids)
+
+
 class ShardProxy:
     """Frame-level relay over one backend ``serve`` process per rack.
 
@@ -1282,16 +1247,18 @@ class ShardProxy:
         self.routed = 0
         self.unroutable = 0
         self.write_dups = 0
-        #: Load-aware read placement; ``None`` under hash policy, which
-        #: keeps that mode's relay byte-identical to today.
-        #: Multi-tenant QoS + DRAM read cache, proxy flavour: admission
-        #: and cache hits happen here at the front-end (the backends
-        #: keep their own per-client admission), and completions are
-        #: measured at the relay -- wall-clock turnaround, the only
-        #: latency the proxy can see.  Both default off, keeping the
-        #: plain relay byte-identical.
+        #: Multi-tenant QoS + DRAM read cache, proxy flavour: the front
+        #: door runs here (the backends keep their own per-client
+        #: admission).  Both default off, keeping the plain relay
+        #: byte-identical.
         self.qos = qos
         self.read_cache = read_cache
+        self.door = frontdoor.FrontDoor(
+            qos, read_cache, epoch=lambda: self.fleet.epoch,
+            describe=self._describe,
+        )
+        #: Load-aware read placement; ``None`` under hash policy, which
+        #: keeps that mode's relay byte-identical.
         self.read_policy = read_policy
         self.load_view: Optional[ProxyLoadView] = None
         self.selector: Optional[ReplicaSelector] = None
@@ -1404,47 +1371,32 @@ class ShardProxy:
         if task is not None:
             self._connections.add(task)
         self.connections_accepted += 1
-        links: Dict[int, _BackendLink] = {}
-        # Per-connection tenancy: the hello-declared tenant plus the
-        # response-time actions (QoS completion, cache fill/invalidate)
-        # keyed by request id.  ``hook`` is None on a plain relay, which
-        # keeps that path byte-identical.
-        conn: Dict[str, Any] = {"tenant": DEFAULT_TENANT, "pending": {}}
-        conn["hook"] = self._make_response_hook(conn)
+        conn = _ClientConn(writer)
+        conn.hook = self._make_response_hook(conn)
         splitter = protocol.FrameSplitter(self.max_frame_bytes)
         try:
             while True:
                 data = await reader.read(65536)
                 if not data:
                     break
-                # Per-read batches: every frame bound for the same
-                # backend inside one socket read coalesces into a
-                # single writelines, preserving arrival order per link.
-                batches: Dict[_BackendLink, Tuple[List[Any], List[Any]]] = {}
                 try:
-                    frames = splitter.feed(data)
-                    for frame in frames:
+                    for frame in splitter.feed(data):
                         if protocol.frame_is_binary(frame):
-                            await self._begin_binary(frame, writer, links,
-                                                     batches, conn)
+                            await self._begin_binary(frame, conn)
                         else:
-                            await self._begin(
-                                self._parse_json_frame(frame), writer,
-                                links, batches, conn,
-                            )
+                            await self._begin(protocol.decode_json_body(
+                                bytes(frame[4:])), conn)
                 except protocol.FrameError as exc:
-                    writer.write(protocol.encode_frame(
-                        protocol.error_response(protocol.BAD_REQUEST,
-                                                str(exc))
-                    ))
-                    self._flush_batches(batches)
+                    conn.reply(protocol.error_response(
+                        protocol.BAD_REQUEST, str(exc)), False)
+                    conn.flush()
                     break
-                self._flush_batches(batches)
+                conn.flush()
         except (asyncio.CancelledError, ConnectionResetError,
                 BrokenPipeError):
             pass
         finally:
-            for link in links.values():
+            for link in conn.links.values():
                 await link.close()
             writer.close()
             try:
@@ -1455,68 +1407,41 @@ class ShardProxy:
             if task is not None:
                 self._connections.discard(task)
 
-    @staticmethod
-    def _parse_json_frame(frame: Any) -> Dict[str, Any]:
-        """Decode one complete JSON frame (the splitter checked framing)."""
-        try:
-            request = json.loads(bytes(frame[4:]))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise protocol.FrameError(
-                f"frame body is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(request, dict):
-            raise protocol.FrameError(
-                f"frame body must be a JSON object, "
-                f"got {type(request).__name__}"
-            )
-        return request
-
-    @staticmethod
-    def _flush_batches(batches: "Dict[_BackendLink, Tuple[List[Any], List[Any]]]",
-                       ) -> None:
-        for link, (frames, request_ids) in batches.items():
-            if not link.dead:
-                link.send_frames(frames, request_ids)
-
-    @staticmethod
-    def _enqueue(batches: "Dict[_BackendLink, Tuple[List[Any], List[Any]]]",
-                 link: _BackendLink, frame: Any, request_id: Any) -> None:
-        batch = batches.get(link)
-        if batch is None:
-            batch = batches[link] = ([], [])
-        batch[0].append(frame)
-        batch[1].append(request_id)
-
-    async def _link_for(self, node: int, writer: "asyncio.StreamWriter",
-                        links: Dict[int, _BackendLink], request_id: Any,
-                        binary: bool,
-                        conn: Optional[Dict[str, Any]] = None,
+    async def _link_for(self, node: int, conn: _ClientConn,
+                        request_id: Any, binary: bool,
                         ) -> Optional[_BackendLink]:
         """The live link to ``node``, dialing on first use; ``None`` (with
         the error already sent, in the request's codec) if unreachable."""
-        link = links.get(node)
+        link = conn.links.get(node)
         if link is None or link.dead:
             if link is not None:
                 await link.close()
-            link = _BackendLink(node, writer, self.max_frame_bytes,
+            link = _BackendLink(node, conn.writer, self.max_frame_bytes,
                                 observer=self.load_view,
-                                on_response=(conn or {}).get("hook"))
+                                on_response=conn.hook)
             host, port = self.backends[node]
             try:
                 await link.open(host, port)
             except (ConnectionError, OSError) as exc:
-                if not writer.is_closing():
-                    writer.write(protocol.encode_frame_as(
-                        protocol.error_response(
-                            protocol.TIMEOUT,
-                            f"backend rack {node} unreachable: {exc}",
-                            request_id,
-                        ), binary))
+                conn.reply(protocol.error_response(
+                    protocol.TIMEOUT,
+                    f"backend rack {node} unreachable: {exc}", request_id,
+                ), binary)
                 return None
-            links[node] = link
+            conn.links[node] = link
         return link
 
-    # -------------------------------------------------------- tenancy hooks
+    # ----------------------------------------------------------- front door
+
+    def _describe(self) -> Tuple[List[str], Dict[str, Any]]:
+        """``(capabilities, fields)`` of this proxy's ``hello`` answer."""
+        fields: Dict[str, Any] = dict(
+            racks=len(self.ring), epoch=self.fleet.epoch,
+        )
+        # Advertised only when active: hash mode stays byte-identical.
+        if self.selector is not None:
+            fields["read_policy"] = self.read_policy
+        return ["raw", "kv", "sharded", "proxy", "bin"], fields
 
     def _decode_response(self, frame: Any) -> Optional[Dict[str, Any]]:
         """Decode one complete response frame (either codec); None if bad."""
@@ -1528,330 +1453,60 @@ class ShardProxy:
             return None
         return messages[0] if messages else None
 
-    def _make_response_hook(self, conn: Dict[str, Any]) -> Optional[Any]:
+    def _make_response_hook(self, conn: _ClientConn) -> Optional[Any]:
         """The relay's completion hook for one client connection.
 
         ``None`` when the proxy runs without QoS and cache, so the plain
         relay never decodes a response body.  With either on, tracked
         responses pay one decode: the QoS ledger needs the ok bit and
-        cache fills need the value.  Dup-written frames carry the same
-        id on two links; the pending entry pops on the first response
-        and the second is a no-op, matching the client's own first-
-        response-wins dedup.
+        cache fills need the value; latency is the wall-clock turnaround
+        measured at the relay, the only one the proxy can see.
+        Dup-written frames carry the same id on two links; the ticket
+        pops on the first response and the second is a no-op, matching
+        the client's own first-response-wins dedup.
         """
-        if self.qos is None and self.read_cache is None:
+        if not self.door.tracks_completions:
             return None
 
         def hook(request_id: Any, frame: Any,
                  latency_us: Optional[float]) -> None:
-            entry = conn["pending"].pop(request_id, None)
-            if entry is None:
+            ticket = conn.pending.pop(request_id, None)
+            if ticket is None:
                 return
-            action, key, token, tenant = entry
             response = (self._decode_response(frame)
                         if frame is not None else None)
-            ok = bool(response is not None and response.get("ok"))
-            if self.qos is not None:
-                latency_ms = (None if latency_us is None
-                              else latency_us / 1000.0)
-                self.qos.on_complete(tenant, latency_ms, ok=ok)
-            if self.read_cache is None:
-                return
-            if action == "write" and key is not None:
-                # Unconditional on completion -- invalidating on an
-                # errored write is harmless, serving stale is not.
-                self.read_cache.invalidate(key)
-            elif (action == "get" and ok and key is not None
-                    and token is not None and response.get("found")):
-                self.read_cache.fill(key, response.get("value"), tenant,
-                                     token)
+            ok = response is not None and response.get("ok")
+            ticket.complete(response if ok else None, latency_us)
 
         return hook
 
-    def _track(self, conn: Optional[Dict[str, Any]], request_id: Any,
-               rtype: str, key: Optional[str], token: Any,
-               tenant: str) -> None:
-        """Register the response-time QoS/cache actions for one frame."""
-        if conn is None or conn.get("hook") is None or request_id is None:
-            return
-        if self.qos is not None:
-            self.qos.on_submit(tenant)
-        if rtype in ("put", "del"):
-            action = "write"
-        elif rtype == "get":
-            action = "get"
-        else:
-            action = "other"
-        conn["pending"][request_id] = (action, key, token, tenant)
+    async def _relay(self, conn: _ClientConn, ticket: frontdoor.Ticket,
+                     frame: Any, request_id: Any, binary: bool, node: int,
+                     forward_node: Optional[int], key: str) -> None:
+        """Queue an admitted request's frame for backend ``node`` and
+        hold its ticket until the relay sees the response.
 
-    def _qos_shed(self, tenant: str, reply: Any, request_id: Any) -> bool:
-        """Weighted-fair gate; True (with BUSY sent) when shed."""
-        if self.qos is None or self.qos.try_admit(tenant):
-            return False
-        reply(protocol.error_response(
-            protocol.BUSY,
-            f"tenant {tenant!r} is over its QoS budget", request_id,
-        ))
-        return True
-
-    def _cache_hit(self, key: str, tenant: str, reply: Any,
-                   request_id: Any) -> Tuple[bool, Any]:
-        """Probe the front-end cache for a ``get``.
-
-        Returns ``(served, fill_token)``; a hit is answered here (in
-        the request's codec, via ``reply``) and still feeds the
-        tenant's SLO window as a near-zero-latency success.
-        """
-        assert self.read_cache is not None
-        hit, value, token = self.read_cache.lookup(key, tenant)
-        if not hit:
-            return False, token
-        if self.qos is not None:
-            self.qos.on_submit(tenant)
-            self.qos.on_complete(tenant, CACHE_HIT_LATENCY_US / 1000.0)
-        reply(protocol.ok_response(
-            request_id, value=value, found=True,
-            latency_us=CACHE_HIT_LATENCY_US,
-        ))
-        return True, None
-
-    async def _begin_binary(self, frame: Any,
-                            writer: "asyncio.StreamWriter",
-                            links: Dict[int, _BackendLink],
-                            batches: Dict[_BackendLink, Tuple[List[Any], List[Any]]],
-                            conn: Optional[Dict[str, Any]] = None,
-                            ) -> None:
-        """Route one binary frame without decoding it.
-
-        The pair/key routing fact sits at a fixed offset
-        (:func:`~repro.service.protocol.bin_frame_route`), and the only
-        rewrite -- global to rack-local pair index -- patches 4 bytes in
-        place (:func:`~repro.service.protocol.rewrite_bin_pair`).  Key
-        ops relay the splitter's memoryview untouched.  Binary frames
-        are v2 by construction, so the version gate does not apply.
-        """
-        request_id = protocol.frame_request_id(frame)
-
-        def reply(response: Dict[str, Any]) -> None:
-            if not writer.is_closing():
-                writer.write(protocol.encode_frame_as(response, True))
-
-        if self._draining:
-            reply(protocol.error_response(
-                protocol.SHUTTING_DOWN, "proxy is draining", request_id
-            ))
-            return
-        try:
-            route = protocol.bin_frame_route(frame)
-        except protocol.FrameError as exc:
-            self.unroutable += 1
-            reply(protocol.error_response(
-                protocol.BAD_REQUEST, f"malformed binary frame: {exc}",
-                request_id,
-            ))
-            return
-        if route is None:
-            self.unroutable += 1
-            reply(protocol.error_response(
-                protocol.BAD_REQUEST,
-                f"unroutable binary opcode 0x{frame[1]:02x}", request_id,
-            ))
-            return
-        kind, value = route
-        tenant = conn["tenant"] if conn is not None else DEFAULT_TENANT
-        if self._qos_shed(tenant, reply, request_id):
-            return
-        fill_token: Any = None
-        cache_key: Optional[str] = None
-        if kind == "key":
-            cache_key = str(value)
-            if self.read_cache is not None and frame[1] == protocol.OP_GET:
-                served, fill_token = self._cache_hit(
-                    cache_key, tenant, reply, request_id
-                )
-                if served:
-                    return
-        forward_node: Optional[int] = None
-        if kind == "pair":
-            total = self.pairs_per_rack * len(self.ring)
-            if not 0 <= value < total:
-                self.unroutable += 1
-                reply(protocol.error_response(
-                    protocol.BAD_REQUEST,
-                    f"pair index {value} out of range [0, {total})",
-                    request_id,
-                ))
-                return
-            node = self.ring.node_for(f"pair:{value}")
-            if self.selector is not None and frame[1] == protocol.OP_READ:
-                node = self._choose_read_node(value, node)
-            out_frame: Any = protocol.rewrite_bin_pair(
-                frame, value % self.pairs_per_rack
-            )
-        elif frame[1] == protocol.OP_PUT:
-            node, forward_node = self.fleet.write_route(str(value))
-            out_frame = frame
-        else:
-            node = self.fleet.read_owner(str(value))
-            out_frame = frame
-        link = await self._link_for(node, writer, links, request_id, True,
-                                    conn)
-        if link is None:
-            return
-        self.routed += 1
-        self._enqueue(batches, link, out_frame, request_id)
-        self._track(conn, request_id, _BIN_RTYPE.get(frame[1], "other"),
-                    cache_key, fill_token, tenant)
-        if forward_node is not None:
-            await self._dup_write(str(value), out_frame, forward_node,
-                                  writer, links, batches, request_id, True,
-                                  conn)
-
-    async def _begin(self, request: Dict[str, Any],
-                     writer: "asyncio.StreamWriter",
-                     links: Dict[int, _BackendLink],
-                     batches: Dict[_BackendLink, Tuple[List[Any], List[Any]]],
-                     conn: Optional[Dict[str, Any]] = None,
-                     ) -> None:
-        request_id = request.get("id")
-
-        def reply(response: Dict[str, Any]) -> None:
-            if not writer.is_closing():
-                writer.write(protocol.encode_frame(response))
-
-        bad_version = protocol.check_version(request)
-        if bad_version is not None:
-            reply(protocol.error_response(
-                protocol.UNSUPPORTED_VERSION,
-                f"server speaks v{protocol.PROTOCOL_VERSION}, "
-                f"got v{bad_version!r}", request_id,
-            ))
-            return
-        rtype = request.get("type")
-        if rtype == "hello":
-            hello_fields: Dict[str, Any] = dict(
-                racks=len(self.ring), epoch=self.fleet.epoch,
-            )
-            # Advertised only when active: hash mode stays byte-identical.
-            if self.selector is not None:
-                hello_fields["read_policy"] = self.read_policy
-            declared = request.get("tenant")
-            if declared is not None:
-                if not isinstance(declared, str) or not declared:
-                    reply(protocol.error_response(
-                        protocol.BAD_REQUEST,
-                        f"tenant must be a non-empty string, "
-                        f"got {declared!r}", request_id,
-                    ))
-                    return
-                if self.qos is not None and not self.qos.knows(declared):
-                    reply(protocol.error_response(
-                        protocol.BAD_REQUEST,
-                        f"unknown tenant {declared!r}; declared tenants: "
-                        f"{self.qos.tenant_names}", request_id,
-                    ))
-                    return
-                if conn is not None:
-                    conn["tenant"] = declared
-                hello_fields["tenant"] = declared
-            capabilities = ["raw", "kv", "sharded", "proxy", "bin"]
-            if self.qos is not None:
-                capabilities.append("qos")
-            reply(protocol.hello_response(
-                request_id, capabilities=capabilities, **hello_fields,
-            ))
-            return
-        if rtype == "ping":
-            reply(protocol.ok_response(request_id, pong=True))
-            return
-        if rtype == "stats":
-            try:
-                reply(protocol.ok_response(
-                    request_id, **(await self._gather_stats())
-                ))
-            except (ConnectionError, OSError, protocol.FrameError) as exc:
-                reply(protocol.error_response(
-                    protocol.INTERNAL, f"stats gather failed: {exc}",
-                    request_id,
-                ))
-            return
-        if rtype == "admin":
-            self._begin_admin(request, writer)
-            return
-        epoch = request.get("epoch")
-        if epoch is not None and epoch != self.fleet.epoch:
-            reply(protocol.error_response(
-                protocol.WRONG_SHARD,
-                f"request pinned ring epoch {epoch!r}, fleet is at "
-                f"epoch {self.fleet.epoch}", request_id,
-            ))
-            return
-        if self._draining:
-            reply(protocol.error_response(
-                protocol.SHUTTING_DOWN, "proxy is draining", request_id
-            ))
-            return
-        tenant = conn["tenant"] if conn is not None else DEFAULT_TENANT
-        if rtype in _QOS_DATA_TYPES and self._qos_shed(tenant, reply,
-                                                       request_id):
-            return
-        fill_token: Any = None
-        cache_key = request.get("key") \
-            if isinstance(request.get("key"), str) else None
-        if (rtype == "get" and self.read_cache is not None
-                and cache_key is not None):
-            served, fill_token = self._cache_hit(cache_key, tenant, reply,
-                                                 request_id)
-            if served:
-                return
-        node, forward_node = self._route(request)
-        if node is None:
-            self.unroutable += 1
-            reply(protocol.error_response(
-                protocol.BAD_REQUEST,
-                f"unroutable request type {rtype!r}", request_id,
-            ))
-            return
-        out_request = dict(request)
-        # The epoch gate is the proxy's: backend processes are fixed
-        # single racks pinned at epoch 0 and would reject the fleet's.
-        out_request.pop("epoch", None)
-        if rtype in ("read", "write"):
-            out_request["pair"] = int(request["pair"]) % self.pairs_per_rack
-        link = await self._link_for(node, writer, links, request_id, False,
-                                    conn)
-        if link is None:
-            return
-        self.routed += 1
-        frame = protocol.encode_frame(out_request)
-        self._enqueue(batches, link, frame, request_id)
-        self._track(conn, request_id, str(rtype), cache_key, fill_token,
-                    tenant)
-        if forward_node is not None:
-            await self._dup_write(str(request.get("key", "")), frame,
-                                  forward_node, writer, links, batches,
-                                  request_id, False, conn)
-
-    # ----------------------------------------------------------- membership
-
-    async def _dup_write(self, key: str, frame: Any, forward_node: int,
-                         writer: "asyncio.StreamWriter",
-                         links: Dict[int, _BackendLink],
-                         batches: Dict[_BackendLink, Tuple[List[Any], List[Any]]],
-                         request_id: Any, binary: bool,
-                         conn: Optional[Dict[str, Any]] = None) -> None:
-        """Duplicate a migrating key's write to its future owner.
-
-        The proxy relays frames without matching responses, so it cannot
-        chain the two legs the way the in-proc router does; instead the
-        *same* frame -- same id -- goes to both backends.  Both client
-        implementations resolve an id exactly once and drop the
-        duplicate response, so whichever leg answers first wins.  If the
-        destination leg dies, its orphan ``TIMEOUT`` either arrives
+        ``forward_node`` is the future owner of a migrating ``key``: the
+        proxy relays frames without matching responses, so it cannot
+        chain the two legs of a write the way the in-proc router does;
+        instead the *same* frame -- same id -- goes to both backends.
+        Both client implementations resolve an id exactly once and drop
+        the duplicate response, so whichever leg answers first wins.  If
+        the destination leg dies, its orphan ``TIMEOUT`` either arrives
         second (ignored) or first (a retryable error while the
         authoritative old owner durably applied the write) -- never a
         lost ack.
         """
+        link = await self._link_for(node, conn, request_id, binary)
+        if link is None:
+            return
+        self.routed += 1
+        conn.enqueue(link, frame, request_id)
+        if conn.hook is not None and request_id is not None:
+            ticket.submitted()
+            conn.pending[request_id] = ticket
+        if forward_node is None:
+            return
         self.fleet.note_forwarded(key)
         self.fleet.counters["write_forwards"] += 1
         self.write_dups += 1
@@ -1860,13 +1515,115 @@ class ShardProxy:
         await self.fleet.await_stream_put(key)
         # Dial errors reply with id ``None`` (clients ignore them): the
         # primary leg is already queued and must own the id's response.
-        link = await self._link_for(forward_node, writer, links, None, binary,
-                                    conn)
+        link = await self._link_for(forward_node, conn, None, binary)
         if link is not None:
-            self._enqueue(batches, link, frame, request_id)
+            conn.enqueue(link, frame, request_id)
+
+    async def _begin_binary(self, frame: Any, conn: _ClientConn) -> None:
+        """Route one binary frame without decoding it.
+
+        The pair/key routing fact sits at a fixed offset
+        (:func:`~repro.service.protocol.bin_frame_route`), and the only
+        rewrite -- global to rack-local pair index -- patches 4 bytes in
+        place (:func:`~repro.service.protocol.rewrite_bin_pair`).  Key
+        ops relay the splitter's memoryview untouched.  The front door
+        sees only the facts peeked here.
+        """
+        request_id = protocol.frame_request_id(frame)
+        try:
+            route = protocol.bin_frame_route(frame)
+        except protocol.FrameError as exc:
+            self.unroutable += 1
+            conn.reply(protocol.error_response(
+                protocol.BAD_REQUEST, f"malformed binary frame: {exc}",
+                request_id,
+            ), True)
+            return
+        if route is None:
+            self.unroutable += 1
+            conn.reply(protocol.error_response(
+                protocol.BAD_REQUEST,
+                f"unroutable binary opcode 0x{frame[1]:02x}", request_id,
+            ), True)
+            return
+        kind, value = route
+        ticket = self.door.admit(
+            {"type": _BIN_RTYPE[frame[1]], "id": request_id,
+             "key": value if kind == "key" else None},
+            conn, self._draining,
+        )
+        if ticket.__class__ is dict:
+            conn.reply(ticket, True)
+            return
+        forward_node: Optional[int] = None
+        if kind == "pair":
+            total = self.pairs_per_rack * len(self.ring)
+            if not 0 <= value < total:
+                self.unroutable += 1
+                conn.reply(protocol.error_response(
+                    protocol.BAD_REQUEST,
+                    f"pair index {value} out of range [0, {total})",
+                    request_id,
+                ), True)
+                return
+            node = self.ring.node_for(f"pair:{value}")
+            if self.selector is not None and frame[1] == protocol.OP_READ:
+                node = self._choose_read_node(value, node)
+            frame = protocol.rewrite_bin_pair(
+                frame, value % self.pairs_per_rack
+            )
+        elif frame[1] == protocol.OP_PUT:
+            node, forward_node = self.fleet.write_route(value)
+        else:
+            node = self.fleet.read_owner(value)
+        await self._relay(conn, ticket, frame, request_id, True, node,
+                          forward_node, value)
+
+    async def _begin(self, request: Dict[str, Any],
+                     conn: _ClientConn) -> None:
+        ticket = self.door.admit(request, conn, self._draining)
+        if ticket.__class__ is dict:
+            conn.reply(ticket, False)
+            return
+        request_id = request.get("id")
+        if ticket is frontdoor.STATS:
+            try:
+                response = protocol.ok_response(
+                    request_id, **(await self._gather_stats())
+                )
+            except (ConnectionError, OSError, protocol.FrameError) as exc:
+                response = protocol.error_response(
+                    protocol.INTERNAL, f"stats gather failed: {exc}",
+                    request_id,
+                )
+            conn.reply(response, False)
+            return
+        if ticket is frontdoor.ADMIN:
+            self._begin_admin(request, conn)
+            return
+        rtype = request.get("type")
+        node, forward_node = self._route(request)
+        if node is None:
+            self.unroutable += 1
+            conn.reply(protocol.error_response(
+                protocol.BAD_REQUEST,
+                f"unroutable request type {rtype!r}", request_id,
+            ), False)
+            return
+        out_request = dict(request)
+        # The epoch gate is the proxy's: backend processes are fixed
+        # single racks pinned at epoch 0 and would reject the fleet's.
+        out_request.pop("epoch", None)
+        if rtype in ("read", "write"):
+            out_request["pair"] = int(request["pair"]) % self.pairs_per_rack
+        await self._relay(conn, ticket, protocol.encode_frame(out_request),
+                          request_id, False, node, forward_node,
+                          str(request.get("key", "")))
+
+    # ----------------------------------------------------------- membership
 
     def _begin_admin(self, request: Dict[str, Any],
-                     writer: "asyncio.StreamWriter") -> None:
+                     conn: _ClientConn) -> None:
         """In-band fleet administration, proxy flavour.
 
         ``status`` answers immediately; ``add_rack`` admits an
@@ -1876,82 +1633,39 @@ class ShardProxy:
         keys out, after which the operator may stop the process.  Both
         run as background tasks so foreground frames keep relaying.
         """
+        pending = frontdoor.begin_admin(request, self._fleet_status,
+                                        self._admin_mutation)
+        if pending.__class__ is dict:
+            conn.reply(pending, False)
+            return
         request_id = request.get("id")
-
-        def reply(response: Dict[str, Any]) -> None:
-            if not writer.is_closing():
-                writer.write(protocol.encode_frame(response))
-
-        op = str(request.get("op", "status"))
-        if op in ("status", "fleet_status"):
-            status = self.fleet.status()
-            status["drained"] = sorted(self.drained)
-            reply(protocol.ok_response(request_id, **status))
-            return
-        try:
-            knobs: Dict[str, Any] = {}
-            if "batch_size" in request:
-                knobs["batch_size"] = int(request["batch_size"])
-            if "pause_s" in request:
-                knobs["pause_s"] = float(request["pause_s"])
-            if "max_attempts" in request:
-                knobs["max_attempts"] = int(request["max_attempts"])
-            if op == "add_rack":
-                pending = self._admin_add_rack(request, knobs)
-            elif op == "drain_rack":
-                pending = self._admin_drain_rack(int(request["rack"]), knobs)
-            else:
-                reply(protocol.error_response(
-                    protocol.BAD_REQUEST, f"unsupported admin op {op!r}",
-                    request_id,
-                ))
-                return
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            reply(protocol.error_response(
-                protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                request_id,
-            ))
-            return
         task = asyncio.ensure_future(pending)
         self._admin_tasks.add(task)
 
         def _respond(done: "asyncio.Task") -> None:
             self._admin_tasks.discard(done)
-            if done.cancelled():
-                return
-            exc = done.exception()
-            if exc is None:
-                reply(protocol.ok_response(request_id, **done.result()))
-            elif isinstance(exc, MembershipBusy):
-                reply(protocol.error_response(
-                    protocol.BUSY, str(exc), request_id
-                ))
-            elif isinstance(exc, (KeyError, TypeError, ValueError,
-                                  ConfigError)):
-                reply(protocol.error_response(
-                    protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                ))
-            elif isinstance(exc, (MembershipError, asyncio.TimeoutError,
-                                  ConnectionError, OSError)):
-                reply(protocol.error_response(
-                    protocol.INTERNAL, f"membership change failed: {exc}",
-                    request_id,
-                ))
-            else:
-                reply(protocol.error_response(
-                    protocol.INTERNAL, str(exc), request_id
-                ))
+            conn.reply(frontdoor.admin_outcome(done, request_id), False)
 
         task.add_done_callback(_respond)
 
+    def _fleet_status(self) -> Dict[str, Any]:
+        status = self.fleet.status()
+        status["drained"] = sorted(self.drained)
+        return status
+
+    def _admin_mutation(self, op: str, request: Dict[str, Any],
+                        knobs: Dict[str, Any]) -> Optional[Any]:
+        if op == "add_rack":
+            return self._admin_add_rack(request, knobs)
+        if op == "drain_rack":
+            return self._admin_drain_rack(int(request["rack"]), knobs)
+        return None
+
     def _wire_endpoints(self):
-        """Wire-level scan/put/delete endpoints for the migration
+        """Wire-level ``(scan, put, delete, close)`` for the migration
         stream: one :class:`~repro.service.client.ServiceClient` per
         involved backend under the ``migrate`` client name, dialed
-        lazily.  Returns ``(scan, put, delete, close)``; the caller owns
-        ``close`` (also used between retry attempts so a crashed
-        backend gets a fresh dial)."""
+        lazily."""
         from repro.service.client import ServiceClient
 
         clients: Dict[int, "ServiceClient"] = {}
@@ -1971,14 +1685,10 @@ class ShardProxy:
 
         async def put(dst: int, key: str, value: str) -> None:
             await (await client_for(dst)).put(key, value)
-            if self.read_cache is not None:
-                self.read_cache.invalidate(key)
 
         async def delete(src: int, key: str) -> None:
             if 0 <= src < len(self.backends) and src not in self.drained:
                 await (await client_for(src)).delete(key)
-            if self.read_cache is not None:
-                self.read_cache.invalidate(key)
 
         async def close() -> None:
             for client in clients.values():
@@ -1986,30 +1696,6 @@ class ShardProxy:
             clients.clear()
 
         return scan, put, delete, close
-
-    async def _run_stream(self, plan, *, batch_size: int = 64,
-                          pause_s: float = 0.002, max_attempts: int = 3,
-                          retry_backoff_s: float = 0.05):
-        """Drive the migration stream over the wire, retrying tainted on
-        mid-stream failure with freshly-dialed endpoints.  Returns
-        ``(stream, report, close)``; raises
-        :class:`MigrationStreamError` after the last attempt."""
-        while True:
-            scan, put, delete, close = self._wire_endpoints()
-            stream = MigrationStream(
-                self.fleet, plan, scan=scan, put=put, delete=delete,
-                batch_size=batch_size, pause_s=pause_s,
-            )
-            try:
-                report = await stream.run()
-            except MigrationStreamError:
-                await close()
-                if plan.attempt >= max_attempts:
-                    raise
-                plan = self.fleet.retry()
-                await asyncio.sleep(retry_backoff_s * plan.attempt)
-                continue
-            return stream, report, close
 
     async def _admin_add_rack(self, request: Dict[str, Any],
                               knobs: Dict[str, Any]) -> Dict[str, Any]:
@@ -2024,62 +1710,27 @@ class ShardProxy:
         plan = self.fleet.begin_add(node)
         self.backends.append((host, port))
         try:
-            stream, report, close = await self._run_stream(plan, **knobs)
-        except MigrationStreamError as exc:
-            attempts = self.fleet.plan.attempt if self.fleet.plan else 0
-            self.fleet.abort()
+            return await run_membership_change(
+                self.fleet, plan, self._wire_endpoints,
+                read_cache=self.read_cache, **knobs,
+            )
+        except MembershipError:
             self.backends.pop()
-            raise MembershipError(
-                f"admitting rack {node} failed after {attempts} "
-                f"attempt(s): {exc}"
-            ) from exc
-        epoch = self.fleet.commit()
-        if self.read_cache is not None:
-            self.read_cache.fence(epoch)
-        try:
-            await stream.cleanup(report)
-        finally:
-            await close()
-        return {
-            "rack": node, "epoch": epoch, "kind": "add",
-            "keys_moved": report.keys_moved,
-            "bytes_streamed": report.bytes_streamed,
-            "skipped_forwarded": report.skipped_forwarded,
-            "attempts": plan.attempt,
-            "moved_fraction": round(plan.moved_fraction, 6),
-            "racks": self.ring.nodes,
-        }
+            raise
 
     async def _admin_drain_rack(self, node: int,
                                 knobs: Dict[str, Any]) -> Dict[str, Any]:
         if not 0 <= node < len(self.backends) or node in self.drained:
             raise ConfigError(f"rack {node} is not a live backend")
         plan = self.fleet.begin_drain(node)
-        try:
-            stream, report, close = await self._run_stream(plan, **knobs)
-        except MigrationStreamError as exc:
-            attempts = self.fleet.plan.attempt if self.fleet.plan else 0
-            self.fleet.abort()
-            raise MembershipError(
-                f"draining rack {node} failed after {attempts} "
-                f"attempt(s): {exc}"
-            ) from exc
-        epoch = self.fleet.commit()
-        if self.read_cache is not None:
-            self.read_cache.fence(epoch)
-        await close()
+        report = await run_membership_change(
+            self.fleet, plan, self._wire_endpoints,
+            read_cache=self.read_cache, **knobs,
+        )
         # The slot stays (indices must remain stable); the backend just
         # left the ring.  The operator stops the process at leisure.
         self.drained.add(node)
-        return {
-            "rack": node, "epoch": epoch, "kind": "drain",
-            "keys_moved": report.keys_moved,
-            "bytes_streamed": report.bytes_streamed,
-            "skipped_forwarded": report.skipped_forwarded,
-            "attempts": plan.attempt,
-            "moved_fraction": round(plan.moved_fraction, 6),
-            "racks": self.ring.nodes,
-        }
+        return report
 
     # ------------------------------------------------------------ reporting
 
@@ -2122,21 +1773,12 @@ class ShardProxy:
         }
         out[schema.SECTION_MIGRATION] = self.fleet.stats_section()
         out[schema.SECTION_SHARDS] = sections
-        if self.selector is not None and self.load_view is not None:
-            routing: Dict[str, Any] = self.selector.stats_section()
-            replicas: Dict[str, Dict[str, float]] = {}
-            for node in range(len(self.backends)):
-                if node in self.drained:
-                    continue
-                stats = self.load_view.replica(node)
-                replicas[str(node)] = {
-                    "depth": float(stats.depth),
-                    "ewma_us": float(stats.ewma_us),
-                    "age_s": (-1.0 if stats.age_s == float("inf")
-                              else float(stats.age_s)),
-                }
-            routing[schema.FIELD_ROUTING_REPLICAS] = replicas
-            out[schema.SECTION_ROUTING] = routing
+        if self.selector is not None:
+            out[schema.SECTION_ROUTING] = _routing_section(
+                self.selector, self.load_view,
+                [node for node in range(len(self.backends))
+                 if node not in self.drained],
+            )
         if self.qos is not None:
             out[schema.SECTION_TENANTS] = self.qos.stats_section()
         if self.read_cache is not None:
@@ -2153,18 +1795,15 @@ class ShardProxy:
 
 async def launch_backends(
     racks: int, backend_args: Sequence[str], *, seed: int,
-    startup_timeout_s: float = 60.0, port: int = 0,
+    startup_timeout_s: float = 60.0,
 ) -> Tuple[List["asyncio.subprocess.Process"], List[Tuple[str, int]]]:
     """Spawn one ``repro.cli serve`` process per rack.
 
     ``backend_args`` is everything after ``serve`` except ``--port`` and
-    ``--seed``, which are set here (seed ``seed + rack``, the same
-    derivation :func:`build_shard_configs` uses).  ``port`` defaults to
-    0 -- an ephemeral port per backend; a fixed port is for
-    ``SO_REUSEPORT`` per-core worker fleets that all share one listener
-    (every child then also needs ``--reuseport`` in ``backend_args``).
-    Returns the processes plus their ``(host, port)`` endpoints, parsed
-    from each child's "serving ... on host:port" line.
+    ``--seed``, which are set here (an ephemeral port each; seed
+    ``seed + rack``, the same derivation :func:`build_shard_configs`
+    uses).  Returns the processes plus their ``(host, port)`` endpoints,
+    parsed from each child's "serving ... on host:port" line.
     """
     import os
     import pathlib
@@ -2183,7 +1822,7 @@ async def launch_backends(
         for rack in range(racks):
             proc = await asyncio.create_subprocess_exec(
                 sys.executable, "-m", "repro.cli", "serve",
-                "--port", str(port), "--seed", str(seed + rack),
+                "--port", "0", "--seed", str(seed + rack),
                 *backend_args,
                 stdout=asyncio.subprocess.PIPE,
                 stderr=asyncio.subprocess.STDOUT,

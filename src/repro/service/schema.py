@@ -209,9 +209,8 @@ def aggregate_sections(shard_sections: "list[Dict[str, Any]]",
                     dst[field] = max(dst[field], value)
                 else:
                     dst[field] += value
-        # QoS sections appear only where a front-end carries them (e.g.
-        # per-core workers each own a scheduler + cache): fold when
-        # present, never synthesize an empty section.
+        # QoS sections appear only where a front-end carries them: fold
+        # when present, never synthesize an empty section.
         cache = section.get(SECTION_READCACHE)
         if isinstance(cache, Mapping):
             dst = agg.setdefault(

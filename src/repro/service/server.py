@@ -21,21 +21,12 @@ from typing import Any, Dict, Optional, Set
 
 from repro.cluster.config import RackConfig
 from repro.errors import ConfigError
-from repro.service import protocol, schema
+from repro.service import frontdoor, protocol, schema
 from repro.service.admission import AdmissionController
 from repro.service.bridge import SimTimeBridge
-from repro.service.membership import MembershipBusy, MembershipError
-from repro.service.qos import DEFAULT_TENANT, QosScheduler
+from repro.service.frontdoor import CACHE_HIT_LATENCY_US  # noqa: F401 (re-export)
+from repro.service.qos import QosScheduler
 from repro.service.readcache import ReadCache
-
-#: Request types that consume simulated rack capacity and therefore
-#: pass through tenant QoS admission (everything else -- hello, ping,
-#: stats, admin -- is control plane).
-_DATA_TYPES = frozenset(("read", "write", "get", "put", "del", "scan"))
-
-#: Simulated latency reported for a DRAM cache hit: the request never
-#: touches the rack simulator, so the charge is a nominal DRAM fetch.
-CACHE_HIT_LATENCY_US = 1.0
 
 
 class RackService:
@@ -53,7 +44,6 @@ class RackService:
         pace: float = 0.0,
         chunk_us: float = 1000.0,
         request_timeout_us: Optional[float] = None,
-        reuse_port: bool = False,
         qos: Optional[QosScheduler] = None,
         read_cache: Optional[ReadCache] = None,
     ) -> None:
@@ -65,9 +55,12 @@ class RackService:
         self.qos = qos
         #: Optional DRAM read-through cache for KV ``get``\ s.
         self.read_cache = read_cache
-        #: Bind with ``SO_REUSEPORT`` so several per-core acceptor
-        #: processes can share one listening port (``serve --workers``).
-        self.reuse_port = reuse_port
+        #: Everything between a decoded frame and dispatch, and the
+        #: completion accounting after it (see :mod:`.frontdoor`).
+        self.door = frontdoor.FrontDoor(
+            qos, read_cache, epoch=self._current_epoch,
+            describe=lambda: (self._capabilities(), self._hello_fields()),
+        )
         if bridge is None:
             bridge_kwargs: Dict[str, Any] = dict(pace=pace, chunk_us=chunk_us)
             if request_timeout_us is not None:
@@ -94,9 +87,8 @@ class RackService:
         """Bind, listen, and start the bridge pump."""
         self.bridge.after_chunk = self._flush_writes
         await self.bridge.start()
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, **kwargs
+            self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -141,10 +133,7 @@ class RackService:
         default_client = f"{peer[0]}:{peer[1]}" if peer else "unknown"
         outstanding: Set["asyncio.Future"] = set()
         decoder = protocol.FrameDecoder(self.max_frame_bytes)
-        # Per-connection identity: the tenant is declared once in the
-        # hello exchange (the binary codec has no per-request field for
-        # it) and sticks for the connection's lifetime.
-        conn = {"tenant": DEFAULT_TENANT}
+        conn = frontdoor.Conn()
         try:
             while True:
                 data = await reader.read(65536)
@@ -153,9 +142,10 @@ class RackService:
                 try:
                     requests = decoder.feed_tagged(data)
                 except protocol.FrameError as exc:
-                    self._send(writer, protocol.error_response(
+                    self._send_batched(writer, protocol.error_response(
                         protocol.BAD_REQUEST, str(exc)
                     ))
+                    self._flush_writes()
                     break  # framing is lost; drop the connection
                 for request, binary in requests:
                     self._begin_request(request, default_client, writer,
@@ -183,21 +173,11 @@ class RackService:
             if task is not None:
                 self._connections.discard(task)
 
-    def _send(self, writer: "asyncio.StreamWriter",
-              response: Dict[str, Any]) -> None:
-        """Immediate response write (ping/stats/rejections)."""
-        if writer.is_closing():
-            return
-        try:
-            writer.write(protocol.encode_frame(response))
-        except (ConnectionResetError, BrokenPipeError):
-            return  # client went away; the simulated work still completed
-        self.responses_sent += 1
-
     def _send_batched(self, writer: "asyncio.StreamWriter",
                       response: Dict[str, Any],
                       binary: bool = False) -> None:
-        """Buffer a completion response for the next chunk flush.
+        """Buffer a response for the next flush (end of the read batch
+        for immediate answers, end of the sim chunk for completions).
 
         ``binary`` answers in the protocol-v2 codec (with automatic JSON
         fallback for shapes it cannot express) -- set iff the request
@@ -228,10 +208,7 @@ class RackService:
 
     def _capabilities(self) -> list:
         """What this server advertises in the ``hello`` exchange."""
-        caps = ["raw", "kv", "bin"]
-        if self.qos is not None:
-            caps.append("qos")
-        return caps
+        return ["raw", "kv", "bin"]
 
     def _hello_fields(self) -> Dict[str, Any]:
         """Extra fields for the ``hello`` response."""
@@ -249,10 +226,11 @@ class RackService:
         return {"epoch": self._current_epoch(), "racks": [0],
                 "migrating": False, "phase": "static"}
 
-    def _admin_mutation(self, op: str,
-                        request: Dict[str, Any]) -> Optional["asyncio.Future"]:
-        """Start a membership mutation; returns an awaitable or ``None``
-        for unknown/unsupported ops.  A fixed single rack supports none."""
+    def _admin_mutation(self, op: str, request: Dict[str, Any],
+                        knobs: Dict[str, Any]) -> Optional[Any]:
+        """Start a membership mutation (``knobs`` are the parsed
+        migration knobs); returns an awaitable or ``None`` for
+        unknown/unsupported ops.  A fixed single rack supports none."""
         return None
 
     def _admit(self, client: str, request: Dict[str, Any]) -> bool:
@@ -313,64 +291,21 @@ class RackService:
         ``drain_rack``) run as a task -- migration takes real time under
         live load -- and respond when the cutover (or the abort) lands.
         """
+        pending = frontdoor.begin_admin(request, self._fleet_status,
+                                        self._admin_mutation)
+        if pending.__class__ is dict:
+            self._send_batched(writer, pending, binary)
+            return
         request_id = request.get("id")
-        op = request.get("op")
-        if op in ("status", "fleet_status"):
-            self._send_batched(writer, protocol.ok_response(
-                request_id, **self._fleet_status()
-            ), binary)
-            return
-        try:
-            pending = self._admin_mutation(str(op), request)
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            self._send_batched(writer, protocol.error_response(
-                protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                request_id,
-            ), binary)
-            return
-        if pending is None:
-            self._send_batched(writer, protocol.error_response(
-                protocol.BAD_REQUEST,
-                f"unsupported admin op {op!r} for this deployment",
-                request_id,
-            ), binary)
-            return
         task = asyncio.ensure_future(pending)
         outstanding.add(task)
 
         def _respond(fut: "asyncio.Future") -> None:
             outstanding.discard(fut)
-            if fut.cancelled():
-                self._send(writer, protocol.error_response(
-                    protocol.SHUTTING_DOWN, "admin op cancelled at shutdown",
-                    request_id,
-                ))
-                return
-            exc = fut.exception()
-            if exc is None:
-                self._send(writer,
-                           protocol.ok_response(request_id, **fut.result()))
-            elif isinstance(exc, MembershipBusy):
-                self._send(writer, protocol.error_response(
-                    protocol.BUSY, str(exc), request_id
-                ))
-            elif isinstance(exc, (KeyError, TypeError, ValueError,
-                                  ConfigError)):
-                self._send(writer, protocol.error_response(
-                    protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                ))
-            elif isinstance(exc, (MembershipError, asyncio.TimeoutError,
-                                  ConnectionError, OSError)):
-                self._send(writer, protocol.error_response(
-                    protocol.INTERNAL,
-                    f"membership change failed: {exc}", request_id,
-                ))
-            else:
-                self._send(writer, protocol.error_response(
-                    protocol.INTERNAL, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                ))
+            # No sim chunk is owed to this connection: flush now.
+            self._send_batched(
+                writer, frontdoor.admin_outcome(fut, request_id), binary)
+            self._flush_writes()
 
         task.add_done_callback(_respond)
 
@@ -379,106 +314,27 @@ class RackService:
     def _begin_request(self, request: Dict[str, Any], default_client: str,
                        writer: "asyncio.StreamWriter",
                        outstanding: Set["asyncio.Future"],
-                       binary: bool = False,
-                       conn: Optional[Dict[str, str]] = None) -> None:
+                       binary: bool, conn: frontdoor.Conn) -> None:
         """Admit and dispatch one request; responses are written either
         immediately (rejections, ping/stats) or from the sim future's
         done-callback when the simulated request completes.  ``binary``
         tags how the request arrived; every response to it answers in
         the same codec.  ``conn`` carries per-connection state (the
         hello-declared tenant)."""
+        ticket = self.door.admit(request, conn, self._draining)
+        if ticket.__class__ is dict:
+            self._send_batched(writer, ticket, binary)
+            return
         request_id = request.get("id")
-        bad_version = protocol.check_version(request)
-        if bad_version is not None:
-            self._send_batched(writer, protocol.error_response(
-                protocol.UNSUPPORTED_VERSION,
-                f"server speaks v{protocol.PROTOCOL_VERSION}, "
-                f"got v{bad_version!r}", request_id,
-            ), binary)
-            return
-        rtype = request.get("type")
-        # Cheap, non-simulated request types bypass admission entirely.
-        if rtype == "hello":
-            declared = request.get("tenant")
-            extra: Dict[str, Any] = {}
-            if declared is not None:
-                if not isinstance(declared, str) or not declared:
-                    self._send_batched(writer, protocol.error_response(
-                        protocol.BAD_REQUEST,
-                        f"tenant must be a non-empty string, "
-                        f"got {declared!r}", request_id,
-                    ), binary)
-                    return
-                if self.qos is not None and not self.qos.knows(declared):
-                    self._send_batched(writer, protocol.error_response(
-                        protocol.BAD_REQUEST,
-                        f"unknown tenant {declared!r}; declared tenants: "
-                        f"{self.qos.tenant_names}", request_id,
-                    ), binary)
-                    return
-                if conn is not None:
-                    conn["tenant"] = declared
-                extra["tenant"] = declared
-            self._send_batched(writer, protocol.hello_response(
-                request_id, capabilities=self._capabilities(),
-                **self._hello_fields(), **extra,
-            ), binary)
-            return
-        if rtype == "ping":
-            self._send_batched(writer,
-                               protocol.ok_response(request_id, pong=True),
-                               binary)
-            return
-        if rtype == "stats":
+        if ticket is frontdoor.STATS:
             self._send_batched(writer, protocol.ok_response(
                 request_id, **self._stats_payload()
             ), binary)
             return
-        if rtype == "admin":
+        if ticket is frontdoor.ADMIN:
             self._begin_admin(request, writer, outstanding, binary)
             return
-        epoch = request.get("epoch")
-        if epoch is not None and epoch != self._current_epoch():
-            # The client pinned a routing view that a membership cutover
-            # has since invalidated; it must re-``hello`` and retry.
-            self._send_batched(writer, protocol.error_response(
-                protocol.WRONG_SHARD,
-                f"request pinned ring epoch {epoch!r}, fleet is at "
-                f"epoch {self._current_epoch()}", request_id,
-            ), binary)
-            return
-        if self._draining:
-            self._send_batched(writer, protocol.error_response(
-                protocol.SHUTTING_DOWN, "server is draining", request_id
-            ), binary)
-            return
         client = str(request.get("client") or default_client)
-        tenant = conn.get("tenant", DEFAULT_TENANT) if conn else DEFAULT_TENANT
-        qos = self.qos if rtype in _DATA_TYPES else None
-        if qos is not None and not qos.try_admit(tenant):
-            self._send_batched(writer, protocol.error_response(
-                protocol.BUSY,
-                f"tenant {tenant!r} is over its QoS budget", request_id,
-            ), binary)
-            return
-        cache = self.read_cache
-        key = request.get("key") if isinstance(request.get("key"), str) \
-            else None
-        fill_token = None
-        if cache is not None and rtype == "get" and key is not None:
-            hit, value, fill_token = cache.lookup(key, tenant)
-            if hit:
-                # Served straight from front-end DRAM: no admission, no
-                # simulated work, and the hit still counts toward the
-                # tenant's SLO window (a near-zero-latency success).
-                if qos is not None:
-                    qos.on_submit(tenant)
-                    qos.on_complete(tenant, CACHE_HIT_LATENCY_US / 1000.0)
-                self._send_batched(writer, protocol.ok_response(
-                    request_id, value=value, found=True,
-                    latency_us=CACHE_HIT_LATENCY_US,
-                ), binary)
-                return
         if not self._admit(client, request):
             self._send_batched(writer, protocol.error_response(
                 protocol.BUSY, "admission control shed this request",
@@ -486,29 +342,18 @@ class RackService:
             ), binary)
             return
         try:
-            future = self._submit(rtype, request, client)
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            self._send_batched(writer, protocol.error_response(
-                protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                request_id,
-            ), binary)
+            future = self._submit(request.get("type"), request, client)
+        except frontdoor.BAD_OPERANDS as exc:
+            self._send_batched(
+                writer, frontdoor.bad_request(exc, request_id), binary)
             return
         outstanding.add(future)
-        if qos is not None:
-            qos.on_submit(tenant)
-
-        def _qos_done(result: Optional[Dict[str, Any]], ok: bool) -> None:
-            if qos is None:
-                return
-            latency_us = (result or {}).get("latency_us")
-            latency_ms = (float(latency_us) / 1000.0
-                          if isinstance(latency_us, (int, float)) else None)
-            qos.on_complete(tenant, latency_ms, ok=ok)
+        ticket.submitted()
 
         def _respond(fut: "asyncio.Future") -> None:
             outstanding.discard(fut)
             if fut.cancelled():
-                _qos_done(None, False)
+                ticket.complete(None)
                 self._send_batched(writer, protocol.error_response(
                     protocol.SHUTTING_DOWN, "request cancelled at shutdown",
                     request_id,
@@ -517,38 +362,23 @@ class RackService:
             exc = fut.exception()
             if exc is None:
                 result = fut.result()
-                _qos_done(result, True)
-                if cache is not None and key is not None:
-                    if rtype in ("put", "del"):
-                        # Write-through invalidation at completion time:
-                        # the store now holds the new value, so purge the
-                        # key and fence any fill racing this write.
-                        cache.invalidate(key)
-                    elif (rtype == "get" and fill_token is not None
-                          and result.get("found")):
-                        cache.fill(key, result.get("value"), tenant,
-                                   fill_token)
+                ticket.complete(result)
                 self._send_batched(
                     writer, protocol.ok_response(request_id, **result),
                     binary,
                 )
-            elif isinstance(exc, asyncio.TimeoutError):
-                _qos_done(None, False)
-                self._send_batched(writer, protocol.error_response(
-                    protocol.TIMEOUT, str(exc), request_id
-                ), binary)
-            elif isinstance(exc, (KeyError, TypeError, ValueError,
-                                  ConfigError)):
-                _qos_done(None, False)
-                self._send_batched(writer, protocol.error_response(
-                    protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                ), binary)
+                return
+            ticket.complete(None)
+            if isinstance(exc, asyncio.TimeoutError):
+                response = protocol.error_response(
+                    protocol.TIMEOUT, str(exc), request_id)
+            elif isinstance(exc, frontdoor.BAD_OPERANDS):
+                response = frontdoor.bad_request(exc, request_id)
             else:
-                _qos_done(None, False)
-                self._send_batched(writer, protocol.error_response(
+                response = protocol.error_response(
                     protocol.INTERNAL, f"{type(exc).__name__}: {exc}",
                     request_id,
-                ), binary)
+                )
+            self._send_batched(writer, response, binary)
 
         future.add_done_callback(_respond)

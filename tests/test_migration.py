@@ -31,7 +31,7 @@ from repro.chaos import FaultEvent, FaultSchedule
 from repro.cluster.config import RackConfig, SystemType
 from repro.service import protocol, schema
 from repro.service.bridge import SimTimeBridge
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import ClientConfig, ServiceClient, ServiceError
 from repro.service.membership import MembershipError
 from repro.service.router import ShardedRackService, ShardRouter
 from repro.service.selector import REASON_P2C, POLICY_P2C, RoutingTrace
@@ -306,7 +306,8 @@ class TestDrainRack:
             try:
                 client = ServiceClient(
                     "127.0.0.1", service.port,
-                    max_retries=8, retry_backoff_s=0.001,
+                    config=ClientConfig(max_retries=8,
+                                        retry_backoff_s=0.001),
                 )
                 async with client:
                     acked = await seed_keys(client, 120)
@@ -440,7 +441,7 @@ class TestEpochFencing:
             service = await start_sharded(racks=2)
             try:
                 pinned = ServiceClient("127.0.0.1", service.port, "pinned",
-                                       track_epoch=True)
+                                       config=ClientConfig(track_epoch=True))
                 admin = ServiceClient("127.0.0.1", service.port, "admin")
                 async with pinned, admin:
                     await pinned.hello()

@@ -19,7 +19,7 @@ import pytest
 
 from repro.cluster.config import RackConfig, SystemType
 from repro.service import protocol
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import ClientConfig, ServiceClient, ServiceError
 from repro.service.router import ShardedRackService, ShardRouter
 from repro.service.server import RackService
 
@@ -160,8 +160,9 @@ class TestBinCapableClient:
         async def scenario():
             service = await _start_service()
             try:
-                async with ServiceClient("127.0.0.1", service.port,
-                                         wire_protocol="auto") as c:
+                async with ServiceClient(
+                        "127.0.0.1", service.port,
+                        config=ClientConfig(wire_protocol="auto")) as c:
                     await c.write(0, 1)
                     read = await c.read(0, 1)
                     stats = await c.stats()
@@ -185,8 +186,9 @@ class TestMixedFleet:
             service = await _start_service()
             try:
                 clients = {
-                    mode: ServiceClient("127.0.0.1", service.port,
-                                        wire_protocol=mode)
+                    mode: ServiceClient(
+                        "127.0.0.1", service.port,
+                        config=ClientConfig(wire_protocol=mode))
                     for mode in ("json", "auto", "bin")
                 }
                 for c in clients.values():
@@ -227,8 +229,9 @@ class TestMixedFleet:
             service = ShardedRackService(router, port=0)
             await service.start()
             try:
-                async with ServiceClient("127.0.0.1", service.port,
-                                         wire_protocol="auto") as b, \
+                async with ServiceClient(
+                        "127.0.0.1", service.port,
+                        config=ClientConfig(wire_protocol="auto")) as b, \
                         ServiceClient("127.0.0.1", service.port) as j:
                     writes = [await b.write(g, 1) for g in range(4)]
                     reads = [await j.read(g, 1) for g in range(4)]
@@ -249,8 +252,9 @@ class TestDowngrade:
         async def scenario():
             service = await _start_service(JsonOnlyService)
             try:
-                async with ServiceClient("127.0.0.1", service.port,
-                                         wire_protocol="auto") as c:
+                async with ServiceClient(
+                        "127.0.0.1", service.port,
+                        config=ClientConfig(wire_protocol="auto")) as c:
                     await c.write(0, 1)
                     return c.negotiated_protocol, await c.read(0, 1)
             finally:
@@ -264,8 +268,9 @@ class TestDowngrade:
         async def scenario():
             service = await _start_service(JsonOnlyService)
             try:
-                client = ServiceClient("127.0.0.1", service.port,
-                                       wire_protocol="bin")
+                client = ServiceClient(
+                    "127.0.0.1", service.port,
+                    config=ClientConfig(wire_protocol="bin"))
                 try:
                     await client.connect()
                 except ServiceError as exc:
@@ -281,4 +286,4 @@ class TestDowngrade:
 
     def test_invalid_wire_protocol_rejected_up_front(self):
         with pytest.raises(ValueError):
-            ServiceClient(wire_protocol="binary")
+            ClientConfig(wire_protocol="binary")

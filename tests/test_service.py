@@ -598,30 +598,58 @@ class TestMultiTenantServingEndToEnd:
         # burst 1 at 5/s: nearly everything past the first is shed.
         assert busy >= 5
 
-
-class TestClientConfig:
-    def test_legacy_kwargs_map_and_warn_once(self, monkeypatch):
-        import warnings
-
-        from repro.service import client as client_mod
-
-        monkeypatch.setattr(client_mod, "_legacy_kwargs_warned", False)
-        with pytest.warns(DeprecationWarning, match="ClientConfig"):
-            c = ServiceClient("127.0.0.1", 1, max_retries=2, hedge_reads=True)
-        assert c.config.max_retries == 2
-        assert c.config.hedge_reads is True
-        assert c.max_retries == 2            # mirror attribute intact
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # the second use is silent
-            ServiceClient("127.0.0.1", 1, max_retries=1)
-
-    def test_config_and_legacy_kwargs_conflict(self):
+    def test_timed_out_put_still_invalidates_its_key(self):
+        # The bridge answers TIMEOUT at the request's sim deadline, but
+        # the simulator still applies the put a little later.  The
+        # cached pre-write value must not outlive that: a submitted
+        # put invalidates its key on every outcome, not only success.
         from repro.service.client import ClientConfig
 
-        with pytest.raises(TypeError, match="both"):
-            ServiceClient("127.0.0.1", 1, config=ClientConfig(),
-                          max_retries=1)
+        async def scenario():
+            from repro.service.qos import QosScheduler, TenantSpec
+            from repro.service.readcache import ReadCache
 
+            qos = QosScheduler([TenantSpec("gold", cache_share=2)])
+            cache = ReadCache(256, shares=qos.cache_shares())
+            service = await _start_service(qos=qos, read_cache=cache,
+                                           chunk_us=50.0)
+            bridge = service.bridge
+            try:
+                c = ServiceClient("127.0.0.1", service.port, "t",
+                                  config=ClientConfig(tenant="gold"))
+                await c.connect()
+                try:
+                    await c.put("K", "v1")
+                    await c.get("K")               # miss + fill
+                    hit = await c.get("K")         # DRAM hit
+                    patient = bridge.request_timeout_us
+                    bridge.request_timeout_us = 1.0
+                    try:
+                        with pytest.raises(ServiceError) as err:
+                            await c.put("K", "v2")
+                    finally:
+                        bridge.request_timeout_us = patient
+                    for lpn in range(64):          # let the late put land
+                        if bridge.kv._data.get("K") == "v2":
+                            break
+                        await c.read(0, lpn)
+                    stored = bridge.kv._data.get("K")
+                    after = await c.get("K")
+                finally:
+                    await c.close()
+            finally:
+                await service.stop()
+            return hit, err.value, stored, after
+
+        hit, timeout, stored, after = asyncio.run(scenario())
+        assert hit["value"] == "v1" and hit["latency_us"] == 1.0
+        assert timeout.code == "TIMEOUT"
+        assert stored == "v2", "the simulator never applied the late put"
+        assert after["value"] == "v2"              # never the cached v1
+
+
+
+class TestClientConfig:
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="frobnicate"):
             ServiceClient("127.0.0.1", 1, frobnicate=True)

@@ -14,7 +14,7 @@ import pytest
 from repro.chaos import FaultEvent, FaultSchedule
 from repro.cluster.config import RackConfig, SystemType
 from repro.service.admission import AdmissionController
-from repro.service.client import ServiceClient
+from repro.service.client import ClientConfig, ServiceClient
 from repro.service.server import RackService
 
 MS = 1000.0
@@ -62,9 +62,11 @@ class TestCrashMidLoad:
             try:
                 client = ServiceClient(
                     "127.0.0.1", service.port,
-                    max_retries=8, retry_backoff_s=0.001,
-                    request_timeout_s=30.0,
-                    hedge_reads=True, hedge_delay_s=0.0,
+                    config=ClientConfig(
+                        max_retries=8, retry_backoff_s=0.001,
+                        request_timeout_s=30.0,
+                        hedge_reads=True, hedge_delay_s=0.0,
+                    ),
                 )
                 # Concurrent load matters: sim time only advances while
                 # requests are in flight, so a sequential client would hold
@@ -128,7 +130,8 @@ class TestRetryPolicy:
             try:
                 client = ServiceClient(
                     "127.0.0.1", service.port,
-                    max_retries=12, retry_backoff_s=0.005,
+                    config=ClientConfig(max_retries=12,
+                                        retry_backoff_s=0.005),
                 )
                 async with client:
                     results = await asyncio.gather(
@@ -164,7 +167,8 @@ class TestRetryPolicy:
             try:
                 client = ServiceClient(
                     "127.0.0.1", service.port,
-                    max_retries=2, hedge_reads=True, hedge_delay_s=0.0,
+                    config=ClientConfig(max_retries=2, hedge_reads=True,
+                                        hedge_delay_s=0.0),
                 )
                 async with client:
                     results = await asyncio.gather(

@@ -14,7 +14,7 @@ import pytest
 from repro.chaos import FaultEvent, FaultSchedule
 from repro.cluster.config import RackConfig, SystemType
 from repro.service import protocol, schema
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import ClientConfig, ServiceClient, ServiceError
 from repro.service.loadgen import run_loadgen
 from repro.service.router import ShardedRackService, ShardRouter
 
@@ -217,9 +217,11 @@ class TestRackQualifiedChaos:
             try:
                 client = ServiceClient(
                     "127.0.0.1", service.port,
-                    max_retries=8, retry_backoff_s=0.001,
-                    request_timeout_s=30.0,
-                    hedge_reads=True, hedge_delay_s=0.0,
+                    config=ClientConfig(
+                        max_retries=8, retry_backoff_s=0.001,
+                        request_timeout_s=30.0,
+                        hedge_reads=True, hedge_delay_s=0.0,
+                    ),
                 )
                 window = asyncio.Semaphore(8)
 

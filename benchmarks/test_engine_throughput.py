@@ -15,6 +15,7 @@ from repro.cluster.config import RackConfig, SystemType
 from repro.experiments.figures import clear_cache, fig9_p999_latency
 from repro.experiments.parallel import ParallelRunner, RunCache, RunSpec, using_jobs
 from repro.service.bridge import SimTimeBridge
+from repro.service.router import ShardRouter
 from repro.sim import Simulator
 from repro.trace import NullTracer
 from repro.workloads.spec import ycsb
@@ -173,6 +174,57 @@ def test_pump_costs_a_lone_request_little_more_than_a_batched_one(benchmark):
     print(f"bridge host time per request: QD32 {qd32:.0f} us, QD1 {qd1:.0f} us; "
           f"QD1/QD32 {ratio:.2f} (ceiling {_QD1_TO_QD32_CEILING})")
     assert ratio <= _QD1_TO_QD32_CEILING
+
+
+#: Ceiling for router host-us per ``scan(count=10)`` over the same per
+#: ``get`` at QD1: one process, 4 in-proc racks holding 4,096 keys each,
+#: the best of three alternating phases each, so the host's speed cancels
+#: as above.  A store that re-sorted its keys for every leg under a
+#: scatter that asked every rack for the whole ``count`` (40 page reads
+#: for 10 keys) measured 33-34; an ordered key index and legs of twice a
+#: rack's share measure 13.6-13.7 (the index alone would sit near 24).
+_SCAN_TO_GET_CEILING = 20.0
+
+
+async def _router_us_per_scan_and_get(rounds: int = 3) -> tuple:
+    """Best host-us per operation of a lone closed loop of
+    ``scan(count=10)`` and of ``get`` through a 4-rack ``ShardRouter``."""
+    keys = [f"k{i:05d}" for i in range(4 * 4096)]
+    router = ShardRouter.from_config(
+        RackConfig(num_servers=2, num_pairs=2, seed=42), 4,
+        gc_sync_s=0.0, chunk_us=8000.0,
+    )
+    rng = random.Random(42)
+
+    async def lone(submit, ops: int) -> float:
+        started = time.perf_counter()
+        for _ in range(ops):
+            await submit(rng.choice(keys))
+        return (time.perf_counter() - started) * 1e6 / ops
+
+    await router.start()
+    try:
+        for at in range(0, len(keys), 32):  # preload at QD32
+            await asyncio.gather(*(
+                router.submit_put(key, "v" + key) for key in keys[at:at + 32]
+            ))
+        scans, gets = [], []
+        for _ in range(rounds):
+            scans.append(await lone(lambda k: router.submit_scan(k, 10), 150))
+            gets.append(await lone(router.submit_get, 1500))
+    finally:
+        await router.stop()
+    return min(scans), min(gets)
+
+
+def test_scatter_scan_costs_what_its_answer_costs(benchmark):
+    scan, get = run_once(benchmark, asyncio.run, _router_us_per_scan_and_get())
+    ratio = scan / get
+    print()
+    print(f"router host time per operation at QD1: scan(10) {scan:.0f} us, "
+          f"get {get:.0f} us; scan/get {ratio:.1f} "
+          f"(ceiling {_SCAN_TO_GET_CEILING})")
+    assert ratio <= _SCAN_TO_GET_CEILING
 
 
 def test_serial_vs_parallel_figure_sweep(benchmark):

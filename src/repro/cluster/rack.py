@@ -558,7 +558,9 @@ class Rack:
         server = self.server_by_ip[dst_ip]
         if not server.alive:
             # A crashed server silently drops traffic until the heartbeat
-            # machinery re-routes around it.
+            # machinery re-routes around it.  The caller's event stays
+            # untriggered (it times out); only the rack forgets it.
+            self._pending.pop(pkt.payload.get("rid"), None)
             return
         server.receive_packet(pkt)
 

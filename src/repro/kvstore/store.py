@@ -9,11 +9,14 @@ request granularity).
 
 The store keeps the authoritative value map in memory (the simulated
 flash carries no payloads); what the rack provides is *timing* and the
-full coordination machinery.
+full coordination machinery.  The ordered key index a scan reads is in
+memory like the value map: finding a range costs no simulated time, only
+the page reads for the keys it selects do.
 """
 
 import hashlib
-from typing import Dict, Generator, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.rack import Rack
 from repro.errors import ConfigError
@@ -52,6 +55,9 @@ class RackKvStore:
         #: The authoritative contents; (pair index, lpn) collisions are
         #: resolved per key (multiple keys may share a page, like slots).
         self._data: Dict[str, str] = {}
+        #: The keys of ``_data`` in order.  Both change only through
+        #: ``_set``/``_drop``, so they cannot diverge.
+        self._keys: List[str] = []
         self.gets = 0
         self.puts = 0
         self.deletes = 0
@@ -66,6 +72,16 @@ class RackKvStore:
         pair_idx = h % len(self.rack.pairs)
         lpn = (h // len(self.rack.pairs)) % self._key_spaces[pair_idx]
         return pair_idx, lpn
+
+    def _set(self, key: str, value: str) -> None:
+        if key not in self._data:
+            insort(self._keys, key)
+        self._data[key] = value
+
+    def _drop(self, key: str) -> None:
+        if key in self._data:
+            del self._data[key]
+            del self._keys[bisect_left(self._keys, key)]
 
     # ----------------------------------------------------------------- API
 
@@ -94,7 +110,7 @@ class RackKvStore:
                 self.rack.send_from_client(pkt, flow_id=self.client_name)
             yield AllOf(self.sim, events)
             latency = self.sim.now - t0
-            self._data[key] = value
+            self._set(key, value)
             self.puts += 1
             self.metrics.record("write", latency, at=self.sim.now)
             return latency
@@ -128,42 +144,61 @@ class RackKvStore:
         per distinct flash page the selected keys map to (keys hashed to
         the same page share its single read, like slots), all issued
         concurrently -- the fan-out a range query pays on a hashed keyspace.
+
+        A page shorter than ``count`` means no key was left past it when
+        the scan completed -- callers page on that.  A ``delete`` landing
+        while the page reads are out would break it, so the scan then
+        reads on past the last key it selected until the page is full or
+        the keys run out.
         """
         if count < 1:
             raise ConfigError(f"scan count must be >= 1, got {count}")
 
         def proc() -> Generator:
             t0 = self.sim.now
-            keys = sorted(k for k in self._data if k >= start_key)[:count]
-            pages: Dict[Tuple[int, int], int] = {}
-            for key in keys:
-                pair_idx, lpn = self._route(key)
-                pages[(pair_idx, lpn)] = pair_idx
-            events = []
-            for (pair_idx, lpn), _ in sorted(pages.items()):
-                pair = self.rack.pairs[pair_idx]
-                pkt = read_request(pair.primary.vssd_id, self.client_name, "", t0)
-                rid = self.rack.new_request_id()
-                pkt.payload.update(lpn=lpn, rid=rid)
-                events.append(self.rack.register_pending(rid))
-                self.rack.send_from_client(pkt, flow_id=self.client_name)
-            if events:
-                yield AllOf(self.sim, events)
+            items: List[Tuple[str, str]] = []
+            start = start_key
+            timed = False
+            while True:
+                want = count - len(items)
+                issued = self.sim.now
+                first = bisect_left(self._keys, start)
+                keys = self._keys[first:first + want]
+                pages: Dict[Tuple[int, int], int] = {}
+                for key in keys:
+                    pair_idx, lpn = self._route(key)
+                    pages[(pair_idx, lpn)] = pair_idx
+                events = []
+                for (pair_idx, lpn), _ in sorted(pages.items()):
+                    pair = self.rack.pairs[pair_idx]
+                    pkt = read_request(
+                        pair.primary.vssd_id, self.client_name, "", issued
+                    )
+                    rid = self.rack.new_request_id()
+                    pkt.payload.update(lpn=lpn, rid=rid)
+                    events.append(self.rack.register_pending(rid))
+                    self.rack.send_from_client(pkt, flow_id=self.client_name)
+                if events:
+                    timed = True
+                    yield AllOf(self.sim, events)
+                data = self._data
+                items.extend((k, data[k]) for k in keys if k in data)
+                if len(keys) < want or len(items) == count:
+                    break
+                start = keys[-1] + "\x00"
             latency = self.sim.now - t0
             self.scans += 1
-            if events:
+            if timed:
                 self.metrics.record("read", latency, at=self.sim.now)
-            return [(k, self._data[k]) for k in keys], latency
+            return items, latency
 
         return proc()
 
     def delete(self, key: str) -> Generator:
         """Process: replicated delete (a write of the empty slot)."""
-        existed = key in self._data
         latency = yield self.sim.spawn(self.put(key, ""))
         self.puts -= 1  # the inner put counted itself
-        if existed:
-            self._data.pop(key, None)
+        self._drop(key)
         self.deletes += 1
         return latency
 

@@ -48,6 +48,7 @@ import asyncio
 import dataclasses
 import re
 import time
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.config import RackConfig
@@ -260,6 +261,8 @@ class ShardRouter:
         self.routed = 0
         self.cross_rack_redirects = 0
         self.scatter_scans = 0
+        #: Scatter rounds after a scan's first (a shard asked again).
+        self.scan_reasks = 0
         self.unroutable = 0
         self.gc_view_commits = 0
         #: Load-aware read placement (RackSched-style p2c).  Under the
@@ -652,68 +655,99 @@ class ShardRouter:
                     client: str = "live") -> "asyncio.Future":
         """Scatter-gather: every shard scans, the router merges.
 
-        Keys are placed by hash, so a range is spread over all shards;
-        each scans ``count`` candidates and the merge keeps the
-        ``count`` smallest keys ``>= start_key``.  Latency is the
-        slowest shard's (the scatter completes when the last leg does).
+        Keys are placed by hash, so a range is spread over all shards
+        and each holds about ``count / N`` of the answer.  Every shard
+        is asked for twice that share (never more than ``count``), and
+        the merge keeps the ``count`` smallest keys ``>= start_key``
+        whose reporting shard is the key's authoritative owner.  A
+        shard whose leg came back full with its last key still below
+        the merge's last (or while the merge is short) may hold more of
+        the answer: it alone is asked again, from just past that key,
+        until none is left -- so the answer is what asking every shard
+        for ``count`` would return.  (Not a snapshot: each leg reflects
+        its shard when it completes.  A shard drained away while the
+        scan is out is not asked again -- after its cutover it owns
+        nothing, so the merge filters its copies anyway.)  Each round
+        completes when its slowest leg does; the latency is the sum
+        over rounds.
         """
         count = int(count)
         self.routed += 1
         self.scatter_scans += 1
-        legs = [
-            (shard, shard.bridge.submit_scan(start_key, count, client))
-            for shard in self.shards
-        ]
-        loop = asyncio.get_running_loop()
-        outer: "asyncio.Future" = loop.create_future()
-        remaining = len(legs)
-        results: List[Optional[Dict[str, Any]]] = [None] * len(legs)
+        shards = list(self.shards)
+        limit = min(count, 2 * -(-count // len(shards)))
+        outer: "asyncio.Future" = asyncio.get_running_loop().create_future()
+        found: Dict[int, List[List[str]]] = {s.index: [] for s in shards}
+        inflight: List[Tuple[RackShard, "asyncio.Future"]] = []
+        latency = 0.0
 
-        def _leg_done(slot: int, shard: RackShard):
-            def _cb(fut: "asyncio.Future") -> None:
+        def _ask(asks: List[Tuple[RackShard, str]]) -> None:
+            inflight[:] = [
+                (shard, shard.bridge.submit_scan(start, limit, client))
+                for shard, start in asks
+            ]
+            remaining = len(inflight)
+
+            def _leg_done(shard: RackShard, fut: "asyncio.Future") -> None:
                 nonlocal remaining
                 remaining -= 1
-                if not outer.done():
-                    if fut.cancelled():
-                        outer.cancel()
-                    else:
-                        exc = fut.exception()
-                        if exc is not None:
-                            outer.set_exception(exc)
-                        else:
-                            results[slot] = fut.result()
-                if remaining == 0 and not outer.done():
-                    # Keep only items whose reporting shard is the key's
-                    # authoritative owner: during (and right after) a
-                    # migration window both the source and destination
-                    # hold copies of moving keys, and post-abort shadow
-                    # copies can linger until cleanup.
-                    merged = sorted(
-                        (key, value)
-                        for slot, r in enumerate(results) if r
-                        for key, value in r["items"]
-                        if self.fleet.read_owner(key) == legs[slot][0].index
-                    )[:count]
-                    latency = max(r["latency_us"] for r in results if r)
-                    self.metrics.record(
-                        "read", latency, at=shard.bridge.rack.sim.now
-                    )
-                    outer.set_result({
-                        "items": [list(item) for item in merged],
-                        "count": len(merged),
-                        "latency_us": latency,
-                        "racks": len(results),
-                    })
-            return _cb
+                if outer.done():
+                    return
+                if fut.cancelled():
+                    outer.cancel()
+                elif fut.exception() is not None:
+                    outer.set_exception(fut.exception())
+                elif remaining == 0:
+                    _round_done(shard)
+
+            for shard, leg in inflight:
+                leg.add_done_callback(partial(_leg_done, shard))
+
+        def _round_done(last: RackShard) -> None:
+            nonlocal latency
+            legs = [(shard, leg.result()) for shard, leg in inflight]
+            latency += max(r["latency_us"] for _, r in legs)
+            for shard, r in legs:
+                found[shard.index].extend(r["items"])
+            # Keep only items whose reporting shard is the key's
+            # authoritative owner: during (and right after) a migration
+            # window both the source and destination hold copies of
+            # moving keys, and post-abort shadow copies can linger
+            # until cleanup.
+            merged = sorted(
+                (key, value)
+                for index, items in found.items()
+                for key, value in items
+                if self.fleet.read_owner(key) == index
+            )[:count]
+            short = len(merged) < count
+            # A shard drained away mid-scan has no pump left to answer,
+            # and no key left to answer for.
+            again = [
+                (shard, r["items"][-1][0] + "\x00")
+                for shard, r in legs
+                if r["count"] == limit and shard.index in self._by_index
+                and (short or r["items"][-1][0] < merged[-1][0])
+            ]
+            if again:
+                self.scan_reasks += 1
+                _ask(again)
+                return
+            self.metrics.record("read", latency, at=last.bridge.rack.sim.now)
+            outer.set_result({
+                "items": [list(item) for item in merged],
+                "count": len(merged),
+                "latency_us": latency,
+                "racks": len(shards),
+            })
 
         def _cancelled(out: "asyncio.Future") -> None:
             if out.cancelled():
-                for _, leg in legs:
+                for _, leg in inflight:
                     if not leg.done():
                         leg.cancel()
 
-        for slot, (shard, leg) in enumerate(legs):
-            leg.add_done_callback(_leg_done(slot, shard))
+        _ask([(shard, start_key) for shard in shards])
         outer.add_done_callback(_cancelled)
         return outer
 
@@ -739,6 +773,7 @@ class ShardRouter:
             "routed": float(self.routed),
             "cross_rack_redirects": float(self.cross_rack_redirects),
             "scatter_scans": float(self.scatter_scans),
+            "scan_reasks": float(self.scan_reasks),
             "unroutable": float(self.unroutable),
             "gc_view_commits": float(self.gc_view_commits),
         }
@@ -1767,6 +1802,7 @@ class ShardProxy:
             "routed": float(self.routed),
             "cross_rack_redirects": 0.0,
             "scatter_scans": 0.0,
+            "scan_reasks": 0.0,
             "unroutable": float(self.unroutable),
             "gc_view_commits": 0.0,
             "epoch": float(self.fleet.epoch),

@@ -28,7 +28,8 @@ is the max; aggregate latency percentiles come from the router's own
 collector, since per-shard percentiles do not merge), plus::
 
     "router": {racks, virtual_nodes, routed, cross_rack_redirects,
-               scatter_scans, unroutable, gc_view_commits, epoch},
+               scatter_scans, scan_reasks, unroutable, gc_view_commits,
+               epoch},
     "tenants": {"gold": {weight, slo_target_ms, share, admitted, ...},
                 ...}           # when a tenant spec is configured
                                # (single-rack payloads may carry it too)
@@ -94,7 +95,7 @@ CLIENT_FIELDS = (
 )
 ROUTER_FIELDS = (
     "racks", "virtual_nodes", "routed", "cross_rack_redirects",
-    "scatter_scans", "unroutable", "gc_view_commits", "epoch",
+    "scatter_scans", "scan_reasks", "unroutable", "gc_view_commits", "epoch",
 )
 #: Fleet-membership counters (:meth:`FleetController.stats_section`);
 #: present on every sharded payload, absent from single-rack ones.

@@ -6,7 +6,6 @@ flash reads, milliseconds for GC pauses).
 """
 
 import heapq
-import itertools
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -35,22 +34,19 @@ class Simulator:
     heap without limit.
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_running", "_event_count", "_cancelled",
+    __slots__ = ("now", "_heap", "_seq", "_running", "_event_count", "_cancelled",
                  "_stopping")
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulated time in microseconds (read-only by
+        #: convention: only :meth:`run` advances it).
+        self.now: float = 0.0
         self._heap: List[Tuple[float, int, "_Entry"]] = []
-        self._seq = itertools.count()
+        self._seq = 0  # FIFO tie-break among events at one instant
         self._running = False
         self._event_count = 0
         self._cancelled = 0  # cancelled entries still sitting in the heap
         self._stopping = False  # a stop() sentinel is sitting in the heap
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now
 
     @property
     def event_count(self) -> int:
@@ -64,19 +60,20 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> "EventHandle":
         """Schedule ``fn`` to run at absolute time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when:.3f} before now={self._now:.3f}"
+                f"cannot schedule at {when:.3f} before now={self.now:.3f}"
             )
         entry = _Entry(fn)
-        heapq.heappush(self._heap, (when, next(self._seq), entry))
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (when, seq, entry))
         return EventHandle(entry, self)
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> "EventHandle":
         """Schedule ``fn`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self._now + delay, fn)
+        return self.call_at(self.now + delay, fn)
 
     def schedule_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`call_after` without a cancellation handle.
@@ -89,7 +86,8 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), fn))
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (self.now + delay, seq, fn))
 
     def stop(self) -> None:
         """End the current :meth:`run` from inside a callback.
@@ -103,7 +101,8 @@ class Simulator:
         """
         if self._running and not self._stopping:
             self._stopping = True
-            heapq.heappush(self._heap, (self._now, next(self._seq), _raise_stop))
+            self._seq = seq = self._seq + 1
+            heapq.heappush(self._heap, (self.now, seq, _raise_stop))
 
     def spawn(self, generator: Generator) -> "Any":
         """Start a new :class:`~repro.sim.process.Process` from a generator."""
@@ -143,9 +142,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"run(until={until:.3f}) is in the past (now={self._now:.3f})"
+                f"run(until={until:.3f}) is in the past (now={self.now:.3f})"
             )
         self._running = True
         # Hot loop: bind invariants to locals.  ``heap`` aliases the live
@@ -162,7 +161,7 @@ class Simulator:
                     head = heap[0]
                     when = head[0]
                     if until is not None and when > until:
-                        self._now = until
+                        self.now = until
                         break
                     heappop(heap)
                     entry = head[2]
@@ -174,7 +173,7 @@ class Simulator:
                         fn = entry.fn
                     else:
                         fn = entry  # bare callable from schedule_after
-                    self._now = when
+                    self.now = when
                     count += 1
                     fn()
                     if budget > 0:
@@ -183,15 +182,15 @@ class Simulator:
                             break
                 else:
                     # Heap drained; if an explicit horizon was given, honour it.
-                    if until is not None and until > self._now:
-                        self._now = until
+                    if until is not None and until > self.now:
+                        self.now = until
             except _StopRun:
                 count -= 1  # the sentinel is not an event
                 self._stopping = False
         finally:
             self._event_count = count
             self._running = False
-        return self._now
+        return self.now
 
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or ``None``."""

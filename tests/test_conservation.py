@@ -38,6 +38,23 @@ class TestRequestConservation:
         # No pending entries leaked.
         assert len(rack._pending) == 0
 
+    def test_a_request_dropped_at_a_dead_server_is_forgotten(self):
+        config = RackConfig(system=SystemType.RACKBLOX, num_servers=3,
+                            num_pairs=3, seed=17)
+        rack = Rack(config)
+        pair = rack.pairs[0]
+        # The crash window: the server is down and no heartbeat has
+        # noticed yet, so the switch still forwards to it.
+        rack.server_by_ip[pair.primary_server_ip].alive = False
+        dropped = [rack.issue_read(pair, lpn) for lpn in range(5)]
+        served = rack.issue_read(rack.pairs[1], 0)
+        rack.sim.run(until=rack.sim.now + 10_000.0)
+        assert served.triggered
+        # The callers still see silence (they time out as before)...
+        assert not any(event.triggered for event in dropped)
+        # ...but the rack no longer holds their events.
+        assert len(rack._pending) == 0
+
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     def test_switch_saw_every_data_packet(self, system):
         rack, result = run(system)

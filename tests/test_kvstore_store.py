@@ -1,5 +1,7 @@
 """Tests for the replicated rack-backed KV store."""
 
+import random
+
 import pytest
 
 from repro.cluster import Rack, RackConfig, SystemType
@@ -98,3 +100,78 @@ class TestRackKvStore:
         rack.pairs = []
         with pytest.raises(ConfigError):
             RackKvStore(rack)
+
+
+class TestScanIndex:
+    """The ordered key index is the value map's keys, sorted, always."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scan_equals_sorting_the_value_map(self, seed):
+        rng = random.Random(seed)
+        rack, store = make_store()
+        universe = [f"k{i:03d}" for i in range(0, 80, 2)]
+
+        def mutate():
+            for _ in range(120):
+                key = rng.choice(universe)
+                if rng.random() < 0.6:  # insert or overwrite
+                    yield rack.sim.spawn(store.put(key, f"v{rng.random()}"))
+                else:  # delete, of a missing key about half the time
+                    yield rack.sim.spawn(store.delete(key))
+
+        run(rack, mutate())
+        assert store._keys == sorted(store._data)
+        assert 0 < len(store) < len(universe)
+        # Below, on, between and above the keys held.
+        for start in ("", "a", "k000", "k013", "k040", "k079", "k999", "z"):
+            for count in (1, 3, 10, 100):
+                expected = sorted(
+                    k for k in store._data if k >= start
+                )[:count]
+                items, _ = run(rack, store.scan(start, count))
+                assert items == [(k, store._data[k]) for k in expected]
+
+    def test_delete_landing_mid_scan_drops_the_key_from_the_answer(self):
+        rack, store = make_store()
+        for key in "abc":
+            run(rack, store.put(key, key.upper()))
+        scan = rack.sim.spawn(store.scan("a", 3))
+        delete = rack.sim.spawn(store.delete("b"))
+        run_until(rack.sim, scan)
+        run_until(rack.sim, delete)
+        assert scan.ok and delete.ok
+        # The delete's write lands while the scan's page reads are out:
+        # the answer is the keys still present when the scan completes.
+        assert scan.value[0] == [("a", "A"), ("c", "C")]
+        assert not store.contains("b")
+
+    def test_short_page_still_means_the_keys_ran_out(self):
+        """Callers page on ``len(items) < count``: a delete landing
+        mid-scan must not shorten a page that has keys past it."""
+        def scan_abcde(with_delete):
+            rack, store = make_store()
+            for key in "abcde":
+                run(rack, store.put(key, key.upper()))
+            scan = rack.sim.spawn(store.scan("a", 3))
+            if with_delete:
+                rack.sim.spawn(store.delete("b"))
+            run_until(rack.sim, scan)
+            assert scan.ok and store.scans == 1
+            return scan.value
+
+        items, one_round = scan_abcde(with_delete=False)
+        assert items == [("a", "A"), ("b", "B"), ("c", "C")]
+        # "b" vanishes from a full selection, so the scan reads on to "d".
+        items, latency = scan_abcde(with_delete=True)
+        assert items == [("a", "A"), ("c", "C"), ("d", "D")]
+        assert latency > one_round  # the extra page read is timed
+
+    def test_deleting_a_missing_key_does_not_create_it(self):
+        rack, store = make_store()
+        latency = run(rack, store.delete("ghost"))
+        assert latency > 0  # still a timed replicated write
+        assert not store.contains("ghost")
+        assert len(store) == 0
+        assert run(rack, store.get("ghost"))[0] is None
+        assert run(rack, store.scan("", 10))[0] == []
+        assert store.deletes == 1 and store.puts == 0

@@ -157,6 +157,39 @@ class TestWireContract:
         assert asyncio.run(scenario()) == [protocol.BAD_REQUEST] * 4
 
 
+class TestLoneScan:
+    """The flush that follows a pump turn is deferred by one loop tick
+    because a routed completion crosses two futures.  A scatter that
+    resolved its response any later than that would buffer it after
+    the last flush, and with nothing else in flight it would never
+    leave the server."""
+
+    @pytest.mark.parametrize("skewed", [False, True],
+                             ids=["one-round", "asked-again"])
+    def test_a_scan_with_nothing_else_in_flight_is_answered(self, skewed):
+        async def scenario():
+            service = await start_sharded(racks=4)
+            owner = service.router.fleet.read_owner
+            candidates = [f"k{i:04d}" for i in range(400)]
+            if skewed:  # rack 0 owns the whole answer
+                candidates = [k for k in candidates if owner(k) == 0]
+            keys = candidates[:24]
+            try:
+                async with ServiceClient("127.0.0.1", service.port) as c:
+                    for key in keys:
+                        await c.put(key, "v")
+                    scan = await asyncio.wait_for(c.scan("", count=10), 10.0)
+                    return scan, keys, (await c.stats())["router"]
+            finally:
+                await service.stop()
+
+        scan, keys, router = asyncio.run(scenario())
+        assert [k for k, _ in scan["items"]] == keys[:10]
+        assert scan["racks"] == 4 and scan["count"] == 10
+        assert router["scatter_scans"] == 1.0
+        assert router["scan_reasks"] == (1.0 if skewed else 0.0)
+
+
 class TestKeyspaceCoverage:
     @pytest.mark.slow
     def test_loadgen_keyspace_reaches_every_shard(self):

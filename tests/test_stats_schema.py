@@ -89,6 +89,13 @@ class TestValidate:
         with pytest.raises(schema.StatsSchemaError):
             schema.validate_stats(payload)
 
+    def test_router_section_carries_the_scan_reask_counter(self):
+        payload = sharded_payload()
+        assert "scan_reasks" in payload["router"]
+        del payload["router"]["scan_reasks"]
+        with pytest.raises(schema.StatsSchemaError, match="scan_reasks"):
+            schema.validate_stats(payload)
+
     def test_migration_section_is_optional_but_typed(self):
         # Sharded payloads may carry the fleet's migration counters;
         # when present the section is validated like any other.

@@ -31,8 +31,8 @@ class ChaosClient(Client):
         self.max_attempts = schedule.max_attempts
 
     def _launch(self, issue, lpn: int) -> None:
-        # Retry loops read best as processes; the spawn's start tick stands
-        # where the plain client schedules its issue callback.
+        # Retry loops read best as processes; the plain client calls its
+        # issue callback at once, this one pays the spawn's start tick.
         self.sim.spawn(issue(lpn))
 
     def _issue_read(self, lpn: int) -> Generator:

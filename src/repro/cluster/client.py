@@ -47,8 +47,7 @@ class Client:
         for request in self.generator.requests(num_requests):
             yield Timeout(self.sim, request.gap_us)
             self.issued += 1
-            # tick: was Process start
-            self.sim.schedule_after(0.0, partial(self._issue, request))
+            self._issue(request)
         while self.completed < self.issued:
             self._drained = Event(self.sim)
             yield self._drained
@@ -67,8 +66,7 @@ class Client:
     def _launch(self, issue, lpn: int) -> None:
         """Start one operation; subclasses whose operations are processes
         spawn them here instead."""
-        # tick: was Process start
-        self.sim.schedule_after(0.0, partial(issue, lpn))
+        issue(lpn)
 
     def _issue_read(self, lpn: int) -> None:
         done = self.rack.issue_read(self.pair, lpn, client=self.name)

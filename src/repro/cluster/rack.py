@@ -18,6 +18,7 @@ coordination hooks are armed (see :class:`~repro.cluster.config.SystemType`).
 """
 
 import itertools
+from functools import partial
 from typing import Dict, Generator, List, Optional
 
 from repro.cluster.config import RackConfig, SystemType
@@ -60,6 +61,10 @@ from repro.vssd.vssd import VSsd
 #: Software): kernel network stack + user-space forwarding, paid once on
 #: the redirect leg and once on the relayed response.
 SOFTWARE_REDIRECT_OVERHEAD_US = 150.0
+
+
+def _sent_and_forgotten(_pkt: Packet, _sent_at: float) -> None:
+    """Egress continuation of background filler: nobody waits for it."""
 
 
 def _make_network_scheduler(name: str, tb_flow_rate: float = 50_000.0):
@@ -392,6 +397,16 @@ class Rack:
             self._client_latency[client_name] = process
         return process
 
+    def forget_client(self, client_name: str) -> None:
+        """Release a client that will not send again: its network path
+        and the idle per-flow state its packets left in the server-facing
+        egress policies.  A long-lived caller (the service, once per
+        closed connection) uses this to keep both bounded by the clients
+        it has open."""
+        self._client_latency.pop(client_name, None)
+        for port in self._egress.values():
+            port.forget_flow(client_name)
+
     def set_link_degradation(self, factor: float) -> None:
         """Scale every network path by ``factor`` (fault injection).
 
@@ -422,7 +437,7 @@ class Rack:
         outbound = self.latency_for_client(pkt.src).sample(self.sim.now, "out")
         self.sim.schedule_after(
             outbound,
-            lambda: self._packet_at_tor(pkt, flow_id, priority, sent_at, outbound),
+            partial(self._packet_at_tor, pkt, flow_id, priority, sent_at, outbound),
         )
 
     # ------------------------------------------------- request injection API
@@ -526,35 +541,25 @@ class Rack:
                 redirected=redirected,
                 dst=action.dst_ip, vssd=action.packet.vssd_id,
             )
-        port = self._egress[action.dst_ip]
-        enqueued_at = self.sim.now
-        done = port.enqueue(action.packet, flow_id=flow_id, priority=priority)
-        done.add_callback(
-            lambda ev: self._packet_after_tor(
-                action.packet, action.dst_ip, flow_id, enqueued_at
-            )
+        # ToR egress and the in-rack hop are one event: the port calls
+        # back IN_RACK_HOP_US after the packet left it.
+        self._egress[action.dst_ip].transmit(
+            action.packet, flow_id, priority,
+            partial(self._deliver_to_server, action.dst_ip, flow_id, self.sim.now),
+            IN_RACK_HOP_US,
         )
 
-    def _packet_after_tor(self, pkt: Packet, dst_ip: str, flow_id: str,
-                          enqueued_at: float) -> None:
-        """Continuation: the egress port finished transmitting the packet."""
-        hop = (self.sim.now - enqueued_at) + self.switch.pipeline_delay_us
+    def _deliver_to_server(self, dst_ip: str, flow_id: str, enqueued_at: float,
+                           pkt: Packet, sent_at: float) -> None:
+        """Continuation: the packet left the egress port at ``sent_at`` and
+        has now arrived at the server NIC."""
+        hop = (sent_at - enqueued_at) + self.switch.pipeline_delay_us
         add_hop_latency(pkt, hop)
         self.telemetry.record(flow_id, pkt.size_kb, hop)
         trace = pkt.payload.get("trace")
         if trace is not None:
-            trace.add_span("net.tor_egress", enqueued_at, self.sim.now, flow=flow_id)
-        hop_start = self.sim.now
-        self.sim.schedule_after(
-            IN_RACK_HOP_US,
-            lambda: self._deliver_to_server(pkt, dst_ip, hop_start),
-        )
-
-    def _deliver_to_server(self, pkt: Packet, dst_ip: str, hop_start: float) -> None:
-        """Continuation: the packet arrived at the server NIC."""
-        trace = pkt.payload.get("trace")
-        if trace is not None:
-            trace.add_span("net.tor_to_server", hop_start, self.sim.now)
+            trace.add_span("net.tor_egress", enqueued_at, sent_at, flow=flow_id)
+            trace.add_span("net.tor_to_server", sent_at, self.sim.now)
         server = self.server_by_ip[dst_ip]
         if not server.alive:
             # A crashed server silently drops traffic until the heartbeat
@@ -595,9 +600,8 @@ class Rack:
         self._response_to_tor(pkt)
 
     def _response_to_tor(self, pkt: Packet) -> None:
-        hop_start = self.sim.now
         self.sim.schedule_after(
-            IN_RACK_HOP_US, lambda: self._response_at_tor(pkt, hop_start)
+            IN_RACK_HOP_US, partial(self._response_at_tor, pkt, self.sim.now)
         )
 
     def _response_at_tor(self, pkt: Packet, hop_start: float) -> None:
@@ -605,20 +609,23 @@ class Rack:
         trace = pkt.payload.get("trace")
         if trace is not None:
             trace.add_span("net.server_to_tor", hop_start, self.sim.now)
-        enqueued_at = self.sim.now
-        done = self._client_egress.enqueue(pkt, flow_id=pkt.src)
-        done.add_callback(lambda ev: self._response_after_egress(pkt, enqueued_at))
+        self._client_egress.transmit(
+            pkt, pkt.src, 0, partial(self._response_after_egress, self.sim.now)
+        )
 
-    def _response_after_egress(self, pkt: Packet, enqueued_at: float) -> None:
+    def _response_after_egress(self, enqueued_at: float, pkt: Packet,
+                               sent_at: float) -> None:
         """Continuation: the client egress port transmitted the reply."""
-        add_hop_latency(pkt, self.sim.now - enqueued_at)
+        add_hop_latency(pkt, sent_at - enqueued_at)
         trace = pkt.payload.get("trace")
         if trace is not None:
-            trace.add_span("net.client_egress", enqueued_at, self.sim.now)
-        return_start = self.sim.now
-        return_latency = self.latency_for_client(pkt.dst).sample(self.sim.now, "ret")
+            trace.add_span("net.client_egress", enqueued_at, sent_at)
+        # A path forgotten with replies still inside the rack is not
+        # re-created for them: they ride the shared fabric's process.
+        path = self._client_latency.get(pkt.dst) or self.latency
         self.sim.schedule_after(
-            return_latency, lambda: self._complete_at_client(pkt, return_start)
+            path.sample(sent_at, "ret"),
+            partial(self._complete_at_client, pkt, sent_at),
         )
 
     def _complete_at_client(self, pkt: Packet, return_start: float) -> None:
@@ -704,7 +711,7 @@ class Rack:
                         op=OpType.WRITE, vssd_id=0, src="bg", dst="bg",
                         size_kb=size_kb,
                     )
-                    port.enqueue(filler, flow_id="bg", priority=priority)
+                    port.transmit(filler, "bg", priority, _sent_and_forgotten)
                     self.background_packets += 1
 
     # ----------------------------------------------------------------- stats

@@ -19,11 +19,12 @@ _Command = Tuple[str, float, Callable[[], None]]
 class Channel:
     """One channel: a bus that carries one timed command at a time.
 
-    :meth:`submit` is the whole machine -- a FIFO of commands and two
-    scheduler callbacks.  The generator methods (``execute`` and the
-    page/block operations built on it) are adapters over it for callers
-    that are processes (GC, the scrubber, chaos stalls), so host I/O and
-    GC commands share one queue and are served strictly in arrival order.
+    :meth:`submit` is the whole machine -- a FIFO of commands and one
+    scheduler callback per command.  The generator methods (``execute``
+    and the page/block operations built on it) are adapters over it for
+    callers that are processes (GC, the scrubber, chaos stalls), so host
+    I/O and GC commands share one queue and are served strictly in
+    arrival order.
     """
 
     def __init__(self, sim: Simulator, channel_id: int, profile: DeviceProfile) -> None:
@@ -75,13 +76,9 @@ class Channel:
         command = (kind, duration, then)
         if self._active is None:
             self._active = command
-            # tick: was yield on triggered event (acquiring a free bus)
-            self.sim.schedule_after(0.0, self._start)
+            self.sim.schedule_after(duration, self._finish)
         else:
             self._waiters.append(command)
-
-    def _start(self) -> None:
-        self.sim.schedule_after(self._active[1], self._finish)
 
     def _finish(self) -> None:
         # Order matters to whoever shares this instant: account, pass the

@@ -12,17 +12,36 @@ flash carries no payloads); what the rack provides is *timing* and the
 full coordination machinery.  The ordered key index a scan reads is in
 memory like the value map: finding a range costs no simulated time, only
 the page reads for the keys it selects do.
+
+Point operations are callback machines (``start_get`` / ``start_put`` /
+``start_delete``): the packets leave inside the call and ``then(result)``
+runs from the event that delivers the last reply, so an operation costs
+the rack's events and none of its own.  ``get`` / ``put`` / ``delete``
+adapt them for callers that are processes.  ``scan`` stays a process:
+its top-up loop waits in the middle of its body, and only when the round
+selected keys.
 """
 
 import hashlib
 from bisect import bisect_left, insort
-from typing import Dict, Generator, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.rack import Rack
 from repro.errors import ConfigError
 from repro.metrics.collector import ExperimentMetrics
 from repro.net.packet import read_request, write_request
-from repro.sim import AllOf
+from repro.sim import AllOf, Event
+
+
+def _fail(event: Event, fail: Optional[Callable[[BaseException], None]]) -> None:
+    """Hand a failed event's exception to ``fail``; raise it without one."""
+    try:
+        event.value
+    except Exception as exc:
+        if fail is None:
+            raise
+        fail(exc)
 
 
 def _key_hash(key: str) -> int:
@@ -83,58 +102,104 @@ class RackKvStore:
             del self._data[key]
             del self._keys[bisect_left(self._keys, key)]
 
-    # ----------------------------------------------------------------- API
-
-    def put(self, key: str, value: str) -> Generator:
-        """Process: replicated write; returns the end-to-end latency (us).
-
-        Validation is eager, so an oversized value fails at the call site
-        rather than inside the scheduled process.
-        """
+    def _check_value(self, key: str, value: str) -> None:
         if len(value.encode("utf-8")) > self.MAX_VALUE_BYTES:
             raise ConfigError(
                 f"value for {key!r} exceeds one page "
                 f"({self.MAX_VALUE_BYTES} bytes)"
             )
+
+    # ----------------------------------------------------------------- API
+    #
+    # ``fail(exc)`` receives a failed leg's exception; without it the
+    # exception propagates to whoever runs the simulator.
+
+    def start_put(self, key: str, value: str,
+                  then: Callable[[float], None],
+                  fail: Optional[Callable[[BaseException], None]] = None) -> None:
+        """Replicated write; ``then(latency_us)`` once both replicas ack.
+        An oversized value is refused here, before anything is sent."""
+        self._check_value(key, value)
         pair_idx, lpn = self._route(key)
         pair = self.rack.pairs[pair_idx]
+        t0 = self.sim.now
+        events = []
+        for vssd in (pair.primary, pair.replica):
+            pkt = write_request(vssd.vssd_id, self.client_name, "", t0)
+            rid = self.rack.new_request_id()
+            pkt.payload.update(lpn=lpn, rid=rid)
+            events.append(self.rack.register_pending(rid))
+            self.rack.send_from_client(pkt, flow_id=self.client_name)
+        AllOf(self.sim, events).add_callback(
+            partial(self._put_done, key, value, t0, then, fail))
 
-        def proc() -> Generator:
-            t0 = self.sim.now
-            events = []
-            for vssd in (pair.primary, pair.replica):
-                pkt = write_request(vssd.vssd_id, self.client_name, "", t0)
-                rid = self.rack.new_request_id()
-                pkt.payload.update(lpn=lpn, rid=rid)
-                events.append(self.rack.register_pending(rid))
-                self.rack.send_from_client(pkt, flow_id=self.client_name)
-            yield AllOf(self.sim, events)
-            latency = self.sim.now - t0
-            self._set(key, value)
-            self.puts += 1
-            self.metrics.record("write", latency, at=self.sim.now)
-            return latency
+    def _put_done(self, key: str, value: str, t0: float, then, fail,
+                  acks: Event) -> None:
+        if not acks.ok:
+            _fail(acks, fail)
+            return
+        latency = self.sim.now - t0
+        self._set(key, value)
+        self.puts += 1
+        self.metrics.record("write", latency, at=self.sim.now)
+        then(latency)
 
-        return proc()
-
-    def get(self, key: str) -> Generator:
-        """Process: read; returns (value or None, latency us)."""
+    def start_get(self, key: str,
+                  then: Callable[[Tuple[Optional[str], float]], None],
+                  fail: Optional[Callable[[BaseException], None]] = None) -> None:
+        """Read; ``then((value or None, latency_us))``."""
         pair_idx, lpn = self._route(key)
         pair = self.rack.pairs[pair_idx]
         t0 = self.sim.now
         pkt = read_request(pair.primary.vssd_id, self.client_name, "", t0)
         rid = self.rack.new_request_id()
         pkt.payload.update(lpn=lpn, rid=rid)
-        done = self.rack.register_pending(rid)
+        self.rack.register_pending(rid).add_callback(
+            partial(self._get_done, key, t0, then, fail))
         self.rack.send_from_client(pkt, flow_id=self.client_name)
-        yield done
+
+    def _get_done(self, key: str, t0: float, then, fail, reply: Event) -> None:
+        if not reply.ok:
+            _fail(reply, fail)
+            return
         latency = self.sim.now - t0
         self.gets += 1
         self.metrics.record("read", latency, at=self.sim.now)
         value = self._data.get(key)
         if value is None:
             self.misses += 1
-        return value, latency
+        then((value, latency))
+
+    def start_delete(self, key: str, then: Callable[[float], None],
+                     fail: Optional[Callable[[BaseException], None]] = None) -> None:
+        """Replicated delete (a write of the empty slot)."""
+        self.start_put(key, "", partial(self._delete_done, key, then), fail)
+
+    def _delete_done(self, key: str, then, latency: float) -> None:
+        self.puts -= 1  # the put underneath counted itself
+        self._drop(key)
+        self.deletes += 1
+        then(latency)
+
+    def _as_process(self, start: Callable[..., None]) -> Generator:
+        done = Event(self.sim)
+        start(done.succeed, done.fail)
+        result = yield done
+        return result
+
+    def put(self, key: str, value: str) -> Generator:
+        """Process: :meth:`start_put`; returns the end-to-end latency (us).
+        An oversized value fails at this call, not inside the process."""
+        self._check_value(key, value)
+        return self._as_process(partial(self.start_put, key, value))
+
+    def get(self, key: str) -> Generator:
+        """Process: :meth:`start_get`; returns (value or None, latency us)."""
+        return self._as_process(partial(self.start_get, key))
+
+    def delete(self, key: str) -> Generator:
+        """Process: :meth:`start_delete`; returns the latency (us)."""
+        return self._as_process(partial(self.start_delete, key))
 
     def scan(self, start_key: str, count: int) -> Generator:
         """Process: range scan -- up to ``count`` keys >= ``start_key``.
@@ -193,14 +258,6 @@ class RackKvStore:
             return items, latency
 
         return proc()
-
-    def delete(self, key: str) -> Generator:
-        """Process: replicated delete (a write of the empty slot)."""
-        latency = yield self.sim.spawn(self.put(key, ""))
-        self.puts -= 1  # the inner put counted itself
-        self._drop(key)
-        self.deletes += 1
-        return latency
 
     def __len__(self) -> int:
         return len(self._data)

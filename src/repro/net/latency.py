@@ -133,7 +133,8 @@ class LatencyProcess:
 
     def congested(self, now: float) -> bool:
         """Whether a congestion episode is active at simulated time ``now``."""
-        self._extend_schedule(now)
+        if now >= self._horizon:
+            self._extend_schedule(now)
         # Windows are ordered and sparse; scan the recent tail.
         for start, end in reversed(self._windows):
             if start <= now < end:

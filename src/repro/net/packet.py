@@ -62,7 +62,7 @@ class Packet:
     #: Simulated time the originating request was issued.
     issue_time: float = 0.0
     is_response: bool = False
-    packet_id: int = field(default_factory=lambda: next(_packet_seq))
+    packet_id: int = field(default_factory=_packet_seq.__next__)
 
     def __post_init__(self) -> None:
         if not isinstance(self.op, OpType):

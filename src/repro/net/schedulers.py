@@ -6,17 +6,20 @@ default), **fair queuing** across competing client flows, and **strict
 priority** (where periodically generated high-priority traffic delays
 storage requests).
 
-An :class:`EgressPort` drains a policy object at a configurable line rate;
-enqueued packets get an event that fires when their transmission completes,
-so the queueing + serialisation delay lands in the packet's INT field.
+An :class:`EgressPort` drains a policy object at a configurable line rate
+and tells each packet's continuation when its transmission completed, so
+the queueing + serialisation delay lands in the packet's INT field.  A
+policy is four methods: ``enqueue``, ``next(now) -> (packet, ready)``,
+``__len__`` and ``forget_flow``.
 """
 
 from collections import OrderedDict, deque
+from functools import partial
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.packet import Packet
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 
 
 class FifoScheduler:
@@ -38,6 +41,9 @@ class FifoScheduler:
             return None
         packet, _, _ = self._queue.popleft()
         return packet, now
+
+    def forget_flow(self, flow_id: str) -> None:
+        """Nothing is kept per flow."""
 
 
 class TokenBucketScheduler:
@@ -99,6 +105,14 @@ class TokenBucketScheduler:
         self._tokens[flow_id] -= packet.size_kb
         return packet, ready
 
+    def forget_flow(self, flow_id: str) -> None:
+        """Drop an idle flow's queue and bucket (a backlogged one stays)."""
+        queue = self._queues.get(flow_id)
+        if queue is not None and not queue:
+            del self._queues[flow_id]
+            del self._tokens[flow_id]
+            del self._last_refill[flow_id]
+
 
 class FairQueueScheduler:
     """Packet-wise round-robin fair queuing across flows.
@@ -138,6 +152,12 @@ class FairQueueScheduler:
             return packet, now
         return None
 
+    def forget_flow(self, flow_id: str) -> None:
+        """Drop an idle flow's queue (a backlogged one stays)."""
+        queue = self._queues.get(flow_id)
+        if queue is not None and not queue:
+            del self._queues[flow_id]
+
 
 class PriorityScheduler:
     """Strict priority: lower priority number transmits first.
@@ -171,13 +191,22 @@ class PriorityScheduler:
                 return queue.popleft(), now
         return None
 
+    def forget_flow(self, flow_id: str) -> None:
+        """Nothing is kept per flow."""
+
 
 class EgressPort:
     """One switch egress port: a scheduler drained at line rate.
 
-    ``enqueue`` returns an event that fires when the packet has fully left
-    the port; the elapsed time (queueing + serialisation) is what INT
-    records as this hop's latency.
+    ``transmit`` hands ``then(packet, sent_at)`` the instant the packet
+    has fully left the port; ``sent_at`` minus the time of the call
+    (queueing + serialisation) is what INT records as this hop's latency.
+
+    An idle port costs arithmetic: the policy is consulted (so its
+    accounting and pacing apply), ``free_at`` moves, and the one event
+    scheduled is the caller's continuation.  Only a packet that arrives
+    while another is on the wire waits in the policy, and the port then
+    drains it packet by packet, choosing the next one at each completion.
     """
 
     def __init__(
@@ -185,53 +214,79 @@ class EgressPort:
         sim: Simulator,
         scheduler,
         rate_kb_per_us: float = 6.25,  # ~50 Gb/s, the testbed's NIC speed
-        on_transmit: Optional[Callable[[Packet, float], None]] = None,
     ) -> None:
         if rate_kb_per_us <= 0:
             raise ConfigError("line rate must be positive")
         self.sim = sim
         self.scheduler = scheduler
         self.rate = rate_kb_per_us
-        self.on_transmit = on_transmit
-        self._completions: Dict[int, Event] = {}
-        #: The packet on the wire (``None`` while the port is idle).
+        #: When the packet on the wire has left (the wire is free from then).
+        self.free_at = 0.0
+        #: The policy holds packets and a ``_send_next``/``_sent`` of this
+        #: port is scheduled; arrivals queue behind them even at ``free_at``.
+        self._draining = False
         self._sending: Optional[Packet] = None
+        #: ``(then, extra)`` of each queued packet, by packet id.
+        self._waiting: Dict[int, Tuple[Callable[[Packet, float], None], float]] = {}
+        #: Packets put on the wire.
         self.packets_sent = 0
 
-    def enqueue(self, packet: Packet, flow_id: str = "default", priority: int = 0) -> Event:
-        done = Event(self.sim)
-        self._completions[packet.packet_id] = done
+    def transmit(self, packet: Packet, flow_id: str, priority: int,
+                 then: Callable[[Packet, float], None],
+                 extra: float = 0.0) -> None:
+        """Send ``packet``; ``then(packet, sent_at)`` runs ``extra``
+        microseconds after it left the port (a fixed propagation delay
+        the caller would otherwise schedule from ``then``)."""
+        sim = self.sim
+        now = sim.now
         self.scheduler.enqueue(packet, flow_id, priority)
-        if self._sending is None:
-            self._send_next()
-        return done
+        if self._draining or self.free_at > now:
+            self._waiting[packet.packet_id] = (then, extra)
+            if not self._draining:
+                self._draining = True
+                sim.schedule_at(self.free_at, self._send_next)
+        else:
+            packet, ready = self.scheduler.next(now)
+            # One combined wait for pacing delay + serialization.
+            wait = packet.size_kb / self.rate
+            if ready > now:
+                wait += ready - now
+            self.free_at = sent_at = now + wait
+            self.packets_sent += 1
+            # Grouped as the two waits were: (now + wait) + extra.
+            sim.schedule_at(sent_at + extra, partial(then, packet, sent_at))
 
     @property
     def queue_depth(self) -> int:
         return len(self.scheduler)
 
+    def forget_flow(self, flow_id: str) -> None:
+        """Drop the policy's state for a flow that will not send again."""
+        self.scheduler.forget_flow(flow_id)
+
     def _send_next(self) -> None:
-        entry = self.scheduler.next(self.sim.now)
+        now = self.sim.now
+        entry = self.scheduler.next(now)
         if entry is None:
-            self._sending = None
+            self._draining = False
             return
         self._sending, ready = entry
-        # One combined wait for pacing delay + serialization: the
-        # completion instant is identical to waiting them separately.
         wait = self._sending.size_kb / self.rate
-        if ready > self.sim.now:
-            wait += ready - self.sim.now
+        if ready > now:
+            wait += ready - now
+        self.free_at = now + wait
+        self.packets_sent += 1
         self.sim.schedule_after(wait, self._sent)
 
     def _sent(self) -> None:
-        # Complete the packet, then pick the next: the port counts as busy
-        # while completion callbacks run, so an enqueue from one of them
-        # joins the policy's choice instead of jumping it.
+        # Complete the packet, then pick the next: the port counts as
+        # draining while the continuation runs, so a transmit from inside
+        # it joins the policy's choice instead of jumping it.
         packet = self._sending
-        self.packets_sent += 1
-        done = self._completions.pop(packet.packet_id, None)
-        if self.on_transmit is not None:
-            self.on_transmit(packet, self.sim.now)
-        if done is not None:
-            done.succeed(packet)
+        then, extra = self._waiting.pop(packet.packet_id)
+        now = self.sim.now
+        if extra:
+            self.sim.schedule_at(now + extra, partial(then, packet, now))
+        else:
+            then(packet, now)
         self._send_next()

@@ -262,6 +262,15 @@ class CoordinatedScheduler:
     def __init__(self, base) -> None:
         self.base = base
         self.name = f"coordinated-{base.name}"
+        # The base policy's own queues, per kind (same-package access);
+        # ``None`` for a base this wrapper cannot reorder within.
+        self._read_queue: Optional[Deque[IoRequest]] = None
+        self._write_queue: Optional[Deque[IoRequest]] = None
+        if isinstance(base, FifoIoScheduler):
+            self._read_queue = self._write_queue = base._queue  # noqa: SLF001
+        elif isinstance(base, (DeadlineIoScheduler, KyberIoScheduler)):
+            self._read_queue = base._reads  # noqa: SLF001
+            self._write_queue = base._writes  # noqa: SLF001
 
     def __len__(self) -> int:
         return len(self.base)
@@ -287,7 +296,7 @@ class CoordinatedScheduler:
         # Reorder within the queue the base policy selected: swap the
         # chosen request for the same-kind eligible request with the
         # maximum Prio_sched.
-        queue = self._queue_of(chosen.kind)
+        queue = self._read_queue if chosen.kind == "read" else self._write_queue
         if queue is None:
             return chosen
         best_idx = -1
@@ -305,14 +314,6 @@ class CoordinatedScheduler:
         del queue[best_idx]
         queue.appendleft(chosen)  # chosen re-queued at the front of its class
         return better
-
-    def _queue_of(self, kind: str) -> Optional[Deque[IoRequest]]:
-        base = self.base
-        if isinstance(base, FifoIoScheduler):
-            return base._queue  # noqa: SLF001 - same-package access
-        if isinstance(base, (DeadlineIoScheduler, KyberIoScheduler)):
-            return base._reads if kind == "read" else base._writes  # noqa: SLF001
-        return None
 
 
 def make_scheduler(

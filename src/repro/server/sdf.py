@@ -59,6 +59,9 @@ class StorageServer:
         self._vssds: Dict[int, VSsd] = {}
         self.idle_predictors: Dict[int, IdlePredictor] = {}
         self._inflight = 0
+        #: Requests sitting in ``scheduler`` (only this server pushes and
+        #: pops it), so dispatch does not ask an empty policy for work.
+        self._queued = 0
         #: Per-vSSD device queue depth; keeping it near the vSSD's channel
         #: count keeps the backlog *in the scheduler* (where policy applies),
         #: the way Kyber limits in-device tokens on real hardware.
@@ -101,13 +104,6 @@ class StorageServer:
             )
         self._vssd_limit[vssd.vssd_id] = max(1, limit)
 
-    def vssd(self, vssd_id: int) -> VSsd:
-        """The hosted vSSD with this id (ConfigError if not hosted)."""
-        try:
-            return self._vssds[vssd_id]
-        except KeyError:
-            raise ConfigError(f"vSSD {vssd_id} is not hosted on {self.name}") from None
-
     @property
     def vssds(self):
         """All vSSDs hosted on this server."""
@@ -117,20 +113,23 @@ class StorageServer:
 
     def receive_packet(self, pkt: Packet) -> None:
         """Entry point from the rack: Algorithm 2 dispatch."""
+        try:
+            vssd = self._vssds[pkt.vssd_id]
+        except KeyError:
+            raise ConfigError(
+                f"vSSD {pkt.vssd_id} is not hosted on {self.name}") from None
         if pkt.op is OpType.WRITE:
             self.writes_received += 1
-            # tick: was Process start
-            self.sim.schedule_after(0.0, partial(self._handle_write, pkt))
+            self._handle_write(pkt, vssd)
         elif pkt.op is OpType.READ:
             self.reads_received += 1
-            self._handle_read(pkt)
+            self._handle_read(pkt, vssd)
         else:
             raise ConfigError(
                 f"server {self.name} received unexpected op {pkt.op.name}"
             )
 
-    def _handle_write(self, pkt: Packet) -> None:
-        vssd = self.vssd(pkt.vssd_id)
+    def _handle_write(self, pkt: Packet, vssd: VSsd) -> None:
         self.predictor.observe(pkt.vssd_id, "write", pkt.lat)
         self.idle_predictors[pkt.vssd_id].record_request(self.sim.now)
         lpn = pkt.payload.get("lpn", 0)
@@ -152,8 +151,7 @@ class StorageServer:
         response.payload["storage_us"] = self.sim.now - arrived
         self._respond(response)
 
-    def _handle_read(self, pkt: Packet) -> None:
-        vssd = self.vssd(pkt.vssd_id)
+    def _handle_read(self, pkt: Packet, vssd: VSsd) -> None:
         self.predictor.observe(pkt.vssd_id, "read", pkt.lat)
         self.idle_predictors[pkt.vssd_id].record_request(self.sim.now)
         if (
@@ -175,6 +173,7 @@ class StorageServer:
             context=pkt,
         )
         self.scheduler.push(request, self.sim.now)
+        self._queued += 1
         self._dispatch()
 
     def _submit_flush(self, vssd: VSsd, lpn: int, then: Callable[[], None]) -> None:
@@ -189,6 +188,7 @@ class StorageServer:
             context=then,
         )
         self.scheduler.push(request, self.sim.now)
+        self._queued += 1
         self._dispatch()
 
     # ------------------------------------------------------------- dispatch
@@ -209,18 +209,19 @@ class StorageServer:
     def _dispatch(self) -> None:
         """Move requests from the scheduler to the device while slots are
         free.  Runs whenever a request is queued or a slot is released."""
-        while self._inflight < self.max_inflight:
+        while self._queued and self._inflight < self.max_inflight:
             eligible = self._dispatchable if self._vssd_blocked else None
             request = self.scheduler.pop(self.sim.now, eligible)
             if request is None:
                 return
+            self._queued -= 1
             self._inflight += 1
             self._vssd_acquire(request.vssd_id)
             # tick: was Process start
             self.sim.schedule_after(0.0, partial(self._service, request))
 
     def _service(self, request: IoRequest) -> None:
-        vssd = self.vssd(request.vssd_id)
+        vssd = self._vssds[request.vssd_id]
         trace = None
         context = request.context
         if isinstance(context, Packet):

@@ -30,6 +30,7 @@ free-running (as fast as the host allows; what benchmarks want).
 import asyncio
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.config import RackConfig
@@ -62,6 +63,23 @@ class BridgeStats:
             "timed_out": float(self.timed_out),
             "sim_chunks": float(self.sim_chunks),
         }
+
+
+def _settle(then, fail, event) -> None:
+    """Event callback: the event's value to ``then``, its exception to
+    ``fail``."""
+    try:
+        value = event.value
+    except Exception as exc:
+        fail(exc)
+    else:
+        then(value)
+
+
+def _after(event):
+    """A ``start(then, fail)`` for an operation that is already a sim
+    event (see :meth:`SimTimeBridge._track`)."""
+    return lambda then, fail: event.add_callback(partial(_settle, then, fail))
 
 
 class _Live:
@@ -176,16 +194,17 @@ class SimTimeBridge:
                     client: str = "live", replica: bool = False) -> "asyncio.Future":
         """Inject a raw vSSD read; resolves to ``{"latency_us": ...}``.
 
-        ``replica=True`` addresses the pair's replica vSSD directly --
-        the hedged-read escape hatch clients use when the primary is slow
-        or silently dead.
+        ``client`` names the simulated network path the request rides
+        (see :meth:`forget_client`).  ``replica=True`` addresses the
+        pair's replica vSSD directly -- the hedged-read escape hatch
+        clients use when the primary is slow or silently dead.
         """
         pair = self._pair(pair_index)
         done = self.rack.issue_read(
             pair, self._lpn(pair, lpn), client=client,
             target="replica" if replica else "primary",
         )
-        return self._track("read", done, lambda pkt: {
+        return self._track("read", _after(done), lambda pkt: {
             "latency_us": self.rack.sim.now - pkt.issue_time,
             "storage_us": pkt.payload.get("storage_us"),
         })
@@ -196,7 +215,7 @@ class SimTimeBridge:
         pair = self._pair(pair_index)
         t0 = self.rack.sim.now
         done = self.rack.issue_write(pair, self._lpn(pair, lpn), client=client)
-        return self._track("write", done, lambda responses: {
+        return self._track("write", _after(done), lambda responses: {
             "replicas": len(responses),
             "latency_us": self.rack.sim.now - t0,
             "storage_us": max(
@@ -205,38 +224,46 @@ class SimTimeBridge:
             ),
         })
 
+    # The KV point operations enter the rack here, inside the call: the
+    # store's callback cores send their packets at once, with no process
+    # (and no start tick) per operation.
+
     def submit_get(self, key: str, client: str = "live") -> "asyncio.Future":
         """KV point read; resolves to value (or None) + latency."""
-        process = self.rack.sim.spawn(self.kv.get(str(key)))
-        return self._track("read", process, lambda result: {
-            "value": result[0], "found": result[0] is not None,
-            "latency_us": result[1],
-        })
+        return self._track(
+            "read", partial(self.kv.start_get, str(key)), lambda result: {
+                "value": result[0], "found": result[0] is not None,
+                "latency_us": result[1],
+            })
 
     def submit_put(self, key: str, value: str,
                    client: str = "live") -> "asyncio.Future":
         """KV replicated write; resolves to the sim latency."""
-        process = self.rack.sim.spawn(self.kv.put(str(key), str(value)))
-        return self._track("write", process,
-                           lambda latency: {"latency_us": latency})
+        return self._track(
+            "write", partial(self.kv.start_put, str(key), str(value)),
+            lambda latency: {"latency_us": latency})
 
     def submit_delete(self, key: str,
                       client: str = "live") -> "asyncio.Future":
         """KV replicated delete; resolves to the sim latency."""
-        process = self.rack.sim.spawn(self.kv.delete(str(key)))
-        return self._track("write", process,
-                           lambda latency: {"latency_us": latency,
-                                            "deleted": True})
+        return self._track(
+            "write", partial(self.kv.start_delete, str(key)),
+            lambda latency: {"latency_us": latency, "deleted": True})
 
     def submit_scan(self, start_key: str, count: int,
                     client: str = "live") -> "asyncio.Future":
         """KV range scan; resolves to the items + latency."""
         process = self.rack.sim.spawn(self.kv.scan(str(start_key), int(count)))
-        return self._track("read", process, lambda result: {
+        return self._track("read", _after(process), lambda result: {
             "items": [[k, v] for k, v in result[0]],
             "count": len(result[0]),
             "latency_us": result[1],
         })
+
+    def forget_client(self, client: str) -> None:
+        """Release the simulated path of a ``client`` that will submit
+        no more (the server calls this when a connection closes)."""
+        self.rack.forget_client(client)
 
     def _pair(self, pair_index: int):
         pairs = self.rack.pairs
@@ -256,13 +283,17 @@ class SimTimeBridge:
             raise ConfigError(f"lpn {lpn} out of range [0, {pages})")
         return lpn
 
-    def _track(self, kind: str, event, shape) -> "asyncio.Future":
-        """Register a sim event as a live request with an asyncio future.
+    def _track(self, kind: str, start, shape) -> "asyncio.Future":
+        """Register a live request with an asyncio future and start it.
 
-        ``shape`` turns the sim event's value into the response payload;
-        it runs at completion time (on the event-loop thread, while the
-        simulator sits at the completion instant, so ``sim.now`` reads
-        as the finish time).
+        ``start(then, fail)`` launches the simulated operation, which
+        calls ``then(value)`` or ``fail(exc)`` from the event that ends
+        it.  If ``start`` itself raises (an operand the model refuses)
+        nothing stays registered and the caller sees the error.
+        ``shape`` turns the value into the response payload; it runs at
+        completion time (on the event-loop thread, while the simulator
+        sits at the completion instant, so ``sim.now`` reads as the
+        finish time).
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future" = loop.create_future()
@@ -271,9 +302,8 @@ class SimTimeBridge:
         self._live[token] = _Live(
             future, t0, t0 + self.request_timeout_us
         )
-        self.submitted += 1
 
-        def _on_done(ev) -> None:
+        def _finish(value: Any, exc: Optional[BaseException] = None) -> None:
             live = self._live.pop(token, None)
             if live is None:
                 return
@@ -281,16 +311,24 @@ class SimTimeBridge:
             if future.done():
                 return
             self.completed += 1
-            try:
-                payload = shape(ev.value)
-            except Exception as exc:  # surfaced to the awaiting handler
+            if exc is None:
+                try:
+                    payload = shape(value)
+                except Exception as shape_exc:  # surfaced to the awaiting handler
+                    exc = shape_exc
+            if exc is not None:
                 future.set_exception(exc)
                 return
             latency = self.rack.sim.now - live.t0_us
             self.metrics.record(kind, latency, at=self.rack.sim.now)
             future.set_result(payload)
 
-        event.add_callback(_on_done)
+        try:
+            start(_finish, partial(_finish, None))
+        except BaseException:
+            del self._live[token]
+            raise
+        self.submitted += 1
         if self._wakeup is not None:
             self._wakeup.set()
         return future

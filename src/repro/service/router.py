@@ -522,6 +522,12 @@ class ShardRouter:
         outer.add_done_callback(_cancelled)
         return outer
 
+    def forget_client(self, client: str) -> None:
+        """Release ``client``'s simulated path on every rack it may have
+        touched (the bridge surface's connection-closed hook)."""
+        for shard in self.shards:
+            shard.bridge.forget_client(client)
+
     def submit_read(self, pair_index: int, lpn: int,
                     client: str = "live", replica: bool = False,
                     ) -> "asyncio.Future":

@@ -129,6 +129,12 @@ class RackService:
         if task is not None:
             self._connections.add(task)
         self.connections_accepted += 1
+        # The simulated network path this connection's raw requests ride
+        # is named by accept order, not by peer address: the name seeds
+        # the path's latency stream, so a seeded run repeats whatever
+        # ephemeral ports the kernel hands out, and the rack holds one
+        # path per open connection whatever ``client`` strings arrive.
+        path = f"conn-{self.connections_accepted}"
         peer = writer.get_extra_info("peername")
         default_client = f"{peer[0]}:{peer[1]}" if peer else "unknown"
         outstanding: Set["asyncio.Future"] = set()
@@ -148,8 +154,8 @@ class RackService:
                     self._flush_writes()
                     break  # framing is lost; drop the connection
                 for request, binary in requests:
-                    self._begin_request(request, default_client, writer,
-                                        outstanding, binary, conn)
+                    self._begin_request(request, default_client, path,
+                                        writer, outstanding, binary, conn)
                 # Push out whatever the batch produced synchronously
                 # (rejections, pings); completions flush per sim chunk.
                 self._flush_writes()
@@ -172,6 +178,22 @@ class RackService:
                 pass
             if task is not None:
                 self._connections.discard(task)
+            self._release_path(path, outstanding)
+
+    def _release_path(self, path: str,
+                      outstanding: Set["asyncio.Future"]) -> None:
+        """Forget a closed connection's simulated path -- once nothing of
+        the connection is left in the simulator (a reset can leave
+        requests there, and their replies still ride the path)."""
+        if not outstanding:
+            self.bridge.forget_client(path)
+            return
+
+        def _one_less(fut: "asyncio.Future") -> None:
+            outstanding.discard(fut)
+            self._release_path(path, outstanding)
+
+        next(iter(outstanding)).add_done_callback(_one_less)
 
     def _send_batched(self, writer: "asyncio.StreamWriter",
                       response: Dict[str, Any],
@@ -239,7 +261,8 @@ class RackService:
 
     def _submit(self, rtype: Optional[str], request: Dict[str, Any],
                 client: str) -> "asyncio.Future":
-        """Dispatch an admitted request into the simulator.
+        """Dispatch an admitted request into the simulator; ``client``
+        is the simulated path it rides.
 
         Raises ``KeyError``/``TypeError``/``ValueError``/``ConfigError``
         for malformed operands or unknown types; the caller maps all of
@@ -312,15 +335,17 @@ class RackService:
     # --------------------------------------------------------------- dispatch
 
     def _begin_request(self, request: Dict[str, Any], default_client: str,
-                       writer: "asyncio.StreamWriter",
+                       path: str, writer: "asyncio.StreamWriter",
                        outstanding: Set["asyncio.Future"],
                        binary: bool, conn: frontdoor.Conn) -> None:
         """Admit and dispatch one request; responses are written either
         immediately (rejections, ping/stats) or from the sim future's
-        done-callback when the simulated request completes.  ``binary``
-        tags how the request arrived; every response to it answers in
-        the same codec.  ``conn`` carries per-connection state (the
-        hello-declared tenant)."""
+        done-callback when the simulated request completes.  The
+        request's ``client`` (default: the peer address) keys admission;
+        ``path`` names the connection's simulated network path.
+        ``binary`` tags how the request arrived; every response to it
+        answers in the same codec.  ``conn`` carries per-connection state
+        (the hello-declared tenant)."""
         ticket = self.door.admit(request, conn, self._draining)
         if ticket.__class__ is dict:
             self._send_batched(writer, ticket, binary)
@@ -342,7 +367,7 @@ class RackService:
             ), binary)
             return
         try:
-            future = self._submit(request.get("type"), request, client)
+            future = self._submit(request.get("type"), request, path)
         except frontdoor.BAD_OPERANDS as exc:
             self._send_batched(
                 writer, frontdoor.bad_request(exc, request_id), binary)

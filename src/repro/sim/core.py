@@ -89,6 +89,21 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (self.now + delay, seq, fn))
 
+    def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
+        """Fire-and-forget :meth:`call_at`: :meth:`schedule_after` for a
+        caller that already holds the absolute instant.
+
+        A component that folds two waits into one event passes
+        ``(now + first) + second`` here, which is the float the two
+        separate ``schedule_after`` calls would have produced.
+        """
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule at {when:.3f} before now={self.now:.3f}"
+            )
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (when, seq, fn))
+
     def stop(self) -> None:
         """End the current :meth:`run` from inside a callback.
 

@@ -11,6 +11,7 @@ from repro.cluster import (
 )
 from repro.errors import ConfigError
 from repro.experiments import run_rack_experiment
+from repro.experiments.parallel import RunSpec
 from repro.net.packet import OpType, Packet
 from repro.sim.core import MSEC
 from repro.workloads import ycsb
@@ -96,6 +97,38 @@ class TestEndToEnd:
         result = self._run(SystemType.RACKBLOX)
         s = result.metrics.summary()
         assert s["read_count"] + s["write_count"] == 3 * 400
+
+    def test_forgotten_client_leaves_nothing_behind(self):
+        rack = Rack(small_config(SystemType.VDC))  # tb egress: per-flow state
+        done = rack.issue_read(rack.pairs[0], 3, client="gone")
+        rack.sim.run(until=10_000.0)
+        assert done.triggered and "gone" in rack._client_latency
+        rack.forget_client("gone")
+        rack.forget_client("never-seen")
+        assert "gone" not in rack._client_latency
+        assert all("gone" not in port.scheduler._queues
+                   for port in rack._egress.values())
+        # Forgotten with a reply still inside the rack: the reply gets
+        # home (over the shared fabric's process) without re-creating it.
+        late = rack.issue_read(rack.pairs[0], 4, client="gone-early")
+        rack.forget_client("gone-early")
+        rack.sim.run(until=20_000.0)
+        assert late.triggered and "gone-early" not in rack._client_latency
+
+    def test_event_budget_per_request(self):
+        # The 2 x 2 run of benchmarks/test_engine_throughput.py's rack gate,
+        # counted instead of timed.  41,697 events for 3,000 requests with
+        # idle egress ports, free channel buses and server entry costing
+        # arithmetic (19.5 per request before that); one start tick put
+        # back on the request path adds at least 0.5.  A change that is
+        # meant to move the model re-records the number.
+        result = RunSpec.create(
+            SystemType.RACKBLOX, ycsb(0.5), 1500, 1500.0, 42,
+            num_servers=2, num_pairs=2,
+        ).execute()
+        s = result.metrics.summary()
+        assert s["read_count"] + s["write_count"] == 3000
+        assert result.events / 3000 <= 13.9
 
     def test_rackblox_redirects_reads_during_gc(self):
         result = self._run(SystemType.RACKBLOX, write_ratio=0.6, requests=1500)

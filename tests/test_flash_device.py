@@ -158,6 +158,22 @@ class TestChannel:
         assert seen == [(1, True, 0), (2, False, 0)]
         assert channel.busy_time == pytest.approx(20.0)
 
+    def test_free_bus_costs_one_event_and_no_start_tick(self):
+        # A command that finds the bus free is timed from the submit
+        # itself: it finishes at exactly now + duration, one event later.
+        sim = Simulator()
+        channel = Channel(sim, 0, PSSD)
+        sim.call_at(7.25, lambda: channel.submit(
+            "program", 33.5, lambda: seen.append(sim.now)))
+        seen = []
+        sim.run(until=7.25)
+        assert channel.busy and sim.peek() == 7.25 + 33.5
+        sim.run()
+        assert seen == [7.25 + 33.5] and sim.event_count == 2
+        assert channel.busy_time == 33.5
+        assert channel.op_counts == {"read": 0, "program": 1, "erase": 0}
+        assert not channel.busy
+
     def test_op_counters_and_utilisation(self):
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)

@@ -8,6 +8,7 @@ from repro.cluster import Rack, RackConfig, SystemType
 from repro.errors import ConfigError
 from repro.experiments.runner import run_until
 from repro.kvstore import RackKvStore
+from repro.sim import Event
 
 
 def make_store(system=SystemType.RACKBLOX):
@@ -175,3 +176,68 @@ class TestScanIndex:
         assert run(rack, store.get("ghost"))[0] is None
         assert run(rack, store.scan("", 10))[0] == []
         assert store.deletes == 1 and store.puts == 0
+
+
+class TestCallbackCores:
+    """``start_get`` / ``start_put`` / ``start_delete`` are the machine;
+    the generator methods only adapt them for callers that are processes."""
+
+    def _sequence(self, seed=5):
+        rng = random.Random(seed)
+        keys = [f"k{i:02d}" for i in range(12)]
+        ops = [("put", key, f"v-{key}") for key in keys[:8]]
+        for _ in range(40):
+            roll, key = rng.random(), rng.choice(keys)
+            if roll < 0.4:
+                ops.append(("get", key))
+            elif roll < 0.7:
+                ops.append(("put", key, f"v{rng.random()}"))
+            elif roll < 0.9:
+                ops.append(("delete", key))
+            else:
+                ops.append(("scan", key, 4))
+        return ops
+
+    def _play(self, through_cores):
+        rack, store = make_store()
+        results = []
+        for name, *args in self._sequence():
+            if through_cores and name != "scan":
+                done = Event(rack.sim)
+                getattr(store, "start_" + name)(*args, done.succeed, done.fail)
+            else:
+                done = rack.sim.spawn(getattr(store, name)(*args))
+            run_until(rack.sim, done)
+            results.append(done.value)
+        counters = (store.gets, store.puts, store.deletes, store.scans,
+                    store.misses, len(store))
+        samples = (list(store.metrics.read_total.values),
+                   list(store.metrics.write_total.values))
+        return results, counters, samples, rack.sim.event_count
+
+    def test_cores_and_adapters_agree(self):
+        cores = self._play(through_cores=True)
+        adapters = self._play(through_cores=False)
+        assert cores[:3] == adapters[:3]  # floats compared with ==
+        assert cores[1][:3] != (0, 0, 0) and cores[1][4] > 0
+        # What an adapter adds is its process's start tick.
+        point_ops = sum(op[0] != "scan" for op in self._sequence())
+        assert adapters[3] - cores[3] == point_ops
+
+    def test_a_failing_replica_leg_reaches_fail(self):
+        rack, store = make_store()
+        outcome = []
+        store.start_put("k", "v", outcome.append, outcome.append)
+        boom = RuntimeError("replica leg lost")
+        rack._pending[max(rack._pending)].fail(boom)
+        assert outcome == [boom]
+        assert store.puts == 0 and not store.contains("k")
+        store.start_get("k", outcome.append, outcome.append)
+        rack._pending[max(rack._pending)].fail(boom)
+        assert outcome == [boom, boom] and store.gets == 0
+
+    def test_without_fail_the_error_surfaces_where_the_leg_failed(self):
+        rack, store = make_store()
+        store.start_put("k", "v", lambda latency: None)
+        with pytest.raises(RuntimeError):
+            rack._pending[max(rack._pending)].fail(RuntimeError("lost"))

@@ -12,7 +12,7 @@ import pytest
 from repro.cluster.config import RackConfig, SystemType
 from repro.errors import ConfigError
 from repro.service.admission import AdmissionController, WallClockTokenBucket
-from repro.service.bridge import SimTimeBridge
+from repro.service.bridge import SimTimeBridge, _after
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import RackService
 
@@ -164,7 +164,7 @@ class TestSimTimeBridge:
             try:
                 rack = bridge.rack
                 bad = bridge._track(
-                    "read", rack.issue_read(rack.pairs[0], 10**12),
+                    "read", _after(rack.issue_read(rack.pairs[0], 10**12)),
                     lambda pkt: {},
                 )
                 with pytest.raises(asyncio.TimeoutError):
@@ -236,6 +236,53 @@ class TestSimTimeBridge:
                 await bridge.stop()
 
         asyncio.run(scenario())
+
+    def test_kv_point_operations_enter_the_rack_at_submit(self):
+        # submit_get/submit_put drive the store's callback cores: a lone
+        # operation is served in one pump turn and costs exactly one
+        # event -- the process's start tick -- less than the same
+        # operation through the store's generator adapter.
+        async def served(through_adapter):
+            bridge = SimTimeBridge(small_config(), chunk_us=50_000.0)
+            await bridge.start()
+            try:
+                sim, kv, out = bridge.rack.sim, bridge.kv, []
+                for name, args in (("put", ("k", "v")), ("get", ("k",))):
+                    events, turns = sim.event_count, bridge.sim_chunks
+                    if through_adapter:
+                        process = sim.spawn(getattr(kv, name)(*args))
+                        latency = await bridge._track(
+                            "read", _after(process), lambda value: value)
+                        latency = latency[1] if name == "get" else latency
+                    else:
+                        submit = getattr(bridge, "submit_" + name)
+                        latency = (await submit(*args))["latency_us"]
+                    assert bridge.sim_chunks == turns + 1
+                    out.append((latency, sim.event_count - events))
+                return out
+            finally:
+                await bridge.stop()
+
+        cores = asyncio.run(served(through_adapter=False))
+        adapters = asyncio.run(served(through_adapter=True))
+        for (latency, events), (adapter_latency, adapter_events) in zip(
+                cores, adapters):
+            assert latency == adapter_latency
+            assert events == adapter_events - 1
+
+    def test_oversized_put_is_refused_with_nothing_left_registered(self):
+        async def scenario():
+            bridge = SimTimeBridge(small_config())
+            await bridge.start()
+            try:
+                with pytest.raises(ConfigError):
+                    bridge.submit_put("big", "x" * 5000)
+                assert bridge.inflight == 0 and bridge.submitted == 0
+                return await bridge.submit_put("k", "v")
+            finally:
+                await bridge.stop()
+
+        assert asyncio.run(scenario())["latency_us"] > 0
 
     def test_paced_pump_sleeps_for_the_time_advanced(self, monkeypatch):
         slept = []
@@ -499,6 +546,69 @@ class TestRackServiceEndToEnd:
 
 
 @pytest.mark.qos
+class TestSimulatedPathPerConnection:
+    """A connection's raw requests ride one simulated network path, named
+    by its accept ordinal -- not by the peer's ephemeral port, and not by
+    whatever ``client`` strings its requests carry."""
+
+    def test_client_strings_do_not_name_paths_and_closing_releases_them(self):
+        async def scenario():
+            service = RackService(
+                small_config(network_scheduler="tb"), port=0)
+            await service.start()
+            rack = service.bridge.rack
+            port = next(iter(rack._egress.values())).scheduler
+            try:
+                async with ServiceClient("127.0.0.1", service.port) as c:
+                    for i in range(500):
+                        await c.request({
+                            "type": "read" if i % 4 else "write",
+                            "pair": i % 2, "lpn": i,
+                            "client": f"127.0.0.1:{40000 + i}"})
+                    assert set(rack._client_latency) == {"conn-1"}
+                    assert set(port._queues) <= {"conn-1"}
+                    for _ in range(20):
+                        async with ServiceClient("127.0.0.1",
+                                                 service.port) as other:
+                            await other.read(0, 1)
+                    for _ in range(50):  # the closed handlers' finally
+                        if len(rack._client_latency) == 1:
+                            break
+                        await asyncio.sleep(0.01)
+                    assert set(rack._client_latency) == {"conn-1"}
+                    admitted = service.admission.stats()["admitted"]
+                for _ in range(50):
+                    if not rack._client_latency:
+                        break
+                    await asyncio.sleep(0.01)
+                assert not rack._client_latency and not port._queues
+                assert service.connections_accepted == 21
+                return admitted
+            finally:
+                await service.stop()
+
+        assert asyncio.run(scenario()) == 520.0
+
+    def test_seeded_latencies_do_not_depend_on_the_peer_port(self):
+        # Two services with one seed, each answering the same QD1 reads on
+        # its first connection: the kernel picks a different ephemeral
+        # port per run, the simulated latencies are identical.
+        async def first_reads():
+            service = await _start_service()
+            try:
+                async with ServiceClient("127.0.0.1", service.port) as c:
+                    peer = c._writer.get_extra_info("sockname")[1]
+                    return peer, [(await c.read(i % 2, 3 * i))["latency_us"]
+                                  for i in range(24)]
+            finally:
+                await service.stop()
+
+        (port_a, run_a), (port_b, run_b) = (
+            asyncio.run(first_reads()), asyncio.run(first_reads()))
+        assert run_a == run_b and len(set(run_a)) > 12
+        assert port_a != port_b
+
+
 class TestMultiTenantServingEndToEnd:
     """The tenant-aware serving path over a real TCP connection: the
     ``hello`` tenant field, the QoS gate, and the DRAM read cache."""

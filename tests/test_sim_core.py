@@ -86,6 +86,30 @@ class TestSimulatorClock:
         assert seen == []
         assert handle.cancelled
 
+    def test_schedule_at_orders_with_the_other_entry_points(self):
+        # One heap, one sequence counter: (time, order of the call).
+        sim = Simulator()
+        order = []
+        sim.schedule_at(2.0, lambda: order.append("at-2-first"))
+        sim.schedule_after(2.0, lambda: order.append("after-2"))
+        sim.call_at(2.0, lambda: order.append("call-at-2"))
+        sim.schedule_at(2.0, lambda: order.append("at-2-last"))
+        sim.schedule_at(1.0, lambda: order.append("at-1"))
+        sim.run()
+        assert order == ["at-1", "at-2-first", "after-2", "call-at-2",
+                         "at-2-last"]
+        assert sim.event_count == 5
+
+    def test_schedule_at_refuses_the_past_and_hands_back_no_handle(self):
+        sim = Simulator()
+        sim.call_after(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(4.0, lambda: None)
+        # Now itself is allowed; there is nothing to cancel it with.
+        assert sim.schedule_at(5.0, lambda: None) is None
+        assert sim.run() == 5.0 and sim.event_count == 2
+
     def test_max_events_budget(self):
         sim = Simulator()
         for i in range(10):

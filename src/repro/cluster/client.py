@@ -7,13 +7,14 @@ in-rack replicas and complete when *all* replicas hold a DRAM copy
 """
 
 from functools import partial
-from typing import Generator, Optional
+from typing import Generator, Iterator, List, Optional
 
 from repro.cluster.rack import Rack
 from repro.cluster.replication import ReplicaPair
 from repro.errors import ConfigError
 from repro.metrics.collector import ExperimentMetrics
-from repro.sim import Event, Timeout
+from repro.net.packet import Packet
+from repro.sim import Event
 from repro.workloads.generator import OpenLoopGenerator, Request
 
 
@@ -38,30 +39,47 @@ class Client:
         self.key_space = rack.working_set_pages(pair, working_set_fraction)
         self.issued = 0
         self.completed = 0
+        #: The request stream while it lasts (``None`` once exhausted).
+        self._requests: Optional[Iterator[Request]] = None
+        #: What :meth:`run` waits on: triggered once, when the stream is
+        #: exhausted and every response is back.
         self._drained: Optional[Event] = None
 
     def run(self, num_requests: int) -> Generator:
-        """Process: issue ``num_requests`` and wait for every response."""
+        """Process: issue ``num_requests`` and wait for every response.
+
+        Arrivals are callbacks -- each one issues its request, then draws
+        the next and schedules it -- so the process wakes once, at the
+        end, instead of once per arrival and once per completion."""
         if num_requests <= 0:
             raise ConfigError(f"num_requests must be positive, got {num_requests}")
-        for request in self.generator.requests(num_requests):
-            yield Timeout(self.sim, request.gap_us)
-            self.issued += 1
-            self._issue(request)
-        while self.completed < self.issued:
-            self._drained = Event(self.sim)
+        self._requests = iter(self.generator.requests(num_requests))
+        self._drained = Event(self.sim)
+        self._schedule_next()
+        if not self._drained.triggered:
             yield self._drained
         return self.completed
 
-    def _note_done(self) -> None:
-        self.completed += 1
-        if self._drained is not None and not self._drained.triggered:
-            self._drained.succeed()
+    def _schedule_next(self) -> None:
+        request = next(self._requests, None)
+        if request is None:
+            self._requests = None
+            if self.completed == self.issued:
+                self._drained.succeed()
+            return
+        self.sim.schedule_after(request.gap_us, partial(self._arrive, request))
 
-    def _issue(self, request: Request) -> None:
+    def _arrive(self, request: Request) -> None:
+        self.issued += 1
         lpn = request.lpn % self.key_space
         issue = self._issue_read if request.kind == "read" else self._issue_write
         self._launch(issue, lpn)
+        self._schedule_next()
+
+    def _note_done(self) -> None:
+        self.completed += 1
+        if self._requests is None and self.completed == self.issued:
+            self._drained.succeed()
 
     def _launch(self, issue, lpn: int) -> None:
         """Start one operation; subclasses whose operations are processes
@@ -69,13 +87,14 @@ class Client:
         issue(lpn)
 
     def _issue_read(self, lpn: int) -> None:
-        done = self.rack.issue_read(self.pair, lpn, client=self.name)
-        done.add_callback(partial(self._read_done, self.sim.now))
+        self.rack.start_read(
+            self.pair, lpn, partial(self._read_done, self.sim.now), self.name
+        )
 
-    def _read_done(self, t0: float, done: Event) -> None:
-        storage_us = done.value.payload.get("storage_us")
+    def _read_done(self, t0: float, reply: Packet) -> None:
         self.metrics.record(
-            "read", self.sim.now - t0, at=self.sim.now, storage_us=storage_us
+            "read", self.sim.now - t0, at=self.sim.now,
+            storage_us=reply.payload.get("storage_us"),
         )
         self._note_done()
 
@@ -84,25 +103,20 @@ class Client:
         # has the DRAM copy (the write-cache admission ack).  Replicas the
         # failure detector has declared dead are skipped -- the membership
         # view clients get from the heartbeat machinery.
-        t0 = self.sim.now
-        done = self.rack.issue_write(self.pair, lpn, client=self.name)
-        if done.triggered:
-            # tick: was yield on triggered event
-            self.sim.schedule_after(0.0, partial(self._write_done, t0, done))
-        else:
-            done.add_callback(partial(self._write_done, t0))
+        self.rack.start_write(
+            self.pair, lpn, partial(self._write_done, self.sim.now), self.name
+        )
 
-    def _write_done(self, t0: float, done: Event) -> None:
-        responses = done.value
-        if not responses:
+    def _write_done(self, t0: float, replies: List[Packet]) -> None:
+        if not replies:
             # Both in-rack replicas are down; the out-of-rack replica (out
             # of scope here) would take over.  Count the op as done so the
-            # client can drain.
-            self._note_done()
+            # client can drain -- from the heap, not from inside the
+            # arrival that issued it.
+            # tick: an empty fan-out completes inside start_write
+            self.sim.schedule_after(0.0, self._note_done)
             return
-        storage_us = max(
-            (r.payload.get("storage_us", 0.0) for r in responses), default=None
-        )
+        storage_us = max(r.payload.get("storage_us", 0.0) for r in replies)
         self.metrics.record(
             "write", self.sim.now - t0, at=self.sim.now, storage_us=storage_us
         )

@@ -19,7 +19,7 @@ coordination hooks are armed (see :class:`~repro.cluster.config.SystemType`).
 
 import itertools
 from functools import partial
-from typing import Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.cluster.config import RackConfig, SystemType
 from repro.cluster.controller import VdcController
@@ -46,7 +46,7 @@ from repro.server.gc_monitor import GcMonitor, LocalGcCoordinator
 from repro.server.iosched import make_scheduler
 from repro.server.sdf import StorageServer
 from repro.server.write_cache import WriteCache
-from repro.sim import AllOf, Event, Simulator, Timeout
+from repro.sim import Event, Simulator, Timeout
 from repro.sim.rng import RandomSource
 from repro.switch.controlplane import SwitchControlPlane
 from repro.switch.dataplane import SwitchDataPlane
@@ -65,6 +65,24 @@ SOFTWARE_REDIRECT_OVERHEAD_US = 150.0
 
 def _sent_and_forgotten(_pkt: Packet, _sent_at: float) -> None:
     """Egress continuation of background filler: nobody waits for it."""
+
+
+class Join:
+    """Where the legs of one operation meet: ``then(values)``, in leg
+    order, once every leg has called ``arrive``."""
+
+    __slots__ = ("_then", "_values", "_left")
+
+    def __init__(self, legs: int, then: Callable[[List[Any]], None]) -> None:
+        self._then = then
+        self._values: List[Any] = [None] * legs
+        self._left = legs
+
+    def arrive(self, index: int, value: Any) -> None:
+        self._values[index] = value
+        self._left -= 1
+        if not self._left:
+            self._then(self._values)
 
 
 def _make_network_scheduler(name: str, tb_flow_rate: float = 50_000.0):
@@ -178,7 +196,8 @@ class Rack:
             self.gc_monitors.append(monitor)
 
         # --- client plumbing -------------------------------------------------
-        self._pending: Dict[int, Event] = {}
+        #: Request id -> the continuation its reply runs.
+        self._pending: Dict[int, Callable[[Packet], None]] = {}
         self._rid = itertools.count(1)
         self.background_packets = 0
         #: Servers the failure detector has declared dead (clients' view).
@@ -381,10 +400,10 @@ class Rack:
     def new_request_id(self) -> int:
         return next(self._rid)
 
-    def register_pending(self, rid: int) -> Event:
-        event = Event(self.sim)
-        self._pending[rid] = event
-        return event
+    def register_pending(self, rid: int, then: Callable[[Packet], None]) -> None:
+        """``then(reply)`` runs when request ``rid``'s reply reaches the
+        client edge (never, for a leg dropped at a dead server)."""
+        self._pending[rid] = then
 
     def latency_for_client(self, client_name: str) -> LatencyProcess:
         """The (seeded) latency process of one client's network path."""
@@ -442,15 +461,18 @@ class Rack:
 
     # ------------------------------------------------- request injection API
 
-    def issue_read(self, pair: ReplicaPair, lpn: int, client: str = "live",
-                   priority: int = 1, target: str = "primary") -> Event:
-        """Inject one read at the current sim time; the returned event
-        fires with the response packet when it reaches the client edge.
+    def start_read(self, pair: ReplicaPair, lpn: int,
+                   then: Callable[[Packet], None], client: str = "live",
+                   priority: int = 1, target: str = "primary") -> None:
+        """Inject one read at the current sim time; ``then(reply)`` runs
+        when the response packet reaches the client edge.
 
-        This is the single entry point for anything that drives the rack
-        request by request -- the batch :class:`~repro.cluster.client.Client`
-        and the live serving bridge both go through it, so traced spans and
-        switch redirection behave identically for both.
+        This and :meth:`start_write` are the entry points for anything
+        that drives the rack request by request -- the batch
+        :class:`~repro.cluster.client.Client` and the live serving bridge
+        both go through them, so traced spans and switch redirection
+        behave identically for both.  A request leg costs its rack events
+        and no waitable of its own.
 
         ``target="replica"`` addresses the replica vSSD instead of the
         primary -- the hedged-read path: a duplicate request sent after a
@@ -462,45 +484,43 @@ class Rack:
         vssd = pair.primary if target == "primary" else pair.replica
         t0 = self.sim.now
         pkt = read_request(vssd.vssd_id, client, "", t0)
-        rid = self.new_request_id()
+        rid = next(self._rid)
         pkt.payload.update(lpn=lpn, rid=rid)
         trace = self.tracer.start_request(
             rid, "read", client, t0, lpn=lpn, vssd=pkt.vssd_id
         )
-        done = self.register_pending(rid)
         if trace is not None:
             if target == "replica":
                 trace.attrs["hedged"] = True
-            if self.degraded():
-                trace.attrs["degraded"] = True
-            pkt.payload["trace"] = trace
-            done.add_callback(
-                lambda ev, t=trace: self.tracer.finish(t, self.sim.now)
-            )
-        self.send_from_client(pkt, flow_id=client, priority=priority)
-        return done
+            then = self._traced(trace, pkt, then)
+        self._pending[rid] = then
+        self.send_from_client(pkt, client, priority)
 
-    def issue_write(self, pair: ReplicaPair, lpn: int, client: str = "live",
-                    priority: int = 1) -> Event:
-        """Inject one replicated write; the returned event fires with the
-        list of replica responses once every *live* replica holds a DRAM
-        copy (§3.5.1 durability).  Replicas the failure detector declared
-        dead are skipped; with no live replica the event fires immediately
-        with an empty list.
+    def start_write(self, pair: ReplicaPair, lpn: int,
+                    then: Callable[[List[Packet]], None], client: str = "live",
+                    priority: int = 1) -> None:
+        """Inject one replicated write; ``then(replies)`` runs with the
+        replica responses in leg order (primary first) once every *live*
+        replica holds a DRAM copy (§3.5.1 durability).  Replicas the
+        failure detector declared dead are skipped; with no live replica
+        ``then([])`` runs at once.
         """
-        t0 = self.sim.now
-        targets = [
-            (vssd, ip)
+        legs = [
+            vssd
             for vssd, ip in (
                 (pair.primary, pair.primary_server_ip),
                 (pair.replica, pair.replica_server_ip),
             )
-            if self.is_server_alive(ip)
+            if ip not in self.failed_ips
         ]
-        events = []
-        for vssd, _server_ip in targets:
+        if not legs:
+            then([])
+            return
+        join = Join(len(legs), then)
+        t0 = self.sim.now
+        for index, vssd in enumerate(legs):
             pkt = write_request(vssd.vssd_id, client, "", t0)
-            rid = self.new_request_id()
+            rid = next(self._rid)
             pkt.payload.update(lpn=lpn, rid=rid)
             # Each replica leg is its own trace: the legs run concurrently
             # through different servers, so per-leg span threads keep the
@@ -510,17 +530,40 @@ class Rack:
                 lpn=lpn, vssd=vssd.vssd_id,
                 role="primary" if vssd is pair.primary else "replica",
             )
-            done = self.register_pending(rid)
+            leg = partial(join.arrive, index)
             if trace is not None:
-                if self.degraded():
-                    trace.attrs["degraded"] = True
-                pkt.payload["trace"] = trace
-                done.add_callback(
-                    lambda ev, t=trace: self.tracer.finish(t, self.sim.now)
-                )
-            events.append(done)
-            self.send_from_client(pkt, flow_id=client, priority=priority)
-        return AllOf(self.sim, events)
+                leg = self._traced(trace, pkt, leg)
+            self._pending[rid] = leg
+            self.send_from_client(pkt, client, priority)
+
+    def _traced(self, trace, pkt: Packet, then: Callable[[Packet], None]):
+        """A sampled leg: ``pkt`` carries ``trace`` through the rack, and
+        the trace finishes just before ``then`` runs."""
+        if self.degraded():
+            trace.attrs["degraded"] = True
+        pkt.payload["trace"] = trace
+        return partial(self._finish_trace, trace, then)
+
+    def _finish_trace(self, trace, then: Callable[[Packet], None],
+                      reply: Packet) -> None:
+        self.tracer.finish(trace, self.sim.now)
+        then(reply)
+
+    def issue_read(self, pair: ReplicaPair, lpn: int, client: str = "live",
+                   priority: int = 1, target: str = "primary") -> Event:
+        """:meth:`start_read` for callers that wait on an event: it fires
+        with the response packet."""
+        done = Event(self.sim)
+        self.start_read(pair, lpn, done.succeed, client, priority, target)
+        return done
+
+    def issue_write(self, pair: ReplicaPair, lpn: int, client: str = "live",
+                    priority: int = 1) -> Event:
+        """:meth:`start_write` for callers that wait on an event: it fires
+        with the list of replica responses (already, with none alive)."""
+        done = Event(self.sim)
+        self.start_write(pair, lpn, done.succeed, client, priority)
+        return done
 
     def _packet_at_tor(self, pkt: Packet, flow_id: str, priority: int,
                        sent_at: float, outbound: float) -> None:
@@ -633,10 +676,9 @@ class Rack:
         trace = pkt.payload.get("trace")
         if trace is not None:
             trace.add_span("net.tor_to_client", return_start, self.sim.now)
-        rid = pkt.payload.get("rid")
-        event = self._pending.pop(rid, None) if rid is not None else None
-        if event is not None and not event.triggered:
-            event.succeed(pkt)
+        then = self._pending.pop(pkt.payload.get("rid"), None)
+        if then is not None:
+            then(pkt)
 
     # -------------------------------------------- software redirection (RB-SW)
 

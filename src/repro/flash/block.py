@@ -22,7 +22,7 @@ class Block:
     """One erase block: a sequentially-programmed array of pages."""
 
     __slots__ = ("block_id", "pages_per_block", "_states", "_write_ptr",
-                 "valid_count", "erase_count")
+                 "valid_count", "invalid_count", "erase_count")
 
     def __init__(self, block_id: int, pages_per_block: int) -> None:
         if pages_per_block <= 0:
@@ -32,6 +32,9 @@ class Block:
         self._states: List[PageState] = [PageState.FREE] * pages_per_block
         self._write_ptr = 0
         self.valid_count = 0
+        #: Programmed pages since gone stale -- what greedy GC ranks
+        #: victims by, kept as a count so a victim scan reads it for free.
+        self.invalid_count = 0
         self.erase_count = 0
 
     @property
@@ -43,10 +46,6 @@ class Block:
     def is_empty(self) -> bool:
         """True when the block is fully erased and unprogrammed."""
         return self._write_ptr == 0
-
-    @property
-    def invalid_count(self) -> int:
-        return self._write_ptr - self.valid_count
 
     @property
     def free_pages(self) -> int:
@@ -76,6 +75,7 @@ class Block:
             )
         self._states[page] = PageState.INVALID
         self.valid_count -= 1
+        self.invalid_count += 1
 
     def erase(self) -> None:
         """Erase the whole block, freeing every page and bumping wear."""
@@ -86,6 +86,7 @@ class Block:
             )
         self._states = [PageState.FREE] * self.pages_per_block
         self._write_ptr = 0
+        self.invalid_count = 0
         self.erase_count += 1
 
     def valid_pages(self) -> List[int]:

@@ -192,15 +192,13 @@ class PageMappedFtl:
         matters), or ``None`` when no block has stale pages.  Active write
         blocks are exempt.
         """
-        if scorer is None:
-            scorer = lambda block: float(block.invalid_count)  # noqa: E731
         best: Optional[Tuple[float, FlashChip, Block]] = None
         for chip in self.chips:
             active = self._active[chip.chip_id]
             for block in chip.victim_candidates():
                 if active is not None and block.block_id == active.block_id:
                     continue
-                score = scorer(block)
+                score = block.invalid_count if scorer is None else scorer(block)
                 if best is None or score > best[0]:
                     best = (score, chip, block)
         if best is None:

@@ -38,6 +38,12 @@ class Ssd:
             FlashChip(chip_id, geometry.blocks_per_chip, geometry.pages_per_block)
             for chip_id in range(geometry.total_chips)
         ]
+        #: The channel serving each chip, indexed by chip id: resolved
+        #: once, since the media path asks on every page operation.
+        self.channel_by_chip: List[Channel] = [
+            self.channels[geometry.channel_of_chip(chip.chip_id)]
+            for chip in self.chips
+        ]
         self.wear = WearTracker(self.chips)
         #: Cumulative logical data written to this device (pages), updated
         #: by the vSSD layer; feeds the wear-*rate* estimate used when the
@@ -46,7 +52,7 @@ class Ssd:
 
     def channel_of_chip(self, chip: FlashChip) -> Channel:
         """The channel that serves a given chip."""
-        return self.channels[self.geometry.channel_of_chip(chip.chip_id)]
+        return self.channel_by_chip[chip.chip_id]
 
     def chips_of_channel(self, channel_id: int) -> List[FlashChip]:
         """All chips behind one channel."""

@@ -13,13 +13,13 @@ full coordination machinery.  The ordered key index a scan reads is in
 memory like the value map: finding a range costs no simulated time, only
 the page reads for the keys it selects do.
 
-Point operations are callback machines (``start_get`` / ``start_put`` /
-``start_delete``): the packets leave inside the call and ``then(result)``
-runs from the event that delivers the last reply, so an operation costs
-the rack's events and none of its own.  ``get`` / ``put`` / ``delete``
-adapt them for callers that are processes.  ``scan`` stays a process:
-its top-up loop waits in the middle of its body, and only when the round
-selected keys.
+Operations are callback machines (``start_get`` / ``start_put`` /
+``start_delete`` / ``start_scan``): the packets leave inside the call,
+each leg's reply runs a continuation, and ``then(result)`` runs from the
+event that delivers the last reply, so an operation costs the rack's
+events and none of its own.  ``get`` / ``put`` / ``delete`` / ``scan``
+adapt them for callers that are processes.  Every operation records its
+latency in ``metrics`` once, when it completes.
 """
 
 import hashlib
@@ -27,21 +27,11 @@ from bisect import bisect_left, insort
 from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.cluster.rack import Rack
+from repro.cluster.rack import Join, Rack
 from repro.errors import ConfigError
 from repro.metrics.collector import ExperimentMetrics
 from repro.net.packet import read_request, write_request
-from repro.sim import AllOf, Event
-
-
-def _fail(event: Event, fail: Optional[Callable[[BaseException], None]]) -> None:
-    """Hand a failed event's exception to ``fail``; raise it without one."""
-    try:
-        event.value
-    except Exception as exc:
-        if fail is None:
-            raise
-        fail(exc)
+from repro.sim import Event
 
 
 def _key_hash(key: str) -> int:
@@ -109,35 +99,33 @@ class RackKvStore:
                 f"({self.MAX_VALUE_BYTES} bytes)"
             )
 
+    def _check_count(self, count: int) -> None:
+        if count < 1:
+            raise ConfigError(f"scan count must be >= 1, got {count}")
+
+    def _leg(self, request, vssd_id: int, lpn: int, then) -> None:
+        """Send one page request to ``vssd_id``; ``then(reply)`` when the
+        reply is back (never, if a dead server drops it)."""
+        pkt = request(vssd_id, self.client_name, "", self.sim.now)
+        rid = self.rack.new_request_id()
+        pkt.payload.update(lpn=lpn, rid=rid)
+        self.rack.register_pending(rid, then)
+        self.rack.send_from_client(pkt, self.client_name)
+
     # ----------------------------------------------------------------- API
-    #
-    # ``fail(exc)`` receives a failed leg's exception; without it the
-    # exception propagates to whoever runs the simulator.
 
     def start_put(self, key: str, value: str,
-                  then: Callable[[float], None],
-                  fail: Optional[Callable[[BaseException], None]] = None) -> None:
+                  then: Callable[[float], None]) -> None:
         """Replicated write; ``then(latency_us)`` once both replicas ack.
         An oversized value is refused here, before anything is sent."""
         self._check_value(key, value)
         pair_idx, lpn = self._route(key)
         pair = self.rack.pairs[pair_idx]
-        t0 = self.sim.now
-        events = []
-        for vssd in (pair.primary, pair.replica):
-            pkt = write_request(vssd.vssd_id, self.client_name, "", t0)
-            rid = self.rack.new_request_id()
-            pkt.payload.update(lpn=lpn, rid=rid)
-            events.append(self.rack.register_pending(rid))
-            self.rack.send_from_client(pkt, flow_id=self.client_name)
-        AllOf(self.sim, events).add_callback(
-            partial(self._put_done, key, value, t0, then, fail))
+        acks = Join(2, partial(self._put_done, key, value, self.sim.now, then))
+        self._leg(write_request, pair.primary.vssd_id, lpn, partial(acks.arrive, 0))
+        self._leg(write_request, pair.replica.vssd_id, lpn, partial(acks.arrive, 1))
 
-    def _put_done(self, key: str, value: str, t0: float, then, fail,
-                  acks: Event) -> None:
-        if not acks.ok:
-            _fail(acks, fail)
-            return
+    def _put_done(self, key: str, value: str, t0: float, then, _acks) -> None:
         latency = self.sim.now - t0
         self._set(key, value)
         self.puts += 1
@@ -145,23 +133,13 @@ class RackKvStore:
         then(latency)
 
     def start_get(self, key: str,
-                  then: Callable[[Tuple[Optional[str], float]], None],
-                  fail: Optional[Callable[[BaseException], None]] = None) -> None:
+                  then: Callable[[Tuple[Optional[str], float]], None]) -> None:
         """Read; ``then((value or None, latency_us))``."""
         pair_idx, lpn = self._route(key)
-        pair = self.rack.pairs[pair_idx]
-        t0 = self.sim.now
-        pkt = read_request(pair.primary.vssd_id, self.client_name, "", t0)
-        rid = self.rack.new_request_id()
-        pkt.payload.update(lpn=lpn, rid=rid)
-        self.rack.register_pending(rid).add_callback(
-            partial(self._get_done, key, t0, then, fail))
-        self.rack.send_from_client(pkt, flow_id=self.client_name)
+        self._leg(read_request, self.rack.pairs[pair_idx].primary.vssd_id, lpn,
+                  partial(self._get_done, key, self.sim.now, then))
 
-    def _get_done(self, key: str, t0: float, then, fail, reply: Event) -> None:
-        if not reply.ok:
-            _fail(reply, fail)
-            return
+    def _get_done(self, key: str, t0: float, then, _reply) -> None:
         latency = self.sim.now - t0
         self.gets += 1
         self.metrics.record("read", latency, at=self.sim.now)
@@ -170,10 +148,9 @@ class RackKvStore:
             self.misses += 1
         then((value, latency))
 
-    def start_delete(self, key: str, then: Callable[[float], None],
-                     fail: Optional[Callable[[BaseException], None]] = None) -> None:
+    def start_delete(self, key: str, then: Callable[[float], None]) -> None:
         """Replicated delete (a write of the empty slot)."""
-        self.start_put(key, "", partial(self._delete_done, key, then), fail)
+        self.start_put(key, "", partial(self._delete_done, key, then))
 
     def _delete_done(self, key: str, then, latency: float) -> None:
         self.puts -= 1  # the put underneath counted itself
@@ -181,11 +158,61 @@ class RackKvStore:
         self.deletes += 1
         then(latency)
 
+    def start_scan(self, start_key: str, count: int,
+                   then: Callable[[Tuple[List[Tuple[str, str]], float]], None]
+                   ) -> None:
+        """Range scan -- up to ``count`` keys >= ``start_key``;
+        ``then((items, latency_us))`` where ``items`` is the key-ordered
+        list of ``(key, value)`` pairs.
+
+        The scan charges one timed read per distinct flash page the
+        selected keys map to (keys hashed to the same page share its
+        single read, like slots), all issued concurrently -- the fan-out a
+        range query pays on a hashed keyspace.  A scan that selects no key
+        completes at once, with latency 0.
+
+        A page shorter than ``count`` means no key was left past it when
+        the scan completed -- callers page on that.  A ``delete`` landing
+        while the page reads are out would break it, so the scan then
+        reads on past the last key it selected until the page is full or
+        the keys run out.
+        """
+        self._check_count(count)
+        self._scan_round(start_key, count, [], self.sim.now, then)
+
+    def _scan_round(self, start: str, count: int, items, t0: float,
+                    then) -> None:
+        want = count - len(items)
+        first = bisect_left(self._keys, start)
+        keys = self._keys[first:first + want]
+        landed = partial(self._scan_landed, keys, want, count, items, t0, then)
+        pages = sorted({self._route(key) for key in keys})
+        if not pages:
+            landed(())
+            return
+        reads = Join(len(pages), landed)
+        for index, (pair_idx, lpn) in enumerate(pages):
+            self._leg(read_request, self.rack.pairs[pair_idx].primary.vssd_id,
+                      lpn, partial(reads.arrive, index))
+
+    def _scan_landed(self, keys: List[str], want: int, count: int, items,
+                     t0: float, then, _replies) -> None:
+        data = self._data
+        items.extend((k, data[k]) for k in keys if k in data)
+        if len(keys) < want or len(items) == count:
+            latency = self.sim.now - t0
+            self.scans += 1
+            self.metrics.record("read", latency, at=self.sim.now)
+            then((items, latency))
+        else:
+            self._scan_round(keys[-1] + "\x00", count, items, t0, then)
+
     def _as_process(self, start: Callable[..., None]) -> Generator:
         done = Event(self.sim)
-        start(done.succeed, done.fail)
-        result = yield done
-        return result
+        start(done.succeed)
+        if not done.triggered:
+            yield done
+        return done.value
 
     def put(self, key: str, value: str) -> Generator:
         """Process: :meth:`start_put`; returns the end-to-end latency (us).
@@ -202,62 +229,10 @@ class RackKvStore:
         return self._as_process(partial(self.start_delete, key))
 
     def scan(self, start_key: str, count: int) -> Generator:
-        """Process: range scan -- up to ``count`` keys >= ``start_key``.
-
-        Returns ``(items, latency_us)`` where ``items`` is the key-ordered
-        list of ``(key, value)`` pairs.  The scan charges one timed read
-        per distinct flash page the selected keys map to (keys hashed to
-        the same page share its single read, like slots), all issued
-        concurrently -- the fan-out a range query pays on a hashed keyspace.
-
-        A page shorter than ``count`` means no key was left past it when
-        the scan completed -- callers page on that.  A ``delete`` landing
-        while the page reads are out would break it, so the scan then
-        reads on past the last key it selected until the page is full or
-        the keys run out.
-        """
-        if count < 1:
-            raise ConfigError(f"scan count must be >= 1, got {count}")
-
-        def proc() -> Generator:
-            t0 = self.sim.now
-            items: List[Tuple[str, str]] = []
-            start = start_key
-            timed = False
-            while True:
-                want = count - len(items)
-                issued = self.sim.now
-                first = bisect_left(self._keys, start)
-                keys = self._keys[first:first + want]
-                pages: Dict[Tuple[int, int], int] = {}
-                for key in keys:
-                    pair_idx, lpn = self._route(key)
-                    pages[(pair_idx, lpn)] = pair_idx
-                events = []
-                for (pair_idx, lpn), _ in sorted(pages.items()):
-                    pair = self.rack.pairs[pair_idx]
-                    pkt = read_request(
-                        pair.primary.vssd_id, self.client_name, "", issued
-                    )
-                    rid = self.rack.new_request_id()
-                    pkt.payload.update(lpn=lpn, rid=rid)
-                    events.append(self.rack.register_pending(rid))
-                    self.rack.send_from_client(pkt, flow_id=self.client_name)
-                if events:
-                    timed = True
-                    yield AllOf(self.sim, events)
-                data = self._data
-                items.extend((k, data[k]) for k in keys if k in data)
-                if len(keys) < want or len(items) == count:
-                    break
-                start = keys[-1] + "\x00"
-            latency = self.sim.now - t0
-            self.scans += 1
-            if timed:
-                self.metrics.record("read", latency, at=self.sim.now)
-            return items, latency
-
-        return proc()
+        """Process: :meth:`start_scan`; returns ``(items, latency_us)``.
+        A count below 1 fails at this call, not inside the process."""
+        self._check_count(count)
+        return self._as_process(partial(self.start_scan, start_key, count))
 
     def __len__(self) -> int:
         return len(self._data)

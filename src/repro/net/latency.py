@@ -149,18 +149,21 @@ class LatencyProcess:
         ``direction`` selects the straggler regime: ``"out"`` (toward the
         storage servers, incast-prone) or ``"ret"`` (back to the client).
         """
-        draw = self._rng.lognormvariate(self._mu, self.profile.sigma)
+        rng = self._rng
+        profile = self.profile
+        # What ``rng.lognormvariate`` computes, without its extra call.
+        draw = math.exp(rng.normalvariate(self._mu, profile.sigma))
         if self.congested(now):
-            draw *= self.profile.congestion_factor
+            draw *= profile.congestion_factor
         prob = (
-            self.profile.straggler_prob
+            profile.straggler_prob
             if direction == "out"
-            else self.profile.return_straggler_prob
+            else profile.return_straggler_prob
         )
-        if prob > 0 and self._rng.random() < prob:
+        if prob > 0 and rng.random() < prob:
             # Exponentially distributed straggler magnitude around the
             # profile's mean factor.
-            draw *= 1.0 + self._rng.expovariate(1.0 / self.profile.straggler_factor)
+            draw *= 1.0 + rng.expovariate(1.0 / profile.straggler_factor)
         return draw * self.degradation
 
     def expected_uncongested(self) -> float:

@@ -99,19 +99,13 @@ class Packet:
             raise NetworkError(f"unknown op code {op_raw}") from None
         return cls(op=op, vssd_id=vssd_id, lat=float(lat))
 
-    def make_response(self, size_kb: Optional[float] = None) -> "Packet":
-        """Build the reply packet: src/dst swapped, LAT carried forward."""
-        return Packet(
-            op=self.op,
-            vssd_id=self.vssd_id,
-            src=self.dst,
-            dst=self.src,
-            lat=self.lat,
-            payload=dict(self.payload),
-            size_kb=size_kb if size_kb is not None else self.size_kb,
-            issue_time=self.issue_time,
-            is_response=True,
-        )
+    def turn_around(self, size_kb: float) -> "Packet":
+        """Make this request its own reply, in place: src/dst swapped,
+        ``size_kb`` the reply's size, LAT and payload carried forward."""
+        self.src, self.dst = self.dst, self.src
+        self.size_kb = size_kb
+        self.is_response = True
+        return self
 
 
 def read_request(vssd_id: int, src: str, dst: str, issue_time: float) -> Packet:

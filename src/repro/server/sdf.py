@@ -147,9 +147,8 @@ class StorageServer:
                 server=self.name, vssd=pkt.vssd_id,
                 dirty_pages=self.write_cache.dirty_pages,
             )
-        response = pkt.make_response(size_kb=0.1)
-        response.payload["storage_us"] = self.sim.now - arrived
-        self._respond(response)
+        pkt.turn_around(0.1).payload["storage_us"] = self.sim.now - arrived
+        self._respond(pkt)
 
     def _handle_read(self, pkt: Packet, vssd: VSsd) -> None:
         self.predictor.observe(pkt.vssd_id, "read", pkt.lat)
@@ -274,9 +273,8 @@ class StorageServer:
             self.reads_completed += 1
             pkt = request.context
             if isinstance(pkt, Packet):
-                response = pkt.make_response(size_kb=4.0)
-                response.payload["storage_us"] = latency
-                self._respond(response)
+                pkt.turn_around(4.0).payload["storage_us"] = latency
+                self._respond(pkt)
         else:
             self.flushes_completed += 1
             request.context()

@@ -65,23 +65,6 @@ class BridgeStats:
         }
 
 
-def _settle(then, fail, event) -> None:
-    """Event callback: the event's value to ``then``, its exception to
-    ``fail``."""
-    try:
-        value = event.value
-    except Exception as exc:
-        fail(exc)
-    else:
-        then(value)
-
-
-def _after(event):
-    """A ``start(then, fail)`` for an operation that is already a sim
-    event (see :meth:`SimTimeBridge._track`)."""
-    return lambda then, fail: event.add_callback(partial(_settle, then, fail))
-
-
 class _Live:
     """One live request riding the simulator."""
 
@@ -115,14 +98,16 @@ class SimTimeBridge:
         self.rack = Rack(config)
         if precondition:
             self.rack.precondition()
-        self.kv = RackKvStore(self.rack, client_name="svc-kv")
+        #: Sim-time latencies of live requests (read/write classes), the
+        #: same collector the batch runner uses -- so ``/stats`` reports
+        #: the service with the experiment engine's vocabulary.  The KV
+        #: store records its operations here too, each exactly once.
+        self.metrics = ExperimentMetrics()
+        self.kv = RackKvStore(self.rack, client_name="svc-kv",
+                              metrics=self.metrics)
         self._write_caches = [s.write_cache for s in self.rack.servers]
         for cache in self._write_caches:
             cache.on_clean = self._stop_if_settled
-        #: Sim-time latencies of live requests (read/write classes), the
-        #: same collector the batch runner uses -- so ``/stats`` reports
-        #: the service with the experiment engine's vocabulary.
-        self.metrics = ExperimentMetrics()
         self.chunk_us = chunk_us
         self.request_timeout_us = request_timeout_us
         self.pace = pace
@@ -200,11 +185,9 @@ class SimTimeBridge:
         clients use when the primary is slow or silently dead.
         """
         pair = self._pair(pair_index)
-        done = self.rack.issue_read(
-            pair, self._lpn(pair, lpn), client=client,
-            target="replica" if replica else "primary",
-        )
-        return self._track("read", _after(done), lambda pkt: {
+        start = partial(self.rack.start_read, pair, self._lpn(pair, lpn),
+                        client=client, target="replica" if replica else "primary")
+        return self._track("read", start, lambda pkt: {
             "latency_us": self.rack.sim.now - pkt.issue_time,
             "storage_us": pkt.payload.get("storage_us"),
         })
@@ -214,8 +197,9 @@ class SimTimeBridge:
         """Inject a replicated write; resolves once every live replica acks."""
         pair = self._pair(pair_index)
         t0 = self.rack.sim.now
-        done = self.rack.issue_write(pair, self._lpn(pair, lpn), client=client)
-        return self._track("write", _after(done), lambda responses: {
+        start = partial(self.rack.start_write, pair, self._lpn(pair, lpn),
+                        client=client)
+        return self._track("write", start, lambda responses: {
             "replicas": len(responses),
             "latency_us": self.rack.sim.now - t0,
             "storage_us": max(
@@ -224,14 +208,15 @@ class SimTimeBridge:
             ),
         })
 
-    # The KV point operations enter the rack here, inside the call: the
-    # store's callback cores send their packets at once, with no process
-    # (and no start tick) per operation.
+    # Every operation enters the rack here, inside the call: the rack's
+    # and the store's callback cores send their packets at once, with no
+    # process (and no start tick) per operation.  The KV operations are
+    # tracked with no ``kind``: the store records them in ``metrics``.
 
     def submit_get(self, key: str, client: str = "live") -> "asyncio.Future":
         """KV point read; resolves to value (or None) + latency."""
         return self._track(
-            "read", partial(self.kv.start_get, str(key)), lambda result: {
+            None, partial(self.kv.start_get, str(key)), lambda result: {
                 "value": result[0], "found": result[0] is not None,
                 "latency_us": result[1],
             })
@@ -240,25 +225,26 @@ class SimTimeBridge:
                    client: str = "live") -> "asyncio.Future":
         """KV replicated write; resolves to the sim latency."""
         return self._track(
-            "write", partial(self.kv.start_put, str(key), str(value)),
+            None, partial(self.kv.start_put, str(key), str(value)),
             lambda latency: {"latency_us": latency})
 
     def submit_delete(self, key: str,
                       client: str = "live") -> "asyncio.Future":
         """KV replicated delete; resolves to the sim latency."""
         return self._track(
-            "write", partial(self.kv.start_delete, str(key)),
+            None, partial(self.kv.start_delete, str(key)),
             lambda latency: {"latency_us": latency, "deleted": True})
 
     def submit_scan(self, start_key: str, count: int,
                     client: str = "live") -> "asyncio.Future":
         """KV range scan; resolves to the items + latency."""
-        process = self.rack.sim.spawn(self.kv.scan(str(start_key), int(count)))
-        return self._track("read", _after(process), lambda result: {
-            "items": [[k, v] for k, v in result[0]],
-            "count": len(result[0]),
-            "latency_us": result[1],
-        })
+        return self._track(
+            None, partial(self.kv.start_scan, str(start_key), int(count)),
+            lambda result: {
+                "items": [[k, v] for k, v in result[0]],
+                "count": len(result[0]),
+                "latency_us": result[1],
+            })
 
     def forget_client(self, client: str) -> None:
         """Release the simulated path of a ``client`` that will submit
@@ -283,17 +269,18 @@ class SimTimeBridge:
             raise ConfigError(f"lpn {lpn} out of range [0, {pages})")
         return lpn
 
-    def _track(self, kind: str, start, shape) -> "asyncio.Future":
+    def _track(self, kind: Optional[str], start, shape) -> "asyncio.Future":
         """Register a live request with an asyncio future and start it.
 
-        ``start(then, fail)`` launches the simulated operation, which
-        calls ``then(value)`` or ``fail(exc)`` from the event that ends
-        it.  If ``start`` itself raises (an operand the model refuses)
-        nothing stays registered and the caller sees the error.
-        ``shape`` turns the value into the response payload; it runs at
-        completion time (on the event-loop thread, while the simulator
-        sits at the completion instant, so ``sim.now`` reads as the
-        finish time).
+        ``start(then)`` launches the simulated operation, which calls
+        ``then(value)`` from the event that ends it.  If ``start`` itself
+        raises (an operand the model refuses) nothing stays registered and
+        the caller sees the error.  ``shape`` turns the value into the
+        response payload; it runs at completion time (on the event-loop
+        thread, while the simulator sits at the completion instant, so
+        ``sim.now`` reads as the finish time).  The latency is recorded
+        under ``kind`` unless that is ``None`` (the operation records
+        itself).
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future" = loop.create_future()
@@ -303,7 +290,7 @@ class SimTimeBridge:
             future, t0, t0 + self.request_timeout_us
         )
 
-        def _finish(value: Any, exc: Optional[BaseException] = None) -> None:
+        def _finish(value: Any) -> None:
             live = self._live.pop(token, None)
             if live is None:
                 return
@@ -311,20 +298,18 @@ class SimTimeBridge:
             if future.done():
                 return
             self.completed += 1
-            if exc is None:
-                try:
-                    payload = shape(value)
-                except Exception as shape_exc:  # surfaced to the awaiting handler
-                    exc = shape_exc
-            if exc is not None:
+            try:
+                payload = shape(value)
+            except Exception as exc:  # surfaced to the awaiting handler
                 future.set_exception(exc)
                 return
-            latency = self.rack.sim.now - live.t0_us
-            self.metrics.record(kind, latency, at=self.rack.sim.now)
+            if kind is not None:
+                self.metrics.record(kind, self.rack.sim.now - live.t0_us,
+                                    at=self.rack.sim.now)
             future.set_result(payload)
 
         try:
-            start(_finish, partial(_finish, None))
+            start(_finish)
         except BaseException:
             del self._live[token]
             raise

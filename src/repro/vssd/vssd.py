@@ -56,6 +56,10 @@ class VSsd:
         )
         self.gc_policy = gc_policy if gc_policy is not None else GreedyGcPolicy()
         self.rate_limiter = rate_limiter
+        # The media path's per-operation constants, resolved once.
+        self._channel_by_chip = ssd.channel_by_chip
+        self._read_us = ssd.profile.read_latency(self.page_kb)
+        self._program_us = ssd.profile.program_latency(self.page_kb)
 
         #: True while a GC pass is running (mirrored into the switch tables).
         self.gc_active = False
@@ -124,10 +128,8 @@ class VSsd:
             chip = self.ftl.chips[lpn % len(self.ftl.chips)]
         else:
             chip = addr.chip
-        channel = self.ssd.channel_of_chip(chip)
-        channel.submit(
-            "read", channel.profile.read_latency(self.page_kb),
-            partial(self._read_done, then),
+        self._channel_by_chip[chip.chip_id].submit(
+            "read", self._read_us, partial(self._read_done, then)
         )
 
     def _read_done(self, then: Callable[[], None]) -> None:
@@ -143,10 +145,8 @@ class VSsd:
                 raise
             fail(exc)
             return
-        channel = self.ssd.channel_of_chip(addr.chip)
-        channel.submit(
-            "program", channel.profile.program_latency(self.page_kb),
-            partial(self._program_done, then),
+        self._channel_by_chip[addr.chip.chip_id].submit(
+            "program", self._program_us, partial(self._program_done, then)
         )
 
     def _program_done(self, then: Callable[[], None]) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import (
+    Client,
     FailureManager,
     Rack,
     RackConfig,
@@ -10,7 +11,7 @@ from repro.cluster import (
     rack_aware_placement,
 )
 from repro.errors import ConfigError
-from repro.experiments import run_rack_experiment
+from repro.experiments import run_rack_experiment, runner
 from repro.experiments.parallel import RunSpec
 from repro.net.packet import OpType, Packet
 from repro.sim.core import MSEC
@@ -194,6 +195,69 @@ class TestEndToEnd:
             config, ycsb(0.2), requests_per_pair=200, rack=rack
         )
         assert rack.background_packets > 0
+
+
+class _EventClient(Client):
+    """The batch client driven through the ``issue_*`` event adapters."""
+
+    def _issue_read(self, lpn):
+        self.rack.issue_read(self.pair, lpn, client=self.name).add_callback(
+            lambda done, t0=self.sim.now: self._read_done(t0, done.value))
+
+    def _issue_write(self, lpn):
+        self.rack.issue_write(self.pair, lpn, client=self.name).add_callback(
+            lambda done, t0=self.sim.now: self._write_done(t0, done.value))
+
+
+class TestRequestCores:
+    """``start_read`` / ``start_write`` are the machine; ``issue_*`` only
+    wrap them in an event."""
+
+    def test_cores_and_event_adapters_walk_one_trajectory(self, monkeypatch):
+        from tests.test_trajectory_pin import trajectory
+
+        through_cores = trajectory("rackblox", requests_per_pair=400)
+        monkeypatch.setattr(runner, "Client", _EventClient)
+        assert trajectory("rackblox", requests_per_pair=400) == through_cores
+
+    def test_a_write_with_no_live_replica_completes_with_nothing(self):
+        rack = Rack(small_config())
+        pair = rack.pairs[0]
+        rack.failed_ips.update({pair.primary_server_ip, pair.replica_server_ip})
+        replies = []
+        rack.start_write(pair, 3, replies.append)
+        # At once, sending nothing.
+        assert replies == [[]] and not rack._pending
+        assert rack.issue_write(pair, 3).value == []
+
+    def test_writes_complete_in_leg_order_once_every_live_replica_acks(self):
+        rack = Rack(small_config())
+        pair = rack.pairs[0]
+        replies = []
+        rack.start_write(pair, 3, replies.append)
+        rack.sim.run(until=10 * MSEC)
+        [acks] = replies
+        assert [ack.vssd_id for ack in acks] == [
+            pair.primary.vssd_id, pair.replica.vssd_id]
+        assert all(ack.is_response for ack in acks)
+        # A replica declared dead is skipped: one leg, one ack.
+        rack.failed_ips.add(pair.replica_server_ip)
+        rack.start_write(pair, 4, replies.append)
+        rack.sim.run(until=20 * MSEC)
+        assert [ack.vssd_id for ack in replies[1]] == [pair.primary.vssd_id]
+
+    def test_a_leg_dropped_at_a_dead_server_never_calls_then(self):
+        rack = Rack(small_config())
+        pair = rack.pairs[0]
+        # Dead but not yet detected: the legs still go out.
+        rack.server_by_ip[pair.primary_server_ip].alive = False
+        calls = []
+        rack.start_read(pair, 3, calls.append)
+        rack.start_write(pair, 4, calls.append)
+        rack.sim.run(until=50 * MSEC)
+        # The read died at the NIC, and so did the write's primary leg:
+        # its replica's ack waits in a join that never completes.
+        assert calls == [] and not rack._pending
 
 
 class TestGcDelayMechanism:

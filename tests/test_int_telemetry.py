@@ -55,11 +55,11 @@ class TestNetTimeRoundTrip:
         assert net_time(decoded) == pytest.approx(round(10.2 + 20.3))
 
     def test_lat_carried_into_response(self):
-        # make_response carries LAT forward, so the client-visible reply
+        # turn_around carries LAT forward, so the client-visible reply
         # still holds the request path's accumulated Net_time.
         pkt = make_packet()
         add_hop_latency(pkt, 33.0)
-        response = pkt.make_response()
+        response = pkt.turn_around(4.0)
         assert net_time(response) == pytest.approx(33.0)
         # The return path keeps accumulating on top.
         add_hop_latency(response, 7.0)

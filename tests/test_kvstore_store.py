@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.experiments.runner import run_until
 from repro.kvstore import RackKvStore
 from repro.sim import Event
+from repro.sim.core import MSEC
 
 
 def make_store(system=SystemType.RACKBLOX):
@@ -179,8 +180,9 @@ class TestScanIndex:
 
 
 class TestCallbackCores:
-    """``start_get`` / ``start_put`` / ``start_delete`` are the machine;
-    the generator methods only adapt them for callers that are processes."""
+    """``start_get`` / ``start_put`` / ``start_delete`` / ``start_scan`` are
+    the machine; the generator methods only adapt them for callers that
+    are processes."""
 
     def _sequence(self, seed=5):
         rng = random.Random(seed)
@@ -202,9 +204,9 @@ class TestCallbackCores:
         rack, store = make_store()
         results = []
         for name, *args in self._sequence():
-            if through_cores and name != "scan":
+            if through_cores:
                 done = Event(rack.sim)
-                getattr(store, "start_" + name)(*args, done.succeed, done.fail)
+                getattr(store, "start_" + name)(*args, done.succeed)
             else:
                 done = rack.sim.spawn(getattr(store, name)(*args))
             run_until(rack.sim, done)
@@ -219,25 +221,31 @@ class TestCallbackCores:
         cores = self._play(through_cores=True)
         adapters = self._play(through_cores=False)
         assert cores[:3] == adapters[:3]  # floats compared with ==
-        assert cores[1][:3] != (0, 0, 0) and cores[1][4] > 0
+        assert cores[1][:4] != (0, 0, 0, 0) and cores[1][4] > 0
         # What an adapter adds is its process's start tick.
-        point_ops = sum(op[0] != "scan" for op in self._sequence())
-        assert adapters[3] - cores[3] == point_ops
+        assert adapters[3] - cores[3] == len(self._sequence())
 
-    def test_a_failing_replica_leg_reaches_fail(self):
+    def test_a_replica_leg_lost_at_a_dead_server_never_completes_the_put(self):
         rack, store = make_store()
+        pair = rack.pairs[store._route("k")[0]]
+        rack.server_by_ip[pair.replica_server_ip].alive = False
         outcome = []
-        store.start_put("k", "v", outcome.append, outcome.append)
-        boom = RuntimeError("replica leg lost")
-        rack._pending[max(rack._pending)].fail(boom)
-        assert outcome == [boom]
+        store.start_put("k", "v", outcome.append)
+        rack.sim.run(until=50 * MSEC)
+        # The primary's ack arrived, the replica's leg died at the NIC:
+        # the rack forgot it and the put neither completed nor applied.
+        assert outcome == [] and not rack._pending
         assert store.puts == 0 and not store.contains("k")
-        store.start_get("k", outcome.append, outcome.append)
-        rack._pending[max(rack._pending)].fail(boom)
-        assert outcome == [boom, boom] and store.gets == 0
+        assert store.metrics.write_total.count == 0
 
-    def test_without_fail_the_error_surfaces_where_the_leg_failed(self):
+    def test_an_error_in_a_continuation_surfaces_where_the_leg_lands(self):
         rack, store = make_store()
-        store.start_put("k", "v", lambda latency: None)
+
+        def boom(_latency):
+            raise RuntimeError("caller's continuation failed")
+
+        store.start_put("k", "v", boom)
         with pytest.raises(RuntimeError):
-            rack._pending[max(rack._pending)].fail(RuntimeError("lost"))
+            rack.sim.run(until=50 * MSEC)
+        # The store applied the write before handing it on.
+        assert store.puts == 1 and store.contains("k")

@@ -76,9 +76,12 @@ class TestPacketFormat:
     def test_response_swaps_endpoints_and_keeps_lat(self):
         pkt = read_request(9, "client", "server", issue_time=5.0)
         add_hop_latency(pkt, 40.0)
-        resp = pkt.make_response(size_kb=4.0)
+        pkt.payload["rid"] = 7
+        resp = pkt.turn_around(4.0)
+        # In place: the request becomes its own reply.
+        assert resp is pkt and resp.payload == {"rid": 7}
         assert resp.src == "server" and resp.dst == "client"
-        assert resp.lat == 40.0
+        assert resp.lat == 40.0 and resp.size_kb == 4.0
         assert resp.is_response
         assert resp.issue_time == 5.0
 

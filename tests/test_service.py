@@ -6,13 +6,14 @@ localhost benchmark exercises, minus the scale.
 """
 
 import asyncio
+from functools import partial
 
 import pytest
 
 from repro.cluster.config import RackConfig, SystemType
 from repro.errors import ConfigError
 from repro.service.admission import AdmissionController, WallClockTokenBucket
-from repro.service.bridge import SimTimeBridge, _after
+from repro.service.bridge import SimTimeBridge
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import RackService
 
@@ -164,7 +165,7 @@ class TestSimTimeBridge:
             try:
                 rack = bridge.rack
                 bad = bridge._track(
-                    "read", _after(rack.issue_read(rack.pairs[0], 10**12)),
+                    "read", partial(rack.start_read, rack.pairs[0], 10**12),
                     lambda pkt: {},
                 )
                 with pytest.raises(asyncio.TimeoutError):
@@ -252,7 +253,10 @@ class TestSimTimeBridge:
                     if through_adapter:
                         process = sim.spawn(getattr(kv, name)(*args))
                         latency = await bridge._track(
-                            "read", _after(process), lambda value: value)
+                            None,
+                            lambda then, p=process: p.add_callback(
+                                lambda done: then(done.value)),
+                            lambda value: value)
                         latency = latency[1] if name == "get" else latency
                     else:
                         submit = getattr(bridge, "submit_" + name)
@@ -269,6 +273,35 @@ class TestSimTimeBridge:
                 cores, adapters):
             assert latency == adapter_latency
             assert events == adapter_events - 1
+
+    def test_a_served_kv_operation_is_recorded_once(self):
+        # The store records into the bridge's own collector and the
+        # bridge does not record KV operations again: N operations leave
+        # N samples, each the latency the caller was answered with.
+        async def scenario():
+            bridge = SimTimeBridge(small_config())
+            await bridge.start()
+            try:
+                seen = {"read": [], "write": []}
+                for i in range(5):
+                    put = await bridge.submit_put(f"k{i}", "v")
+                    seen["write"].append(put["latency_us"])
+                    got = await bridge.submit_get(f"k{i}")
+                    seen["read"].append(got["latency_us"])
+                deleted = await bridge.submit_delete("k0")
+                seen["write"].append(deleted["latency_us"])
+                scanned = await bridge.submit_scan("zz", 3)  # selects nothing
+                seen["read"].append(scanned["latency_us"])
+                return bridge, seen
+            finally:
+                await bridge.stop()
+
+        bridge, seen = asyncio.run(scenario())
+        assert bridge.kv.metrics is bridge.metrics
+        assert bridge.metrics.read_total.values == seen["read"]
+        assert bridge.metrics.write_total.values == seen["write"]
+        summary = bridge.stats_payload()["metrics"]
+        assert summary["read_count"] == 6 and summary["write_count"] == 6
 
     def test_oversized_put_is_refused_with_nothing_left_registered(self):
         async def scenario():

@@ -76,14 +76,15 @@ def test_simulator_cancel_churn_throughput(benchmark):
 #: slows one down) drops out.  Per request, not per event: a change that
 #: removes events makes each remaining one fatter, and an events/s ratio
 #: (this gate until PR 24, floor 0.085) reads that as a slowdown.
-#: Measured 122-136 (median 133) with idle ports, free buses and server
-#: entry as arithmetic (PR 24: 13.9 events per request) and 121-159
-#: (median 152) with a start tick and an ``Event`` per hop before it
-#: (19.5), seven alternating runs each on the same 2-core host while its
-#: raw loop swung between 0.62 and 0.95 us per event: the ceiling sits
-#: between the medians.  ``tests/test_cluster.py`` pins the event count
-#: itself, which no host can blur.
-_RACK_US_PER_REQ_TO_RAW_US_PER_EVENT_CEILING = 145.0
+#: Measured 95-105 (median 102) with request legs as continuations and
+#: no service or flush tick (11.4 events per request) and 111-126
+#: (median 123) with an ``Event`` per leg and both ticks (13.9), seven
+#: alternating runs each on the same 2-core host while its raw loop
+#: swung between 0.83 and 1.08 us per event: the ceiling sits between
+#: the medians.  (Before that: 122-136 with the ticks, 121-159 with a
+#: start tick and an ``Event`` per hop as well.)  ``tests/test_cluster.py``
+#: pins the event and call counts themselves, which no host can blur.
+_RACK_US_PER_REQ_TO_RAW_US_PER_EVENT_CEILING = 112.0
 
 
 def test_rack_run_reports_engine_throughput(benchmark):

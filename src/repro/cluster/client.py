@@ -116,7 +116,7 @@ class Client:
             # tick: an empty fan-out completes inside start_write
             self.sim.schedule_after(0.0, self._note_done)
             return
-        storage_us = max(r.payload.get("storage_us", 0.0) for r in replies)
+        storage_us = max([r.payload.get("storage_us", 0.0) for r in replies])
         self.metrics.record(
             "write", self.sim.now - t0, at=self.sim.now, storage_us=storage_us
         )

@@ -222,8 +222,12 @@ class KyberIoScheduler:
 
     def pop(self, now: float, eligible: Eligible = None) -> Optional[IoRequest]:
         """Dispatch per Kyber's read-preferring, feedback-scaled shares."""
-        read_idx = _first_eligible(self._reads, eligible)
-        write_idx = _first_eligible(self._writes, eligible)
+        if eligible is None:  # the common case, without two calls
+            read_idx = 0 if self._reads else None
+            write_idx = 0 if self._writes else None
+        else:
+            read_idx = _first_eligible(self._reads, eligible)
+            write_idx = _first_eligible(self._writes, eligible)
         if read_idx is None and write_idx is None:
             return None
         if write_idx is None:

@@ -72,6 +72,8 @@ class StorageServer:
         #: the scheduler's selection scans skip the per-candidate check in
         #: the common uncongested case.
         self._vssd_blocked: set = set()
+        #: True while ``_dispatch`` runs its loop (see there).
+        self._dispatching = False
         self.reads_received = 0
         self.writes_received = 0
         self.reads_completed = 0
@@ -207,17 +209,28 @@ class StorageServer:
 
     def _dispatch(self) -> None:
         """Move requests from the scheduler to the device while slots are
-        free.  Runs whenever a request is queued or a slot is released."""
-        while self._queued and self._inflight < self.max_inflight:
-            eligible = self._dispatchable if self._vssd_blocked else None
-            request = self.scheduler.pop(self.sim.now, eligible)
-            if request is None:
-                return
-            self._queued -= 1
-            self._inflight += 1
-            self._vssd_acquire(request.vssd_id)
-            # tick: was Process start
-            self.sim.schedule_after(0.0, partial(self._service, request))
+        free.  Runs whenever a request is queued or a slot is released.
+
+        A request reaches the device inside this call.  One the device
+        refuses fails synchronously, and its ``_dispatch`` -- like that of
+        a flush queued by the refusal -- returns at once: this loop is
+        already running and serves the next request in policy order, so
+        a run of refusals never recurses."""
+        if self._dispatching:
+            return
+        self._dispatching = True
+        try:
+            while self._queued and self._inflight < self.max_inflight:
+                eligible = self._dispatchable if self._vssd_blocked else None
+                request = self.scheduler.pop(self.sim.now, eligible)
+                if request is None:
+                    return
+                self._queued -= 1
+                self._inflight += 1
+                self._vssd_acquire(request.vssd_id)
+                self._service(request)
+        finally:
+            self._dispatching = False
 
     def _service(self, request: IoRequest) -> None:
         vssd = self._vssds[request.vssd_id]
@@ -255,7 +268,7 @@ class StorageServer:
     def _service_done(self, request: IoRequest, vssd: VSsd, trace,
                       service_start: float, gc_seen: bool) -> None:
         # Free the slot and refill it before completing this request, so a
-        # queued request's service tick precedes our response in the heap.
+        # queued request reaches the device before our response leaves.
         self._inflight -= 1
         self._vssd_release(request.vssd_id)
         self._dispatch()

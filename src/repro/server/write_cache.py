@@ -13,7 +13,6 @@ coordinated GC like any other request.
 """
 
 from collections import OrderedDict, deque
-from functools import partial
 from typing import Callable, Deque, Generator, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -57,6 +56,8 @@ class WriteCache:
         self._admission_waiters: Deque[_ParkedAdmission] = deque()
         #: True while the flusher sits out its low-pressure dwell.
         self._dwelling = False
+        #: True while ``_run_flusher`` runs its loop (see there).
+        self._flushing = False
         self._outstanding = 0
         #: Called each time the last dirty page reaches flash.  The live
         #: service's pump ends its turn here: an acked write's flush is
@@ -103,8 +104,10 @@ class WriteCache:
             return
         self._dirty[key] = vssd
         self.admissions += 1
-        self._run_flusher()
+        # Ack, then flush: the acks of admissions a flusher loop wakes
+        # leave in admission order.
         then()
+        self._run_flusher()
 
     def _wake_one_admission(self) -> None:
         if self._admission_waiters:
@@ -120,16 +123,26 @@ class WriteCache:
     def _run_flusher(self) -> None:
         """Drain dirty pages, lazily below the watermark, aggressively
         above it, with bounded parallelism.  Runs whenever a page is
-        admitted or a flush completes; a dwell in progress absorbs both."""
-        if self._dwelling:
+        admitted or a flush completes; a dwell in progress absorbs both.
+
+        A flush is submitted inside this loop.  One the device refuses
+        completes synchronously and wakes a parked admission, whose call
+        back in here returns at once: this loop is already running and
+        flushes the newly admitted page, so a run of refusals never
+        recurses."""
+        if self._dwelling or self._flushing:
             return
-        while self._dirty and self._outstanding < self.flush_parallelism:
-            if self.occupancy < self.flush_watermark:
-                # Light pressure: batch lazily behind a dwell.
-                self._dwelling = True
-                self.sim.schedule_after(_DWELL_US, self._dwell_over)
-                return
-            self._flush_oldest()
+        self._flushing = True
+        try:
+            while self._dirty and self._outstanding < self.flush_parallelism:
+                if self.occupancy < self.flush_watermark:
+                    # Light pressure: batch lazily behind a dwell.
+                    self._dwelling = True
+                    self.sim.schedule_after(_DWELL_US, self._dwell_over)
+                    return
+                self._flush_oldest()
+        finally:
+            self._flushing = False
 
     def _dwell_over(self) -> None:
         self._dwelling = False
@@ -140,14 +153,10 @@ class WriteCache:
     def _flush_oldest(self) -> None:
         key, vssd = self._dirty.popitem(last=False)
         self._outstanding += 1
-        # tick: was Process start
-        self.sim.schedule_after(0.0, partial(self._flush_one, vssd, key[1]))
-
-    def _flush_one(self, vssd: VSsd, lpn: int) -> None:
         if self.submit_fn is not None:
-            self.submit_fn(vssd, lpn, self._flush_done)
+            self.submit_fn(vssd, key[1], self._flush_done)
         else:
-            vssd.start_write(lpn, self._flush_done, self._flush_failed)
+            vssd.start_write(key[1], self._flush_done, self._flush_failed)
 
     def _flush_done(self) -> None:
         self._outstanding -= 1

@@ -45,7 +45,8 @@ class CountMinSketch:
     def add(self, key: str, count: int = 1) -> None:
         if count < 0:
             raise ConfigError("count must be >= 0")
-        for row, pos in zip(self._rows, self._positions(key)):
+        positions = _sketch_positions(key, self.width, self.depth)
+        for row, pos in zip(self._rows, positions):
             row[pos] += count
         self.total += count
 

@@ -1,5 +1,7 @@
 """Tests for predictor, idle predictor, write cache, GC monitor, server."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,12 +248,45 @@ class TestWriteCache:
 
     def test_admit_process_adapter_matches_the_callback_core(self):
         sim, _, vssd = make_server()
-        cache = WriteCache(sim, capacity_pages=1,
-                           submit_fn=lambda vssd, lpn, then: then())
+        # Each flush takes 1 us, so the one-page cache holds the second
+        # and third admissions until a flush frees the slot.
+        cache = WriteCache(
+            sim, capacity_pages=1,
+            submit_fn=lambda vssd, lpn, then: sim.schedule_after(1.0, then),
+        )
         done = [sim.spawn(cache.admit(vssd, lpn)) for lpn in range(3)]
         sim.run(until=10.0)
         assert all(process.triggered for process in done)
         assert cache.admissions == 3 and cache.full_stalls == 2
+        assert cache.flushes == 3 and cache.clean
+
+    def test_a_synchronous_flush_never_recurses(self):
+        # A device that answers (or refuses) a flush inside the submit
+        # call: each completion wakes a parked admission, and the flusher
+        # loop -- not a nested call per page -- flushes it.
+        sim, _, vssd = make_server()
+        depths = []
+
+        def submit(vssd, lpn, then):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            depths.append(depth)
+            then()
+
+        cache = WriteCache(sim, capacity_pages=4, submit_fn=submit)
+        admitted = []
+        pages = 3 * sys.getrecursionlimit()
+        for lpn in range(pages):
+            cache.start_admit(vssd, lpn, lambda lpn=lpn: admitted.append(lpn))
+        # Below the watermark the first pages wait out a dwell; the rest
+        # park behind the full cache.
+        assert len(admitted) == 4 and cache.full_stalls == pages - 4
+        sim.run(until=1000.0)
+        assert admitted == list(range(pages))
+        assert cache.admissions == cache.flushes == pages
+        assert cache.full_stalls == pages - 4 and cache.clean
+        assert max(depths) - min(depths) < 10
 
     def test_validation(self):
         sim = Simulator()
@@ -349,6 +384,45 @@ class TestStorageServerReads:
         assert server.requests_failed == 1
         assert server.reads_completed == 2 and len(responses) == 2
         assert server._inflight == 0 and not server._vssd_blocked
+
+    def test_synchronous_refusals_are_served_by_one_dispatch_loop(self):
+        # Every refusal frees its slot inside the dispatch that handed the
+        # request over: the next queued request goes to the device in the
+        # same instant, in the policy's order, without a nested dispatch.
+        responses = []
+        sim, server, vssd = make_server(
+            respond_fn=lambda pkt, srv: responses.append(
+                (pkt.payload["lpn"], sim.now))
+        )
+        server.max_inflight = 1
+        accepted = []
+        start_read = vssd.start_read
+
+        def recording_start_read(lpn, then, fail=None):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            accepted.append((lpn, sim.now, depth))
+            start_read(lpn, then, fail)
+
+        vssd.start_read = recording_start_read
+        bad = vssd.logical_pages
+        lpns = [0] + [bad + i for i in range(3 * sys.getrecursionlimit())] + [1]
+        for lpn in lpns:
+            pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
+            pkt.payload["lpn"] = lpn
+            server.receive_packet(pkt)
+        sim.run(until=10 * MSEC)
+        assert server.requests_failed == len(lpns) - 2
+        assert server.reads_completed == 2 and server._inflight == 0
+        [(_, first_done), (last_lpn, _)] = responses
+        assert [lpn for lpn, _, _ in accepted] == lpns  # FIFO policy order
+        assert last_lpn == 1
+        # Every refused request and the last read left when the first
+        # read completed, one dispatch loop deep.
+        assert {at for _, at, _ in accepted[1:]} == {first_done}
+        depths = [depth for _, _, depth in accepted[1:]]
+        assert max(depths) == min(depths)
 
     def test_bad_address_is_contained_behind_the_token_bucket_wait(self):
         from repro.vssd.token_bucket import TokenBucket

@@ -104,59 +104,60 @@ def trajectory(case: str, requests_per_pair: int = 1200):
     return digest, counters
 
 
-#: Recorded at a4252013 (PR 13), before the data path became callback
-#: state machines.
-PINNED = {'crash_recover': ('e402fe8a73ae6f74b29ede21bd963654d2e94131',
+#: Recorded once a dispatched request reached the device, and a flush the
+#: server's scheduler, in the call that released it (no zero-delay
+#: service or flush tick).
+PINNED = {'crash_recover': ('52ebbe3a29ae84e4540f35ed3ca34603f9ec8222',
                    {'erase_suspensions': 0,
-                    'gc_blocked_reads': 1,
+                    'gc_blocked_reads': 5,
                     'gc_runs': 5,
                     'gc_writes': 0,
-                    'host_writes': 29859,
-                    'redirects': 310,
+                    'host_writes': 29871,
+                    'redirects': 334,
                     'samples': 3600,
                     'throttle_delay_us': 0}),
- 'erase_suspend': ('f406f7ca3049b1448bd37d35312f93919d7c8189',
-                   {'erase_suspensions': 86,
+ 'erase_suspend': ('0c2874b7c408463b6efcd109677c258a7c8de1eb',
+                   {'erase_suspensions': 87,
                     'gc_blocked_reads': 204,
                     'gc_runs': 3,
                     'gc_writes': 401,
-                    'host_writes': 32487,
+                    'host_writes': 32479,
                     'redirects': 0,
                     'samples': 3600,
                     'throttle_delay_us': 0}),
- 'rackblox': ('278f4f2338d159fa10df3d76577b9a52f22e2c07',
+ 'rackblox': ('65c48251ec832917db2941d81a63e2ba6eed70b4',
               {'erase_suspensions': 0,
                'gc_blocked_reads': 5,
                'gc_runs': 2,
-               'gc_writes': 290,
+               'gc_writes': 272,
                'host_writes': 32474,
                'redirects': 201,
                'samples': 3600,
                'throttle_delay_us': 0}),
- 'rackblox_software': ('8c3883c13ae22eec6109df54e7e0db113c97b7f0',
+ 'rackblox_software': ('8b5f25a0bb46a197a2fa7a4e11fc5d0c8a126e05',
                        {'erase_suspensions': 0,
                         'gc_blocked_reads': 1,
                         'gc_runs': 6,
                         'gc_writes': 0,
-                        'host_writes': 32305,
-                        'redirects': 188,
+                        'host_writes': 32306,
+                        'redirects': 187,
                         'samples': 3600,
                         'throttle_delay_us': 0}),
- 'sw_isolated': ('034c47ddeaad7dbc47e3bbca882f01a892c9ed8f',
+ 'sw_isolated': ('e1d347b2f369ca5ef839e2c6dd0bd9a64ba18dac',
                  {'erase_suspensions': 0,
                   'gc_blocked_reads': 0,
                   'gc_runs': 4,
-                  'gc_writes': 1307,
-                  'host_writes': 22651,
+                  'gc_writes': 1335,
+                  'host_writes': 22644,
                   'redirects': 0,
                   'samples': 4800,
-                  'throttle_delay_us': 3201692.644143687}),
- 'vdc': ('f3b7ccc1b600318f7e7545c88a2def11d75a5e6e',
+                  'throttle_delay_us': 3199591.193524612}),
+ 'vdc': ('08e57b462de69b9f83874fa76f01077e1852a8ac',
          {'erase_suspensions': 0,
           'gc_blocked_reads': 204,
           'gc_runs': 3,
-          'gc_writes': 422,
-          'host_writes': 32420,
+          'gc_writes': 423,
+          'host_writes': 32423,
           'redirects': 0,
           'samples': 3600,
           'throttle_delay_us': 0})}

@@ -492,7 +492,7 @@ class Rack:
         if trace is not None:
             if target == "replica":
                 trace.attrs["hedged"] = True
-            then = self._traced(trace, pkt, then)
+            self._carry_trace(trace, pkt)
         self._pending[rid] = then
         self.send_from_client(pkt, client, priority)
 
@@ -530,24 +530,17 @@ class Rack:
                 lpn=lpn, vssd=vssd.vssd_id,
                 role="primary" if vssd is pair.primary else "replica",
             )
-            leg = partial(join.arrive, index)
             if trace is not None:
-                leg = self._traced(trace, pkt, leg)
-            self._pending[rid] = leg
+                self._carry_trace(trace, pkt)
+            self._pending[rid] = partial(join.arrive, index)
             self.send_from_client(pkt, client, priority)
 
-    def _traced(self, trace, pkt: Packet, then: Callable[[Packet], None]):
+    def _carry_trace(self, trace, pkt: Packet) -> None:
         """A sampled leg: ``pkt`` carries ``trace`` through the rack, and
-        the trace finishes just before ``then`` runs."""
+        the trace finishes as the reply reaches the client edge."""
         if self.degraded():
             trace.attrs["degraded"] = True
         pkt.payload["trace"] = trace
-        return partial(self._finish_trace, trace, then)
-
-    def _finish_trace(self, trace, then: Callable[[Packet], None],
-                      reply: Packet) -> None:
-        self.tracer.finish(trace, self.sim.now)
-        then(reply)
 
     def issue_read(self, pair: ReplicaPair, lpn: int, client: str = "live",
                    priority: int = 1, target: str = "primary") -> Event:
@@ -678,6 +671,8 @@ class Rack:
             trace.add_span("net.tor_to_client", return_start, self.sim.now)
         then = self._pending.pop(pkt.payload.get("rid"), None)
         if then is not None:
+            if trace is not None:
+                self.tracer.finish(trace, self.sim.now)
             then(pkt)
 
     # -------------------------------------------- software redirection (RB-SW)

@@ -753,10 +753,6 @@ class Rack:
 
     # ----------------------------------------------------------------- stats
 
-    def is_server_alive(self, ip: str) -> bool:
-        """The client-visible membership view (post-detection)."""
-        return ip not in self.failed_ips
-
     def delete_pair(self, pair: ReplicaPair) -> None:
         """Tear down a replica pair: del_vssd both members (Table 1).
 

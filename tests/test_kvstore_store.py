@@ -225,7 +225,7 @@ class TestCallbackCores:
         # What an adapter adds is its process's start tick.
         assert adapters[3] - cores[3] == len(self._sequence())
 
-    def test_a_replica_leg_lost_at_a_dead_server_never_completes_the_put(self):
+    def test_a_replica_leg_lost_at_a_dead_server_never_completes(self):
         rack, store = make_store()
         pair = rack.pairs[store._route("k")[0]]
         rack.server_by_ip[pair.replica_server_ip].alive = False
@@ -238,7 +238,7 @@ class TestCallbackCores:
         assert store.puts == 0 and not store.contains("k")
         assert store.metrics.write_total.count == 0
 
-    def test_an_error_in_a_continuation_surfaces_where_the_leg_lands(self):
+    def test_an_error_in_a_continuation_surfaces_where_it_lands(self):
         rack, store = make_store()
 
         def boom(_latency):

@@ -178,7 +178,7 @@ class FailureManager:
         target.host_vssd(new_vssd)
         # Copy the survivor's live pages: read there, write here.
         copied = 0
-        for lpn in sorted(survivor.ftl._map):  # noqa: SLF001 - rebuild walks the map
+        for lpn in survivor.ftl.mapped_lpns():
             yield self.sim.spawn(survivor.read(lpn))
             yield self.sim.spawn(new_vssd.write(lpn))
             copied += 1

@@ -389,7 +389,7 @@ class Rack:
             target_ratio = 1.0 - fill
             lpn = 0
             while ftl.free_block_ratio() > target_ratio:
-                ftl.place_write(lpn % working_set)
+                ftl.place_ppn(lpn % working_set)
                 lpn += 1
 
     def working_set_pages(self, pair: ReplicaPair, fraction: float = 0.5) -> int:

@@ -18,6 +18,11 @@ class PageState(enum.Enum):
     INVALID = "invalid"
 
 
+# A page's state is one byte of its block's ``bytearray``; erased is zero.
+_FREE, _VALID, _INVALID = 0, 1, 2
+_STATES = (PageState.FREE, PageState.VALID, PageState.INVALID)
+
+
 class Block:
     """One erase block: a sequentially-programmed array of pages."""
 
@@ -29,7 +34,7 @@ class Block:
             raise FlashError(f"pages_per_block must be positive, got {pages_per_block}")
         self.block_id = block_id
         self.pages_per_block = pages_per_block
-        self._states: List[PageState] = [PageState.FREE] * pages_per_block
+        self._states = bytearray(pages_per_block)
         self._write_ptr = 0
         self.valid_count = 0
         #: Programmed pages since gone stale -- what greedy GC ranks
@@ -53,27 +58,28 @@ class Block:
 
     def page_state(self, page: int) -> PageState:
         self._check_page(page)
-        return self._states[page]
+        return _STATES[self._states[page]]
 
     def program_next(self) -> int:
         """Program the next sequential page; returns its index."""
-        if self.is_full:
-            raise FlashError(f"block {self.block_id} is full")
         page = self._write_ptr
-        self._states[page] = PageState.VALID
-        self._write_ptr += 1
+        if page >= self.pages_per_block:
+            raise FlashError(f"block {self.block_id} is full")
+        self._states[page] = _VALID
+        self._write_ptr = page + 1
         self.valid_count += 1
         return page
 
     def invalidate(self, page: int) -> None:
         """Mark a previously valid page as stale (out-of-place overwrite)."""
-        self._check_page(page)
-        if self._states[page] is not PageState.VALID:
+        if not 0 <= page < self.pages_per_block:
+            self._check_page(page)  # raises
+        if self._states[page] != _VALID:
             raise FlashError(
-                f"block {self.block_id} page {page} is {self._states[page].value}, "
-                "cannot invalidate"
+                f"block {self.block_id} page {page} is "
+                f"{_STATES[self._states[page]].value}, cannot invalidate"
             )
-        self._states[page] = PageState.INVALID
+        self._states[page] = _INVALID
         self.valid_count -= 1
         self.invalid_count += 1
 
@@ -84,18 +90,15 @@ class Block:
                 f"block {self.block_id} still holds {self.valid_count} valid pages; "
                 "migrate them before erasing"
             )
-        self._states = [PageState.FREE] * self.pages_per_block
+        self._states = bytearray(self.pages_per_block)
         self._write_ptr = 0
         self.invalid_count = 0
         self.erase_count += 1
 
     def valid_pages(self) -> List[int]:
         """Indexes of the pages currently holding live data."""
-        return [
-            page
-            for page in range(self._write_ptr)
-            if self._states[page] is PageState.VALID
-        ]
+        states = self._states
+        return [page for page in range(self._write_ptr) if states[page] == _VALID]
 
     def _check_page(self, page: int) -> None:
         if not 0 <= page < self.pages_per_block:

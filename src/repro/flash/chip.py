@@ -6,6 +6,7 @@ the shared bus, matching the paper's observation that "an SSD channel
 cannot issue new I/O requests during GC".
 """
 
+from array import array
 from typing import List, Optional
 
 from repro.errors import FlashError, OutOfSpaceError
@@ -20,6 +21,11 @@ class FlashChip:
         self.blocks: List[Block] = [
             Block(block_id, pages_per_block) for block_id in range(blocks_per_chip)
         ]
+        #: The reverse map, one word per page (``block_id * pages_per_block
+        #: + page``): the logical page a VALID page holds, else -1.  It
+        #: lives with the chip, not the FTL, so whoever collects a block --
+        #: its owner, or the vSSD that borrowed it -- finds its pages here.
+        self.rmap = array("q", [-1]) * (blocks_per_chip * pages_per_block)
         #: Blocks that are fully erased and hold no data, newest last.
         self._free_blocks: List[int] = list(range(blocks_per_chip))
 

@@ -8,37 +8,34 @@ the free-block accounting that drives the paper's soft/hard GC thresholds.
 The FTL is *pure state*: it decides placement and updates mappings, while
 the timed channel operations are issued by the owning vSSD.  This split
 keeps the state machine testable without a simulator.
+
+Its tables cost bytes per page, as a device's do: the forward map is one
+word per logical page holding a packed physical page number (a *ppn*),
+the reverse map is one word per physical page kept by the chip
+(:attr:`FlashChip.rmap`), and page states are a byte each in their block.
+A :class:`PhysicalAddr` is built only where the API hands one out.
 """
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import AddressError, FlashError, OutOfSpaceError
-from repro.flash.block import Block
+from repro.flash.block import Block, PageState
 from repro.flash.chip import FlashChip
 
+# A ppn is ``slot << _SLOT_SHIFT | block_id * pages_per_block + page``:
+# ``slot`` indexes the FTL's chips, the low bits index the chip's rmap.
+_SLOT_SHIFT = 32
+_PAGE_MASK = (1 << _SLOT_SHIFT) - 1
 
-@dataclass(frozen=True)
-class PhysicalAddr:
+
+class PhysicalAddr(NamedTuple):
     """A physical flash location: chip object + block + page."""
-
-    # One instance per mapped page: slots halve the mapping table's memory.
-    # (``dataclass(slots=True)`` needs Python 3.10; we support 3.9.)
-    __slots__ = ("chip", "block_id", "page")
 
     chip: FlashChip
     block_id: int
     page: int
-
-    # Frozen + slots: the default slot-state restore goes through
-    # ``setattr`` and trips the frozen guard, so pickle and deepcopy need
-    # the state protocol spelled out (as ``dataclass(slots=True)`` does).
-    def __getstate__(self) -> Tuple[FlashChip, int, int]:
-        return (self.chip, self.block_id, self.page)
-
-    def __setstate__(self, state: Tuple[FlashChip, int, int]) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
 
     def key(self) -> Tuple[int, int, int]:
         return (self.chip.chip_id, self.block_id, self.page)
@@ -49,8 +46,10 @@ class BorrowedBlock:
     """A free block loaned by a collocated vSSD (channel-group borrowing)."""
 
     chip: FlashChip
-    block_id: int
+    block: Block
     lender: "PageMappedFtl"
+    #: The borrower's ppn of the block's first page.
+    base: int
 
 
 class PageMappedFtl:
@@ -78,19 +77,23 @@ class PageMappedFtl:
         self.total_physical_pages = total_pages
         self.total_blocks = sum(c.blocks_per_chip for c in chips)
 
-        #: lpn -> PhysicalAddr for every written logical page.
-        self._map: Dict[int, PhysicalAddr] = {}
-        #: (chip_id, block_id, page) -> lpn, for GC migrations.
-        self._rmap: Dict[Tuple[int, int, int], int] = {}
-        #: Per-chip active (write) block; allocated lazily.
-        self._active: Dict[int, Optional[Block]] = {c.chip_id: None for c in chips}
-        self._chips_by_id = {c.chip_id: c for c in chips}
+        #: lpn -> ppn, -1 for a logical page never written (or trimmed).
+        self._map = array("q", [-1]) * self.logical_pages
+        self._mapped = 0
+        #: The chips a ppn's slot names: the owned chips, then every chip
+        #: a block was borrowed from.
+        self._slots: List[FlashChip] = list(chips)
+        #: Per owned chip (by slot), the active write block; allocated lazily.
+        self._active: List[Optional[Block]] = [None] * len(chips)
         self._next_chip = 0
 
-        #: Blocks currently borrowed from collocated vSSDs, unused ones first.
+        #: Borrowed blocks not yet full, the one being written first.
         self._borrowed_free: List[BorrowedBlock] = []
-        #: Borrowed blocks now holding our data (returned after GC erases them).
-        self._borrowed_in_use: Dict[Tuple[int, int], BorrowedBlock] = {}
+        #: Every block borrowed from a collocated vSSD and not yet returned
+        #: (GC erases it and hands it back).
+        self._borrowed: Dict[Block, BorrowedBlock] = {}
+        #: Owned blocks lent out: the borrower writes and collects them.
+        self._lent: Set[Block] = set()
 
         # Statistics for write-amplification reporting.
         self.host_writes = 0
@@ -101,8 +104,22 @@ class PageMappedFtl:
 
     def lookup(self, lpn: int) -> Optional[PhysicalAddr]:
         """Physical location of a logical page, or ``None`` if unwritten."""
+        ppn = self.lookup_ppn(lpn)
+        return None if ppn < 0 else self._addr(ppn)
+
+    def lookup_ppn(self, lpn: int) -> int:
+        """:meth:`lookup` as a packed ppn (see :meth:`chip_of`), -1 if
+        unwritten."""
         self._check_lpn(lpn)
-        return self._map.get(lpn)
+        return self._map[lpn]
+
+    def chip_of(self, ppn: int) -> FlashChip:
+        """The chip a ppn this FTL handed out lies on."""
+        return self._slots[ppn >> _SLOT_SHIFT]
+
+    def mapped_lpns(self) -> List[int]:
+        """Every mapped logical page, in increasing order."""
+        return [lpn for lpn, ppn in enumerate(self._map) if ppn >= 0]
 
     # ----------------------------------------------------------------- writes
 
@@ -112,60 +129,79 @@ class PageMappedFtl:
         The previous location (if any) is invalidated -- the out-of-place
         write discipline that makes GC necessary in the first place.
         """
-        self._check_lpn(lpn)
-        old = self._map.get(lpn)
-        addr = self._program_somewhere(lpn)
-        if old is not None:
-            old.chip.blocks[old.block_id].invalidate(old.page)
-            self._rmap.pop(old.key(), None)
-        self._map[lpn] = addr
-        self._rmap[addr.key()] = lpn
-        self.host_writes += 1
-        return addr
+        return self._addr(self.place_ppn(lpn))
 
-    def _program_somewhere(self, lpn: int) -> PhysicalAddr:
-        """Program one page on the next chip in the stripe order."""
-        n = len(self.chips)
+    def place_ppn(self, lpn: int) -> int:
+        """:meth:`place_write` returning the packed ppn."""
+        self._check_lpn(lpn)
+        ppn = self._remap(lpn)
+        self.host_writes += 1
+        return ppn
+
+    def trim(self, lpn: int) -> None:
+        """Discard a logical page (invalidate without rewriting)."""
+        self._check_lpn(lpn)
+        old = self._map[lpn]
+        if old >= 0:
+            self._map[lpn] = -1
+            self._mapped -= 1
+            self._invalidate(old)
+
+    def _remap(self, lpn: int) -> int:
+        """The placement core of host writes and GC migrations: program a
+        page for ``lpn``, map it there and invalidate the page it
+        replaces.  Returns the new ppn."""
+        ppn = self._program(lpn)
+        old = self._map[lpn]
+        self._map[lpn] = ppn
+        if old < 0:
+            self._mapped += 1
+        else:
+            self._invalidate(old)
+        return ppn
+
+    def _program(self, lpn: int) -> int:
+        """Program one page on the next chip in the stripe order, or on a
+        borrowed block once every owned chip is full, and record ``lpn``
+        in that chip's reverse map.  Returns the page's ppn."""
+        chips = self.chips
+        n = len(chips)
         for offset in range(n):
-            chip = self.chips[(self._next_chip + offset) % n]
-            try:
-                addr = self._program_on_chip(chip)
-            except OutOfSpaceError:
-                continue
-            self._next_chip = (self._next_chip + offset + 1) % n
-            return addr
+            slot = (self._next_chip + offset) % n
+            block = self._active[slot]
+            if block is None or block.is_full:
+                try:
+                    block = chips[slot].allocate_block()
+                except OutOfSpaceError:
+                    continue
+                self._active[slot] = block
+            self._next_chip = (slot + 1) % n
+            index = block.block_id * self.pages_per_block + block.program_next()
+            chips[slot].rmap[index] = lpn
+            return slot << _SLOT_SHIFT | index
         # Owned chips exhausted; spill into borrowed blocks if any.
         if self._borrowed_free:
-            return self._program_on_borrowed()
+            borrowed = self._borrowed_free[0]
+            ppn = borrowed.base + borrowed.block.program_next()
+            if borrowed.block.is_full:
+                self._borrowed_free.pop(0)
+            borrowed.chip.rmap[ppn & _PAGE_MASK] = lpn
+            return ppn
         raise OutOfSpaceError(
             f"FTL {self.name}: no free pages on any owned chip "
             f"(free blocks={self.free_blocks_total()})"
         )
 
-    def _program_on_chip(self, chip: FlashChip) -> PhysicalAddr:
-        active = self._active[chip.chip_id]
-        if active is None or active.is_full:
-            active = chip.allocate_block()  # raises OutOfSpaceError when empty
-            self._active[chip.chip_id] = active
-        page = active.program_next()
-        return PhysicalAddr(chip, active.block_id, page)
+    def _invalidate(self, ppn: int) -> None:
+        chip = self._slots[ppn >> _SLOT_SHIFT]
+        index = ppn & _PAGE_MASK
+        block_id, page = divmod(index, self.pages_per_block)
+        chip.blocks[block_id].invalidate(page)
+        chip.rmap[index] = -1
 
-    def _program_on_borrowed(self) -> PhysicalAddr:
-        borrowed = self._borrowed_free[0]
-        block = borrowed.chip.blocks[borrowed.block_id]
-        page = block.program_next()
-        if block.is_full:
-            self._borrowed_free.pop(0)
-        self._borrowed_in_use[(borrowed.chip.chip_id, borrowed.block_id)] = borrowed
-        return PhysicalAddr(borrowed.chip, borrowed.block_id, page)
-
-    def trim(self, lpn: int) -> None:
-        """Discard a logical page (invalidate without rewriting)."""
-        self._check_lpn(lpn)
-        old = self._map.pop(lpn, None)
-        if old is not None:
-            old.chip.blocks[old.block_id].invalidate(old.page)
-            self._rmap.pop(old.key(), None)
+    def _addr(self, ppn: int) -> PhysicalAddr:
+        block_id, page = divmod(ppn & _PAGE_MASK, self.pages_per_block)
+        return PhysicalAddr(self._slots[ppn >> _SLOT_SHIFT], block_id, page)
 
     # ------------------------------------------------------------ free space
 
@@ -184,19 +220,32 @@ class PageMappedFtl:
     # ------------------------------------------------------------------- GC
 
     def select_victim(self, scorer=None) -> Optional[PhysicalAddr]:
-        """Victim across owned chips; highest ``scorer(block)`` wins.
+        """Victim among the blocks this FTL collects; highest
+        ``scorer(block)`` wins.
 
         The default scorer is greedy (most invalid pages).  Wear-aware
         policies pass their own scorer to fold erase counts in.  Returns
         the victim as a ``PhysicalAddr`` with ``page=0`` (the block is what
-        matters), or ``None`` when no block has stale pages.  Active write
-        blocks are exempt.
+        matters), or ``None`` when no block has stale pages.  Owned blocks
+        are candidates except the active write blocks and blocks lent out;
+        borrowed blocks are candidates once full.
         """
+        # (chip, blocks with stale pages, the block exempt as active)
+        pools = [
+            (chip, chip.victim_candidates(), active)
+            for chip, active in zip(self.chips, self._active)
+        ]
+        if self._borrowed:
+            pools += [
+                (borrowed.chip, [borrowed.block], None)
+                for borrowed in self._borrowed.values()
+                if borrowed.block.invalid_count > 0 and borrowed.block.is_full
+            ]
+        lent = self._lent
         best: Optional[Tuple[float, FlashChip, Block]] = None
-        for chip in self.chips:
-            active = self._active[chip.chip_id]
-            for block in chip.victim_candidates():
-                if active is not None and block.block_id == active.block_id:
+        for chip, blocks, active in pools:
+            for block in blocks:
+                if block is active or block in lent:
                     continue
                 score = block.invalid_count if scorer is None else scorer(block)
                 if best is None or score > best[0]:
@@ -209,48 +258,48 @@ class PageMappedFtl:
     def has_stale(self) -> bool:
         """Whether :meth:`select_victim` would find a victim, without the
         whole-device scan: stops at the first eligible block."""
-        for chip in self.chips:
-            active = self._active[chip.chip_id]
+        lent = self._lent
+        for chip, active in zip(self.chips, self._active):
             for block in chip.blocks:
-                if block.invalid_count > 0 and block is not active:
+                if block.invalid_count > 0 and block is not active and block not in lent:
                     return True
+        for borrowed in self._borrowed.values():
+            if borrowed.block.invalid_count > 0 and borrowed.block.is_full:
+                return True
         return False
 
     def victim_valid_lpns(self, victim: PhysicalAddr) -> List[int]:
         """Logical pages that must be migrated before erasing the victim."""
-        block = victim.chip.blocks[victim.block_id]
+        chip = victim.chip
+        first = victim.block_id * self.pages_per_block
+        base = self._slots.index(chip) << _SLOT_SHIFT | first
+        rmap, fmap, logical = chip.rmap, self._map, self.logical_pages
         lpns = []
-        for page in block.valid_pages():
-            key = (victim.chip.chip_id, victim.block_id, page)
-            lpn = self._rmap.get(key)
-            if lpn is None:
+        for page in chip.blocks[victim.block_id].valid_pages():
+            lpn = rmap[first + page]
+            if not (0 <= lpn < logical and fmap[lpn] == base + page):
                 raise FlashError(
-                    f"FTL {self.name}: valid page {key} has no reverse mapping"
+                    f"FTL {self.name}: valid page {(chip.chip_id, victim.block_id, page)} "
+                    "has no reverse mapping"
                 )
             lpns.append(lpn)
         return lpns
 
     def migrate_page(self, lpn: int) -> Tuple[PhysicalAddr, PhysicalAddr]:
         """Move one valid page out of a GC victim; returns (old, new)."""
-        old = self._map.get(lpn)
-        if old is None:
+        old = self._map[lpn] if 0 <= lpn < self.logical_pages else -1
+        if old < 0:
             raise AddressError(f"lpn {lpn} is not mapped")
-        new = self._program_somewhere(lpn)
-        old.chip.blocks[old.block_id].invalidate(old.page)
-        self._rmap.pop(old.key(), None)
-        self._map[lpn] = new
-        self._rmap[new.key()] = lpn
+        new = self._remap(lpn)
         self.gc_writes += 1
-        return old, new
+        return self._addr(old), self._addr(new)
 
     def commit_erase(self, victim: PhysicalAddr) -> None:
         """Erase bookkeeping for a fully migrated victim block."""
         block = victim.chip.blocks[victim.block_id]
         block.erase()
         self.gc_erases += 1
-        borrowed = self._borrowed_in_use.pop(
-            (victim.chip.chip_id, victim.block_id), None
-        )
+        borrowed = self._borrowed.pop(block, None)
         if borrowed is not None:
             # Borrowed blocks are erased (the paper erases them "for
             # security") and handed back to the lender's free pool.
@@ -265,26 +314,36 @@ class PageMappedFtl:
 
         Returns how many blocks were actually transferred.  Lending never
         drains the pool completely: one free block per chip is retained so
-        the lender can still allocate an active block.
+        the lender can still allocate an active block.  A lent block is
+        the borrower's until its GC erases it and returns it.
         """
         granted = 0
         for chip in self.chips:
             while granted < count and chip.free_block_count > 1:
                 block = chip.allocate_block()
-                borrower._borrowed_free.append(  # noqa: SLF001
-                    BorrowedBlock(chip=chip, block_id=block.block_id, lender=self)
-                )
+                self._lent.add(block)
+                borrower._borrow(chip, block, self)  # noqa: SLF001
                 granted += 1
             if granted >= count:
                 break
         return granted
 
+    def _borrow(self, chip: FlashChip, block: Block, lender: "PageMappedFtl") -> None:
+        if chip not in self._slots:
+            self._slots.append(chip)
+        base = (self._slots.index(chip) << _SLOT_SHIFT
+                | block.block_id * self.pages_per_block)
+        borrowed = BorrowedBlock(chip, block, lender, base)
+        self._borrowed_free.append(borrowed)
+        self._borrowed[block] = borrowed
+
     def _receive_returned_block(self, borrowed: BorrowedBlock) -> None:
-        borrowed.chip.release_block(borrowed.chip.blocks[borrowed.block_id])
+        self._lent.discard(borrowed.block)
+        borrowed.chip.release_block(borrowed.block)
 
     @property
     def borrowed_block_count(self) -> int:
-        return len(self._borrowed_free) + len(self._borrowed_in_use)
+        return len(self._borrowed)
 
     # ------------------------------------------------------------ statistics
 
@@ -295,30 +354,47 @@ class PageMappedFtl:
         return (self.host_writes + self.gc_writes) / self.host_writes
 
     def mapped_page_count(self) -> int:
-        return len(self._map)
+        return self._mapped
 
     def utilization(self) -> float:
         """Mapped logical pages as a fraction of logical capacity."""
-        return len(self._map) / self.logical_pages if self.logical_pages else 0.0
+        return self._mapped / self.logical_pages if self.logical_pages else 0.0
 
     def check_invariants(self) -> None:
-        """Verify map/rmap agreement and valid-page accounting (test hook)."""
-        if len(self._map) != len(self._rmap):
+        """Verify that the forward map, the reverse maps and the page
+        states agree exactly (test hook).
+
+        Every mapped page is VALID and its reverse entry points back;
+        every VALID page in a block this FTL holds (owned and not lent, or
+        borrowed) has the forward entry that points at it; and the mapped
+        count, the forward entries and those blocks' valid pages are equal.
+        """
+        entries = 0
+        for lpn, ppn in enumerate(self._map):
+            if ppn < 0:
+                continue
+            entries += 1
+            addr = self._addr(ppn)
+            block = addr.chip.blocks[addr.block_id]
+            if (block.page_state(addr.page) is not PageState.VALID
+                    or addr.chip.rmap[ppn & _PAGE_MASK] != lpn):
+                raise FlashError(
+                    f"FTL {self.name}: lpn {lpn} maps to {addr.key()}, "
+                    "not a valid page whose reverse entry points back"
+                )
+        held = [(chip, block) for chip in self.chips for block in chip.blocks
+                if block not in self._lent]
+        held += [(b.chip, b.block) for b in self._borrowed.values()]
+        valid = 0
+        for chip, block in held:
+            valid += block.valid_count
+            # Raises for a VALID page that no forward entry points at.
+            self.victim_valid_lpns(PhysicalAddr(chip, block.block_id, 0))
+        if not entries == valid == self._mapped:
             raise FlashError(
-                f"map/rmap size mismatch: {len(self._map)} vs {len(self._rmap)}"
+                f"FTL {self.name}: {entries} forward entries, {valid} valid "
+                f"pages, {self._mapped} counted as mapped"
             )
-        for lpn, addr in self._map.items():
-            if self._rmap.get(addr.key()) != lpn:
-                raise FlashError(f"rmap disagrees for lpn {lpn} at {addr.key()}")
-        valid_total = sum(
-            block.valid_count for chip in self.chips for block in chip.blocks
-        )
-        owned_mapped = sum(
-            1 for addr in self._map.values() if addr.chip.chip_id in self._chips_by_id
-            and addr.chip is self._chips_by_id[addr.chip.chip_id]
-        )
-        if valid_total < owned_mapped - len(self._borrowed_in_use) * self.pages_per_block:
-            raise FlashError("valid-page accounting drifted below mapped count")
 
     def _check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.logical_pages:

@@ -116,18 +116,18 @@ class VSsd:
     def _read_media(self, lpn: int, then: Callable[[], None],
                     fail: Optional[Callable[[FlashError], None]]) -> None:
         try:
-            addr = self.ftl.lookup(lpn)
+            ppn = self.ftl.lookup_ppn(lpn)
         except FlashError as exc:
             if fail is None:
                 raise
             fail(exc)
             return
-        if addr is None:
+        if ppn < 0:
             # Unwritten page: the device still performs an array read (it
             # returns the erased pattern); charge the stripe-target chip.
             chip = self.ftl.chips[lpn % len(self.ftl.chips)]
         else:
-            chip = addr.chip
+            chip = self.ftl.chip_of(ppn)
         self._channel_by_chip[chip.chip_id].submit(
             "read", self._read_us, partial(self._read_done, then)
         )
@@ -139,13 +139,13 @@ class VSsd:
     def _program_media(self, lpn: int, then: Callable[[], None],
                        fail: Optional[Callable[[FlashError], None]]) -> None:
         try:
-            addr = self.ftl.place_write(lpn)
+            ppn = self.ftl.place_ppn(lpn)
         except FlashError as exc:
             if fail is None:
                 raise
             fail(exc)
             return
-        self._channel_by_chip[addr.chip.chip_id].submit(
+        self._channel_by_chip[self.ftl.chip_of(ppn).chip_id].submit(
             "program", self._program_us, partial(self._program_done, then)
         )
 

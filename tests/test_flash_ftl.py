@@ -13,6 +13,20 @@ def make_ftl(chips=2, blocks=16, pages=8, overprovision=0.25, name="ftl"):
     return PageMappedFtl(name, chip_objs, pages, overprovision=overprovision)
 
 
+def lending_pair():
+    """A lender (chip 0, 8 blocks) and a borrower (chip 1, 4 blocks, 12
+    logical pages) on one SSD, 4 pages per block."""
+    lender = PageMappedFtl("lender", [FlashChip(0, 8, 4)], 4)
+    borrower = PageMappedFtl("borrower", [FlashChip(1, 4, 4)], 4)
+    return lender, borrower
+
+
+def collect_all(ftl):
+    policy = GreedyGcPolicy()
+    while policy.collect_once(ftl) is not None:
+        pass
+
+
 class TestMapping:
     def test_unwritten_page_unmapped(self):
         ftl = make_ftl()
@@ -33,8 +47,8 @@ class TestMapping:
         assert first.chip.blocks[first.block_id].page_state(first.page) is PageState.INVALID
 
     def test_ftl_survives_pickle_and_deepcopy(self):
-        # PhysicalAddr is frozen *and* slotted; a checkpoint or a process
-        # pool result must still round-trip the mapping table.
+        # A checkpoint or a process pool result must round-trip the
+        # mapping tables, and addresses must come back on the clone's chips.
         import copy
         import pickle
 
@@ -75,6 +89,23 @@ class TestMapping:
     def test_trim_unwritten_is_noop(self):
         ftl = make_ftl()
         ftl.trim(0)  # must not raise
+
+    @pytest.mark.parametrize("damage", ["stale", "unlinked", "orphan"])
+    def test_check_invariants_catches_any_lost_page(self, damage):
+        ftl = make_ftl()
+        for lpn in range(6):
+            ftl.place_write(lpn)
+        ftl.check_invariants()
+        addr = ftl.lookup(3)
+        block = addr.chip.blocks[addr.block_id]
+        if damage == "stale":  # a mapped page gone invalid
+            block.invalidate(addr.page)
+        elif damage == "unlinked":  # its reverse entry lost
+            addr.chip.rmap[addr.block_id * ftl.pages_per_block + addr.page] = -1
+        else:  # a valid page no logical page maps to
+            block.program_next()
+        with pytest.raises(FlashError):
+            ftl.check_invariants()
 
     def test_needs_at_least_one_chip(self):
         with pytest.raises(FlashError):
@@ -240,20 +271,103 @@ class TestBlockBorrowing:
         assert borrower.borrowed_block_count > 0
 
     def test_borrowed_block_returned_after_gc(self):
-        borrower = make_ftl(chips=1, blocks=4, pages=2, overprovision=0.25,
-                            name="borrower")
-        lender = make_ftl(chips=1, blocks=8, pages=2, name="lender")
-        lender.lend_free_blocks(2, borrower)
+        lender, borrower = lending_pair()
         lender_free_before = lender.free_blocks_total()
-        # Spill writes into a borrowed block, then invalidate them all and
-        # GC: the erased block must return to the lender.
-        for i in range(8):
-            borrower.place_write(i % 4)
-        policy = GreedyGcPolicy()
-        for _ in range(8):
-            if policy.collect_once(borrower) is None:
-                break
-        assert lender.free_blocks_total() >= lender_free_before
+        lender.lend_free_blocks(2, borrower)
+        # Fill the borrower's own blocks, then spill into both borrowed ones.
+        for lpn in list(range(12)) + list(range(4)) + list(range(8)):
+            borrower.place_write(lpn)
+        assert all(b.is_full for b in borrower._borrowed)
+        assert borrower.lookup(0).chip is lender.chips[0]
+        # Rewrite what the loan holds and collect: both borrowed blocks
+        # are erased and handed back.
+        collect_all(borrower)
+        for lpn in range(8):
+            borrower.place_write(lpn)
+        collect_all(borrower)
+        assert borrower.borrowed_block_count == 0
+        assert lender.free_blocks_total() == lender_free_before
+        for ftl in (lender, borrower):
+            ftl.check_invariants()
+
+    def test_lender_never_collects_a_block_it_lent(self):
+        # A lent block holding the borrower's valid pages among stale
+        # ones: it is the borrower's to collect, not the lender's.
+        lender, borrower = lending_pair()
+        lender.lend_free_blocks(1, borrower)
+        for lpn in list(range(12)) + list(range(4)) + [4, 5, 4]:
+            borrower.place_write(lpn)
+        loaned = borrower.lookup(4).chip.blocks[borrower.lookup(4).block_id]
+        assert loaned.invalid_count == 1 and loaned.valid_count == 2
+        for lpn in range(12):  # the lender's own stale pages
+            lender.place_write(lpn % 6)
+        victim = lender.select_victim()
+        assert victim is not None
+        assert victim.chip.blocks[victim.block_id] is not loaned
+        collect_all(lender)
+        assert loaned.valid_count == 2
+        assert borrower.lookup(5).chip is lender.chips[0]
+        for ftl in (lender, borrower):
+            ftl.check_invariants()
+
+    def test_a_fully_stale_lent_block_goes_back_once(self):
+        # The lender must not erase a lent block into its own pool even
+        # when nothing in it is valid; the borrower returns it exactly once.
+        lender, borrower = lending_pair()
+        lender.lend_free_blocks(1, borrower)
+        for lpn in list(range(12)) + list(range(4)) + list(range(4, 8)):
+            borrower.place_write(lpn)
+        loaned = borrower.lookup(4).chip.blocks[borrower.lookup(4).block_id]
+        collect_all(borrower)  # the borrower's own stale blocks
+        for lpn in range(4, 8):
+            borrower.place_write(lpn)
+        assert loaned.invalid_count == 4
+        assert lender.select_victim() is None
+        assert GreedyGcPolicy().collect_once(lender) is None
+        assert lender.free_blocks_total() == 7
+        collect_all(borrower)
+        assert loaned.erase_count == 1
+        assert lender.free_blocks_total() == 8
+        assert borrower.borrowed_block_count == 0
+
+    def test_borrower_collects_and_returns_loans_under_churn(self):
+        # Rounds of rewriting the borrower's whole logical space, each
+        # followed by GC: two rounds spill two blocks each into the loan,
+        # and the round after each spill makes those blocks stale.
+        lender, borrower = lending_pair()
+        lender.lend_free_blocks(4, borrower)
+        rounds = []
+        for _ in range(5):
+            for lpn in range(borrower.logical_pages):
+                borrower.place_write(lpn)
+            spilled = sum(not b.is_empty for b in borrower._borrowed)
+            collect_all(borrower)
+            # No borrowed block is left full with nothing valid in it.
+            assert not any(b.is_full and b.valid_count == 0 for b in borrower._borrowed)
+            for ftl in (lender, borrower):
+                ftl.check_invariants()
+            rounds.append((spilled, lender.free_blocks_total()))
+        assert rounds == [(0, 4), (2, 4), (2, 6), (2, 6), (2, 8)]
+        assert borrower.borrowed_block_count == 0
+
+    def test_loans_are_told_apart_by_chip_not_chip_id(self):
+        # Two chip sets numbered from 0: erasing the borrower's own block
+        # 0 must not return the lender's block 0 it has borrowed.
+        lender = make_ftl(chips=1, blocks=8, pages=4, name="lender")
+        borrower = make_ftl(chips=1, blocks=4, pages=4, name="borrower")
+        lender.lend_free_blocks(1, borrower)
+        for lpn in list(range(12)) + list(range(4)) + [4]:
+            borrower.place_write(lpn)
+        assert borrower.lookup(4).key() == (0, 0, 0)
+        assert borrower.lookup(4).chip is lender.chips[0]
+        victim = borrower.select_victim()
+        assert victim.chip is borrower.chips[0] and victim.block_id == 0
+        GreedyGcPolicy().collect_once(borrower)
+        assert borrower.borrowed_block_count == 1
+        assert lender.free_blocks_total() == 7
+        assert lender.chips[0].blocks[0].valid_count == 1
+        for ftl in (lender, borrower):
+            ftl.check_invariants()
 
 
 class TestFtlProperties:
@@ -356,6 +470,102 @@ class TestFtlProperties:
                     target.place_write(rng.randrange(target.logical_pages))
             except OutOfSpaceError:
                 pass
-            spilled = spilled or bool(ftl._borrowed_in_use)
+            spilled = spilled or any(not b.is_empty for b in ftl._borrowed)
             check()
         assert spilled == borrowing
+
+
+class TestShadowModel:
+    """Two FTLs on one SSD against a shadow of where each logical page
+    was last put -- the kv-emulator idiom (``test_gc_preserves_data``,
+    ``test_gc_waf_tracking``) -- checked after every write, trim, GC pass
+    and block loan."""
+
+    PAGES = 4
+
+    step = st.tuples(
+        st.sampled_from(["write"] * 6 + ["trim", "collect", "lend"]),
+        st.integers(min_value=0, max_value=1),   # which FTL
+        st.integers(min_value=0, max_value=11),  # lpn, or blocks to lend
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(step, min_size=50, max_size=300))
+    def test_every_step_agrees_with_the_shadow(self, steps):
+        # One chip of 4 blocks (12 logical pages) each, so a few dozen
+        # writes run an FTL dry and into the blocks it borrowed.
+        chips = [FlashChip(i, 4, self.PAGES) for i in range(2)]
+        ftls = [PageMappedFtl("a", chips[:1], self.PAGES),
+                PageMappedFtl("b", chips[1:], self.PAGES)]
+        shadows = [{}, {}]
+        policy = GreedyGcPolicy()
+        for op, who, arg in steps:
+            ftl, shadow = ftls[who], shadows[who]
+            if op == "write":
+                try:
+                    shadow[arg] = ftl.place_write(arg)
+                except OutOfSpaceError:
+                    pass
+            elif op == "trim":
+                ftl.trim(arg)
+                shadow.pop(arg, None)
+            elif op == "collect":
+                victim = ftl.select_victim()
+                # A pass that would run out of space midway is skipped:
+                # the shadow follows whole passes only.
+                if victim is None or self.room(ftl) < len(ftl.victim_valid_lpns(victim)):
+                    continue
+                lent = set(ftl._lent)
+                result = policy.collect_once(ftl)
+                assert result.victim.chip.blocks[result.victim.block_id] not in lent
+                for lpn, _old, new in result.migrations:
+                    shadow[lpn] = new
+            else:
+                ftl.lend_free_blocks(arg % 3 + 1, ftls[1 - who])
+            self.check(ftls, shadows, chips)
+
+    def room(self, ftl):
+        """Pages ``ftl`` can still program."""
+        return (
+            sum(chip.free_block_count for chip in ftl.chips) * self.PAGES
+            + sum(block.free_pages for block in ftl._active if block is not None)
+            + sum(borrowed.block.free_pages for borrowed in ftl._borrowed_free)
+        )
+
+    def check(self, ftls, shadows, chips):
+        for ftl, shadow in zip(ftls, shadows):
+            # Last write or migration wins; trimmed and never-written
+            # pages are unmapped.
+            for lpn in range(ftl.logical_pages):
+                assert ftl.lookup(lpn) == shadow.get(lpn)
+            assert ftl.mapped_page_count() == len(shadow)
+            ftl.check_invariants()
+        blocks = [block for chip in chips for block in chip.blocks]
+        assert sum(b.valid_count for b in blocks) == sum(len(s) for s in shadows)
+        # Only full blocks are ever erased, so the device has programmed
+        # what is written now plus a whole block per erase.
+        programmed = sum(
+            self.PAGES - b.free_pages + self.PAGES * b.erase_count for b in blocks
+        )
+        assert programmed == sum(f.host_writes + f.gc_writes for f in ftls)
+
+
+class TestFootprint:
+    def test_mapping_tables_cost_bytes_per_page(self):
+        # Everything a 4-chip x 64-block x 32-page FTL holds, chips
+        # included, with every logical page mapped once: 20.1 B per
+        # physical page with flat tables (a forward and a reverse word,
+        # a state byte, the blocks), 198 B with an address object, a
+        # tuple key and a boxed int per mapped page.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ftl = make_ftl(chips=4, blocks=64, pages=32)
+            for lpn in range(ftl.logical_pages):
+                ftl.place_write(lpn)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / ftl.total_physical_pages <= 21.0

@@ -1,14 +1,9 @@
 #!/usr/bin/env python3
 """A key-value application on RackBlox, end to end.
 
-Two layers of the storage story in one script:
-
-1. an **LSM tree** running directly on a vSSD (application-managed flash:
-   memtable flushes, leveled compaction, bloom-filtered reads) -- the
-   write pattern that generates real GC pressure;
-2. a **replicated KV store** over the whole rack: the same PUT/GET
-   traffic served by VDC and by RackBlox, with the tail latency an
-   *application* would observe.
+A replicated KV store over the whole rack: the same PUT/GET traffic
+served by VDC and by RackBlox, with the tail latency an *application*
+would observe.
 
 Run:
     python examples/kvstore_app.py
@@ -18,39 +13,7 @@ import random
 
 from repro.cluster import Rack, RackConfig, SystemType
 from repro.experiments.runner import run_until
-from repro.flash import FlashGeometry, Ssd
-from repro.kvstore import LsmTree, RackKvStore
-from repro.sim import Simulator
-from repro.vssd import VssdAllocator
-
-
-def lsm_demo() -> None:
-    print("=== layer 1: LSM tree on one vSSD ===")
-    sim = Simulator()
-    geo = FlashGeometry(channels=2, chips_per_channel=2, blocks_per_chip=128,
-                        pages_per_block=16)
-    ssd = Ssd(sim, "kv-ssd", geometry=geo)
-    vssd = VssdAllocator(ssd).create_hardware_isolated("kv", channels=[0, 1])
-    lsm = LsmTree(vssd, memtable_entries=32, level_fanout=3, entries_per_page=8)
-
-    rng = random.Random(7)
-
-    def workload():
-        for i in range(600):
-            key = f"user:{rng.randrange(150)}"
-            yield sim.spawn(lsm.put(key, f"profile-{i}"))
-        # Read a few back through the full stack.
-        for key in ("user:3", "user:77", "user:149"):
-            value = yield sim.spawn(lsm.get(key))
-            print(f"    get({key}) -> {value}")
-
-    proc = sim.spawn(workload())
-    run_until(sim, proc)
-    print(f"  600 puts -> {lsm.flushes} flushes, {lsm.compactions} compactions,"
-          f" {lsm.pages_written} pages written, {lsm.pages_read} read")
-    print(f"  levels: {lsm.level_sizes()}  bloom skips: {lsm.bloom_skips}")
-    print(f"  device: free ratio {vssd.free_block_ratio():.2f}, "
-          f"write amplification {vssd.ftl.write_amplification():.2f}")
+from repro.kvstore import RackKvStore
 
 
 def rack_demo(system: SystemType):
@@ -79,8 +42,7 @@ def rack_demo(system: SystemType):
 
 
 def main() -> None:
-    lsm_demo()
-    print("\n=== layer 2: replicated KV store on the rack ===")
+    print("=== replicated KV store on the rack ===")
     results = {}
     for system in (SystemType.VDC, SystemType.RACKBLOX):
         store, rack = rack_demo(system)

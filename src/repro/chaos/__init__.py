@@ -1,38 +1,16 @@
 """Deterministic fault injection and recovery-invariant auditing (§3.7).
 
-Only the schedule model is imported eagerly: ``RackConfig`` embeds a
+Only the schedule model is exported here: ``RackConfig`` embeds a
 :class:`FaultSchedule`, and importing the injector here would close an
-import cycle back through ``repro.cluster``.  The heavier pieces load
-lazily via PEP 562.
+import cycle back through ``repro.cluster``.  The rest lives in
+``repro.chaos.injector``, ``.invariants``, ``.client`` and ``.runner``.
 """
 
 from repro.chaos.schedule import EVENT_KINDS, FaultEvent, FaultSchedule, PARTITION_FACTOR
-
-_LAZY = {
-    "ChaosInjector": ("repro.chaos.injector", "ChaosInjector"),
-    "ChaosTally": ("repro.chaos.injector", "ChaosTally"),
-    "InvariantChecker": ("repro.chaos.invariants", "InvariantChecker"),
-    "InvariantViolation": ("repro.chaos.invariants", "InvariantViolation"),
-    "resolve_read_destination": ("repro.chaos.invariants", "resolve_read_destination"),
-    "ChaosClient": ("repro.chaos.client", "ChaosClient"),
-    "ChaosReport": ("repro.chaos.runner", "ChaosReport"),
-    "run_chaos_experiment": ("repro.chaos.runner", "run_chaos_experiment"),
-}
 
 __all__ = [
     "EVENT_KINDS",
     "FaultEvent",
     "FaultSchedule",
     "PARTITION_FACTOR",
-    *sorted(_LAZY),
 ]
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

@@ -60,7 +60,7 @@ class ChaosInjector:
             return
         self._armed = True
         for event in self.schedule.sorted_events():
-            self.sim.call_at(event.at_us, lambda e=event: self._execute(e))
+            self.sim.schedule_at(event.at_us, lambda e=event: self._execute(e))
 
     # -------------------------------------------------------- target maps
 

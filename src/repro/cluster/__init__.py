@@ -9,8 +9,6 @@ RackBlox (Software), RackBlox, and the RackBlox-Coord I/O ablation).
 
 from repro.cluster.client import Client
 from repro.cluster.config import RackConfig, SystemType
-from repro.cluster.consistency import HermesCluster, HermesReplica, Timestamp
-from repro.cluster.multirack import CrossRackEntry, MultiRackFabric
 from repro.cluster.controller import VdcController
 from repro.cluster.coordinators import (
     ControllerGcCoordinator,
@@ -31,9 +29,4 @@ __all__ = [
     "ReplicaPair",
     "rack_aware_placement",
     "FailureManager",
-    "HermesCluster",
-    "HermesReplica",
-    "Timestamp",
-    "MultiRackFabric",
-    "CrossRackEntry",
 ]

@@ -68,9 +68,11 @@ class FailureManager:
     def stop(self) -> None:
         """Ask the heartbeat loop to exit at its next tick (idempotent).
 
-        After the loop wakes once more it returns, so detaching a rack
-        (e.g. when the live service shuts a bridge down) does not leak a
-        perpetual sim process that would keep the event heap busy forever.
+        After the loop wakes once more it returns, so a caller done with
+        the rack does not leak a perpetual sim process that would keep
+        the event heap busy forever.  Nothing in the package stops one
+        today: a rack armed with a fault schedule heartbeats until it is
+        dropped.
         """
         self._running = False
 

@@ -60,35 +60,6 @@ class FigureResult:
     def series(self, column: str) -> List[object]:
         return [row.get(column) for row in self.rows]
 
-    def to_chart(self, width: int = 40) -> str:
-        """Render the numeric columns as grouped text bars.
-
-        Rows become groups (labelled by their non-numeric columns);
-        numeric columns become the bars, scaled against the global peak
-        -- a terminal-native view of the figure's shape.
-        """
-        from repro.metrics.ascii_chart import grouped_bar_chart
-
-        numeric_columns = [
-            col for col in self.columns
-            if any(isinstance(row.get(col), (int, float)) for row in self.rows)
-        ]
-        groups = []
-        for row in self.rows:
-            label = " / ".join(
-                str(row[col]) for col in self.columns
-                if col not in numeric_columns and row.get(col) is not None
-            ) or "row"
-            groups.append((
-                label,
-                {col: row.get(col) for col in numeric_columns},
-            ))
-        chart = grouped_bar_chart(
-            groups, series_order=numeric_columns, width=width,
-            title=f"{self.figure}: {self.title}",
-        )
-        return chart
-
 
 def _fmt(value) -> str:
     if value is None:

@@ -7,8 +7,9 @@ their non-numeric label columns, so reordering or added rows are handled
 gracefully.
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.experiments.figures import FigureResult
@@ -16,21 +17,31 @@ from repro.experiments.figures import FigureResult
 
 @dataclass
 class Drift:
-    """One metric that moved beyond tolerance."""
+    """One metric that moved beyond tolerance.
+
+    ``candidate`` is ``None`` when the candidate row lost the column or
+    holds something other than a number there.
+    """
 
     figure: str
     row_key: str
     column: str
     baseline: float
-    candidate: float
+    candidate: Optional[float]
 
     @property
     def ratio(self) -> float:
+        if self.candidate is None or math.isnan(self.candidate) \
+                or math.isnan(self.baseline):
+            return math.inf
         if self.baseline == 0:
-            return float("inf") if self.candidate else 1.0
+            return math.inf if self.candidate else 1.0
         return self.candidate / self.baseline
 
     def describe(self) -> str:
+        if self.candidate is None:
+            return (f"{self.figure} [{self.row_key}] {self.column}: "
+                    f"{self.baseline:.1f} -> missing")
         return (
             f"{self.figure} [{self.row_key}] {self.column}: "
             f"{self.baseline:.1f} -> {self.candidate:.1f} "
@@ -81,7 +92,9 @@ def compare_figures(
 
     ``tolerance`` is the allowed relative change (0.25 = +-25%); latency
     tails are noisy, so the default is generous -- tighten per column by
-    diffing again on a filtered result if needed.
+    diffing again on a filtered result if needed.  A numeric baseline
+    value whose candidate is missing, not a number, or NaN (where the
+    baseline is not) drifts; NaN on both sides is equal.
     """
     if tolerance <= 0:
         raise ConfigError("tolerance must be positive")
@@ -98,17 +111,22 @@ def compare_figures(
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 continue
             other_value = other.get(column)
-            if not isinstance(other_value, (int, float)):
-                continue
             report.values_compared += 1
-            if value == 0:
+            if not isinstance(other_value, (int, float)) \
+                    or isinstance(other_value, bool):
+                other_value = None
+                drifted = True
+            elif math.isnan(value) or math.isnan(other_value):
+                drifted = not (math.isnan(value) and math.isnan(other_value))
+            elif value == 0:
                 drifted = other_value != 0
             else:
                 drifted = abs(other_value / value - 1.0) > tolerance
             if drifted:
                 report.drifts.append(Drift(
                     figure=baseline.figure, row_key=key, column=column,
-                    baseline=float(value), candidate=float(other_value),
+                    baseline=float(value),
+                    candidate=None if other_value is None else float(other_value),
                 ))
     return report
 

@@ -4,7 +4,7 @@ The figure runners are fixed sweeps; downstream users want their own
 ("what does the read tail do as I vary the soft threshold and cache
 size?").  :class:`Sweep` expresses that in a few lines: declare axes,
 point a run function at them, get a :class:`FigureResult` back -- which
-then renders as a table/chart and persists/diffs like any built-in figure.
+then renders as a table and persists/diffs like any built-in figure.
 
     sweep = Sweep("cache-study", axes={
         "cache": [16, 64, 256],

@@ -13,9 +13,7 @@ from repro.flash.block import Block, PageState
 from repro.flash.channel import Channel
 from repro.flash.chip import FlashChip
 from repro.flash.ftl import PageMappedFtl
-from repro.flash.firmware import BadBlockManager, EccConfig, EccEngine
 from repro.flash.gc import GcResult, GreedyGcPolicy, WearAwareGcPolicy
-from repro.flash.scrubber import Scrubber
 from repro.flash.geometry import FlashGeometry
 from repro.flash.ssd import Ssd
 from repro.flash.timing import (
@@ -44,8 +42,4 @@ __all__ = [
     "GcResult",
     "WearTracker",
     "Ssd",
-    "EccConfig",
-    "EccEngine",
-    "BadBlockManager",
-    "Scrubber",
 ]

@@ -1,20 +1,11 @@
 """A key-value store built on the RackBlox substrate.
 
-Two layers, mirroring how SDF is consumed in practice:
-
-* :class:`~repro.kvstore.lsm.LsmTree` -- a log-structured merge tree
-  running directly on one vSSD (the application-managed-flash pattern of
-  the paper's reference [84]: LSM-on-open-channel-SSD): memtable,
-  sorted runs written as sequential page extents, leveled compaction,
-  bloom-filtered lookups;
-* :class:`~repro.kvstore.store.RackKvStore` -- a replicated GET/PUT/DELETE
-  API over the simulated rack: keys hash to vSSD pairs, writes fan out to
-  both replicas (Hermes-style commit on all DRAM copies), reads ride the
-  switch's GC-aware redirection like any other RackBlox read.
+:class:`~repro.kvstore.store.RackKvStore` is a replicated
+GET/PUT/DELETE/SCAN API over the simulated rack: keys hash to vSSD pairs,
+writes fan out to both replicas (a commit on all DRAM copies), reads ride
+the switch's GC-aware redirection like any other RackBlox read.
 """
 
-from repro.kvstore.bloom import BloomFilter
-from repro.kvstore.lsm import LsmTree
 from repro.kvstore.store import RackKvStore
 
-__all__ = ["BloomFilter", "LsmTree", "RackKvStore"]
+__all__ = ["RackKvStore"]

@@ -6,7 +6,6 @@ lossy at the sample counts we run.
 """
 
 from repro.metrics.collector import ExperimentMetrics
-from repro.metrics.histogram import LogHistogram
 from repro.metrics.percentiles import LatencyRecorder, cdf_points, percentile
 from repro.metrics.slo import SloMonitor, SloTarget
 
@@ -15,7 +14,6 @@ __all__ = [
     "percentile",
     "cdf_points",
     "ExperimentMetrics",
-    "LogHistogram",
     "SloMonitor",
     "SloTarget",
 ]

@@ -23,7 +23,6 @@ from repro.net.schedulers import (
     PriorityScheduler,
     TokenBucketScheduler,
 )
-from repro.net.topology import NetworkPath, SwitchHop, fat_tree_path
 
 __all__ = [
     "OpType",
@@ -41,7 +40,4 @@ __all__ = [
     "TokenBucketScheduler",
     "FairQueueScheduler",
     "PriorityScheduler",
-    "SwitchHop",
-    "NetworkPath",
-    "fat_tree_path",
 ]

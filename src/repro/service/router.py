@@ -1,9 +1,8 @@
 """Sharded multi-rack serving: a consistent-hash router over live racks.
 
-RackBlox §3.7 leaves multi-rack operation as future work and
-:mod:`repro.cluster.multirack` reproduces its batch half (inter-switch
-GC-state sync + cross-rack fail-over).  This module is the *serving*
-half: a front-end that owns N independent rack simulators -- each with
+RackBlox §3.7 leaves multi-rack operation as future work; the batch
+simulator models one rack.  This module serves several: a front-end
+that owns N independent rack simulators -- each with
 its own :class:`~repro.service.bridge.SimTimeBridge` pump, ToR switch
 and admission controller -- and places traffic onto them with the seeded
 consistent-hash ring from :mod:`repro.service.shard`.
@@ -31,9 +30,8 @@ Routing rules (both shapes):
   in-process (the proxy routes a scan to the start-key owner);
 * when the router's *view* of the owner says both in-rack copies of the
   target pair are collecting, a raw read falls back to the next distinct
-  ring node -- the serving-layer form of
-  :meth:`MultiRackFabric.process_read`, with the same staleness caveat:
-  the view refreshes only every ``gc_sync_s`` seconds;
+  ring node -- a cross-rack redirect, with a staleness caveat: the view
+  refreshes only every ``gc_sync_s`` seconds;
 * under ``--read-policy p2c`` raw reads instead go through the
   :class:`~repro.service.selector.ReplicaSelector`: power-of-two-choices
   over the pair's preference list, scored by live queue depth times a
@@ -388,7 +386,7 @@ class ShardRouter:
     def _route_read(self, global_pair: int) -> Tuple[RackShard, int, bool]:
         """(shard, local pair, redirected?) for a raw read.
 
-        The fallback mirrors :meth:`MultiRackFabric.process_read`: only
+        The fallback is RackBlox's redirect one level up: only
         when the router's view says *both* in-rack copies of the owner's
         pair are collecting does the read leave the rack, and then to the
         next distinct ring node (where the cross-rack replica of the
@@ -1322,11 +1320,6 @@ class ShardProxy:
             self._handle_client, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
 
     async def stop(self) -> None:
         self._draining = True

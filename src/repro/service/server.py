@@ -92,11 +92,6 @@ class RackService:
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self, drain_timeout_s: float = 10.0) -> None:
         """Graceful drain: stop accepting, finish in-flight, then close.
 

@@ -295,9 +295,8 @@ class RackShard:
     def gc_busy_pairs(self) -> Tuple[bool, ...]:
         """Per local pair: are *both* in-rack copies collecting right now?
 
-        This is the truth the shard's own ToR switch holds (the same two
-        table reads :meth:`MultiRackFabric.process_read` makes before it
-        redirects out of rack); the router sees it only after the
+        This is the truth the shard's own ToR switch holds (two replica
+        table reads, one per copy); the router sees it only after the
         inter-switch sync delay.
         """
         switch = self.bridge.rack.switch

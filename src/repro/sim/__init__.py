@@ -11,9 +11,8 @@ network links) is expressed on top of it.
 """
 
 from repro.sim.core import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.rng import RandomSource
 
 __all__ = [
@@ -22,10 +21,6 @@ __all__ = [
     "Timeout",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Process",
-    "Resource",
-    "Store",
-    "PriorityStore",
     "RandomSource",
 ]

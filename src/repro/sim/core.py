@@ -15,37 +15,27 @@ USEC = 1.0
 MSEC = 1_000.0
 SEC = 1_000_000.0
 
-#: Compact the heap once cancelled entries could be half of it (and there
-#: are enough of them for a rebuild to be worth the O(n) pass).
-_COMPACT_MIN_CANCELLED = 64
-
 
 class Simulator:
     """A discrete-event simulator with a virtual microsecond clock.
 
     Callbacks are ordered by ``(time, sequence)`` where the sequence number
     preserves FIFO order among events scheduled for the same instant, making
-    runs fully deterministic.
-
-    Cancellation is lazy -- a cancelled entry stays in the heap until it
-    surfaces -- but bounded: the simulator counts live cancellations and
-    compacts the heap in place once they could make up half of it, so
-    timeout-churn workloads (schedule, cancel, repeat) cannot grow the
-    heap without limit.
+    runs fully deterministic.  A scheduled callback always runs: nothing in
+    the model cancels one, so the heap holds the bare callables.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_running", "_event_count", "_cancelled",
+    __slots__ = ("now", "_heap", "_seq", "_running", "_event_count",
                  "_stopping")
 
     def __init__(self) -> None:
         #: Current simulated time in microseconds (read-only by
         #: convention: only :meth:`run` advances it).
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, "_Entry"]] = []
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = 0  # FIFO tie-break among events at one instant
         self._running = False
         self._event_count = 0
-        self._cancelled = 0  # cancelled entries still sitting in the heap
         self._stopping = False  # a stop() sentinel is sitting in the heap
 
     @property
@@ -55,43 +45,18 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Heap entries still scheduled (including not-yet-reaped cancels)."""
+        """Callbacks still scheduled."""
         return len(self._heap)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> "EventHandle":
-        """Schedule ``fn`` to run at absolute time ``when``."""
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule at {when:.3f} before now={self.now:.3f}"
-            )
-        entry = _Entry(fn)
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (when, seq, entry))
-        return EventHandle(entry, self)
-
-    def call_after(self, delay: float, fn: Callable[[], None]) -> "EventHandle":
-        """Schedule ``fn`` to run ``delay`` microseconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self.now + delay, fn)
-
     def schedule_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`call_after` without a cancellation handle.
-
-        The kernel's own deferrals (timeout expiry, process start, resume
-        of a process that yielded an already-triggered event) never cancel,
-        so they skip the ``_Entry``/:class:`EventHandle` allocations -- the
-        bare callable sits in the heap.  Ordering is identical to
-        :meth:`call_after`: same heap, same sequence counter.
-        """
+        """Schedule ``fn`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (self.now + delay, seq, fn))
 
     def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`call_at`: :meth:`schedule_after` for a
-        caller that already holds the absolute instant.
+        """Schedule ``fn`` to run at absolute time ``when``.
 
         A component that folds two waits into one event passes
         ``(now + first) + second`` here, which is the float the two
@@ -125,24 +90,6 @@ class Simulator:
 
         return Process(self, generator)
 
-    def _note_cancel(self) -> None:
-        """Bookkeeping for a newly cancelled pending entry."""
-        self._cancelled += 1
-        heap = self._heap
-        if (
-            self._cancelled >= _COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 >= len(heap)
-        ):
-            # In-place so aliases held by a running loop stay valid.  Bare
-            # callables (schedule_after) are never cancelled, so only
-            # _Entry items are candidates for dropping.
-            heap[:] = [
-                item for item in heap
-                if item[2].__class__ is not _Entry or not item[2].cancelled
-            ]
-            heapq.heapify(heap)
-            self._cancelled = 0
-
     def run(
         self,
         until: Optional[float] = None,
@@ -163,9 +110,8 @@ class Simulator:
             )
         self._running = True
         # Hot loop: bind invariants to locals.  ``heap`` aliases the live
-        # list -- compaction mutates it in place, and callbacks push into
-        # the same object -- while the executed-event count is kept local
-        # and flushed in ``finally``.
+        # list -- callbacks push into the same object -- while the
+        # executed-event count is kept local and flushed in ``finally``.
         heap = self._heap
         heappop = heapq.heappop
         count = self._event_count
@@ -179,18 +125,9 @@ class Simulator:
                         self.now = until
                         break
                     heappop(heap)
-                    entry = head[2]
-                    if entry.__class__ is _Entry:
-                        if entry.cancelled:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        fn = entry.fn
-                    else:
-                        fn = entry  # bare callable from schedule_after
                     self.now = when
                     count += 1
-                    fn()
+                    head[2]()
                     if budget > 0:
                         budget -= 1
                         if budget == 0:
@@ -208,15 +145,9 @@ class Simulator:
         return self.now
 
     def peek(self) -> Optional[float]:
-        """Time of the next pending (non-cancelled) event, or ``None``."""
+        """Time of the next pending event, or ``None``."""
         heap = self._heap
-        while heap and heap[0][2].__class__ is _Entry and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            if self._cancelled > 0:
-                self._cancelled -= 1
-        if not heap:
-            return None
-        return heap[0][0]
+        return heap[0][0] if heap else None
 
 
 class _StopRun(Exception):
@@ -225,35 +156,3 @@ class _StopRun(Exception):
 
 def _raise_stop() -> None:
     raise _StopRun
-
-
-class _Entry:
-    """Internal heap entry; indirection makes cancellation O(1)."""
-
-    __slots__ = ("fn", "cancelled")
-
-    def __init__(self, fn: Callable[[], None]) -> None:
-        self.fn = fn
-        self.cancelled = False
-
-
-class EventHandle:
-    """A handle to a scheduled callback that allows cancellation."""
-
-    __slots__ = ("_entry", "_sim")
-
-    def __init__(self, entry: _Entry, sim: Optional[Simulator] = None) -> None:
-        self._entry = entry
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (idempotent)."""
-        entry = self._entry
-        if not entry.cancelled:
-            entry.cancelled = True
-            if self._sim is not None:
-                self._sim._note_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry.cancelled

@@ -137,11 +137,3 @@ class AnyOf(Event):
     def _on_child(self, child: Event) -> None:
         if not self._triggered:
             self.succeed(child)
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause

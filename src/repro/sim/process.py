@@ -2,25 +2,25 @@
 
 A *process function* is a generator that yields waitables::
 
-    def worker(sim, store):
-        item = yield store.get()
+    def worker(sim, done):
         yield Timeout(sim, 5.0)
-        return item          # becomes the process's value
+        value = yield done   # an Event some other component triggers
+        return value         # becomes the process's value
 
 ``Process`` itself is an :class:`~repro.sim.events.Event`, so processes can
 wait on each other by yielding the other process.
 """
 
-from typing import Any, Generator
+from typing import Generator
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event
 
 
 class Process(Event):
     """Drives a generator, resuming it whenever its awaited event fires."""
 
-    __slots__ = ("_generator", "_waiting_on", "_interrupted_with")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim, generator: Generator) -> None:
         super().__init__(sim)
@@ -30,40 +30,19 @@ class Process(Event):
                 "did you forget to call the process function?"
             )
         self._generator = generator
-        self._waiting_on: Any = None
-        self._interrupted_with: Any = None
         # Start on the next tick so the constructor returns before any of
         # the process body runs (matches SimPy semantics and avoids
         # surprising reentrancy during setup code).
         sim.schedule_after(0.0, self._start)
 
     def _start(self) -> None:
-        self._resume(None, None)
+        self._resume(None)
 
     @property
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if self.triggered:
-            return
-        self._interrupted_with = Interrupt(cause)
-        waiting = self._waiting_on
-        self._waiting_on = None
-        # Detach from whatever we were waiting on: the event may still fire
-        # later but must no longer resume us.
-        if waiting is not None:
-            waiting._detach(self)  # noqa: SLF001
-        self.sim.schedule_after(0.0, self._deliver_interrupt)
-
-    def _deliver_interrupt(self) -> None:
-        exc, self._interrupted_with = self._interrupted_with, None
-        if exc is None or self.triggered:
-            return
-        self._step(exc, True)
-
-    def _resume(self, event, _token) -> None:
+    def _resume(self, event) -> None:
         if self.triggered:
             return
         if event is not None and not event.ok:
@@ -80,10 +59,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt:
-            # An uncaught interrupt terminates the process quietly.
-            self.succeed(None)
-            return
         except Exception as exc:  # propagate into waiters
             self.fail(exc)
             return
@@ -97,29 +72,9 @@ class Process(Event):
                 )
             )
             return
-        self._waiting_on = _WaitBinding(self, target)
-
-
-class _WaitBinding:
-    """Connects a process to the event it waits on, supporting detach."""
-
-    __slots__ = ("process", "active")
-
-    def __init__(self, process: Process, event: Event) -> None:
-        self.process = process
-        self.active = True
-        if event.triggered:
+        if target.triggered:
             # Defer through the scheduler: a tight loop over
             # already-available events must not recurse on the C stack.
-            process.sim.schedule_after(0.0, lambda: self._fire(event))
+            self.sim.schedule_after(0.0, lambda: self._resume(target))
         else:
-            event.add_callback(self._fire)
-
-    def _fire(self, event: Event) -> None:
-        if self.active:
-            self.active = False
-            self.process._waiting_on = None  # noqa: SLF001
-            self.process._resume(event, None)  # noqa: SLF001
-
-    def _detach(self, _process: Process) -> None:
-        self.active = False
+            target.add_callback(self._resume)

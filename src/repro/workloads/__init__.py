@@ -8,12 +8,6 @@ their write ratios and request patterns.
 
 from repro.workloads.arrival import DiurnalArrivals, MmppArrivals
 from repro.workloads.generator import ClosedLoopGenerator, OpenLoopGenerator, Request
-from repro.workloads.traces import (
-    LatencyTrace,
-    RequestTrace,
-    TraceLatencyProcess,
-    TraceWorkloadGenerator,
-)
 from repro.workloads.ycsb_suite import (
     YCSB_A,
     YCSB_B,
@@ -49,10 +43,6 @@ __all__ = [
     "ClosedLoopGenerator",
     "MmppArrivals",
     "DiurnalArrivals",
-    "RequestTrace",
-    "LatencyTrace",
-    "TraceWorkloadGenerator",
-    "TraceLatencyProcess",
     "YcsbWorkload",
     "YcsbGenerator",
     "YCSB_A",

@@ -12,8 +12,8 @@ know, so we provide it too:
   of the same key.
 
 (E -- short scans -- needs a range-read primitive the 4 KB-request rack
-model does not expose; the LSM engine provides the scan primitive at the
-device level instead: :meth:`repro.kvstore.lsm.LsmTree.scan`.)
+model does not expose; ranges are read one level up, by the key-value
+store's :meth:`repro.kvstore.store.RackKvStore.scan`.)
 
 :class:`YcsbGenerator` extends the open-loop generator with the *latest*
 key distribution and composite read-modify-write operations; RMW yields

@@ -103,7 +103,6 @@ class TestOldPathsStillWork:
             "repro.service.schema",
             "repro.service.shard",
             "repro.service.router",
-            "repro.cluster.multirack",
             "repro.chaos.schedule",
         ):
             assert importlib.import_module(path), path

@@ -195,19 +195,3 @@ class TestCompareCommand:
         code = main(["compare", str(tmp_path / "base"), str(tmp_path / "cand")])
         assert code == 1
         assert "DRIFT" in capsys.readouterr().out
-
-
-class TestFigureChart:
-    def test_to_chart_renders(self):
-        from repro.experiments.figures import FigureResult
-
-        result = FigureResult(
-            figure="Figure X", title="demo", columns=["label", "a", "b"],
-            rows=[{"label": "20%", "a": 10.0, "b": 20.0},
-                  {"label": "50%", "a": 15.0, "b": None}],
-        )
-        chart = result.to_chart(width=10)
-        assert "Figure X" in chart
-        assert "20%:" in chart and "50%:" in chart
-        assert "(no data)" in chart
-        assert "#" in chart

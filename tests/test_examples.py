@@ -42,23 +42,10 @@ class TestExamples:
         assert "heartbeat monitor detected" in out
         assert "healthy again" in out
 
-    def test_hermes_consistency(self, capsys):
-        load_example("hermes_consistency").main()
-        out = capsys.readouterr().out
-        assert "single winner by timestamp" in out
-        assert "replayed the write: True" in out
-
     def test_kvstore_app(self, capsys):
         load_example("kvstore_app").main()
         out = capsys.readouterr().out
-        assert "flushes" in out and "compactions" in out
         assert "GET P99.9 improvement" in out
-
-    def test_multirack_extension(self, capsys):
-        load_example("multirack_extension").main()
-        out = capsys.readouterr().out
-        assert "peer is stale" in out
-        assert "cross-rack redirects" in out
 
     @pytest.mark.parametrize("name", [
         "quickstart",
@@ -66,9 +53,7 @@ class TestExamples:
         "wear_leveling_campaign",
         "failure_drill",
         "device_network_pairing",
-        "hermes_consistency",
         "kvstore_app",
-        "multirack_extension",
     ])
     def test_examples_importable(self, name):
         module = load_example(name)

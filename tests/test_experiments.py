@@ -23,7 +23,7 @@ class TestRunUntil:
     def test_returns_when_event_fires(self):
         sim = Simulator()
         event = Event(sim)
-        sim.call_after(1000.0, lambda: event.succeed())
+        sim.schedule_after(1000.0, lambda: event.succeed())
         run_until(sim, event, chunk_us=100.0)
         assert event.triggered
 

@@ -163,7 +163,7 @@ class TestChannel:
         # itself: it finishes at exactly now + duration, one event later.
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)
-        sim.call_at(7.25, lambda: channel.submit(
+        sim.schedule_at(7.25, lambda: channel.submit(
             "program", 33.5, lambda: seen.append(sim.now)))
         seen = []
         sim.run(until=7.25)

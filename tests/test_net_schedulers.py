@@ -153,7 +153,7 @@ class TestEgressPort:
         sim.run()
         assert sim.now == pytest.approx(1.0)
         # Late arrival after idle period.
-        sim.call_after(100.0, lambda: send(port, pkt(size_kb=2.0)))
+        sim.schedule_after(100.0, lambda: send(port, pkt(size_kb=2.0)))
         sim.run()
         assert sim.now == pytest.approx(103.0)
         assert port.packets_sent == 2
@@ -162,7 +162,7 @@ class TestEgressPort:
         sim = Simulator()
         port = EgressPort(sim, FifoScheduler(), rate_kb_per_us=1.0)
         for at in (0.0, 10.0, 20.0):
-            sim.call_at(at, lambda: send(port, pkt(size_kb=1.0), extra=5.0))
+            sim.schedule_at(at, lambda: send(port, pkt(size_kb=1.0), extra=5.0))
         sim.run()
         assert sim.event_count == 3 + 3  # the arrivals + one continuation each
 
@@ -200,7 +200,7 @@ class TestEgressPort:
         port = EgressPort(sim, sched, rate_kb_per_us=100.0)
         done_at = []
         send(port, pkt(size_kb=4.0), lambda p, t: done_at.append(t), flow_id="f")
-        sim.call_at(1.0, lambda: send(
+        sim.schedule_at(1.0, lambda: send(
             port, pkt(size_kb=4.0), lambda p, t: done_at.append(t), flow_id="f"))
         sim.run()
         assert done_at == pytest.approx([0.04, 4000.04])
@@ -337,7 +337,7 @@ def test_transmit_matches_the_per_packet_port(policy, seed):
         log = []
         for index, (at, size, flow, priority) in enumerate(_arrivals(seed)):
             packet = pkt(size_kb=size)
-            sim.call_at(at, lambda p=packet, f=flow, pr=priority, i=index:
+            sim.schedule_at(at, lambda p=packet, f=flow, pr=priority, i=index:
                         port.transmit(p, f, pr,
                                       lambda _p, sent_at, i=i: log.append(
                                           (i, sent_at, sim.now)),
@@ -360,7 +360,7 @@ def test_an_arrival_at_the_wake_instant_does_not_steal_a_queued_turn():
     sim = Simulator()
     port = EgressPort(sim, FifoScheduler(), rate_kb_per_us=1.0)
     order = []
-    sim.call_at(4.0, lambda: send(port, pkt(size_kb=4.0),
+    sim.schedule_at(4.0, lambda: send(port, pkt(size_kb=4.0),
                                   lambda p, t: order.append(("C", t))))
     send(port, pkt(size_kb=4.0), lambda p, t: order.append(("A", t)))
     send(port, pkt(size_kb=4.0), lambda p, t: order.append(("B", t)))

@@ -43,6 +43,40 @@ class TestCompareFigures:
         report = compare_figures(base, cand)
         assert report.values_compared == 0
 
+    def test_nan_candidate_drifts(self):
+        base = figure([{"sys": "a", "p99": 100.0}])
+        cand = figure([{"sys": "a", "p99": float("nan")}])
+        report = compare_figures(base, cand)
+        assert not report.clean
+        assert report.values_compared == 1
+        assert report.drifts[0].column == "p99"
+
+    @pytest.mark.parametrize("row", [
+        {"sys": "a"},
+        {"sys": "a", "p99": None},
+        {"sys": "a", "p99": True},
+    ], ids=["missing", "none", "bool"])
+    def test_vanished_candidate_value_drifts(self, row):
+        base = figure([{"sys": "a", "p99": 100.0}])
+        report = compare_figures(base, figure([row]))
+        assert not report.clean
+        assert report.values_compared == 1
+        drift = report.drifts[0]
+        assert drift.candidate is None
+        assert "p99: 100.0 -> missing" in report.describe()
+
+    def test_nan_on_both_sides_is_equal(self):
+        a = figure([{"sys": "a", "p99": float("nan")}])
+        b = figure([{"sys": "a", "p99": float("nan")}])
+        report = compare_figures(a, b)
+        assert report.clean
+        assert report.values_compared == 1
+
+    def test_nan_baseline_vs_number_drifts(self):
+        base = figure([{"sys": "a", "p99": float("nan")}])
+        cand = figure([{"sys": "a", "p99": 100.0}])
+        assert not compare_figures(base, cand).clean
+
     def test_zero_baseline_vs_nonzero_flags(self):
         base = figure([{"label": "a", "v": 0.0}])
         cand = figure([{"label": "a", "v": 5.0}])

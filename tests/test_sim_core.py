@@ -7,11 +7,8 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    PriorityStore,
     Process,
-    Resource,
     Simulator,
-    Store,
     Timeout,
 )
 
@@ -21,27 +18,27 @@ class TestSimulatorClock:
         sim = Simulator()
         assert sim.now == 0.0
 
-    def test_call_after_advances_clock(self):
+    def test_schedule_after_advances_clock(self):
         sim = Simulator()
         seen = []
-        sim.call_after(5.0, lambda: seen.append(sim.now))
+        sim.schedule_after(5.0, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [5.0]
         assert sim.now == 5.0
 
-    def test_call_at_absolute(self):
+    def test_schedule_at_absolute(self):
         sim = Simulator()
         seen = []
-        sim.call_at(10.0, lambda: seen.append("x"))
+        sim.schedule_at(10.0, lambda: seen.append("x"))
         sim.run()
         assert seen == ["x"] and sim.now == 10.0
 
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.call_after(3.0, lambda: order.append("c"))
-        sim.call_after(1.0, lambda: order.append("a"))
-        sim.call_after(2.0, lambda: order.append("b"))
+        sim.schedule_after(3.0, lambda: order.append("c"))
+        sim.schedule_after(1.0, lambda: order.append("a"))
+        sim.schedule_after(2.0, lambda: order.append("b"))
         sim.run()
         assert order == ["a", "b", "c"]
 
@@ -49,42 +46,33 @@ class TestSimulatorClock:
         sim = Simulator()
         order = []
         for tag in range(5):
-            sim.call_after(1.0, lambda t=tag: order.append(t))
+            sim.schedule_after(1.0, lambda t=tag: order.append(t))
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
     def test_run_until_stops_clock_at_horizon(self):
         sim = Simulator()
-        sim.call_after(100.0, lambda: None)
+        sim.schedule_after(100.0, lambda: None)
         final = sim.run(until=50.0)
         assert final == 50.0
         assert sim.peek() == 100.0
 
     def test_run_until_past_all_events(self):
         sim = Simulator()
-        sim.call_after(10.0, lambda: None)
+        sim.schedule_after(10.0, lambda: None)
         assert sim.run(until=500.0) == 500.0
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.call_after(-1.0, lambda: None)
+            sim.schedule_after(-1.0, lambda: None)
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
-        sim.call_after(5.0, lambda: None)
+        sim.schedule_after(5.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.call_at(1.0, lambda: None)
-
-    def test_cancel_prevents_execution(self):
-        sim = Simulator()
-        seen = []
-        handle = sim.call_after(1.0, lambda: seen.append("x"))
-        handle.cancel()
-        sim.run()
-        assert seen == []
-        assert handle.cancelled
+            sim.schedule_at(1.0, lambda: None)
 
     def test_schedule_at_orders_with_the_other_entry_points(self):
         # One heap, one sequence counter: (time, order of the call).
@@ -92,17 +80,15 @@ class TestSimulatorClock:
         order = []
         sim.schedule_at(2.0, lambda: order.append("at-2-first"))
         sim.schedule_after(2.0, lambda: order.append("after-2"))
-        sim.call_at(2.0, lambda: order.append("call-at-2"))
         sim.schedule_at(2.0, lambda: order.append("at-2-last"))
         sim.schedule_at(1.0, lambda: order.append("at-1"))
         sim.run()
-        assert order == ["at-1", "at-2-first", "after-2", "call-at-2",
-                         "at-2-last"]
-        assert sim.event_count == 5
+        assert order == ["at-1", "at-2-first", "after-2", "at-2-last"]
+        assert sim.event_count == 4
 
     def test_schedule_at_refuses_the_past_and_hands_back_no_handle(self):
         sim = Simulator()
-        sim.call_after(5.0, lambda: None)
+        sim.schedule_after(5.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(4.0, lambda: None)
@@ -113,7 +99,7 @@ class TestSimulatorClock:
     def test_max_events_budget(self):
         sim = Simulator()
         for i in range(10):
-            sim.call_after(float(i), lambda: None)
+            sim.schedule_after(float(i), lambda: None)
         sim.run(max_events=3)
         assert sim.event_count == 3
 
@@ -122,8 +108,8 @@ class TestStop:
     def test_stop_ends_run_at_that_instant(self):
         sim = Simulator()
         seen = []
-        sim.call_after(5.0, lambda: (seen.append("a"), sim.stop()))
-        sim.call_after(9.0, lambda: seen.append("late"))
+        sim.schedule_after(5.0, lambda: (seen.append("a"), sim.stop()))
+        sim.schedule_after(9.0, lambda: seen.append("late"))
         assert sim.run(until=100.0) == 5.0
         assert seen == ["a"] and sim.now == 5.0
         # The later event stayed queued and fires on the next run.
@@ -134,8 +120,8 @@ class TestStop:
     def test_events_already_queued_for_the_instant_still_run(self):
         sim = Simulator()
         seen = []
-        sim.call_after(5.0, sim.stop)
-        sim.call_after(5.0, lambda: seen.append("same instant"))
+        sim.schedule_after(5.0, sim.stop)
+        sim.schedule_after(5.0, lambda: seen.append("same instant"))
         sim.schedule_after(5.0, lambda: sim.schedule_after(
             0.0, lambda: seen.append("queued after the stop")))
         sim.run()
@@ -149,24 +135,24 @@ class TestStop:
         sim.stop()
         assert sim.pending_count == 0
         seen = []
-        sim.call_after(1.0, lambda: seen.append(1))
-        sim.call_after(2.0, lambda: seen.append(2))
+        sim.schedule_after(1.0, lambda: seen.append(1))
+        sim.schedule_after(2.0, lambda: seen.append(2))
         assert sim.run() == 2.0
         assert seen == [1, 2]
 
     def test_stopping_twice_in_one_run_stops_once(self):
         sim = Simulator()
-        sim.call_after(1.0, lambda: (sim.stop(), sim.stop()))
-        sim.call_after(2.0, lambda: None)
+        sim.schedule_after(1.0, lambda: (sim.stop(), sim.stop()))
+        sim.schedule_after(2.0, lambda: None)
         sim.run()
         assert sim.now == 1.0 and sim.pending_count == 1
         assert sim.run() == 2.0
 
     def test_event_count_excludes_the_sentinel(self):
         sim = Simulator()
-        sim.call_after(1.0, lambda: None)
-        sim.call_after(2.0, sim.stop)
-        sim.call_after(3.0, lambda: None)
+        sim.schedule_after(1.0, lambda: None)
+        sim.schedule_after(2.0, sim.stop)
+        sim.schedule_after(3.0, lambda: None)
         sim.run()
         assert sim.event_count == 2
         sim.run()
@@ -174,9 +160,9 @@ class TestStop:
 
     def test_stop_under_a_max_events_budget(self):
         sim = Simulator()
-        sim.call_after(1.0, sim.stop)
-        sim.call_after(1.0, lambda: None)
-        sim.call_after(2.0, lambda: None)
+        sim.schedule_after(1.0, sim.stop)
+        sim.schedule_after(1.0, lambda: None)
+        sim.schedule_after(2.0, lambda: None)
         sim.run(max_events=10)
         assert sim.now == 1.0 and sim.event_count == 2
 
@@ -184,7 +170,7 @@ class TestStop:
         sim = Simulator()
         seen = []
         for delay in (10.0, 20.0, 60.0):
-            sim.call_after(delay, lambda d=delay: seen.append(d))
+            sim.schedule_after(delay, lambda d=delay: seen.append(d))
         assert sim.run(until=50.0) == 50.0
         assert seen == [10.0, 20.0] and sim.event_count == 2
         assert sim.run(until=500.0) == 500.0
@@ -197,67 +183,13 @@ class TestStop:
             sim.stop()
             raise ValueError("boom")
 
-        sim.call_after(1.0, boom)
-        sim.call_after(2.0, lambda: None)
+        sim.schedule_after(1.0, boom)
+        sim.schedule_after(2.0, lambda: None)
         with pytest.raises(ValueError):
             sim.run()
         # The stop is still owed: the next run ends at once, then all is normal.
         assert sim.run() == 1.0
         assert sim.run() == 2.0
-
-
-class TestCancelledEntryCompaction:
-    def test_heap_stays_bounded_under_cancel_churn(self):
-        # Schedule-then-cancel churn (timeout guards that never fire) must
-        # not grow the heap without limit: cancelled entries are compacted
-        # once they could make up half of it.
-        sim = Simulator()
-        live = [sim.call_after(1e9 + i, lambda: None) for i in range(10)]
-        for _ in range(5000):
-            sim.call_after(1e6, lambda: None).cancel()
-        assert sim.pending_count < 200
-        assert all(not h.cancelled for h in live)
-
-    def test_compaction_preserves_pending_events(self):
-        sim = Simulator()
-        seen = []
-        for i in range(50):
-            sim.call_after(100.0 + i, lambda i=i: seen.append(i))
-        for _ in range(1000):
-            sim.call_after(50.0, lambda: None).cancel()
-        sim.run()
-        assert seen == list(range(50))
-
-    def test_compaction_during_run_keeps_order(self):
-        # Cancelling from inside a callback triggers compaction while the
-        # run loop holds its heap alias; execution order must not change.
-        sim = Simulator()
-        order = []
-
-        def churn():
-            for _ in range(200):
-                sim.call_after(1000.0, lambda: None).cancel()
-
-        sim.call_after(1.0, lambda: order.append("a"))
-        sim.call_after(2.0, churn)
-        sim.call_after(3.0, lambda: order.append("b"))
-        sim.run()
-        assert order == ["a", "b"]
-
-    def test_cancel_is_idempotent_in_accounting(self):
-        sim = Simulator()
-        handle = sim.call_after(10.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert sim._cancelled == 1  # noqa: SLF001 - accounting invariant
-
-    def test_peek_reaps_cancelled_entries(self):
-        sim = Simulator()
-        cancelled = sim.call_after(1.0, lambda: None)
-        sim.call_after(2.0, lambda: None)
-        cancelled.cancel()
-        assert sim.peek() == 2.0
-        assert sim.pending_count == 1
 
 
 class TestEvent:
@@ -373,40 +305,17 @@ class TestProcess:
         # A process consuming thousands of immediately-available items must
         # not exhaust the interpreter stack.
         sim = Simulator()
-        store = Store(sim)
-        for i in range(5000):
-            store.put(i)
+        ready = [Event(sim).succeed(i) for i in range(5000)]
         total = []
 
         def consumer():
-            for _ in range(5000):
-                item = yield store.get()
+            for event in ready:
+                item = yield event
                 total.append(item)
 
         sim.spawn(consumer())
         sim.run()
         assert len(total) == 5000 and total[-1] == 4999
-
-    def test_interrupt_wakes_blocked_process(self):
-        sim = Simulator()
-        from repro.sim import Interrupt
-
-        log = []
-
-        def sleeper():
-            try:
-                yield Timeout(sim, 1000.0)
-                log.append("slept")
-            except Interrupt as intr:
-                log.append((sim.now, f"interrupted:{intr.cause}"))
-
-        p = sim.spawn(sleeper())
-        sim.call_after(5.0, lambda: p.interrupt("wakeup"))
-        sim.run()
-        # The interrupt is delivered at t=5; the abandoned timeout later
-        # fires harmlessly into the void.
-        assert log == [(5.0, "interrupted:wakeup")]
-
 
 class TestComposites:
     def test_allof_collects_values(self):
@@ -435,115 +344,6 @@ class TestComposites:
         sim = Simulator()
         with pytest.raises(SimulationError):
             AnyOf(sim, [])
-
-
-class TestStore:
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("a")
-        store.put("b")
-        assert store.get().value == "a"
-        assert store.get().value == "b"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        sim.spawn(consumer())
-        sim.call_after(7.0, lambda: store.put("late"))
-        sim.run()
-        assert got == [(7.0, "late")]
-
-    def test_try_get_nonblocking(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put(1)
-        assert store.try_get() == 1
-
-    def test_len_and_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2 and store.items == (1, 2)
-
-
-class TestPriorityStore:
-    def test_min_priority_first(self):
-        sim = Simulator()
-        ps = PriorityStore(sim)
-        ps.put(5.0, "low")
-        ps.put(1.0, "high")
-        ps.put(3.0, "mid")
-        assert ps.get().value == "high"
-        assert ps.get().value == "mid"
-        assert ps.get().value == "low"
-
-    def test_ties_break_fifo(self):
-        sim = Simulator()
-        ps = PriorityStore(sim)
-        ps.put(1.0, "first")
-        ps.put(1.0, "second")
-        assert ps.get().value == "first"
-
-    def test_blocked_getter_served_on_put(self):
-        sim = Simulator()
-        ps = PriorityStore(sim)
-        got = []
-
-        def consumer():
-            item = yield ps.get()
-            got.append(item)
-
-        sim.spawn(consumer())
-        sim.call_after(1.0, lambda: ps.put(9.0, "item"))
-        sim.run()
-        assert got == ["item"]
-
-
-class TestResource:
-    def test_capacity_enforced(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        timeline = []
-
-        def holder(name, hold):
-            yield res.acquire()
-            timeline.append((sim.now, name, "acquired"))
-            yield Timeout(sim, hold)
-            res.release()
-
-        sim.spawn(holder("a", 10.0))
-        sim.spawn(holder("b", 10.0))
-        sim.spawn(holder("c", 10.0))
-        sim.run()
-        acquire_times = [t for t, _, _ in timeline]
-        assert acquire_times == [0.0, 0.0, 10.0]
-
-    def test_release_without_acquire_is_error(self):
-        sim = Simulator()
-        res = Resource(sim)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_capacity_must_be_positive(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
-
-    def test_queued_count(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        res.acquire()
-        res.acquire()  # queued
-        assert res.in_use == 1 and res.queued == 1
 
 
 class TestRandomSource:

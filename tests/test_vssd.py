@@ -257,7 +257,7 @@ class TestTokenBucket:
         sim = Simulator()
         bucket = TokenBucket(sim, rate_per_sec=1000.0, capacity=10.0)
         bucket.delay_for(10)
-        sim.call_after(5000.0, lambda: None)  # 5 ms -> 5 tokens
+        sim.schedule_after(5000.0, lambda: None)  # 5 ms -> 5 tokens
         sim.run()
         assert bucket.tokens == pytest.approx(5.0)
 

@@ -11,15 +11,34 @@ acknowledged writes are registered with the invariant checker as
 durability obligations.
 """
 
-from typing import Generator
+from functools import partial
 
 from repro.cluster.client import Client
 from repro.errors import ConfigError
-from repro.sim import AnyOf, Timeout
+
+
+class _Op:
+    """One operation's retry state.  ``waiting`` is the attempt in flight,
+    0 while none is (the operation is settled, or backing off)."""
+
+    __slots__ = ("kind", "lpn", "t0", "attempts", "waiting")
+
+    def __init__(self, kind: str, lpn: int, t0: float) -> None:
+        self.kind = kind
+        self.lpn = lpn
+        self.t0 = t0
+        self.attempts = 0
+        self.waiting = 0
 
 
 class ChaosClient(Client):
-    """Open-loop client with timeout + retry, bound to an armed rack."""
+    """Open-loop client with timeout + retry, bound to an armed rack.
+
+    Each attempt arms a timeout next to its request.  Whichever of the
+    reply and the timeout comes first settles the attempt; the other finds
+    ``waiting`` moved on and does nothing, so a timed-out attempt's late
+    reply is ignored.
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -31,55 +50,55 @@ class ChaosClient(Client):
         self.max_attempts = schedule.max_attempts
 
     def _launch(self, issue, lpn: int) -> None:
-        # Retry loops read best as processes; the plain client calls its
-        # issue callback at once, this one pays the spawn's start tick.
-        self.sim.spawn(issue(lpn))
+        # tick: the plain client issues at once; this one starts each
+        # operation one heap entry later
+        self.sim.schedule_after(0.0, partial(issue, lpn))
 
-    def _issue_read(self, lpn: int) -> Generator:
-        t0 = self.sim.now
-        attempts = 0
-        while attempts < self.max_attempts:
-            attempts += 1
-            done = self.rack.issue_read(self.pair, lpn, client=self.name)
-            yield AnyOf(self.sim, [done, Timeout(self.sim, self.op_timeout_us)])
-            if done.triggered:
-                response = done.value
-                self.metrics.record(
-                    "read",
-                    self.sim.now - t0,
-                    at=self.sim.now,
-                    storage_us=response.payload.get("storage_us"),
-                )
-                self.hub.tally.note_read(t0, True, attempts)
-                self._note_done()
-                return
-        self.hub.tally.note_read(t0, False, attempts)
-        self._note_done()
+    def _issue_read(self, lpn: int) -> None:
+        self._attempt(_Op("read", lpn, self.sim.now))
 
-    def _issue_write(self, lpn: int) -> Generator:
-        t0 = self.sim.now
-        attempts = 0
-        while attempts < self.max_attempts:
-            attempts += 1
-            done = self.rack.issue_write(self.pair, lpn, client=self.name)
-            yield AnyOf(self.sim, [done, Timeout(self.sim, self.op_timeout_us)])
-            if done.triggered and done.value:
-                responses = done.value
-                storage_us = max(
-                    (r.payload.get("storage_us", 0.0) for r in responses),
-                    default=None,
-                )
-                self.metrics.record(
-                    "write", self.sim.now - t0, at=self.sim.now, storage_us=storage_us
-                )
-                self.hub.tally.note_write(t0, True, attempts)
-                self.hub.checker.note_acked_write(self.pair, lpn)
-                self._note_done()
-                return
-            if done.triggered and not done.value:
-                # Every in-rack replica the membership view knows about is
-                # down: the fan-out acked vacuously.  Back off one timeout
-                # and retry rather than claiming durability.
-                yield Timeout(self.sim, self.op_timeout_us)
-        self.hub.tally.note_write(t0, False, attempts)
-        self._note_done()
+    def _issue_write(self, lpn: int) -> None:
+        self._attempt(_Op("write", lpn, self.sim.now))
+
+    def _attempt(self, op: _Op) -> None:
+        op.attempts += 1
+        op.waiting = attempt = op.attempts
+        start = self.rack.start_read if op.kind == "read" else self.rack.start_write
+        start(self.pair, op.lpn, partial(self._replied, op, attempt), self.name)
+        self.sim.schedule_after(self.op_timeout_us, partial(self._timed_out, op, attempt))
+
+    def _replied(self, op: _Op, attempt: int, reply) -> None:
+        if op.waiting != attempt:
+            return
+        op.waiting = 0
+        if op.kind == "write" and not reply:
+            # Every in-rack replica the membership view knows about is
+            # down: the fan-out acked vacuously, at once.  Back off one
+            # timeout and retry rather than claiming durability.
+            # tick: the back-off starts one heap entry later
+            self.sim.schedule_after(0.0, partial(
+                self.sim.schedule_after, self.op_timeout_us, partial(self._retry, op)))
+            return
+        self._tally(op, True)
+        # The plain client's completions record the latency and count it done.
+        (self._read_done if op.kind == "read" else self._write_done)(op.t0, reply)
+
+    def _timed_out(self, op: _Op, attempt: int) -> None:
+        if op.waiting == attempt:
+            op.waiting = 0
+            self._retry(op)
+
+    def _retry(self, op: _Op) -> None:
+        if op.attempts < self.max_attempts:
+            self._attempt(op)
+        else:
+            self._tally(op, False)
+            self._note_done()
+
+    def _tally(self, op: _Op, ok: bool) -> None:
+        if op.kind == "read":
+            self.hub.tally.note_read(op.t0, ok, op.attempts)
+            return
+        self.hub.tally.note_write(op.t0, ok, op.attempts)
+        if ok:
+            self.hub.checker.note_acked_write(self.pair, op.lpn)

@@ -9,6 +9,7 @@ the detection-dependent ones one detection-delay later (§3.7's bound:
 ``heartbeat_interval * (miss_threshold + 1)``).
 """
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.invariants import InvariantChecker
@@ -50,7 +51,8 @@ class ChaosInjector:
         self.crashes: List[Tuple[float, str]] = []
         self.recovers: List[Tuple[float, str]] = []
         self.rereplications_done: List[Tuple[float, str]] = []
-        self._rereplicate_procs: List = []
+        #: Re-replications started and not yet done.
+        self._rereplicating = 0
         self._armed = False
 
     # ------------------------------------------------------------- arming
@@ -107,9 +109,9 @@ class ChaosInjector:
             self.recovers.append((self.sim.now, resolved))
         elif kind == "rereplicate":
             pair = self._resolve_pair(event.target)
-            process = self.sim.spawn(self.manager.rereplicate_pair(pair))
-            process.add_callback(lambda _ev, p=pair: self._rereplicate_done(p))
-            self._rereplicate_procs.append(process)
+            # A pair with no dead member or no rebuild target raises here.
+            self.manager.rereplicate_pair(pair, partial(self._rereplicate_done, pair))
+            self._rereplicating += 1
         elif kind in ("link_degrade", "link_restore", "link_partition"):
             self._apply_link(event)
         elif kind == "channel_stall":
@@ -155,7 +157,9 @@ class ChaosInjector:
                 if id(channel) in seen:
                     continue
                 seen.add(id(channel))
-                self.sim.spawn(channel.execute("stall", duration_us))
+                # tick: each stall reaches its channel one heap entry later
+                self.sim.schedule_after(0.0, partial(
+                    channel.submit, "stall", duration_us, lambda: None))
 
     def _jitter_heartbeats(self, factor: float, duration_us: float) -> None:
         base = self.manager.heartbeat_interval_us
@@ -164,7 +168,8 @@ class ChaosInjector:
             duration_us, lambda: setattr(self.manager, "heartbeat_interval_us", base)
         )
 
-    def _rereplicate_done(self, pair) -> None:
+    def _rereplicate_done(self, pair, _copied: int) -> None:
+        self._rereplicating -= 1
         self.rereplications_done.append((self.sim.now, pair.name))
         self.executed.append((self.sim.now, "rereplicate_done", pair.name))
         self._post_event("rereplicate_done")
@@ -202,10 +207,7 @@ class ChaosInjector:
         # channels, which can outlast the schedule's own horizon; the
         # scenario isn't over until the pair is whole again.
         deadline = self.sim.now + 600.0 * 1_000_000.0
-        while (
-            any(not p.triggered for p in self._rereplicate_procs)
-            and self.sim.now < deadline
-        ):
+        while self._rereplicating and self.sim.now < deadline:
             self.sim.run(until=self.sim.now + chunk_us)
         # One more detection window so the settle-delayed checks fire.
         settle = self.sim.now + self.manager.detection_delay_us

@@ -82,8 +82,8 @@ class Client:
             self._drained.succeed()
 
     def _launch(self, issue, lpn: int) -> None:
-        """Start one operation; subclasses whose operations are processes
-        spawn them here instead."""
+        """Start one operation (``ChaosClient`` starts it one heap entry
+        later)."""
         issue(lpn)
 
     def _issue_read(self, lpn: int) -> None:

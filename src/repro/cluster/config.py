@@ -30,14 +30,6 @@ class SystemType(enum.Enum):
     def coordinates_io(self) -> bool:
         return self is not SystemType.VDC
 
-    @property
-    def coordinates_gc(self) -> bool:
-        return self in (SystemType.RACKBLOX, SystemType.RACKBLOX_SOFTWARE)
-
-    @property
-    def uses_switch_state(self) -> bool:
-        return self is SystemType.RACKBLOX
-
 
 @dataclass
 class RackConfig:

@@ -6,21 +6,25 @@ with multi-resource token-bucket rate limiting.  The controller lives on a
 separate server, so every interaction costs an in-rack round trip plus
 host software overhead.
 
+What the model times is the controller's GC side: its per-tenant flow
+rates are not modelled (the egress schedulers and token buckets enforce
+isolation), so nothing here tracks flow demand.
+
 For RackBlox (Software) the controller is additionally made **GC-aware**:
 it mirrors the switch's admission logic (accept / delay) in software and,
 when granting GC, returns the location of a replica that is *not*
 collecting so the server can redirect reads itself.
 """
 
-from typing import Dict, Generator, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.sim import Simulator, Timeout
-from repro.sim.core import MSEC
+from repro.sim import Simulator
 
 
 class VdcController:
-    """Centralized flow/GC controller running on its own server."""
+    """Centralized GC controller running on its own server."""
 
     #: One-way latency to reach the controller: two in-rack wire hops
     #: (server -> ToR -> controller server) plus kernel/IPC overhead.
@@ -28,17 +32,8 @@ class VdcController:
     #: Controller-side processing per request.
     PROCESSING_US = 15.0
 
-    def __init__(
-        self,
-        sim: Simulator,
-        epoch_us: float = 100 * MSEC,
-        gc_aware: bool = False,
-        latency_fn=None,
-    ) -> None:
-        if epoch_us <= 0:
-            raise ConfigError("epoch must be positive")
+    def __init__(self, sim: Simulator, gc_aware: bool = False, latency_fn=None) -> None:
         self.sim = sim
-        self.epoch_us = epoch_us
         self.gc_aware = gc_aware
         #: One-way network latency sampler; defaults to the fixed in-rack
         #: constant when the controller is used standalone in tests.
@@ -47,32 +42,8 @@ class VdcController:
         self._gc_state: Dict[int, bool] = {}
         #: vssd_id -> (replica_vssd_id, replica_server_ip)
         self._replicas: Dict[int, Tuple[int, str]] = {}
-        #: Flow demand counters, refreshed each epoch into rate allocations.
-        self._demand: Dict[str, int] = {}
-        self.allocations: Dict[str, float] = {}
-        self.epochs = 0
         self.gc_requests = 0
         self.gc_delays = 0
-        sim.spawn(self._epoch_loop())
-
-    # ----------------------------------------------------------- flow side
-
-    def note_demand(self, flow_id: str, ops: int = 1) -> None:
-        """Servers report per-flow demand; folded in at the next epoch."""
-        self._demand[flow_id] = self._demand.get(flow_id, 0) + ops
-
-    def _epoch_loop(self) -> Generator:
-        while True:
-            yield Timeout(self.sim, self.epoch_us)
-            self.epochs += 1
-            total = sum(self._demand.values())
-            if total > 0:
-                self.allocations = {
-                    flow: ops / total for flow, ops in self._demand.items()
-                }
-            self._demand.clear()
-
-    # ------------------------------------------------------------- GC side
 
     def register_pair(
         self, vssd_id: int, replica_vssd_id: int, replica_server_ip: str
@@ -86,11 +57,14 @@ class VdcController:
             return self.latency_fn()
         return self.ONE_WAY_US
 
-    def round_trip(self) -> Generator:
-        """Process: one request/response exchange with the controller."""
-        yield Timeout(self.sim, self._one_way())
-        yield Timeout(self.sim, self.PROCESSING_US)
-        yield Timeout(self.sim, self._one_way())
+    def round_trip(self, then: Callable[[], None]) -> None:
+        """One request/response exchange with the controller; ``then()``
+        once the response is back."""
+        def processed() -> None:
+            self.sim.schedule_after(self._one_way(), then)
+
+        self.sim.schedule_after(self._one_way(), partial(
+            self.sim.schedule_after, self.PROCESSING_US, processed))
 
     def decide_gc(self, vssd_id: int, kind: str) -> Tuple[str, Optional[str]]:
         """Software re-implementation of the switch's admission logic.

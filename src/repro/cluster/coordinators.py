@@ -13,11 +13,12 @@ Three implementations exist across the evaluated systems:
 """
 
 import random
-from typing import Generator, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.cluster.controller import VdcController
 from repro.net.packet import GcKind, gc_op
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 from repro.switch.dataplane import SwitchDataPlane
 from repro.vssd.vssd import VSsd
 
@@ -51,39 +52,43 @@ class SwitchGcCoordinator:
             return False
         return self._drop_rng.random() < self.drop_probability
 
-    def request_gc(self, vssd: VSsd, kind: str) -> Generator:
-        """Process: send a gc_op and return 'accept' / 'delay' / 'lost'."""
+    def request_gc(self, vssd: VSsd, kind: str, then: Callable[[str], None]) -> None:
+        """Send a gc_op; ``then`` gets 'accept' / 'delay' / 'lost'."""
         pkt = gc_op(vssd.vssd_id, _KIND_TO_GC[kind], src=self.server_ip)
         self.packets_sent += 1
-        yield Timeout(self.sim, IN_RACK_HOP_US)
-        if self._maybe_drop():
-            # Link/switch failure: the ack never arrives; the monitor's
-            # retry logic (3 tries for regular GC) takes over.
-            self.packets_dropped += 1
-            return "lost"
-        action = self.dataplane.process_packet(pkt)
-        yield Timeout(
-            self.sim,
-            self.dataplane.gc_op_delay_us(_KIND_TO_GC[kind]) + IN_RACK_HOP_US,
-        )
-        reply = action.packet.gc_kind
-        return "accept" if reply is GcKind.ACCEPT else "delay"
 
-    def notify_finish(self, vssd: VSsd) -> Generator:
-        pkt = gc_op(vssd.vssd_id, GcKind.FINISH, src=self.server_ip)
-        self.packets_sent += 1
-        yield Timeout(self.sim, IN_RACK_HOP_US)
-        if not self._maybe_drop():
-            self.dataplane.process_packet(pkt)
+        def at_switch() -> None:
+            if self._maybe_drop():
+                # Link/switch failure: the ack never arrives; the monitor's
+                # retry logic (3 tries for regular GC) takes over.
+                self.packets_dropped += 1
+                then("lost")
+                return
+            action = self.dataplane.process_packet(pkt)
+            self.sim.schedule_after(
+                self.dataplane.gc_op_delay_us(_KIND_TO_GC[kind]) + IN_RACK_HOP_US,
+                lambda: then("accept" if action.packet.gc_kind is GcKind.ACCEPT
+                             else "delay"))
 
-    def notify_background(self, vssd: VSsd) -> Generator:
+        self.sim.schedule_after(IN_RACK_HOP_US, at_switch)
+
+    def notify_finish(self, vssd: VSsd, then: Callable[[], None]) -> None:
+        self._tell(gc_op(vssd.vssd_id, GcKind.FINISH, src=self.server_ip), then)
+
+    def notify_background(self, vssd: VSsd, then: Callable[[], None]) -> None:
         """Background GC runs without approval; the switch is only told so
         it starts redirecting reads (§3.5.1)."""
-        pkt = gc_op(vssd.vssd_id, GcKind.BG, src=self.server_ip)
+        self._tell(gc_op(vssd.vssd_id, GcKind.BG, src=self.server_ip), then)
+
+    def _tell(self, pkt, then: Callable[[], None]) -> None:
         self.packets_sent += 1
-        yield Timeout(self.sim, IN_RACK_HOP_US)
-        if not self._maybe_drop():
-            self.dataplane.process_packet(pkt)
+
+        def arrived() -> None:
+            if not self._maybe_drop():
+                self.dataplane.process_packet(pkt)
+            then()
+
+        self.sim.schedule_after(IN_RACK_HOP_US, arrived)
 
 
 class ControllerGcCoordinator:
@@ -97,21 +102,30 @@ class ControllerGcCoordinator:
         #: the server's software-redirect hook reads this.
         self.redirect_targets = {}
 
-    def request_gc(self, vssd: VSsd, kind: str) -> Generator:
-        yield self.sim.spawn(self.controller.round_trip())
-        verdict, redirect_ip = self.controller.decide_gc(vssd.vssd_id, kind)
-        if verdict == "accept" and redirect_ip is not None:
-            self.redirect_targets[vssd.vssd_id] = redirect_ip
-        return verdict
+    def request_gc(self, vssd: VSsd, kind: str, then: Callable[[str], None]) -> None:
+        def decided() -> None:
+            verdict, redirect_ip = self.controller.decide_gc(vssd.vssd_id, kind)
+            if verdict == "accept" and redirect_ip is not None:
+                self.redirect_targets[vssd.vssd_id] = redirect_ip
+            then(verdict)
 
-    def notify_finish(self, vssd: VSsd) -> Generator:
+        # tick: the round trip starts one heap entry later
+        self.sim.schedule_after(0.0, partial(self.controller.round_trip, decided))
+
+    def notify_finish(self, vssd: VSsd, then: Callable[[], None]) -> None:
         # Fire-and-forget: one-way message to the controller.
-        yield Timeout(self.sim, self.controller.ONE_WAY_US)
-        self.controller.finish_gc(vssd.vssd_id)
-        self.redirect_targets.pop(vssd.vssd_id, None)
+        def arrived() -> None:
+            self.controller.finish_gc(vssd.vssd_id)
+            self.redirect_targets.pop(vssd.vssd_id, None)
+            then()
 
-    def notify_background(self, vssd: VSsd) -> Generator:
-        yield Timeout(self.sim, self.controller.ONE_WAY_US)
-        _, redirect_ip = self.controller.decide_gc(vssd.vssd_id, "bg")
-        if redirect_ip is not None:
-            self.redirect_targets[vssd.vssd_id] = redirect_ip
+        self.sim.schedule_after(self.controller.ONE_WAY_US, arrived)
+
+    def notify_background(self, vssd: VSsd, then: Callable[[], None]) -> None:
+        def arrived() -> None:
+            _, redirect_ip = self.controller.decide_gc(vssd.vssd_id, "bg")
+            if redirect_ip is not None:
+                self.redirect_targets[vssd.vssd_id] = redirect_ip
+            then()
+
+        self.sim.schedule_after(self.controller.ONE_WAY_US, arrived)

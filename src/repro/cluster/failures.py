@@ -15,14 +15,14 @@ copying the surviving replica's live data (timed reads + writes through
 the flash channels), and re-registering the pair in the switch tables.
 """
 
-from typing import Dict, Generator, Optional, Set
+from functools import partial
+from typing import Callable, Dict, Optional, Set
 
 from repro.cluster.rack import Rack
 from repro.cluster.replication import ReplicaPair
 from repro.errors import ConfigError
 from repro.flash.gc import GreedyGcPolicy
 from repro.flash.ssd import Ssd
-from repro.sim import Timeout
 from repro.sim.core import MSEC
 from repro.switch.dataplane import SwitchDataPlane
 from repro.vssd.allocator import VssdAllocator
@@ -54,25 +54,27 @@ class FailureManager:
         self.detected_at: Dict[str, float] = {}
         self.recovered_at: Dict[str, float] = {}
         self._running = False
-        self._process = None
+        #: True from a start until the heartbeat loop sees the stop.
+        self._looping = False
 
     def start(self) -> None:
         """Start the heartbeat loop (idempotent while running)."""
         self._running = True
-        if self._process is not None and self._process.is_alive:
+        if self._looping:
             # One loop is plenty: a restart before the stopped loop drained
-            # its final timeout just re-arms it instead of stacking loops.
+            # its final wait just re-arms it instead of stacking loops.
             return
-        self._process = self.sim.spawn(self._heartbeat_loop())
+        self._looping = True
+        # tick: the loop starts one heap entry later
+        self.sim.schedule_after(0.0, self._heartbeat)
 
     def stop(self) -> None:
         """Ask the heartbeat loop to exit at its next tick (idempotent).
 
         After the loop wakes once more it returns, so a caller done with
-        the rack does not leak a perpetual sim process that would keep
-        the event heap busy forever.  Nothing in the package stops one
-        today: a rack armed with a fault schedule heartbeats until it is
-        dropped.
+        the rack does not leak a perpetual timer that would keep the event
+        heap busy forever.  Nothing in the package stops one today: a rack
+        armed with a fault schedule heartbeats until it is dropped.
         """
         self._running = False
 
@@ -80,11 +82,13 @@ class FailureManager:
     def running(self) -> bool:
         return self._running
 
-    def _heartbeat_loop(self) -> Generator:
-        while self._running:
-            yield Timeout(self.sim, self.heartbeat_interval_us)
-            if not self._running:
-                return
+    def _heartbeat(self, check: bool = False) -> None:
+        # One turn: check the servers (not on the first), then wait an
+        # interval, re-read each time: heartbeat_jitter changes it mid-run.
+        if not self._running:
+            self._looping = False
+            return
+        if check:
             for server in self.rack.servers:
                 # rack.servers can grow after construction (re-replication
                 # targets); default unseen IPs to zero misses so brand-new
@@ -96,6 +100,7 @@ class FailureManager:
                 self._missed[server.ip] = missed
                 if missed >= self.miss_threshold and server.ip not in self._handled:
                     self._on_server_failure(server.ip)
+        self.sim.schedule_after(self.heartbeat_interval_us, partial(self._heartbeat, True))
 
     @property
     def detection_delay_us(self) -> float:
@@ -145,9 +150,11 @@ class FailureManager:
     # -------------------------------------------------------- re-replication
 
     def rereplicate_pair(
-        self, pair: ReplicaPair, target_ip: Optional[str] = None
-    ) -> Generator:
-        """Process: restore a pair's replication factor after a failure.
+        self, pair: ReplicaPair, then: Callable[[int], None],
+        target_ip: Optional[str] = None,
+    ) -> None:
+        """Restore a pair's replication factor after a failure; ``then``
+        gets the number of pages copied once the pair is whole again.
 
         The dead member is replaced by a fresh vSSD on ``target_ip`` (or
         the least-loaded healthy server that holds neither copy).  Live
@@ -155,12 +162,19 @@ class FailureManager:
         a timed read on the survivor plus a timed write on the new vSSD,
         so re-replication competes with foreground traffic exactly as it
         would in production.  Finishes by re-registering the pair in the
-        switch tables and clearing the fail-over redirection bits.
+        switch tables and clearing the fail-over redirection bits.  A pair
+        with no dead member, or no server to rebuild on, raises
+        ``ConfigError`` at once, before anything is scheduled.
         """
-        rack = self.rack
-        dead_ip, survivor, dead_vssd = self._locate_dead_member(pair)
+        _dead_ip, survivor, dead_vssd = self._locate_dead_member(pair)
         target = self._pick_target(pair, target_ip)
-        config = rack.config
+        # tick: the rebuild starts one heap entry later
+        self.sim.schedule_after(0.0, partial(
+            self._rebuild, pair, survivor, dead_vssd, target, then))
+
+    def _rebuild(self, pair: ReplicaPair, survivor, dead_vssd, target,
+                 then: Callable[[int], None]) -> None:
+        config = self.rack.config
         ssd = Ssd(
             self.sim,
             ssd_id=f"ssd-rerepl-{pair.name}-{dead_vssd.vssd_id}",
@@ -178,13 +192,27 @@ class FailureManager:
             ),
         )
         target.host_vssd(new_vssd)
-        # Copy the survivor's live pages: read there, write here.
-        copied = 0
-        for lpn in survivor.ftl.mapped_lpns():
-            yield self.sim.spawn(survivor.read(lpn))
-            yield self.sim.spawn(new_vssd.write(lpn))
-            copied += 1
-        # Rewire the pair object and the rack's lookup tables.
+        lpns = survivor.ftl.mapped_lpns()
+
+        def copy(index: int) -> None:
+            # The survivor's live pages, one at a time: read there, then
+            # write here.
+            if index == len(lpns):
+                self._rewire(pair, survivor, dead_vssd, new_vssd, target)
+                then(index)
+                return
+            write = partial(new_vssd.start_write, lpns[index], partial(copy, index + 1))
+            # tick: the read, and after it the write, each one heap entry later
+            self.sim.schedule_after(0.0, partial(
+                survivor.start_read, lpns[index],
+                partial(self.sim.schedule_after, 0.0, write)))
+
+        copy(0)
+
+    def _rewire(self, pair: ReplicaPair, survivor, dead_vssd, new_vssd, target) -> None:
+        """Point the pair object, the rack's lookup tables and the switch
+        at the rebuilt member."""
+        rack = self.rack
         if pair.primary is dead_vssd:
             pair.primary = new_vssd
             pair.primary_server_ip = target.ip
@@ -215,7 +243,6 @@ class FailureManager:
             dead_vssd.vssd_id, new_vssd.vssd_id, target.ip
         )
         self.rereplications += 1
-        return copied
 
     def _locate_dead_member(self, pair: ReplicaPair):
         primary_dead = pair.primary_server_ip in self.rack.failed_ips

@@ -19,7 +19,7 @@ coordination hooks are armed (see :class:`~repro.cluster.config.SystemType`).
 
 import itertools
 from functools import partial
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.config import RackConfig, SystemType
 from repro.cluster.controller import VdcController
@@ -34,7 +34,7 @@ from repro.flash.gc import GreedyGcPolicy
 from repro.flash.ssd import Ssd
 from repro.net.int_telemetry import add_hop_latency
 from repro.net.latency import LatencyProcess
-from repro.net.packet import Packet, read_request, write_request
+from repro.net.packet import OpType, Packet, read_request, write_request
 from repro.net.schedulers import (
     EgressPort,
     FairQueueScheduler,
@@ -46,7 +46,7 @@ from repro.server.gc_monitor import GcMonitor, LocalGcCoordinator
 from repro.server.iosched import make_scheduler
 from repro.server.sdf import StorageServer
 from repro.server.write_cache import WriteCache
-from repro.sim import Event, Simulator, Timeout
+from repro.sim import Event, Join, Simulator
 from repro.sim.rng import RandomSource
 from repro.switch.controlplane import SwitchControlPlane
 from repro.switch.dataplane import SwitchDataPlane
@@ -65,24 +65,6 @@ SOFTWARE_REDIRECT_OVERHEAD_US = 150.0
 
 def _sent_and_forgotten(_pkt: Packet, _sent_at: float) -> None:
     """Egress continuation of background filler: nobody waits for it."""
-
-
-class Join:
-    """Where the legs of one operation meet: ``then(values)``, in leg
-    order, once every leg has called ``arrive``."""
-
-    __slots__ = ("_then", "_values", "_left")
-
-    def __init__(self, legs: int, then: Callable[[List[Any]], None]) -> None:
-        self._then = then
-        self._values: List[Any] = [None] * legs
-        self._left = legs
-
-    def arrive(self, index: int, value: Any) -> None:
-        self._values[index] = value
-        self._left -= 1
-        if not self._left:
-            self._then(self._values)
 
 
 def _make_network_scheduler(name: str, tb_flow_rate: float = 50_000.0):
@@ -450,8 +432,6 @@ class Rack:
         waits require, with no generator or start tick -- this path runs
         once per request leg and dominates the simulator's event budget.
         """
-        if self.controller is not None:
-            self.controller.note_demand(flow_id)
         sent_at = self.sim.now
         outbound = self.latency_for_client(pkt.src).sample(self.sim.now, "out")
         self.sim.schedule_after(
@@ -697,10 +677,13 @@ class Rack:
         pkt.vssd_id = peer.vssd_id
         pkt.dst = target_ip
         pkt.payload["proxy_ip"] = server.ip
-        self.sim.spawn(self._forward_between_servers(pkt, target_ip))
+        # tick: the forward starts one heap entry later, and draws its hop
+        # latency there
+        self.sim.schedule_after(
+            0.0, partial(self._forward_between_servers, pkt, target_ip))
         return True
 
-    def _forward_between_servers(self, pkt: Packet, dst_ip: str) -> Generator:
+    def _forward_between_servers(self, pkt: Packet, dst_ip: str) -> None:
         # The server-to-server leg rides the same emulated datacenter
         # fabric as client traffic (the paper injects trace latency on
         # every traversal), plus user-level forwarding overhead -- the
@@ -708,14 +691,17 @@ class Rack:
         # below RackBlox (§4.3).
         forward_start = self.sim.now
         hop = self.latency.sample(self.sim.now)
-        yield Timeout(self.sim, hop + SOFTWARE_REDIRECT_OVERHEAD_US)
-        add_hop_latency(pkt, hop)
-        trace = pkt.payload.get("trace")
-        if trace is not None:
-            trace.add_span(
-                "net.redirect_relay", forward_start, self.sim.now, dst=dst_ip
-            )
-        self.server_by_ip[dst_ip].receive_packet(pkt)
+
+        def forwarded() -> None:
+            add_hop_latency(pkt, hop)
+            trace = pkt.payload.get("trace")
+            if trace is not None:
+                trace.add_span(
+                    "net.redirect_relay", forward_start, self.sim.now, dst=dst_ip
+                )
+            self.server_by_ip[dst_ip].receive_packet(pkt)
+
+        self.sim.schedule_after(hop + SOFTWARE_REDIRECT_OVERHEAD_US, forwarded)
 
     # -------------------------------------------------- background traffic
 
@@ -733,23 +719,23 @@ class Rack:
         server-facing egress port each ``period_us``, delaying storage
         traffic queued at lower priority.
         """
-        self.sim.spawn(self._background_loop(burst, period_us, priority, size_kb))
+        burst_fn = partial(self._background_burst, burst, period_us, priority, size_kb)
+        # tick: the first period starts one heap entry later
+        self.sim.schedule_after(0.0, partial(self.sim.schedule_after, period_us, burst_fn))
 
-    def _background_loop(
+    def _background_burst(
         self, burst: int, period_us: float, priority: int, size_kb: float
-    ) -> Generator:
-        from repro.net.packet import OpType
-
-        while True:
-            yield Timeout(self.sim, period_us)
-            for port in self._egress.values():
-                for _ in range(burst):
-                    filler = Packet(
-                        op=OpType.WRITE, vssd_id=0, src="bg", dst="bg",
-                        size_kb=size_kb,
-                    )
-                    port.transmit(filler, "bg", priority, _sent_and_forgotten)
-                    self.background_packets += 1
+    ) -> None:
+        for port in self._egress.values():
+            for _ in range(burst):
+                filler = Packet(
+                    op=OpType.WRITE, vssd_id=0, src="bg", dst="bg",
+                    size_kb=size_kb,
+                )
+                port.transmit(filler, "bg", priority, _sent_and_forgotten)
+                self.background_packets += 1
+        self.sim.schedule_after(period_us, partial(
+            self._background_burst, burst, period_us, priority, size_kb))
 
     # ----------------------------------------------------------------- stats
 

@@ -114,19 +114,6 @@ def _run_all(specs: Sequence[RunSpec]) -> Dict[RunSpec, RackResult]:
     return dict(zip(specs, results))
 
 
-def _cached_run(
-    system: SystemType,
-    workload: WorkloadSpec,
-    requests: int,
-    rate: float,
-    seed: int,
-    **config_overrides,
-) -> RackResult:
-    return get_runner().run_spec(
-        _spec(system, workload, requests, rate, seed, **config_overrides)
-    )
-
-
 def _safe(recorder, method: str) -> Optional[float]:
     if recorder.count == 0:
         return None

@@ -16,14 +16,15 @@ modelled geometry --
 
 import random
 from dataclasses import dataclass
-from typing import Generator, List
+from functools import partial
+from typing import List
 
 from repro.flash.ftl import PageMappedFtl
 from repro.flash.gc import GreedyGcPolicy
 from repro.flash.geometry import FlashGeometry
 from repro.flash.ssd import Ssd
 from repro.flash.timing import DeviceProfile, PSSD
-from repro.sim import AllOf, Simulator
+from repro.sim import Simulator
 from repro.vssd.allocator import VssdAllocator
 
 
@@ -51,23 +52,14 @@ def _single_op_latencies(profile: DeviceProfile) -> List[ValidationRow]:
     ssd = Ssd(sim, "v", geometry=geo, profile=profile)
     vssd = VssdAllocator(ssd).create_hardware_isolated("v", channels=[0])
     rows = []
-
-    def one_write():
-        yield sim.spawn(vssd.write(0))
-
-    start = sim.now
-    sim.spawn(one_write())
-    sim.run()
-    rows.append(ValidationRow(
-        "single 4KB program (us)", profile.program_latency(4.0), sim.now - start,
-    ))
-
-    start = sim.now
-    sim.spawn(vssd.read(0))
-    sim.run()
-    rows.append(ValidationRow(
-        "single 4KB read (us)", profile.read_latency(4.0), sim.now - start,
-    ))
+    for check, operation, expected in (
+        ("single 4KB program (us)", vssd.start_write, profile.program_latency(4.0)),
+        ("single 4KB read (us)", vssd.start_read, profile.read_latency(4.0)),
+    ):
+        start = sim.now
+        operation(0, lambda: None)
+        sim.run()
+        rows.append(ValidationRow(check, expected, sim.now - start))
     return rows
 
 
@@ -81,14 +73,15 @@ def _channel_throughput(profile: DeviceProfile, channels: int) -> ValidationRow:
     )
     reads_per_channel = 200
 
-    def reader(offset: int) -> Generator:
-        for i in range(reads_per_channel):
-            yield sim.spawn(vssd.read((offset + i * channels) % vssd.logical_pages))
+    def read_from(offset: int, i: int) -> None:
+        # One reader per channel: its next read once the last is done.
+        if i < reads_per_channel:
+            vssd.start_read((offset + i * channels) % vssd.logical_pages,
+                            partial(read_from, offset, i + 1))
 
-    procs = [sim.spawn(reader(c)) for c in range(channels)]
-    done = AllOf(sim, procs)
+    for channel in range(channels):
+        read_from(channel, 0)
     sim.run()
-    assert done.triggered
     total_reads = channels * reads_per_channel
     measured_kiops = total_reads / (sim.now / 1000.0)
     expected_kiops = channels * (1000.0 / profile.read_latency(4.0))

@@ -7,9 +7,10 @@ RackBlox's coordinated GC routes around.
 """
 
 from collections import deque
-from typing import Callable, Deque, Generator, Optional, Tuple
+from functools import partial
+from typing import Callable, Deque, Optional, Tuple
 
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 from repro.flash.timing import DeviceProfile
 
 #: One bus command: (kind, duration, continuation).
@@ -20,11 +21,9 @@ class Channel:
     """One channel: a bus that carries one timed command at a time.
 
     :meth:`submit` is the whole machine -- a FIFO of commands and one
-    scheduler callback per command.  The generator methods (``execute``
-    and the page/block operations built on it) are adapters over it for
-    callers that are processes (GC, the scrubber, chaos stalls), so host
-    I/O and GC commands share one queue and are served strictly in
-    arrival order.
+    scheduler callback per command.  Host I/O, GC page moves and erases
+    (:meth:`start_erase`) and chaos stalls all go through it, so they
+    share one queue and are served strictly in arrival order.
     """
 
     def __init__(self, sim: Simulator, channel_id: int, profile: DeviceProfile) -> None:
@@ -94,22 +93,9 @@ class Channel:
             self._active = None
         then()
 
-    def execute(self, kind: str, duration: float) -> Generator:
-        """Process: occupy the channel for ``duration`` microseconds."""
-        done = Event(self.sim)
-        self.submit(kind, duration, done.succeed)
-        yield done
-
-    def read_page(self, size_kb: float) -> Generator:
-        """Process: one page read (array sense + bus transfer)."""
-        return self.execute("read", self.profile.read_latency(size_kb))
-
-    def program_page(self, size_kb: float) -> Generator:
-        """Process: one page program (bus transfer + array program)."""
-        return self.execute("program", self.profile.program_latency(size_kb))
-
-    def erase_block(self) -> Generator:
-        """Process: one block erase (suspendable when configured).
+    def start_erase(self, then: Callable[[], None]) -> None:
+        """One block erase (suspendable when configured); ``then()`` once
+        it is done.
 
         With suspension enabled, the erase runs in slices and yields the
         bus between slices whenever commands are waiting -- a queued read
@@ -117,24 +103,31 @@ class Channel:
         actual suspension costs a resume penalty, stretching the erase.
         """
         if not self.suspend_enabled:
-            return self.execute("erase", self.profile.erase_us)
-        return self._suspendable_erase()
+            self.submit("erase", self.profile.erase_us, then)
+        else:
+            self._erase_rest(self.profile.erase_us, then)
 
-    def _suspendable_erase(self) -> Generator:
-        remaining = self.profile.erase_us
-        while remaining > 0:
-            this_slice = min(self.suspend_slice_us, remaining)
-            yield from self.execute("erase_slice", this_slice)
-            # We resume inside the release: the bus is busy again only if
-            # a queued command took it over.
-            must_yield = remaining > this_slice and self.busy
-            remaining -= this_slice
-            if remaining > 0 and must_yield:
-                # Someone was waiting: the erase actually suspended and
-                # will pay the resume overhead when it reacquires.
-                self.suspensions += 1
-                remaining += self.resume_penalty_us
-        self.op_counts["erase"] += 1
+    def _erase_rest(self, remaining: float, then: Callable[[], None]) -> None:
+        if remaining <= 0:
+            self.op_counts["erase"] += 1
+            then()
+            return
+        this_slice = min(self.suspend_slice_us, remaining)
+        self.submit("erase_slice", this_slice,
+                    partial(self._erase_slice_done, remaining, this_slice, then))
+
+    def _erase_slice_done(self, remaining: float, this_slice: float,
+                          then: Callable[[], None]) -> None:
+        # We continue inside the release: the bus is busy again only if a
+        # queued command took it over.
+        must_yield = remaining > this_slice and self.busy
+        remaining -= this_slice
+        if remaining > 0 and must_yield:
+            # Someone was waiting: the erase actually suspended and will
+            # pay the resume overhead when it reacquires.
+            self.suspensions += 1
+            remaining += self.resume_penalty_us
+        self._erase_rest(remaining, then)
 
     def utilization(self, now: float) -> float:
         """Fraction of elapsed simulated time the channel was busy."""

@@ -6,7 +6,7 @@ chip, SSD, server, and rack granularity and computes the imbalance metric
 λ = φ_max / φ_avg that the paper's two-level wear leveling keeps below 1+γ.
 """
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.flash.chip import FlashChip
 
@@ -40,9 +40,6 @@ class WearTracker:
             (block.erase_count for chip in self.chips for block in chip.blocks),
             default=0,
         )
-
-    def per_chip_average(self) -> List[float]:
-        return [chip.average_erase_count for chip in self.chips]
 
 
 def wear_imbalance(wears: Sequence[float]) -> float:

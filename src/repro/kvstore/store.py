@@ -27,11 +27,11 @@ from bisect import bisect_left, insort
 from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.cluster.rack import Join, Rack
+from repro.cluster.rack import Rack
 from repro.errors import ConfigError
 from repro.metrics.collector import ExperimentMetrics
 from repro.net.packet import read_request, write_request
-from repro.sim import Event
+from repro.sim import Event, Join
 
 
 def _key_hash(key: str) -> int:

@@ -165,7 +165,3 @@ class LatencyProcess:
             # profile's mean factor.
             draw *= 1.0 + rng.expovariate(1.0 / profile.straggler_factor)
         return draw * self.degradation
-
-    def expected_uncongested(self) -> float:
-        """Mean of the uncongested lognormal (for scheduler deadline tuning)."""
-        return math.exp(self._mu + self.profile.sigma**2 / 2.0)

@@ -12,13 +12,16 @@ Every check interval the monitor inspects each hosted vSSD:
 Coordination is pluggable: :class:`LocalGcCoordinator` accepts everything
 instantly (the uncoordinated baselines); the switch- and controller-based
 coordinators live in :mod:`repro.cluster` where the network is wired up.
+Coordinators answer through continuations: ``then(verdict)`` for a
+request, ``then()`` for a notice.
 """
 
-from typing import Dict, Generator, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FlashError
 from repro.server.idle import IdlePredictor
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 from repro.sim.core import MSEC
 from repro.vssd.channel_group import ChannelGroup
 from repro.vssd.vssd import VSsd
@@ -34,24 +37,23 @@ DEFAULT_RETRIES = 3
 class LocalGcCoordinator:
     """No coordination: every request is accepted immediately (VDC-style)."""
 
-    def request_gc(self, vssd: VSsd, kind: str) -> Generator:
-        """Process: always grants immediately (no shared state)."""
-        return "accept"
-        yield  # pragma: no cover - makes this a generator function
+    def request_gc(self, vssd: VSsd, kind: str, then: Callable[[str], None]) -> None:
+        """Always grants, at once (no shared state)."""
+        then("accept")
 
-    def notify_finish(self, vssd: VSsd) -> Generator:
-        """Process: nothing to clear -- no shared state exists."""
-        return None
-        yield  # pragma: no cover
+    def notify_finish(self, vssd: VSsd, then: Callable[[], None]) -> None:
+        """Nothing to clear -- no shared state exists."""
+        then()
 
-    def notify_background(self, vssd: VSsd) -> Generator:
-        """Process: background GC needs no approval and no bookkeeping."""
-        return None
-        yield  # pragma: no cover
+    def notify_background(self, vssd: VSsd, then: Callable[[], None]) -> None:
+        """Background GC needs no approval and no bookkeeping."""
+        then()
 
 
 class GcMonitor:
-    """Runs the periodic trigger_gc loop for one server's vSSDs."""
+    """Runs the periodic trigger_gc loop for one server's vSSDs: a pass
+    checks them one at a time, each check running its protocol's steps in
+    turn (:meth:`_in_turn`), and the timer re-arms when the pass ends."""
 
     def __init__(
         self,
@@ -75,6 +77,8 @@ class GcMonitor:
         self.requests_sent = {"soft": 0, "regular": 0, "bg": 0}
         self.delays_received = 0
         self.forced_after_retries = 0
+        #: The error that ended this monitor, if a GC pass ran out of space.
+        self.halted_by: Optional[FlashError] = None
         self._running = False
 
     def start(self) -> None:
@@ -82,32 +86,79 @@ class GcMonitor:
         if self._running:
             return
         self._running = True
-        self.sim.spawn(self._loop())
+        # tick: the loop's start.  The first check is staggered by half an
+        # interval so a rack of monitors doesn't synchronise.
+        self.sim.schedule_after(0.0, partial(
+            self.sim.schedule_after, self.check_interval_us * 0.5, self._pass))
 
-    def _loop(self) -> Generator:
-        # Stagger the first check so a rack of monitors doesn't synchronise.
-        yield Timeout(self.sim, self.check_interval_us * 0.5)
-        while True:
-            yield self.sim.spawn(self.check_all_once())
-            yield Timeout(self.sim, self.check_interval_us)
+    def _pass(self) -> None:
+        self._in_turn(partial(self.sim.schedule_after, self.check_interval_us,
+                              self._pass), self.check_all_once)
 
-    def check_all_once(self) -> Generator:
-        """Process: one pass of trigger_gc over every hosted vSSD."""
+    def check_all_once(self, then: Callable[[], None]) -> None:
+        """One pass of trigger_gc over every hosted vSSD (a channel group
+        is checked once, as a whole); ``then()`` after the last check."""
+        checks = []
         groups_seen = set()
         for vssd in self.vssds:
             group = vssd.channel_group
-            if group is not None:
-                if id(group) in groups_seen:
-                    continue
+            if group is None:
+                checks.append(partial(self._check_vssd, vssd))
+            elif id(group) not in groups_seen:
                 groups_seen.add(id(group))
-                yield self.sim.spawn(self._check_group(group))
-            else:
-                yield self.sim.spawn(self._check_vssd(vssd))
+                checks.append(partial(self._check_group, group))
+        self._in_turn(then, *checks)
+
+    def _in_turn(self, then: Callable[[], None], *steps: Callable) -> None:
+        """Run each ``step(next)`` once the one before it called ``next``,
+        then ``then()``."""
+        if not steps:
+            then()
+            return
+        # tick: each step starts one heap entry after it is due
+        self.sim.schedule_after(0.0, partial(
+            steps[0], partial(self._in_turn, then, *steps[1:])))
+
+    def _request_with_retries(self, vssd: VSsd, kind: str, verdicts: List[str],
+                              then: Callable[[], None], tries: int = 0) -> None:
+        """Ask the coordinator until it answers, append its ``accept`` /
+        ``delay`` to ``verdicts``, then call ``then()``."""
+        if tries >= (self.retries if kind == "regular" else 1):
+            if kind == "regular":
+                # The paper: regular GC executes after exhausting retries.
+                self.forced_after_retries += 1
+            verdicts.append("accept" if kind == "regular" else "delay")
+            then()
+            return
+
+        def answered(verdict: str) -> None:
+            if verdict in ("accept", "delay"):
+                verdicts.append(verdict)
+                then()
+            else:  # lost ack (link/switch failure): back off briefly, retry
+                self.sim.schedule_after(1 * MSEC, partial(
+                    self._request_with_retries, vssd, kind, verdicts, then, tries + 1))
+
+        # tick: each request starts one heap entry after it is due
+        self.sim.schedule_after(0.0, partial(self.coordinator.request_gc, vssd, kind, answered))
+
+    def _run_gc(self, vssd: VSsd, then: Callable[[], None]) -> None:
+        target = vssd.gc_policy.soft_threshold + self.restore_margin
+        self._in_turn(then, partial(vssd.gc_until, target, fail=self._halt),
+                      partial(self.coordinator.notify_finish, vssd))
+
+    def _halt(self, exc: FlashError) -> None:
+        # A GC pass that found no free page ends this monitor where it
+        # stands: no finish notice (the switch keeps the vSSD's GC bit),
+        # no further check.  That is what the error did to the process
+        # this monitor was, and every trajectory was measured with it.
+        self.halted_by = exc
 
     # -------------------------------------------------- hardware-isolated
 
-    def _check_vssd(self, vssd: VSsd) -> Generator:
+    def _check_vssd(self, vssd: VSsd, then: Callable[[], None]) -> None:
         if vssd.gc_active:
+            then()
             return
         kind = vssd.gc_needed()
         if kind is None:
@@ -116,65 +167,54 @@ class GcMonitor:
                     and vssd.ftl.has_stale()):
                 kind = "bg"
         if kind is None:
+            then()
             return
         self.requests_sent[kind] += 1
         if kind == "bg":
             # Background GC needs no approval; the switch is merely told so
             # it can redirect reads meanwhile.
-            yield self.sim.spawn(self.coordinator.notify_background(vssd))
-            yield self.sim.spawn(self._run_gc(vssd))
+            self._in_turn(then, partial(self.coordinator.notify_background, vssd),
+                          partial(self._run_gc, vssd))
             return
-        verdict = yield self.sim.spawn(self._request_with_retries(vssd, kind))
-        if verdict == "accept":
-            yield self.sim.spawn(self._run_gc(vssd))
-        else:
-            self.delays_received += 1
+        verdicts: List[str] = []
 
-    def _request_with_retries(self, vssd: VSsd, kind: str) -> Generator:
-        attempts = self.retries if kind == "regular" else 1
-        for _ in range(attempts):
-            verdict = yield self.sim.spawn(self.coordinator.request_gc(vssd, kind))
-            if verdict in ("accept", "delay"):
-                return verdict
-            # Lost ack (link/switch failure): back off briefly and retry.
-            yield Timeout(self.sim, 1 * MSEC)
-        if kind == "regular":
-            # The paper: regular GC executes after exhausting retries.
-            self.forced_after_retries += 1
-            return "accept"
-        return "delay"
+        def decided() -> None:
+            if verdicts == ["accept"]:
+                self._in_turn(then, partial(self._run_gc, vssd))
+            else:
+                self.delays_received += 1
+                then()
 
-    def _run_gc(self, vssd: VSsd) -> Generator:
-        target = vssd.gc_policy.soft_threshold + self.restore_margin
-        yield self.sim.spawn(vssd.gc_until(target))
-        yield self.sim.spawn(self.coordinator.notify_finish(vssd))
+        self._in_turn(decided, partial(self._request_with_retries, vssd, kind, verdicts))
 
     # -------------------------------------------------- software-isolated
 
-    def _check_group(self, group: ChannelGroup) -> Generator:
+    def _check_group(self, group: ChannelGroup, then: Callable[[], None]) -> None:
         # Members that ran dry borrow blocks while the group-wide GC point
         # has not been reached (§3.5.2).
         group.rebalance_free_blocks()
         kind = group.needs_group_gc()
         if kind is None:
+            then()
             return
         self.requests_sent[kind] += 1
         # One gc_op per member vSSD; a delay response from *any* member
         # delays the whole channel group.
-        verdicts = []
-        for member in group.members:
-            verdict = yield self.sim.spawn(
-                self._request_with_retries(member, kind)
-            )
-            verdicts.append(verdict)
-        if all(v == "accept" for v in verdicts):
-            target = group.members[0].gc_policy.soft_threshold + self.restore_margin
-            yield self.sim.spawn(group.group_gc(target))
-            for member in group.members:
-                yield self.sim.spawn(self.coordinator.notify_finish(member))
-        else:
+        verdicts: List[str] = []
+        members = group.members
+        finish = self.coordinator.notify_finish
+
+        def decided() -> None:
+            if all(v == "accept" for v in verdicts):
+                target = members[0].gc_policy.soft_threshold + self.restore_margin
+                self._in_turn(then, partial(group.group_gc, target, fail=self._halt),
+                              *(partial(finish, member) for member in members))
+                return
             self.delays_received += 1
             # Roll back accepted members: their GC did not actually start.
-            for member, verdict in zip(group.members, verdicts):
-                if verdict == "accept":
-                    yield self.sim.spawn(self.coordinator.notify_finish(member))
+            self._in_turn(then, *(partial(finish, member)
+                                  for member, verdict in zip(members, verdicts)
+                                  if verdict == "accept"))
+
+        self._in_turn(decided, *(partial(self._request_with_retries, member, kind, verdicts)
+                                 for member in members))

@@ -13,10 +13,10 @@ coordinated GC like any other request.
 """
 
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Generator, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 from repro.vssd.vssd import VSsd
 
 #: Below the watermark the flusher batches lazily behind this dwell.
@@ -113,13 +113,6 @@ class WriteCache:
         if self._admission_waiters:
             self._admit_or_park(*self._admission_waiters.popleft())
 
-    def admit(self, vssd: VSsd, lpn: int) -> Generator:
-        """Process: :meth:`start_admit` for callers that are processes."""
-        done = Event(self.sim)
-        self.start_admit(vssd, lpn, done.succeed)
-        if not done.triggered:
-            yield done
-
     def _run_flusher(self) -> None:
         """Drain dirty pages, lazily below the watermark, aggressively
         above it, with bounded parallelism.  Runs whenever a page is
@@ -169,11 +162,3 @@ class WriteCache:
     def _flush_failed(self, _exc: Exception) -> None:
         # The device refused the page: the slot is free all the same.
         self._flush_done()
-
-    def flush_all(self) -> Generator:
-        """Process: synchronously drain the whole cache (used in tests)."""
-        while self._dirty:
-            key, vssd = self._dirty.popitem(last=False)
-            yield from vssd.write(key[1])
-            self.flushes += 1
-            self._wake_one_admission()

@@ -727,13 +727,6 @@ def frame_is_binary(frame: bytes) -> bool:
     return len(frame) > 0 and frame[0] == BIN_MAGIC
 
 
-def frame_opcode(frame: bytes) -> Optional[int]:
-    """The binary opcode of a complete frame, or ``None`` for JSON."""
-    if not frame_is_binary(frame):
-        return None
-    return frame[1]
-
-
 def frame_request_id(frame: bytes) -> Any:
     """The ``id`` a complete frame carries (``None`` when it has none).
 

@@ -1,17 +1,14 @@
-"""Discrete-event simulation kernel.
+"""Discrete-event simulation kernel: an event heap and a virtual clock.
 
-A small, dependency-free event-driven simulator in the style of SimPy:
-generator functions become cooperatively scheduled :class:`Process` objects
-that ``yield`` waitables (:class:`Timeout`, :class:`Event`, other processes).
-
-The kernel is deliberately minimal -- an event heap, a virtual clock, and a
-handful of synchronisation primitives -- because every subsystem in the
-RackBlox reproduction (flash channels, switch pipeline, I/O schedulers,
-network links) is expressed on top of it.
+Every model component is a callback machine: it takes a ``then``
+continuation and waits with ``Simulator.schedule_after``; parallel legs
+meet in a :class:`Join`.  A generator :class:`Process` yielding
+:class:`Event` / :class:`Timeout` / :class:`AllOf` is only an adapter for
+code that drives the model from outside (benchmarks, examples, tests).
 """
 
 from repro.sim.core import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Join, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RandomSource
 
@@ -20,7 +17,7 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
+    "Join",
     "Process",
     "RandomSource",
 ]

@@ -1,8 +1,9 @@
-"""Waitable events for generator-based processes.
+"""Where callback legs meet (:class:`Join`), and one-shot events.
 
-A process waits by yielding one of these objects.  :class:`Event` is the
-one-shot synchronisation primitive; :class:`Timeout` is an event that fires
-after a delay; :class:`AllOf` / :class:`AnyOf` compose events.
+:class:`Event` is the waitable for code that drives the model from
+outside: a :class:`~repro.sim.process.Process` yields one, a test passes
+``Event(sim).succeed`` as a ``then``.  :class:`Timeout` fires after a
+delay; :class:`AllOf` once every child event has.
 """
 
 from typing import Any, Callable, Iterable, List, Optional
@@ -81,13 +82,12 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` microseconds after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim, delay: float, value: Any = None) -> None:
         super().__init__(sim)
         if delay < 0:
             raise SimulationError(f"negative timeout {delay!r}")
-        self.delay = delay
         sim.schedule_after(delay, lambda: self.succeed(value))
 
 
@@ -121,19 +121,19 @@ class AllOf(Event):
             self.succeed([c.value for c in self._children])
 
 
-class AnyOf(Event):
-    """Fires when the first child event triggers; value is that event."""
+class Join:
+    """Where the legs of one operation meet: ``then(values)``, in leg
+    order, once every leg has called ``arrive``."""
 
-    __slots__ = ()
+    __slots__ = ("_then", "_values", "_left")
 
-    def __init__(self, sim, events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        children = list(events)
-        if not children:
-            raise SimulationError("AnyOf requires at least one event")
-        for child in children:
-            child.add_callback(self._on_child)
+    def __init__(self, legs: int, then: Callable[[List[Any]], None]) -> None:
+        self._then = then
+        self._values: List[Any] = [None] * legs
+        self._left = legs
 
-    def _on_child(self, child: Event) -> None:
-        if not self._triggered:
-            self.succeed(child)
+    def arrive(self, index: int, value: Any) -> None:
+        self._values[index] = value
+        self._left -= 1
+        if not self._left:
+            self._then(self._values)

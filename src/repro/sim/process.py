@@ -8,7 +8,9 @@ A *process function* is a generator that yields waitables::
         return value         # becomes the process's value
 
 ``Process`` itself is an :class:`~repro.sim.events.Event`, so processes can
-wait on each other by yielding the other process.
+wait on each other by yielding the other process.  Nothing in the model is
+a process: this is the adapter for code that drives a rack from outside it
+(``Client.run`` under the batch runner, the benchmark, the examples).
 """
 
 from typing import Generator
@@ -38,10 +40,6 @@ class Process(Event):
     def _start(self) -> None:
         self._resume(None)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def _resume(self, event) -> None:
         if self.triggered:
             return
@@ -52,7 +50,7 @@ class Process(Event):
 
     def _step(self, arg, throw: bool) -> None:
         # One flat advance -- send or throw -- with no per-resume closure
-        # allocation; this is the hottest call site in the whole kernel.
+        # allocation.
         generator = self._generator
         try:
             target = generator.throw(arg) if throw else generator.send(arg)

@@ -61,10 +61,6 @@ class _RegisterTable:
         """Installed vSSD ids, sorted (for audits against the log)."""
         return sorted(self._entries)
 
-    def size_bytes(self) -> int:
-        """Current SRAM footprint (vSSD_ID key + entry payload)."""
-        return len(self._entries) * (4 + self.entry_bytes)
-
     def _check_capacity(self, vssd_id: int) -> None:
         if vssd_id not in self._entries and len(self._entries) >= self.capacity:
             raise SwitchError(

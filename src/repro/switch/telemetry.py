@@ -56,10 +56,6 @@ class CountMinSketch:
             row[pos] for row, pos in zip(self._rows, self._positions(key))
         )
 
-    @property
-    def memory_cells(self) -> int:
-        return self.width * self.depth
-
 
 @dataclass
 class FlowStats:

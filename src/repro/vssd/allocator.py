@@ -132,6 +132,3 @@ class VssdAllocator:
 
     def free_channel_count(self) -> int:
         return len(self._free_channels)
-
-    def free_chip_count(self) -> int:
-        return len(self._free_chips)

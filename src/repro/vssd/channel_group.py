@@ -12,10 +12,11 @@ erased and returned after GC.  The group is managed entirely by the SDF
 and never exposed to the switch.
 """
 
-from typing import Generator, List, Optional
+from functools import partial
+from typing import Callable, List, Optional
 
-from repro.errors import VSSDError
-from repro.sim import AllOf
+from repro.errors import FlashError, VSSDError
+from repro.sim import Join
 from repro.vssd.vssd import IsolationType, VSsd
 
 
@@ -93,14 +94,21 @@ class ChannelGroup:
             return "soft"
         return None
 
-    def group_gc(self, target_ratio: float) -> Generator:
-        """Process: run GC on every member simultaneously.
+    def group_gc(self, target_ratio: float, then: Callable[[], None],
+                 fail: Optional[Callable[[FlashError], None]] = None) -> None:
+        """Run GC on every member simultaneously; ``then()`` once the last
+        member's pass is done.
 
         The members' GC passes overlap in time, exactly like the paper's
         "all vSSDs of the channel group will perform GC simultaneously".
+        A member pass that fails (see :meth:`VSsd.gc_until`) goes to
+        ``fail`` and the group never calls ``then``; the other members'
+        passes run to their end.
         """
         self.group_gcs += 1
-        passes = [
-            self.sim.spawn(member.gc_until(target_ratio)) for member in self.members
-        ]
-        yield AllOf(self.sim, passes)
+        passes = Join(len(self.members), lambda _values: then())
+        for index, member in enumerate(self.members):
+            # tick: each member's pass starts one heap entry later
+            self.sim.schedule_after(0.0, partial(
+                member.gc_until, target_ratio, partial(passes.arrive, index, None),
+                fail=fail))

@@ -8,14 +8,13 @@ paper's coordinated GC is designed to hide.
 
 import enum
 from functools import partial
-from typing import Callable, Generator, List, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import FlashError, VSSDError
 from repro.flash.chip import FlashChip
 from repro.flash.ftl import PageMappedFtl
-from repro.flash.gc import GreedyGcPolicy
+from repro.flash.gc import GcResult, GreedyGcPolicy
 from repro.flash.ssd import Ssd
-from repro.sim import Event
 from repro.vssd.token_bucket import TokenBucket
 
 
@@ -154,23 +153,13 @@ class VSsd:
         self.writes_served += 1
         then()
 
-    def read(self, lpn: int) -> Generator:
-        """Process: :meth:`start_read` for callers that are processes (a
-        mapping error is raised in the caller)."""
-        done = Event(self.sim)
-        self.start_read(lpn, done.succeed, done.fail)
-        yield done
-
-    def write(self, lpn: int) -> Generator:
-        """Process: :meth:`start_write` for callers that are processes."""
-        done = Event(self.sim)
-        self.start_write(lpn, done.succeed, done.fail)
-        yield done
-
     # -------------------------------------------------------------------- GC
 
-    def gc_until(self, target_ratio: float, max_victims: int = 32) -> Generator:
-        """Process: run GC until the free ratio recovers to ``target_ratio``.
+    def gc_until(self, target_ratio: float, then: Callable[[], None],
+                 max_victims: int = 32,
+                 fail: Optional[Callable[[FlashError], None]] = None) -> None:
+        """Run GC until the free ratio recovers to ``target_ratio``, then
+        call ``then()`` (at once when a pass is already running).
 
         State transitions happen victim-by-victim, but the physical work is
         issued as *individual* channel commands (page read, page program,
@@ -179,31 +168,52 @@ class VSsd:
         stall is one erase (a few milliseconds), not a whole victim's worth
         of migrations -- matching §3.5's "a 4KB read ... may wait for a few
         milliseconds due to the GC".
+
+        A victim whose live pages find no free page (``OutOfSpaceError``)
+        ends the pass: the vSSD leaves GC, and the error goes to
+        ``fail(exc)`` when given -- ``then`` is not called -- and is
+        raised otherwise.
         """
         if self.gc_active:
+            then()
             return
         self.gc_active = True
         self.gc_runs += 1
-        started = self.sim.now
-        try:
-            victims = 0
-            while (
-                self.ftl.free_block_ratio() < target_ratio and victims < max_victims
-            ):
+        self._gc_next_victim(target_ratio, max_victims, self.sim.now, then, fail)
+
+    def _gc_next_victim(self, target_ratio: float, victims_left: int,
+                        started: float, then: Callable[[], None],
+                        fail: Optional[Callable[[FlashError], None]]) -> None:
+        result = None
+        if self.ftl.free_block_ratio() < target_ratio and victims_left > 0:
+            try:
                 result = self.gc_policy.collect_once(self.ftl)
-                if result is None:
-                    break
-                victims += 1
-                for _lpn, old, new in result.migrations:
-                    src_channel = self.ssd.channel_of_chip(old.chip)
-                    dst_channel = self.ssd.channel_of_chip(new.chip)
-                    yield from src_channel.read_page(self.page_kb)
-                    yield from dst_channel.program_page(self.page_kb)
-                victim_channel = self.ssd.channel_of_chip(result.victim.chip)
-                yield from victim_channel.erase_block()
-        finally:
-            self.gc_busy_us += self.sim.now - started
-            self.gc_active = False
+            except FlashError as exc:
+                result = exc
+        if isinstance(result, GcResult):
+            self._gc_migrate(result, 0, partial(
+                self._gc_next_victim, target_ratio, victims_left - 1, started, then, fail))
+            return
+        self.gc_busy_us += self.sim.now - started
+        self.gc_active = False
+        if result is None:
+            then()
+        elif fail is None:
+            raise result
+        else:
+            fail(result)
+
+    def _gc_migrate(self, result: GcResult, index: int, then: Callable[[], None]) -> None:
+        """Move the victim's live pages one at a time (read there, program
+        here), then erase it."""
+        if index == len(result.migrations):
+            self.ssd.channel_of_chip(result.victim.chip).start_erase(then)
+            return
+        _lpn, old, new = result.migrations[index]
+        dst_channel = self.ssd.channel_of_chip(new.chip)
+        self.ssd.channel_of_chip(old.chip).submit("read", self._read_us, partial(
+            dst_channel.submit, "program", self._program_us,
+            partial(self._gc_migrate, result, index + 1, then)))
 
     def gc_needed(self) -> Optional[str]:
         """What kind of GC the FTL currently calls for.

@@ -51,9 +51,6 @@ class WearSimulationResult:
     #: Final per-SSD wear, per server (Figure 22's bars).
     final_wear: Dict[str, List[float]] = field(default_factory=dict)
 
-    def max_server_imbalance(self) -> float:
-        return max(max(series) for series in self.server_imbalance.values())
-
     def final_server_imbalance(self) -> float:
         """Worst per-server λ at the end of the run (Figure 22's metric)."""
         return max(series[-1] for series in self.server_imbalance.values())

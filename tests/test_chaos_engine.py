@@ -156,6 +156,20 @@ class TestInjectorOnBareRack:
         with pytest.raises(ConfigError):
             rack.sim.run(until=30.0 * MS)
 
+    def test_rereplicating_a_healthy_pair_is_an_error_not_a_rebuild(self):
+        # Nothing to rebuild: no member of pair 0 is on a failed server.
+        # The refusal leaves the run like an unresolvable target does; it
+        # is never counted or logged as a finished re-replication.
+        sched = FaultSchedule(events=(
+            FaultEvent(30.0 * MS, "rereplicate", "pair:0"),
+        ))
+        rack = Rack(chaos_config(sched, pairs=3))
+        with pytest.raises(ConfigError, match="exactly one member"):
+            rack.sim.run(until=40.0 * MS)
+        assert rack.chaos.counters()["rereplications"] == 0.0
+        assert all(kind != "rereplicate_done"
+                   for _, kind, _ in rack.chaos.executed)
+
 
 class TestInvariantChecker:
     def test_fabricated_lost_write_is_flagged(self):

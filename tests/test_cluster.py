@@ -139,12 +139,12 @@ class TestEndToEnd:
     def test_call_budget_per_request(self):
         # The same run, counting calls into this package's own functions
         # (stdlib and builtins left out, so a Python upgrade cannot move
-        # it): 156.5 per request with request legs as continuations, no
-        # ticks and a process resumed straight from the event it waits on
-        # (157.3 through a per-wait binding that could be detached),
-        # 218.3 with an Event + AllOf per leg and both ticks.  An event
-        # per leg put back costs several calls, a tick one more per
-        # request it delays.
+        # it): 150.6 per request with GC and every other model component
+        # a callback machine (156.5 with the GC monitor, coordinators and
+        # GC passes as processes; 157.3 through a per-wait binding that
+        # could be detached), 218.3 with an Event + AllOf per request leg
+        # and both ticks.  An event per leg put back costs several calls,
+        # a tick one more per request it delays.
         import repro
 
         config = self._BUDGET_SPEC.build_config()
@@ -166,7 +166,7 @@ class TestEndToEnd:
         finally:
             sys.setprofile(None)
         assert result.events == 34265  # the run the count is for
-        assert calls[0] / 3000 <= 157.0
+        assert calls[0] / 3000 <= 151.1
 
     def test_rackblox_redirects_reads_during_gc(self):
         result = self._run(SystemType.RACKBLOX, write_ratio=0.6, requests=1500)
@@ -310,6 +310,42 @@ class TestGcDelayMechanism:
         assert counters["gc_delayed"] > 0
         assert counters["recirculations"] >= counters["gc_delayed"]
 
+    def test_monitors_checking_at_one_instant_keep_their_order(self, monkeypatch):
+        # Two servers' monitors check at the same instants; which gc_op
+        # reaches the switch first decides who is accepted and who is
+        # delayed.  This is the order the monitors kept as processes.
+        from repro.cluster import coordinators
+
+        config = RackConfig(system=SystemType.RACKBLOX, num_servers=2,
+                            num_pairs=2, seed=7, precondition_fill=0.7)
+        rack = Rack(config)
+        sent = []
+
+        def logged_gc_op(vssd_id, kind, src):
+            sent.append((rack.sim.now, src, rack.vssd_by_id[vssd_id].name, kind.name))
+            return make_gc_op(vssd_id, kind, src=src)
+
+        make_gc_op = coordinators.gc_op
+        monkeypatch.setattr(coordinators, "gc_op", logged_gc_op)
+        rack.precondition()
+        rack.sim.run(until=300 * MSEC)
+        a, b = "10.0.0.16", "10.0.0.17"
+        assert sent == [
+            (5000.0, a, "pair0-p", "SOFT"),
+            (5000.0, b, "pair0-r", "SOFT"),  # delayed: its replica collects
+            (5010.8, b, "pair1-p", "SOFT"),
+            (100010.8, a, "pair0-p", "FINISH"),
+            (100015.8, a, "pair1-r", "SOFT"),  # delayed: its replica collects
+            (100021.6, b, "pair1-p", "FINISH"),
+            (110026.6, b, "pair0-r", "SOFT"),
+            (110026.6, a, "pair1-r", "SOFT"),
+            (205037.40000000002, b, "pair0-r", "FINISH"),
+            (205037.40000000002, a, "pair1-r", "FINISH"),
+        ]
+        assert {ip: c.packets_sent for ip, c in rack._gc_coordinators.items()} \
+            == {a: 5, b: 5}
+        assert rack.switch.gc_delayed == 2 and rack.sim.event_count == 206
+
 
 class TestFailureHandling:
     def test_heartbeat_detects_crash_and_redirects(self):
@@ -377,26 +413,46 @@ class TestFailureHandling:
         with pytest.raises(ConfigError):
             manager.fail_server("10.9.9.9")
 
-    def test_stop_ends_heartbeat_loop(self):
+    def _probed(self):
+        """A manager on a rack whose extra, always-healthy server logs
+        the instant of every heartbeat that checks it."""
         rack = Rack(small_config(SystemType.RACKBLOX))
-        manager = FailureManager(rack, heartbeat_interval_us=5 * MSEC)
+        beats = []
+
+        class Probe:
+            ip, vssds = "10.0.0.99", []
+
+            @property
+            def alive(self):
+                beats.append(rack.sim.now)
+                return True
+
+        rack.servers.append(Probe())
+        return rack, FailureManager(rack, heartbeat_interval_us=5 * MSEC), beats
+
+    def test_stop_ends_heartbeat_loop(self):
+        rack, manager, beats = self._probed()
         manager.start()
-        rack.sim.run(until=rack.sim.now + 20 * MSEC)
+        rack.sim.run(until=20 * MSEC)
+        assert beats == [5 * MSEC, 10 * MSEC, 15 * MSEC, 20 * MSEC]
         manager.stop()
         assert not manager.running
-        # The loop wakes at most once more, sees the flag, and returns --
-        # no perpetual heartbeat process is left ticking the heap.
-        rack.sim.run(until=rack.sim.now + 20 * MSEC)
-        assert not manager._process.is_alive
+        # The loop wakes once more (at 25 ms), sees the flag and returns
+        # without checking -- no perpetual heartbeat is left in the heap:
+        # a start after that begins a fresh loop, in its own phase.
+        rack.sim.run(until=32 * MSEC)
+        assert len(beats) == 4
+        manager.start()
+        rack.sim.run(until=45 * MSEC)
+        assert beats[4:] == [37 * MSEC, 42 * MSEC]
 
     def test_stop_is_idempotent_and_restartable(self):
-        rack = Rack(small_config(SystemType.RACKBLOX))
-        manager = FailureManager(rack, heartbeat_interval_us=5 * MSEC)
+        rack, manager, beats = self._probed()
         manager.start()
         manager.stop()
         manager.stop()  # second stop is a no-op
-        rack.sim.run(until=rack.sim.now + 20 * MSEC)
-        assert not manager._process.is_alive
+        rack.sim.run(until=20 * MSEC)
+        assert beats == []
         # Restarting re-arms detection.
         manager.start()
         assert manager.running
@@ -405,21 +461,31 @@ class TestFailureHandling:
         rack.sim.run(until=rack.sim.now + 100 * MSEC)
         assert manager.failures_detected >= 1
         manager.stop()
+        checked = len(beats)
         rack.sim.run(until=rack.sim.now + 20 * MSEC)
-        assert not manager._process.is_alive
+        assert len(beats) == checked
 
     def test_double_start_does_not_stack_loops(self):
-        rack = Rack(small_config(SystemType.RACKBLOX))
-        manager = FailureManager(rack, heartbeat_interval_us=5 * MSEC)
+        rack, manager, beats = self._probed()
         manager.start()
-        first = manager._process
-        manager.start()  # must not spawn a second loop
-        assert manager._process is first
-        rack.sim.run(until=rack.sim.now + 20 * MSEC)
+        manager.start()  # must not start a second loop
+        rack.sim.run(until=20 * MSEC)
+        # One heartbeat per interval; a stacked loop would double them.
+        assert beats == [5 * MSEC, 10 * MSEC, 15 * MSEC, 20 * MSEC]
         manager.stop()
         # One stop ends the single loop; a stacked loop would survive it.
-        rack.sim.run(until=rack.sim.now + 20 * MSEC)
-        assert not manager._process.is_alive
+        rack.sim.run(until=40 * MSEC)
+        assert len(beats) == 4
+
+    def test_restart_before_the_next_tick_keeps_one_loop(self):
+        rack, manager, beats = self._probed()
+        manager.start()
+        rack.sim.run(until=12 * MSEC)
+        manager.stop()
+        manager.start()  # before the stopped loop woke: it just re-arms
+        rack.sim.run(until=30 * MSEC)
+        assert beats == [5 * MSEC, 10 * MSEC, 15 * MSEC, 20 * MSEC,
+                         25 * MSEC, 30 * MSEC]
 
 
 class TestPairDeletion:

@@ -7,23 +7,13 @@ from repro.cluster.coordinators import SwitchGcCoordinator
 from repro.errors import ConfigError
 from repro.flash import FlashGeometry, Ssd
 from repro.server.gc_monitor import GcMonitor
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.sim.core import MSEC
 from repro.switch import SwitchControlPlane, SwitchDataPlane
 from repro.vssd import VssdAllocator
 
 
 class TestVdcController:
-    def test_epoch_allocations_follow_demand(self):
-        sim = Simulator()
-        controller = VdcController(sim, epoch_us=10 * MSEC)
-        controller.note_demand("tenant-a", 30)
-        controller.note_demand("tenant-b", 10)
-        sim.run(until=11 * MSEC)
-        assert controller.epochs == 1
-        assert controller.allocations["tenant-a"] == pytest.approx(0.75)
-        assert controller.allocations["tenant-b"] == pytest.approx(0.25)
-
     def test_plain_vdc_always_accepts_gc(self):
         sim = Simulator()
         controller = VdcController(sim, gc_aware=False)
@@ -73,27 +63,25 @@ class TestVdcController:
             controller.decide_gc(99, "soft")
 
     def test_round_trip_takes_time(self):
-        # The controller runs a perpetual epoch loop, so drive the clock
-        # with an explicit horizon rather than draining the heap.
         sim = Simulator()
         controller = VdcController(sim)
-        done = sim.spawn(controller.round_trip())
-        sim.run(until=10 * MSEC)
+        done = Event(sim)
+        controller.round_trip(done.succeed)
+        sim.run()
         assert done.triggered
-        assert done.value is None
+        assert sim.now == 2 * controller.ONE_WAY_US + controller.PROCESSING_US
+        # Nothing else lives on the controller's heap: no perpetual loop.
+        assert sim.pending_count == 0
 
     def test_custom_latency_fn(self):
         sim = Simulator()
         controller = VdcController(sim, latency_fn=lambda: 500.0)
-        done = sim.spawn(controller.round_trip())
+        done = Event(sim)
+        controller.round_trip(done.succeed)
         sim.run(until=900.0)
         assert not done.triggered  # 2x500us + processing > 900us
         sim.run(until=2 * MSEC)
         assert done.triggered
-
-    def test_epoch_validation(self):
-        with pytest.raises(ConfigError):
-            VdcController(Simulator(), epoch_us=0)
 
 
 def make_switch_world():
@@ -117,25 +105,28 @@ class TestSwitchGcCoordinator:
     def test_request_round_trip(self):
         sim, plane, v1, v2, ip1, _ = make_switch_world()
         coordinator = SwitchGcCoordinator(sim, plane, ip1)
-        proc = sim.spawn(coordinator.request_gc(v1, "soft"))
+        verdict = Event(sim)
+        coordinator.request_gc(v1, "soft", verdict.succeed)
         sim.run()
-        assert proc.value == "accept"
+        assert verdict.value == "accept"
         assert plane.replica_table.gc_status(v1.vssd_id) == 1
         assert sim.now > 0  # wire hops took time
 
     def test_finish_notification(self):
         sim, plane, v1, v2, ip1, _ = make_switch_world()
         coordinator = SwitchGcCoordinator(sim, plane, ip1)
-        sim.spawn(coordinator.request_gc(v1, "regular"))
+        coordinator.request_gc(v1, "regular", lambda _verdict: None)
         sim.run()
-        sim.spawn(coordinator.notify_finish(v1))
+        finished = Event(sim)
+        coordinator.notify_finish(v1, finished.succeed)
         sim.run()
+        assert finished.triggered
         assert plane.replica_table.gc_status(v1.vssd_id) == 0
 
     def test_background_notification_sets_bit(self):
         sim, plane, v1, v2, ip1, _ = make_switch_world()
         coordinator = SwitchGcCoordinator(sim, plane, ip1)
-        sim.spawn(coordinator.notify_background(v1))
+        coordinator.notify_background(v1, lambda: None)
         sim.run()
         assert plane.destination_table.gc_status(v1.vssd_id) == 1
 
@@ -146,9 +137,10 @@ class TestSwitchGcCoordinator:
         coordinator = SwitchGcCoordinator(
             sim, plane, ip1, drop_rng=random.Random(1), drop_probability=1.0
         )
-        proc = sim.spawn(coordinator.request_gc(v1, "regular"))
+        verdict = Event(sim)
+        coordinator.request_gc(v1, "regular", verdict.succeed)
         sim.run()
-        assert proc.value == "lost"
+        assert verdict.value == "lost"
         assert coordinator.packets_dropped == 1
 
     def test_monitor_forces_regular_gc_after_retries(self):
@@ -166,8 +158,10 @@ class TestSwitchGcCoordinator:
             sim, plane, ip1, drop_rng=random.Random(1), drop_probability=1.0
         )
         monitor = GcMonitor(sim, [v1], coordinator, check_interval_us=5 * MSEC)
-        sim.spawn(monitor.check_all_once())
+        checked = Event(sim)
+        monitor.check_all_once(checked.succeed)
         sim.run(until=sim.now + 500 * MSEC)
+        assert checked.triggered
         assert coordinator.packets_dropped >= 3
         assert monitor.forced_after_retries == 1
         assert v1.gc_runs == 1  # GC ran anyway

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash import Channel, PSSD
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 def make_channel(enabled=True, slice_us=500.0, penalty=50.0):
@@ -14,20 +14,17 @@ def make_channel(enabled=True, slice_us=500.0, penalty=50.0):
     return sim, channel
 
 
+def erase_then_read(channel, erase_done=lambda: None, read_done=lambda: None):
+    """An erase takes the bus, and a read queues behind it."""
+    channel.start_erase(erase_done)
+    channel.submit("read", PSSD.read_latency(4.0), read_done)
+
+
 class TestEraseSuspend:
     def test_disabled_erase_is_atomic(self):
         sim, channel = make_channel(enabled=False)
         read_done = []
-
-        def eraser():
-            yield sim.spawn(channel.erase_block())
-
-        def reader():
-            yield sim.spawn(channel.read_page(4.0))
-            read_done.append(sim.now)
-
-        sim.spawn(eraser())
-        sim.spawn(reader())
+        erase_then_read(channel, read_done=lambda: read_done.append(sim.now))
         sim.run()
         # The read waited out the whole 5 ms erase.
         assert read_done[0] >= PSSD.erase_us
@@ -35,16 +32,7 @@ class TestEraseSuspend:
     def test_suspended_erase_lets_read_through(self):
         sim, channel = make_channel(enabled=True, slice_us=500.0)
         read_done = []
-
-        def eraser():
-            yield sim.spawn(channel.erase_block())
-
-        def reader():
-            yield sim.spawn(channel.read_page(4.0))
-            read_done.append(sim.now)
-
-        sim.spawn(eraser())
-        sim.spawn(reader())
+        erase_then_read(channel, read_done=lambda: read_done.append(sim.now))
         sim.run()
         # The read slipped in after one slice, not after the full erase.
         assert read_done[0] < 2 * 500.0 + PSSD.read_latency(4.0)
@@ -54,22 +42,14 @@ class TestEraseSuspend:
         # With contention, the erase finishes later than its raw time.
         sim, channel = make_channel(enabled=True, slice_us=500.0, penalty=100.0)
         erase_done = []
-
-        def eraser():
-            yield sim.spawn(channel.erase_block())
-            erase_done.append(sim.now)
-
-        def reader():
-            yield sim.spawn(channel.read_page(4.0))
-
-        sim.spawn(eraser())
-        sim.spawn(reader())
+        erase_then_read(channel, erase_done=lambda: erase_done.append(sim.now))
         sim.run()
         assert erase_done[0] > PSSD.erase_us
 
     def test_uncontended_suspendable_erase_pays_nothing(self):
         sim, channel = make_channel(enabled=True)
-        done = sim.spawn(channel.erase_block())
+        done = Event(sim)
+        channel.start_erase(done.succeed)
         sim.run()
         assert done.triggered
         assert sim.now == pytest.approx(PSSD.erase_us)
@@ -77,7 +57,7 @@ class TestEraseSuspend:
 
     def test_erase_counted_once(self):
         sim, channel = make_channel(enabled=True)
-        sim.spawn(channel.erase_block())
+        channel.start_erase(lambda: None)
         sim.run()
         assert channel.op_counts["erase"] == 1
 

@@ -1,11 +1,13 @@
 """Tests for channels, chips, SSD assembly, and wear statistics."""
 
+from functools import partial
+
 import pytest
 
 from repro.errors import ConfigError, FlashError, OutOfSpaceError
 from repro.flash import Channel, FlashChip, FlashGeometry, PSSD, Ssd, WearTracker
 from repro.flash.wear import wear_imbalance, wear_variance
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 class TestChip:
@@ -66,7 +68,8 @@ class TestChannel:
     def test_operations_take_time(self):
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)
-        done = sim.spawn(channel.read_page(4.0))
+        done = Event(sim)
+        channel.submit("read", PSSD.read_latency(4.0), done.succeed)
         sim.run()
         assert done.triggered
         assert sim.now == pytest.approx(PSSD.read_latency(4.0))
@@ -75,13 +78,9 @@ class TestChannel:
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)
         finish_times = []
-
-        def op():
-            yield sim.spawn(channel.read_page(4.0))
-            finish_times.append(sim.now)
-
-        sim.spawn(op())
-        sim.spawn(op())
+        for _ in range(2):
+            channel.submit("read", PSSD.read_latency(4.0),
+                           lambda: finish_times.append(sim.now))
         sim.run()
         one_read = PSSD.read_latency(4.0)
         assert finish_times == pytest.approx([one_read, 2 * one_read])
@@ -92,29 +91,24 @@ class TestChannel:
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)
         read_done = []
-
-        def eraser():
-            yield sim.spawn(channel.erase_block())
-
-        def reader():
-            yield sim.spawn(channel.read_page(4.0))
-            read_done.append(sim.now)
-
-        sim.spawn(eraser())
-        sim.spawn(reader())
+        channel.start_erase(lambda: None)
+        channel.submit("read", PSSD.read_latency(4.0),
+                       lambda: read_done.append(sim.now))
         sim.run()
         assert read_done[0] == pytest.approx(PSSD.erase_us + PSSD.read_latency(4.0))
 
     def test_processes_and_callbacks_share_one_fifo(self):
-        # GC (a process, through the generator adapters) and host I/O
-        # (callbacks, through submit) contend for the bus: whoever asked
-        # first is served first, whatever kind of caller it is.
+        # A process waiting on an Event wired to the core and host I/O
+        # (callbacks) contend for the bus: whoever asked first is served
+        # first, whatever kind of caller it is.
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)
         served = []
 
-        def gc_step(tag, op):
-            yield from op
+        def gc_step(tag, start):
+            done = Event(sim)
+            start(done.succeed)
+            yield done
             served.append((tag, sim.now))
 
         def host_read(tag):
@@ -122,10 +116,11 @@ class TestChannel:
                            lambda: served.append((tag, sim.now)))
 
         host_read("host-0")                                      # takes the bus
-        sim.spawn(gc_step("gc-program", channel.program_page(4.0)))  # t=0
+        sim.spawn(gc_step("gc-program", partial(                 # t=0
+            channel.submit, "program", PSSD.program_latency(4.0))))
         sim.schedule_after(1.0, lambda: host_read("host-1"))
         sim.schedule_after(
-            2.0, lambda: sim.spawn(gc_step("gc-erase", channel.erase_block())))
+            2.0, lambda: sim.spawn(gc_step("gc-erase", channel.start_erase)))
         sim.schedule_after(3.0, lambda: host_read("host-2"))
         sim.run(until=5.0)
         assert channel.busy and channel.queue_depth == 4
@@ -177,7 +172,7 @@ class TestChannel:
     def test_op_counters_and_utilisation(self):
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)
-        sim.spawn(channel.program_page(4.0))
+        channel.submit("program", PSSD.program_latency(4.0), lambda: None)
         sim.run()
         assert channel.op_counts["program"] == 1
         assert channel.utilization(sim.now) == pytest.approx(1.0)
@@ -185,10 +180,9 @@ class TestChannel:
     def test_queue_depth_visible(self):
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)
-        sim.spawn(channel.read_page(4.0))
-        sim.spawn(channel.read_page(4.0))
-        sim.spawn(channel.read_page(4.0))
-        sim.run(until=1.0)  # all three have tried to acquire by now
+        for _ in range(3):
+            channel.submit("read", PSSD.read_latency(4.0), lambda: None)
+        sim.run(until=1.0)
         assert channel.queue_depth == 2
         assert channel.busy
 

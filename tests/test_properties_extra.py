@@ -66,13 +66,18 @@ class TestWriteCacheConservation:
         vssd = VssdAllocator(ssd).create_hardware_isolated("v", channels=[0, 1])
         cache = WriteCache(sim, capacity_pages=8)
 
-        def writer():
-            for lpn in lpns:
-                yield sim.spawn(cache.admit(vssd, lpn))
+        acked = []
 
-        proc = sim.spawn(writer())
+        def write(index):
+            # One writer: the next admission once the last one is acked.
+            if index < len(lpns):
+                cache.start_admit(vssd, lpns[index], lambda: write(index + 1))
+            else:
+                acked.append(sim.now)
+
+        write(0)
         sim.run(until=5 * SEC)
-        assert proc.triggered
+        assert acked
         distinct = len(set(lpns))
         accounted = cache.flushes + cache.dirty_pages + cache._outstanding
         # Coalesced rewrites collapse; everything else must be accounted.

@@ -18,6 +18,7 @@ from repro.chaos.invariants import InvariantChecker, resolve_read_destination
 from repro.cluster import FailureManager, Rack, RackConfig, SystemType
 from repro.experiments.runner import run_until
 from repro.net.packet import OpType, Packet
+from repro.sim import Event
 from repro.sim.core import MSEC
 
 pytestmark = pytest.mark.chaos
@@ -40,11 +41,12 @@ def failed_world(num_servers=4):
     return rack, manager, pair
 
 
-def run(rack, gen):
-    proc = rack.sim.spawn(gen)
-    run_until(rack.sim, proc)
-    assert proc.ok, getattr(proc, "_exception", None)
-    return proc.value
+def rebuild(rack, manager, pair, **kwargs):
+    """Re-replicate ``pair`` to completion; the number of pages copied."""
+    done = Event(rack.sim)
+    manager.rereplicate_pair(pair, done.succeed, **kwargs)
+    run_until(rack.sim, done)
+    return done.value
 
 
 class TestLateAddedServerHeartbeat:
@@ -110,7 +112,7 @@ class TestGcBitFailover:
 class TestRereplicationInvariants:
     def test_replication_factor_restored_with_live_data(self):
         rack, manager, pair = failed_world()
-        copied = run(rack, manager.rereplicate_pair(pair))
+        copied = rebuild(rack, manager, pair)
         assert copied == 40
         assert pair.primary.ftl.mapped_page_count() == 40
         checker = InvariantChecker(rack)
@@ -122,7 +124,7 @@ class TestRereplicationInvariants:
     def test_registration_log_follows_the_rebuild(self):
         rack, manager, pair = failed_world()
         dead_id = pair.primary.vssd_id
-        run(rack, manager.rereplicate_pair(pair))
+        rebuild(rack, manager, pair)
         new_id = pair.primary.vssd_id
         log = rack.control_plane.registration_log()
         assert dead_id not in log
@@ -133,7 +135,7 @@ class TestRereplicationInvariants:
 
     def test_switch_reboot_after_rebuild_reproduces_tables(self):
         rack, manager, pair = failed_world()
-        run(rack, manager.rereplicate_pair(pair))
+        rebuild(rack, manager, pair)
         manager.fail_and_recover_switch()
         assert InvariantChecker(rack).check_switch_tables("post-reboot") == 0
         action = rack.switch.process_packet(

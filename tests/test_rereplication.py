@@ -1,8 +1,12 @@
 """Tests for post-failure re-replication (§3.7)."""
 
+import pytest
+
 from repro.cluster import FailureManager, Rack, RackConfig, SystemType
+from repro.errors import ConfigError
 from repro.experiments.runner import run_until
 from repro.net.packet import OpType, Packet
+from repro.sim import Event
 from repro.sim.core import MSEC
 
 
@@ -24,11 +28,12 @@ def failed_world(num_servers=4):
     return rack, manager, pair
 
 
-def run(rack, gen):
-    proc = rack.sim.spawn(gen)
-    run_until(rack.sim, proc)
-    assert proc.ok, getattr(proc, "_exception", None)
-    return proc.value
+def rebuild(rack, manager, pair, **kwargs):
+    """Re-replicate ``pair`` to completion; the number of pages copied."""
+    done = Event(rack.sim)
+    manager.rereplicate_pair(pair, done.succeed, **kwargs)
+    run_until(rack.sim, done)
+    return done.value
 
 
 class TestRereplication:
@@ -36,7 +41,7 @@ class TestRereplication:
         rack, manager, pair = failed_world()
         dead_vssd = pair.primary
         dead_ip = pair.primary_server_ip
-        copied = run(rack, manager.rereplicate_pair(pair))
+        copied = rebuild(rack, manager, pair)
         assert copied == 40
         assert manager.rereplications == 1
         assert pair.primary is not dead_vssd
@@ -47,13 +52,13 @@ class TestRereplication:
 
     def test_target_avoids_both_current_servers(self):
         rack, manager, pair = failed_world()
-        run(rack, manager.rereplicate_pair(pair))
+        rebuild(rack, manager, pair)
         assert pair.primary_server_ip != pair.replica_server_ip
 
     def test_switch_tables_rewired(self):
         rack, manager, pair = failed_world()
         dead_id = pair.primary.vssd_id
-        run(rack, manager.rereplicate_pair(pair))
+        rebuild(rack, manager, pair)
         new_id = pair.primary.vssd_id
         assert dead_id not in rack.switch.replica_table
         assert new_id in rack.switch.replica_table
@@ -65,7 +70,7 @@ class TestRereplication:
 
     def test_reads_route_normally_after_rebuild(self):
         rack, manager, pair = failed_world()
-        run(rack, manager.rereplicate_pair(pair))
+        rebuild(rack, manager, pair)
         # The survivor's fail-over redirection bit was cleared: reads to
         # it are served locally again.
         action = rack.switch.process_packet(
@@ -81,7 +86,7 @@ class TestRereplication:
     def test_copy_takes_simulated_time(self):
         rack, manager, pair = failed_world()
         before = rack.sim.now
-        run(rack, manager.rereplicate_pair(pair))
+        rebuild(rack, manager, pair)
         # 40 reads + 40 programs through the channels is not free.
         assert rack.sim.now - before > 40 * 0.8  # at least the program time
 
@@ -90,24 +95,25 @@ class TestRereplication:
                             num_pairs=3, seed=13)
         rack = Rack(config)
         manager = FailureManager(rack)
-        proc = rack.sim.spawn(manager.rereplicate_pair(rack.pairs[0]))
+        done = Event(rack.sim)
+        with pytest.raises(ConfigError):
+            manager.rereplicate_pair(rack.pairs[0], done.succeed)
+        # Refused before anything was scheduled.
         rack.sim.run(until=10 * MSEC)
-        assert proc.triggered and not proc.ok  # ConfigError inside
+        assert not done.triggered and manager.rereplications == 0
 
     def test_explicit_dead_target_rejected(self):
         rack, manager, pair = failed_world()
-        proc = rack.sim.spawn(
-            manager.rereplicate_pair(pair, target_ip=pair.primary_server_ip)
-        )
-        rack.sim.run(until=rack.sim.now + 10 * MSEC)
-        assert proc.triggered and not proc.ok
+        with pytest.raises(ConfigError):
+            manager.rereplicate_pair(pair, lambda _copied: None,
+                                     target_ip=pair.primary_server_ip)
 
     def test_workload_runs_against_rebuilt_pair(self):
         from repro.experiments import run_rack_experiment
         from repro.workloads import ycsb
 
         rack, manager, pair = failed_world()
-        run(rack, manager.rereplicate_pair(pair))
+        rebuild(rack, manager, pair)
         config = rack.config
         result = run_rack_experiment(config, ycsb(0.3), requests_per_pair=200,
                                      rack=rack)

@@ -246,7 +246,7 @@ class TestWriteCache:
         flushes[2]()
         assert cleaned == [1.0] and cache.clean
 
-    def test_admit_process_adapter_matches_the_callback_core(self):
+    def test_parked_admissions_ack_as_flushes_free_slots(self):
         sim, _, vssd = make_server()
         # Each flush takes 1 us, so the one-page cache holds the second
         # and third admissions until a flush frees the slot.
@@ -254,9 +254,12 @@ class TestWriteCache:
             sim, capacity_pages=1,
             submit_fn=lambda vssd, lpn, then: sim.schedule_after(1.0, then),
         )
-        done = [sim.spawn(cache.admit(vssd, lpn)) for lpn in range(3)]
+        acked = []
+        for lpn in range(3):
+            cache.start_admit(vssd, lpn, lambda: acked.append(sim.now))
+        assert acked == [0.0]
         sim.run(until=10.0)
-        assert all(process.triggered for process in done)
+        assert acked == [0.0, 1.0, 2.0]
         assert cache.admissions == 3 and cache.full_stalls == 2
         assert cache.flushes == 3 and cache.clean
 
@@ -466,16 +469,12 @@ class TestGcMonitor:
     def _dirty_vssd(self, sim, vssd):
         """Rewrite a small working set so the free ratio drops below the
         soft threshold *and* blocks accumulate stale pages for GC."""
-
-        def filler():
-            working_set = max(1, vssd.logical_pages // 4)
-            lpn = 0
-            while vssd.free_block_ratio() >= 0.30:
-                yield sim.spawn(vssd.write(lpn % working_set))
-                lpn += 1
-
-        sim.spawn(filler())
-        sim.run()
+        working_set = max(1, vssd.logical_pages // 4)
+        lpn = 0
+        while vssd.free_block_ratio() >= 0.30:
+            vssd.start_write(lpn % working_set, lambda: None)
+            sim.run()
+            lpn += 1
 
     def test_local_coordinator_accepts_immediately(self):
         sim, server, vssd = make_server()
@@ -504,14 +503,9 @@ class TestGcMonitor:
     def test_background_gc_on_idle(self):
         sim, server, vssd = make_server()
         # Create stale pages but stay above the soft threshold.
-        def light_rewrites():
-            for lpn in range(vssd.logical_pages // 4):
-                yield sim.spawn(vssd.write(lpn))
-            for lpn in range(vssd.logical_pages // 8):
-                yield sim.spawn(vssd.write(lpn))
-
-        sim.spawn(light_rewrites())
-        sim.run()
+        for lpn in [*range(vssd.logical_pages // 4), *range(vssd.logical_pages // 8)]:
+            vssd.start_write(lpn, lambda: None)
+            sim.run()
         assert vssd.gc_needed() is None
         # Simulate a long-idle predictor.
         pred = IdlePredictor()

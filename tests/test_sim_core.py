@@ -5,8 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
+    Join,
     Process,
     Simulator,
     Timeout,
@@ -331,19 +331,16 @@ class TestComposites:
         combo = AllOf(sim, [])
         assert combo.triggered and combo.value == []
 
-    def test_anyof_fires_on_first(self):
+    def test_join_delivers_values_in_leg_order(self):
         sim = Simulator()
-        slow = Timeout(sim, 10.0, value="slow")
-        fast = Timeout(sim, 1.0, value="fast")
-        combo = AnyOf(sim, [slow, fast])
-        sim.run(until=2.0)
-        assert combo.triggered
-        assert combo.value.value == "fast"
-
-    def test_anyof_requires_events(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            AnyOf(sim, [])
+        joined = []
+        join = Join(3, joined.append)
+        for delay, leg in ((3.0, 0), (1.0, 1), (2.0, 2)):
+            sim.schedule_after(delay, lambda leg=leg: join.arrive(leg, sim.now))
+        sim.run(until=2.5)
+        assert joined == []
+        sim.run()
+        assert joined == [[3.0, 1.0, 2.0]]
 
 
 class TestRandomSource:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError, VSSDError
 from repro.flash import FlashGeometry, PSSD, Ssd
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.vssd import ChannelGroup, IsolationType, TokenBucket, VssdAllocator
 
 
@@ -17,6 +17,14 @@ def make_ssd(sim=None, channels=4, chips_per_channel=2, blocks=32, pages=8):
         pages_per_block=pages,
     )
     return sim, Ssd(sim, "ssd-0", geometry=geo)
+
+
+def run_op(sim, start, *args, **kwargs):
+    """Run one operation core to completion, alone on the simulator."""
+    done = Event(sim)
+    start(*args, done.succeed, **kwargs)
+    sim.run()
+    assert done.triggered
 
 
 class TestAllocator:
@@ -93,13 +101,8 @@ class TestVssdIo:
     def test_read_takes_device_time(self):
         sim, ssd = make_ssd()
         vssd = VssdAllocator(ssd).create_hardware_isolated("v", channels=[0])
-
-        def io():
-            yield sim.spawn(vssd.write(0))
-            yield sim.spawn(vssd.read(0))
-
-        sim.spawn(io())
-        sim.run()
+        run_op(sim, vssd.start_write, 0)
+        run_op(sim, vssd.start_read, 0)
         expected = PSSD.program_latency(4.0) + PSSD.read_latency(4.0)
         assert sim.now == pytest.approx(expected)
         assert vssd.reads_served == 1 and vssd.writes_served == 1
@@ -107,8 +110,7 @@ class TestVssdIo:
     def test_read_unwritten_page_still_costs_a_read(self):
         sim, ssd = make_ssd()
         vssd = VssdAllocator(ssd).create_hardware_isolated("v", channels=[0])
-        sim.spawn(vssd.read(5))
-        sim.run()
+        run_op(sim, vssd.start_read, 5)
         assert sim.now == pytest.approx(PSSD.read_latency(4.0))
 
     def test_hardware_isolation_no_cross_interference(self):
@@ -117,17 +119,12 @@ class TestVssdIo:
         alloc = VssdAllocator(ssd)
         v1 = alloc.create_hardware_isolated("v1", channels=[0])
         v2 = alloc.create_hardware_isolated("v2", channels=[1])
-        done = []
-
-        def io(vssd, tag):
-            yield sim.spawn(vssd.write(0))
-            done.append((tag, sim.now))
-
-        sim.spawn(io(v1, "v1"))
-        sim.spawn(io(v2, "v2"))
+        done = {}
+        v1.start_write(0, lambda: done.setdefault("v1", sim.now))
+        v2.start_write(0, lambda: done.setdefault("v2", sim.now))
         sim.run()
-        t1 = dict(done)["v1"]
-        t2 = dict(done)["v2"]
+        t1 = done["v1"]
+        t2 = done["v2"]
         assert t1 == pytest.approx(t2)  # fully parallel
 
     def test_software_isolated_share_channel_serialises(self):
@@ -137,42 +134,28 @@ class TestVssdIo:
         v1 = alloc.create_software_isolated("v1", chips=[0])
         v2 = alloc.create_software_isolated("v2", chips=[1])
         done = []
-
-        def io(vssd, tag):
-            yield sim.spawn(vssd.write(0))
-            done.append((tag, sim.now))
-
-        sim.spawn(io(v1, "a"))
-        sim.spawn(io(v2, "b"))
+        v1.start_write(0, lambda: done.append(sim.now))
+        v2.start_write(0, lambda: done.append(sim.now))
         sim.run()
-        times = sorted(t for _, t in done)
+        times = sorted(done)
         assert times[1] == pytest.approx(2 * PSSD.program_latency(4.0))
 
     def test_pages_written_accrues_on_ssd(self):
         sim, ssd = make_ssd()
         vssd = VssdAllocator(ssd).create_hardware_isolated("v", channels=[0])
-
-        def io():
-            for lpn in range(5):
-                yield sim.spawn(vssd.write(lpn))
-
-        sim.spawn(io())
-        sim.run()
+        for lpn in range(5):
+            run_op(sim, vssd.start_write, lpn)
         assert ssd.pages_written == 5
 
 
 class TestVssdGc:
     def _fill(self, sim, vssd, rewrites=3):
-        """Synchronously fill the vSSD with rewrites to create stale pages."""
-        def filler():
-            for _ in range(rewrites):
-                for lpn in range(vssd.logical_pages):
-                    if vssd.free_block_ratio() < 0.15:
-                        yield sim.spawn(vssd.gc_until(0.3))
-                    yield sim.spawn(vssd.write(lpn))
-
-        sim.spawn(filler())
-        sim.run()
+        """Fill the vSSD with rewrites, one at a time, to create stale pages."""
+        for _ in range(rewrites):
+            for lpn in range(vssd.logical_pages):
+                if vssd.free_block_ratio() < 0.15:
+                    run_op(sim, vssd.gc_until, 0.3)
+                run_op(sim, vssd.start_write, lpn)
 
     def test_gc_restores_free_space(self):
         sim, ssd = make_ssd(channels=1, blocks=16, pages=8)
@@ -191,16 +174,12 @@ class TestVssdGc:
         # Fill synchronously to create invalid pages.
         self._fill(sim, vssd, rewrites=2)
         read_latency = []
-
-        def gc_then_read():
-            gc_proc = sim.spawn(vssd.gc_until(0.9, max_victims=4))
-            t0 = sim.now
-            yield sim.spawn(vssd.read(0))
-            read_latency.append(sim.now - t0)
-            yield gc_proc
-
-        sim.spawn(gc_then_read())
+        gc_done = Event(sim)
+        vssd.gc_until(0.9, gc_done.succeed, max_victims=4)
+        t0 = sim.now
+        vssd.start_read(0, lambda: read_latency.append(sim.now - t0))
         sim.run()
+        assert gc_done.triggered
         bare_read = PSSD.read_latency(4.0)
         assert read_latency[0] > bare_read * 1.5
         # But far less than a whole victim's worth of migrations + erase.
@@ -210,31 +189,22 @@ class TestVssdGc:
         sim, ssd = make_ssd(channels=1, blocks=16, pages=8)
         vssd = VssdAllocator(ssd).create_hardware_isolated("v", channels=[0])
         self._fill(sim, vssd, rewrites=2)
-        observed = []
-
-        def observer():
-            gc = sim.spawn(vssd.gc_until(0.95, max_victims=2))
-            observed.append(vssd.gc_active)
-            yield gc
-            observed.append(vssd.gc_active)
-
-        sim.spawn(observer())
+        done = Event(sim)
+        vssd.gc_until(0.95, done.succeed, max_victims=2)
+        observed = [vssd.gc_active]
         sim.run()
-        assert observed == [True, False] or observed == [False, False]
+        observed.append(vssd.gc_active)
+        assert done.triggered
+        assert observed == [True, False]
 
     def test_gc_needed_kinds(self):
         sim, ssd = make_ssd(channels=1, blocks=20, pages=4)
         vssd = VssdAllocator(ssd).create_hardware_isolated("v", channels=[0])
         assert vssd.gc_needed() is None
-
-        def filler():
-            lpn = 0
-            while vssd.free_block_ratio() >= 0.30:
-                yield sim.spawn(vssd.write(lpn % vssd.logical_pages))
-                lpn += 1
-
-        sim.spawn(filler())
-        sim.run()
+        lpn = 0
+        while vssd.free_block_ratio() >= 0.30:
+            run_op(sim, vssd.start_write, lpn % vssd.logical_pages)
+            lpn += 1
         assert vssd.gc_needed() in ("soft", "regular")
 
 
@@ -333,13 +303,8 @@ class TestChannelGroup:
     def test_group_free_ratio_aggregates(self):
         sim, a, b, group = self._group()
         assert group.free_block_ratio() == 1.0
-
-        def burn():
-            for lpn in range(a.logical_pages):
-                yield sim.spawn(a.write(lpn))
-
-        sim.spawn(burn())
-        sim.run()
+        for lpn in range(a.logical_pages):
+            run_op(sim, a.start_write, lpn)
         # Only member a consumed blocks; the aggregate sits between the two.
         assert b.free_block_ratio() == 1.0
         assert a.free_block_ratio() < 1.0
@@ -347,36 +312,27 @@ class TestChannelGroup:
 
     def test_rebalance_lends_to_needy_member(self):
         sim, a, b, group = self._group()
-
-        def drain_a():
-            # Rewrite the same pages so member a runs out of free blocks
-            # while b stays full of them.
-            for i in range(a.logical_pages * 3):
-                if a.ftl.free_blocks_total() <= 1:
-                    moved = group.rebalance_free_blocks()
-                    assert moved > 0
-                yield sim.spawn(a.write(i % a.logical_pages))
-
-        sim.spawn(drain_a())
-        sim.run()
-        assert group.blocks_borrowed > 0
-        assert a.ftl.borrowed_block_count >= 0
+        # Rewrite the same pages until member a runs out of free blocks
+        # while b stays full of them.
+        lpn = 0
+        while a.ftl.free_blocks_total() > 1:
+            run_op(sim, a.start_write, lpn % a.logical_pages)
+            lpn += 1
+        spare = b.ftl.free_blocks_total()
+        assert group.rebalance_free_blocks() == group.borrow_blocks
+        assert b.ftl.free_blocks_total() == spare - group.borrow_blocks
+        assert a.ftl.borrowed_block_count == group.blocks_borrowed == 4
 
     def test_group_gc_runs_all_members_together(self):
         sim, a, b, group = self._group()
-
-        def fill_both():
-            # One full pass plus a partial rewrite: creates stale pages
-            # while staying within physical capacity (no GC needed yet).
-            for vssd in (a, b):
-                for lpn in range(vssd.logical_pages):
-                    yield sim.spawn(vssd.write(lpn))
-                for lpn in range(vssd.logical_pages // 4):
-                    yield sim.spawn(vssd.write(lpn))
-            yield sim.spawn(group.group_gc(0.9))
-
-        sim.spawn(fill_both())
-        sim.run()
+        # One full pass plus a partial rewrite: creates stale pages while
+        # staying within physical capacity (no GC needed yet).
+        for vssd in (a, b):
+            for lpn in range(vssd.logical_pages):
+                run_op(sim, vssd.start_write, lpn)
+            for lpn in range(vssd.logical_pages // 4):
+                run_op(sim, vssd.start_write, lpn)
+        run_op(sim, group.group_gc, 0.9)
         assert group.group_gcs == 1
         assert a.gc_runs == 1 and b.gc_runs == 1
 

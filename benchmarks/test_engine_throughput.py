@@ -262,11 +262,12 @@ def test_serial_vs_parallel_figure_sweep(benchmark):
 def test_null_tracer_overhead_under_two_percent(benchmark):
     """Untraced runs must not pay for the tracing instrumentation.
 
-    With `trace_sample_rate=0` every instrumentation site degrades to a
-    `NullTracer.start_request` call (returns None) plus `payload.get`
-    misses.  This measures that degraded path directly -- per-call cost x
-    calls-per-request against the measured run wall clock -- and asserts
-    the instrumentation accounts for < 2% of an untraced run.  Full
+    With `trace_sample_rate=0` the rack skips `NullTracer.start_request`
+    (`enabled` is false) and every instrumentation site degrades to a
+    `pkt.trace is None` check.  This bounds that degraded path from above
+    -- one `start_request` call and 16 `dict.get` misses per request,
+    per-call cost x calls-per-request against the measured run wall
+    clock -- and asserts the bound is < 2% of an untraced run.  Full
     tracing (sample rate 1.0) is also timed for the printed comparison.
     """
     untraced = RunSpec.create(
@@ -277,9 +278,9 @@ def test_null_tracer_overhead_under_two_percent(benchmark):
         SystemType.RACKBLOX, ycsb(0.5), 300, 1500.0, 42,
         num_servers=2, num_pairs=2, trace_sample_rate=1.0,
     )
-    # One start_request per request; the request path then performs a
-    # bounded number of `payload.get("trace")` misses and None checks
-    # (client, switch x2, egress, server queue, media, return path).
+    # At most one start_request per request, and a bounded number of
+    # trace lookups and None checks (client, switch x2, egress, server
+    # queue, media, return path), each costed as a `dict.get` miss.
     calls_per_request = 1
     gets_per_request = 16
 

@@ -399,14 +399,15 @@ class Rack:
         return process
 
     def forget_client(self, client_name: str) -> None:
-        """Release a client that will not send again: its network path
-        and the idle per-flow state its packets left in the server-facing
-        egress policies.  A long-lived caller (the service, once per
-        closed connection) uses this to keep both bounded by the clients
-        it has open."""
+        """Release a client that will not send again: its network path,
+        the idle per-flow state its packets left in the server-facing
+        egress policies, and its flow telemetry.  A long-lived caller
+        (the service, once per closed connection) uses this to keep all
+        three bounded by the clients it has open."""
         self._client_latency.pop(client_name, None)
         for port in self._egress.values():
             port.forget_flow(client_name)
+        self.telemetry.forget(client_name)
 
     def set_link_degradation(self, factor: float) -> None:
         """Scale every network path by ``factor`` (fault injection).
@@ -433,7 +434,9 @@ class Rack:
         once per request leg and dominates the simulator's event budget.
         """
         sent_at = self.sim.now
-        outbound = self.latency_for_client(pkt.src).sample(self.sim.now, "out")
+        path = (self._client_latency.get(pkt.src)
+                or self.latency_for_client(pkt.src))
+        outbound = path.sample(sent_at, "out")
         self.sim.schedule_after(
             outbound,
             partial(self._packet_at_tor, pkt, flow_id, priority, sent_at, outbound),
@@ -464,15 +467,16 @@ class Rack:
         vssd = pair.primary if target == "primary" else pair.replica
         t0 = self.sim.now
         pkt = read_request(vssd.vssd_id, client, "", t0)
-        rid = next(self._rid)
-        pkt.payload.update(lpn=lpn, rid=rid)
-        trace = self.tracer.start_request(
-            rid, "read", client, t0, lpn=lpn, vssd=pkt.vssd_id
-        )
-        if trace is not None:
-            if target == "replica":
-                trace.attrs["hedged"] = True
-            self._carry_trace(trace, pkt)
+        pkt.rid = rid = next(self._rid)
+        pkt.lpn = lpn
+        if self.tracer.enabled:
+            trace = self.tracer.start_request(
+                rid, "read", client, t0, lpn=lpn, vssd=pkt.vssd_id
+            )
+            if trace is not None:
+                if target == "replica":
+                    trace.attrs["hedged"] = True
+                self._carry_trace(trace, pkt)
         self._pending[rid] = then
         self.send_from_client(pkt, client, priority)
 
@@ -500,18 +504,19 @@ class Rack:
         t0 = self.sim.now
         for index, vssd in enumerate(legs):
             pkt = write_request(vssd.vssd_id, client, "", t0)
-            rid = next(self._rid)
-            pkt.payload.update(lpn=lpn, rid=rid)
+            pkt.rid = rid = next(self._rid)
+            pkt.lpn = lpn
             # Each replica leg is its own trace: the legs run concurrently
             # through different servers, so per-leg span threads keep the
             # Perfetto rendering linear.
-            trace = self.tracer.start_request(
-                rid, "write", client, t0,
-                lpn=lpn, vssd=vssd.vssd_id,
-                role="primary" if vssd is pair.primary else "replica",
-            )
-            if trace is not None:
-                self._carry_trace(trace, pkt)
+            if self.tracer.enabled:
+                trace = self.tracer.start_request(
+                    rid, "write", client, t0,
+                    lpn=lpn, vssd=vssd.vssd_id,
+                    role="primary" if vssd is pair.primary else "replica",
+                )
+                if trace is not None:
+                    self._carry_trace(trace, pkt)
             self._pending[rid] = partial(join.arrive, index)
             self.send_from_client(pkt, client, priority)
 
@@ -520,7 +525,7 @@ class Rack:
         the trace finishes as the reply reaches the client edge."""
         if self.degraded():
             trace.attrs["degraded"] = True
-        pkt.payload["trace"] = trace
+        pkt.trace = trace
 
     def issue_read(self, pair: ReplicaPair, lpn: int, client: str = "live",
                    priority: int = 1, target: str = "primary") -> Event:
@@ -542,7 +547,7 @@ class Rack:
                        sent_at: float, outbound: float) -> None:
         """Continuation: the packet reached the ToR switch pipeline."""
         add_hop_latency(pkt, outbound)
-        trace = pkt.payload.get("trace")
+        trace = pkt.trace
         if trace is not None:
             trace.add_span("net.client_to_tor", sent_at, self.sim.now)
         action = self.switch.process_packet(pkt)
@@ -572,7 +577,7 @@ class Rack:
         hop = (sent_at - enqueued_at) + self.switch.pipeline_delay_us
         add_hop_latency(pkt, hop)
         self.telemetry.record(flow_id, pkt.size_kb, hop)
-        trace = pkt.payload.get("trace")
+        trace = pkt.trace
         if trace is not None:
             trace.add_span("net.tor_egress", enqueued_at, sent_at, flow=flow_id)
             trace.add_span("net.tor_to_server", sent_at, self.sim.now)
@@ -581,7 +586,7 @@ class Rack:
             # A crashed server silently drops traffic until the heartbeat
             # machinery re-routes around it.  The caller's event stays
             # untriggered (it times out); only the rack forgets it.
-            self._pending.pop(pkt.payload.get("rid"), None)
+            self._pending.pop(pkt.rid, None)
             return
         server.receive_packet(pkt)
 
@@ -608,7 +613,7 @@ class Rack:
                           proxy_ip: str) -> None:
         """Continuation: the proxied reply reached the original server."""
         add_hop_latency(pkt, relay)
-        trace = pkt.payload.get("trace")
+        trace = pkt.trace
         if trace is not None:
             trace.add_span(
                 "net.redirect_relay", relay_start, self.sim.now, proxy=proxy_ip
@@ -622,7 +627,7 @@ class Rack:
 
     def _response_at_tor(self, pkt: Packet, hop_start: float) -> None:
         """Continuation: the reply reached the ToR's client-facing port."""
-        trace = pkt.payload.get("trace")
+        trace = pkt.trace
         if trace is not None:
             trace.add_span("net.server_to_tor", hop_start, self.sim.now)
         self._client_egress.transmit(
@@ -633,7 +638,7 @@ class Rack:
                                sent_at: float) -> None:
         """Continuation: the client egress port transmitted the reply."""
         add_hop_latency(pkt, sent_at - enqueued_at)
-        trace = pkt.payload.get("trace")
+        trace = pkt.trace
         if trace is not None:
             trace.add_span("net.client_egress", enqueued_at, sent_at)
         # A path forgotten with replies still inside the rack is not
@@ -646,10 +651,10 @@ class Rack:
 
     def _complete_at_client(self, pkt: Packet, return_start: float) -> None:
         """Continuation: the reply arrived at the client edge."""
-        trace = pkt.payload.get("trace")
+        trace = pkt.trace
         if trace is not None:
             trace.add_span("net.tor_to_client", return_start, self.sim.now)
-        then = self._pending.pop(pkt.payload.get("rid"), None)
+        then = self._pending.pop(pkt.rid, None)
         if then is not None:
             if trace is not None:
                 self.tracer.finish(trace, self.sim.now)
@@ -694,7 +699,7 @@ class Rack:
 
         def forwarded() -> None:
             add_hop_latency(pkt, hop)
-            trace = pkt.payload.get("trace")
+            trace = pkt.trace
             if trace is not None:
                 trace.add_span(
                     "net.redirect_relay", forward_start, self.sim.now, dst=dst_ip

@@ -7,7 +7,7 @@ cannot issue new I/O requests during GC".
 """
 
 from array import array
-from typing import List, Optional
+from typing import AbstractSet, List, Optional
 
 from repro.errors import FlashError, OutOfSpaceError
 from repro.flash.block import Block
@@ -28,6 +28,11 @@ class FlashChip:
         self.rmap = array("q", [-1]) * (blocks_per_chip * pages_per_block)
         #: Blocks that are fully erased and hold no data, newest last.
         self._free_blocks: List[int] = list(range(blocks_per_chip))
+        #: Each block's stale-page count, by block id: a mirror of
+        #: ``Block.invalid_count`` kept by :meth:`invalidate` and
+        #: :meth:`erase_block` (the only ways the model changes a count),
+        #: so :meth:`most_stale` finds the greedy victim without a scan.
+        self._stale_counts: List[int] = [0] * blocks_per_chip
 
     @property
     def blocks_per_chip(self) -> int:
@@ -60,6 +65,39 @@ class FlashChip:
         except ValueError:
             raise FlashError(f"block {block_id} is not free on chip {self.chip_id}")
         return self.blocks[block_id]
+
+    def invalidate(self, block_id: int, page: int) -> None:
+        """Mark a page of one of this chip's blocks stale."""
+        block = self.blocks[block_id]
+        block.invalidate(page)
+        self._stale_counts[block_id] = block.invalid_count
+
+    def erase_block(self, block: Block) -> None:
+        """Erase one of this chip's blocks (see :meth:`Block.erase`)."""
+        block.erase()
+        self._stale_counts[block.block_id] = 0
+
+    def most_stale(self, active: Optional[Block],
+                   exempt: AbstractSet[Block]) -> Optional[Block]:
+        """Greedy victim among this chip's blocks other than ``active`` and
+        those in ``exempt``: the most stale pages, the lowest block id
+        among equals (the first maximum in block order).  ``None`` when
+        none is stale."""
+        counts = self._stale_counts
+        top = max(counts)
+        if not top:
+            return None
+        block = self.blocks[counts.index(top)]
+        if block is not active and block not in exempt:
+            return block
+        # The first maximum is exempt: take the first maximum of the rest.
+        best = None
+        for block in self.blocks:
+            if (block.invalid_count and block is not active
+                    and block not in exempt
+                    and (best is None or block.invalid_count > best.invalid_count)):
+                best = block
+        return best
 
     def victim_candidates(self) -> List[Block]:
         """Blocks eligible for GC: full (or partially written) with stale pages."""

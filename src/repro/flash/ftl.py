@@ -110,7 +110,8 @@ class PageMappedFtl:
     def lookup_ppn(self, lpn: int) -> int:
         """:meth:`lookup` as a packed ppn (see :meth:`chip_of`), -1 if
         unwritten."""
-        self._check_lpn(lpn)
+        if not 0 <= lpn < self.logical_pages:
+            self._check_lpn(lpn)  # raises
         return self._map[lpn]
 
     def chip_of(self, ppn: int) -> FlashChip:
@@ -133,7 +134,8 @@ class PageMappedFtl:
 
     def place_ppn(self, lpn: int) -> int:
         """:meth:`place_write` returning the packed ppn."""
-        self._check_lpn(lpn)
+        if not 0 <= lpn < self.logical_pages:
+            self._check_lpn(lpn)  # raises
         ppn = self._remap(lpn)
         self.host_writes += 1
         return ppn
@@ -196,7 +198,7 @@ class PageMappedFtl:
         chip = self._slots[ppn >> _SLOT_SHIFT]
         index = ppn & _PAGE_MASK
         block_id, page = divmod(index, self.pages_per_block)
-        chip.blocks[block_id].invalidate(page)
+        chip.invalidate(block_id, page)
         chip.rmap[index] = -1
 
     def _addr(self, ppn: int) -> PhysicalAddr:
@@ -230,19 +232,29 @@ class PageMappedFtl:
         are candidates except the active write blocks and blocks lent out;
         borrowed blocks are candidates once full.
         """
+        lent = self._lent
+        best: Optional[Tuple[float, FlashChip, Block]] = None
         # (chip, blocks with stale pages, the block exempt as active)
-        pools = [
-            (chip, chip.victim_candidates(), active)
-            for chip, active in zip(self.chips, self._active)
-        ]
+        pools: List[Tuple[FlashChip, List[Block], Optional[Block]]] = []
+        if scorer is None:
+            # Greedy: each owned chip's stale-page counts name its first
+            # maximum in block order, without a scan of its blocks.
+            for chip, active in zip(self.chips, self._active):
+                block = chip.most_stale(active, lent)
+                if block is not None and (
+                        best is None or block.invalid_count > best[0]):
+                    best = (block.invalid_count, chip, block)
+        else:
+            pools = [
+                (chip, chip.victim_candidates(), active)
+                for chip, active in zip(self.chips, self._active)
+            ]
         if self._borrowed:
             pools += [
                 (borrowed.chip, [borrowed.block], None)
                 for borrowed in self._borrowed.values()
                 if borrowed.block.invalid_count > 0 and borrowed.block.is_full
             ]
-        lent = self._lent
-        best: Optional[Tuple[float, FlashChip, Block]] = None
         for chip, blocks, active in pools:
             for block in blocks:
                 if block is active or block in lent:
@@ -297,7 +309,7 @@ class PageMappedFtl:
     def commit_erase(self, victim: PhysicalAddr) -> None:
         """Erase bookkeeping for a fully migrated victim block."""
         block = victim.chip.blocks[victim.block_id]
-        block.erase()
+        victim.chip.erase_block(block)
         self.gc_erases += 1
         borrowed = self._borrowed.pop(block, None)
         if borrowed is not None:

@@ -107,8 +107,8 @@ class RackKvStore:
         """Send one page request to ``vssd_id``; ``then(reply)`` when the
         reply is back (never, if a dead server drops it)."""
         pkt = request(vssd_id, self.client_name, "", self.sim.now)
-        rid = self.rack.new_request_id()
-        pkt.payload.update(lpn=lpn, rid=rid)
+        pkt.rid = rid = self.rack.new_request_id()
+        pkt.lpn = lpn
         self.rack.register_pending(rid, then)
         self.rack.send_from_client(pkt, self.client_name)
 

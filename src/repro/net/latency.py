@@ -19,6 +19,10 @@ from typing import Dict
 from repro.errors import ConfigError
 from repro.sim.core import MSEC
 
+_NV_MAGICCONST = random.NV_MAGICCONST
+_exp = math.exp
+_log = math.log
+
 
 @dataclass(frozen=True)
 class NetworkProfile:
@@ -111,6 +115,10 @@ class LatencyProcess:
         # Congestion schedule: list of (start, end) windows, extended lazily.
         self._windows = []
         self._horizon = 0.0
+        #: Start of the newest window, which runs to ``_horizon``, and
+        #: the end of the one before it: no window covers the gap between.
+        self._last_start = math.inf
+        self._gap_start = -math.inf
         # Fault-injection multiplier (link degradation / partition).
         # Applied without consuming RNG draws, so a factor of 1.0 is
         # byte-identical to a run with no degradation at all.
@@ -129,14 +137,24 @@ class LatencyProcess:
             start = self._horizon + gap
             end = start + duration
             self._windows.append((start, end))
+            self._gap_start = self._horizon
+            self._last_start = start
             self._horizon = end
 
     def congested(self, now: float) -> bool:
         """Whether a congestion episode is active at simulated time ``now``."""
         if now >= self._horizon:
             self._extend_schedule(now)
-        # Windows are ordered and sparse; scan the recent tail.
-        for start, end in reversed(self._windows):
+        # The newest window ends at the horizon, past ``now``.
+        if now >= self._last_start:
+            return True
+        if now >= self._gap_start:
+            return False
+        # ``now`` precedes the gap (a return leg samples at an earlier
+        # send time): windows are ordered and sparse, so scan back.
+        windows = self._windows
+        for index in range(len(windows) - 2, -1, -1):
+            start, end = windows[index]
             if start <= now < end:
                 return True
             if end < now:
@@ -149,10 +167,19 @@ class LatencyProcess:
         ``direction`` selects the straggler regime: ``"out"`` (toward the
         storage servers, incast-prone) or ``"ret"`` (back to the client).
         """
-        rng = self._rng
         profile = self.profile
-        # What ``rng.lognormvariate`` computes, without its extra call.
-        draw = math.exp(rng.normalvariate(self._mu, profile.sigma))
+        random_ = self._rng.random
+        # ``exp(rng.normalvariate(mu, sigma))`` -- what
+        # ``rng.lognormvariate`` computes -- with CPython's
+        # Kinderman-Monahan loop inlined: the same two draws per try and
+        # the same arithmetic, so the stream and the floats are unchanged.
+        while True:
+            u1 = random_()
+            u2 = 1.0 - random_()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -_log(u2):
+                break
+        draw = _exp(self._mu + z * profile.sigma)
         if self.congested(now):
             draw *= profile.congestion_factor
         prob = (
@@ -160,8 +187,8 @@ class LatencyProcess:
             if direction == "out"
             else profile.return_straggler_prob
         )
-        if prob > 0 and rng.random() < prob:
+        if prob > 0 and random_() < prob:
             # Exponentially distributed straggler magnitude around the
             # profile's mean factor.
-            draw *= 1.0 + rng.expovariate(1.0 / profile.straggler_factor)
+            draw *= 1.0 + self._rng.expovariate(1.0 / profile.straggler_factor)
         return draw * self.degradation

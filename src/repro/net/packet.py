@@ -14,7 +14,6 @@ are given in §3.5: soft=0, regular=1, bg=2, accept=3, delay=4, finish=5.
 import enum
 import itertools
 import struct
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.errors import NetworkError
@@ -30,6 +29,14 @@ class OpType(enum.IntEnum):
     GC_OP = 5
 
 
+#: The data-path operations as plain module constants.  On CPython 3.11
+#: an ``OpType.READ`` lookup goes through the enum's metaclass at several
+#: times the cost of a global read, and every packet is built and
+#: dispatched on its op.
+OP_READ = OpType.READ
+OP_WRITE = OpType.WRITE
+
+
 class GcKind(enum.IntEnum):
     """Values of the ``gc`` payload field (§3.5.1)."""
 
@@ -42,33 +49,64 @@ class GcKind(enum.IntEnum):
 
 
 _HEADER = struct.Struct("!BIi")  # op, vssd_id, lat (us, rounded)
-_packet_seq = itertools.count(1)
+_next_packet_id = itertools.count(1).__next__
 
 
-@dataclass
 class Packet:
-    """One RackBlox packet travelling through the simulated rack."""
+    """One RackBlox packet travelling through the simulated rack.
 
-    op: OpType
-    vssd_id: int
-    src: str = ""
-    dst: str = ""
-    #: Accumulated in-network latency (the LAT header field), microseconds.
-    lat: float = 0.0
-    #: Operation payload: ``gc`` kind, replica info for create_vssd, etc.
-    payload: Dict[str, Any] = field(default_factory=dict)
-    #: Application-payload size driving serialisation delay.
-    size_kb: float = 0.1
-    #: Simulated time the originating request was issued.
-    issue_time: float = 0.0
-    is_response: bool = False
-    packet_id: int = field(default_factory=_packet_seq.__next__)
+    A hand-written ``__slots__`` class: one is built per request leg, so
+    its constructor is on the simulator's per-request path.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.op, OpType):
-            raise NetworkError(f"op must be an OpType, got {self.op!r}")
-        if self.vssd_id < 0 or self.vssd_id > 0xFFFFFFFF:
-            raise NetworkError(f"vssd_id {self.vssd_id} does not fit in 4 bytes")
+    __slots__ = ("op", "vssd_id", "src", "dst", "lat", "payload", "size_kb",
+                 "issue_time", "is_response", "packet_id", "rid", "lpn",
+                 "trace")
+
+    def __init__(
+        self,
+        op: OpType,
+        vssd_id: int,
+        src: str = "",
+        dst: str = "",
+        lat: float = 0.0,
+        payload: Optional[Dict[str, Any]] = None,
+        size_kb: float = 0.1,
+        issue_time: float = 0.0,
+        is_response: bool = False,
+        packet_id: Optional[int] = None,
+    ) -> None:
+        if not isinstance(op, OpType):
+            raise NetworkError(f"op must be an OpType, got {op!r}")
+        if vssd_id < 0 or vssd_id > 0xFFFFFFFF:
+            raise NetworkError(f"vssd_id {vssd_id} does not fit in 4 bytes")
+        self.op = op
+        self.vssd_id = vssd_id
+        self.src = src
+        self.dst = dst
+        #: Accumulated in-network latency (the LAT header field), microseconds.
+        self.lat = lat
+        #: The rare operation fields: ``gc`` kind, replica info for
+        #: create_vssd, ``proxy_ip``, the server's ``storage_us``.
+        self.payload = {} if payload is None else payload
+        #: Application-payload size driving serialisation delay.
+        self.size_kb = size_kb
+        #: Simulated time the originating request was issued.
+        self.issue_time = issue_time
+        self.is_response = is_response
+        self.packet_id = _next_packet_id() if packet_id is None else packet_id
+        #: The rack's request id (the key its reply completes), if any.
+        self.rid: Optional[int] = None
+        #: Logical page the request addresses.
+        self.lpn = 0
+        #: The sampled request's trace, ``None`` when not traced.
+        self.trace = None
+
+    def __repr__(self) -> str:
+        return (f"Packet(op={self.op!r}, vssd_id={self.vssd_id}, "
+                f"src={self.src!r}, dst={self.dst!r}, lat={self.lat}, "
+                f"size_kb={self.size_kb}, is_response={self.is_response}, "
+                f"packet_id={self.packet_id}, rid={self.rid}, lpn={self.lpn})")
 
     @property
     def gc_kind(self) -> Optional[GcKind]:
@@ -108,20 +146,18 @@ class Packet:
         return self
 
 
+# The two request builders pass ``Packet``'s fields by position (op,
+# vssd_id, src, dst, lat, payload, size_kb, issue_time): on CPython 3.11
+# a class called with keywords builds a dict per call.
+
 def read_request(vssd_id: int, src: str, dst: str, issue_time: float) -> Packet:
     """A 4KB read: tiny request, 4KB response."""
-    return Packet(
-        op=OpType.READ, vssd_id=vssd_id, src=src, dst=dst,
-        size_kb=0.1, issue_time=issue_time,
-    )
+    return Packet(OP_READ, vssd_id, src, dst, 0.0, None, 0.1, issue_time)
 
 
 def write_request(vssd_id: int, src: str, dst: str, issue_time: float) -> Packet:
     """A 4KB write: 4KB request, tiny response."""
-    return Packet(
-        op=OpType.WRITE, vssd_id=vssd_id, src=src, dst=dst,
-        size_kb=4.0, issue_time=issue_time,
-    )
+    return Packet(OP_WRITE, vssd_id, src, dst, 0.0, None, 4.0, issue_time)
 
 
 def gc_op(vssd_id: int, kind: GcKind, src: str, dst: str = "switch") -> Packet:

@@ -9,8 +9,10 @@ storage requests).
 An :class:`EgressPort` drains a policy object at a configurable line rate
 and tells each packet's continuation when its transmission completed, so
 the queueing + serialisation delay lands in the packet's INT field.  A
-policy is four methods: ``enqueue``, ``next(now) -> (packet, ready)``,
-``__len__`` and ``forget_flow``.
+policy is five methods: ``enqueue``, ``next(now) -> (packet, ready)``,
+``pass_through(packet, flow_id, priority, now) -> ready`` (exactly
+``enqueue`` then ``next`` on an empty policy, for a packet an idle port
+sends at once), ``__len__`` and ``forget_flow``.
 """
 
 from collections import OrderedDict, deque
@@ -41,6 +43,11 @@ class FifoScheduler:
             return None
         packet, _, _ = self._queue.popleft()
         return packet, now
+
+    def pass_through(self, packet: Packet, flow_id: str, priority: int,
+                     now: float) -> float:
+        """``enqueue`` + ``next`` on an empty queue: ready at once."""
+        return now
 
     def forget_flow(self, flow_id: str) -> None:
         """Nothing is kept per flow."""
@@ -105,6 +112,26 @@ class TokenBucketScheduler:
         self._tokens[flow_id] -= packet.size_kb
         return packet, ready
 
+    def pass_through(self, packet: Packet, flow_id: str, priority: int,
+                     now: float) -> float:
+        """``enqueue`` + ``next`` with every queue empty: the bucket is
+        created (in flow order) as ``enqueue`` would, refilled and
+        charged as ``next`` would.  ``next``'s second refill is at the
+        same ``now`` and changes nothing."""
+        if flow_id not in self._queues:
+            self._queues[flow_id] = deque()
+            self._tokens.setdefault(flow_id, self.burst_kb)
+            self._last_refill.setdefault(flow_id, 0.0)
+        self._refill(flow_id, now)
+        need = packet.size_kb
+        have = self._tokens[flow_id]
+        if have >= need:
+            ready = now
+        else:
+            ready = now + (need - have) / self.flow_rate * 1e6
+        self._tokens[flow_id] = have - need
+        return ready
+
     def forget_flow(self, flow_id: str) -> None:
         """Drop an idle flow's queue and bucket (a backlogged one stays)."""
         queue = self._queues.get(flow_id)
@@ -152,6 +179,14 @@ class FairQueueScheduler:
             return packet, now
         return None
 
+    def pass_through(self, packet: Packet, flow_id: str, priority: int,
+                     now: float) -> float:
+        """``enqueue`` + ``next`` with no flow backlogged: the flow's
+        queue exists afterwards, empty and out of the rotation."""
+        if flow_id not in self._queues:
+            self._queues[flow_id] = deque()
+        return now
+
     def forget_flow(self, flow_id: str) -> None:
         """Drop an idle flow's queue (a backlogged one stays)."""
         queue = self._queues.get(flow_id)
@@ -190,6 +225,16 @@ class PriorityScheduler:
             if queue:
                 return queue.popleft(), now
         return None
+
+    def pass_through(self, packet: Packet, flow_id: str, priority: int,
+                     now: float) -> float:
+        """``enqueue`` + ``next`` on empty levels: the level is checked
+        and the packet is ready at once."""
+        if not 0 <= priority < self.levels:
+            raise ConfigError(
+                f"priority {priority} out of range [0,{self.levels})"
+            )
+        return now
 
     def forget_flow(self, flow_id: str) -> None:
         """Nothing is kept per flow."""
@@ -239,14 +284,16 @@ class EgressPort:
         the caller would otherwise schedule from ``then``)."""
         sim = self.sim
         now = sim.now
-        self.scheduler.enqueue(packet, flow_id, priority)
         if self._draining or self.free_at > now:
+            self.scheduler.enqueue(packet, flow_id, priority)
             self._waiting[packet.packet_id] = (then, extra)
             if not self._draining:
                 self._draining = True
                 sim.schedule_at(self.free_at, self._send_next)
         else:
-            packet, ready = self.scheduler.next(now)
+            # Idle port: the policy is empty, so this packet is the one
+            # ``next`` would pick.
+            ready = self.scheduler.pass_through(packet, flow_id, priority, now)
             # One combined wait for pacing delay + serialization.
             wait = packet.size_kb / self.rate
             if ready > now:

@@ -86,8 +86,11 @@ class GcMonitor:
         if self._running:
             return
         self._running = True
-        # tick: the loop's start.  The first check is staggered by half an
-        # interval so a rack of monitors doesn't synchronise.
+        # tick: the loop's start.  The first check comes half an interval
+        # in.  Every monitor gets the same half interval, so a rack's
+        # monitors all check at the same instants and server index decides
+        # whose GC request reaches the switch first; an independent phase
+        # per server is ROADMAP model-debt item (a).
         self.sim.schedule_after(0.0, partial(
             self.sim.schedule_after, self.check_interval_us * 0.5, self._pass))
 

@@ -16,7 +16,6 @@ request that has already lost the most end-to-end budget goes next.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Optional
 
 from repro.errors import ConfigError
@@ -39,37 +38,53 @@ def _first_eligible(queue: Deque["IoRequest"], eligible: Eligible) -> Optional[i
     return None
 
 
-@dataclass
 class IoRequest:
-    """One I/O request queued in the storage stack."""
+    """One I/O request queued in the storage stack.
 
-    kind: str  # "read" | "write"
-    vssd_id: int
-    lpn: int
-    #: Time the request entered the server's queue.
-    arrival_time: float
-    #: Net_time: accumulated in-network latency (from the INT field).
-    net_time: float = 0.0
-    #: Predict_time: predicted return-path latency, stamped at enqueue.
-    predict_time: float = 0.0
-    #: Opaque cookie the server uses to complete the request.
-    context: object = None
+    A hand-written ``__slots__`` class (one per read and per flush); its
+    fields are not changed once it is built.
+    """
+
+    __slots__ = ("kind", "vssd_id", "lpn", "arrival_time", "net_time",
+                 "predict_time", "context", "rank")
+
+    def __init__(
+        self,
+        kind: str,
+        vssd_id: int,
+        lpn: int,
+        arrival_time: float,
+        net_time: float = 0.0,
+        predict_time: float = 0.0,
+        context: object = None,
+    ) -> None:
+        self.kind = kind  # "read" | "write"
+        self.vssd_id = vssd_id
+        self.lpn = lpn
+        #: Time the request entered the server's queue.
+        self.arrival_time = arrival_time
+        #: Net_time: accumulated in-network latency (from the INT field).
+        self.net_time = net_time
+        #: Predict_time: predicted return-path latency, stamped at enqueue.
+        self.predict_time = predict_time
+        #: Opaque cookie the server uses to complete the request.
+        self.context = context
+        #: ``priority(now)`` minus the shared ``now`` term.  ``priority``
+        #: differences between two queued requests are constant over time
+        #: (the clock advances for everyone equally), so comparing ranks
+        #: picks the same winner as comparing priorities -- without
+        #: re-reading the clock per candidate in the selection scan.
+        self.rank = net_time + predict_time - arrival_time
 
     def priority(self, now: float) -> float:
         """Prio_sched = Net_time + Storage_time + Predict_time (§3.4)."""
         storage_time = now - self.arrival_time
         return self.net_time + storage_time + self.predict_time
 
-    @property
-    def rank(self) -> float:
-        """``priority(now)`` minus the shared ``now`` term.
-
-        ``priority`` differences between two queued requests are constant
-        over time (the clock advances for everyone equally), so comparing
-        ranks picks the same winner as comparing priorities -- without
-        re-reading the clock per candidate in the selection scan.
-        """
-        return self.net_time + self.predict_time - self.arrival_time
+    def __repr__(self) -> str:
+        return (f"IoRequest(kind={self.kind!r}, vssd_id={self.vssd_id}, "
+                f"lpn={self.lpn}, arrival_time={self.arrival_time}, "
+                f"net_time={self.net_time}, predict_time={self.predict_time})")
 
 
 class FifoIoScheduler:

@@ -35,23 +35,28 @@ class ReturnLatencyPredictor:
 
     def observe(self, vssd_id: int, kind: str, net_latency_us: float) -> None:
         """Record the measured network latency of an incoming packet."""
-        key = self._key(vssd_id, kind)
+        # Only a valid ``kind`` ever gets a window, so ``kind`` is checked
+        # when the window is missing, not on every packet.
+        key = (vssd_id, kind)
         window = self._windows.get(key)
         if window is None:
+            self._key(vssd_id, kind)
             window = deque(maxlen=self.window)
             self._windows[key] = window
             self._sums[key] = 0.0
+        total = self._sums[key]
         if len(window) == self.window:
-            self._sums[key] -= window[0]
+            total -= window[0]
         window.append(net_latency_us)
-        self._sums[key] += net_latency_us
+        self._sums[key] = total + net_latency_us
         self.observations += 1
 
     def predict(self, vssd_id: int, kind: str) -> float:
         """Predicted return latency; 0 before any observation."""
-        key = self._key(vssd_id, kind)
+        key = (vssd_id, kind)
         window = self._windows.get(key)
         if not window:
+            self._key(vssd_id, kind)
             return 0.0
         return self._sums[key] / len(window)
 

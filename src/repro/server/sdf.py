@@ -11,7 +11,7 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigError
-from repro.net.packet import OpType, Packet
+from repro.net.packet import OP_READ, OP_WRITE, Packet
 from repro.server.idle import IdlePredictor
 from repro.server.iosched import IoRequest
 from repro.server.predictor import ReturnLatencyPredictor
@@ -120,10 +120,10 @@ class StorageServer:
         except KeyError:
             raise ConfigError(
                 f"vSSD {pkt.vssd_id} is not hosted on {self.name}") from None
-        if pkt.op is OpType.WRITE:
+        if pkt.op is OP_WRITE:
             self.writes_received += 1
             self._handle_write(pkt, vssd)
-        elif pkt.op is OpType.READ:
+        elif pkt.op is OP_READ:
             self.reads_received += 1
             self._handle_read(pkt, vssd)
         else:
@@ -134,15 +134,14 @@ class StorageServer:
     def _handle_write(self, pkt: Packet, vssd: VSsd) -> None:
         self.predictor.observe(pkt.vssd_id, "write", pkt.lat)
         self.idle_predictors[pkt.vssd_id].record_request(self.sim.now)
-        lpn = pkt.payload.get("lpn", 0)
         # Line 2-4: cache the write (parking only when the cache is full);
         # the write is complete once the DRAM copy exists.
         self.write_cache.start_admit(
-            vssd, lpn, partial(self._write_cached, pkt, self.sim.now)
+            vssd, pkt.lpn, partial(self._write_cached, pkt, self.sim.now)
         )
 
     def _write_cached(self, pkt: Packet, arrived: float) -> None:
-        trace = pkt.payload.get("trace")
+        trace = pkt.trace
         if trace is not None:
             trace.add_span(
                 "server.write_cache", arrived, self.sim.now,
@@ -150,7 +149,8 @@ class StorageServer:
                 dirty_pages=self.write_cache.dirty_pages,
             )
         pkt.turn_around(0.1).payload["storage_us"] = self.sim.now - arrived
-        self._respond(pkt)
+        if self.respond_fn is not None:
+            self.respond_fn(pkt, self)
 
     def _handle_read(self, pkt: Packet, vssd: VSsd) -> None:
         self.predictor.observe(pkt.vssd_id, "read", pkt.lat)
@@ -164,14 +164,12 @@ class StorageServer:
             # server-to-server hop was charged by the redirect hook.
             self.software_redirects += 1
             return
+        # (kind, vssd_id, lpn, arrival_time, net_time, predict_time,
+        # context) by position here and in _submit_flush: keywords to a
+        # class cost a dict per call on CPython 3.11.
         request = IoRequest(
-            kind="read",
-            vssd_id=pkt.vssd_id,
-            lpn=pkt.payload.get("lpn", 0),
-            arrival_time=self.sim.now,
-            net_time=pkt.lat,
-            predict_time=self.predictor.predict(pkt.vssd_id, "read"),
-            context=pkt,
+            "read", pkt.vssd_id, pkt.lpn, self.sim.now, pkt.lat,
+            self.predictor.predict(pkt.vssd_id, "read"), pkt,
         )
         self.scheduler.push(request, self.sim.now)
         self._queued += 1
@@ -180,13 +178,8 @@ class StorageServer:
     def _submit_flush(self, vssd: VSsd, lpn: int, then: Callable[[], None]) -> None:
         """Queue one cache flush as a write request; ``then()`` on completion."""
         request = IoRequest(
-            kind="write",
-            vssd_id=vssd.vssd_id,
-            lpn=lpn,
-            arrival_time=self.sim.now,
-            net_time=0.0,
-            predict_time=self.predictor.predict(vssd.vssd_id, "write"),
-            context=then,
+            "write", vssd.vssd_id, lpn, self.sim.now, 0.0,
+            self.predictor.predict(vssd.vssd_id, "write"), then,
         )
         self.scheduler.push(request, self.sim.now)
         self._queued += 1
@@ -197,16 +190,6 @@ class StorageServer:
     def _dispatchable(self, request: IoRequest) -> bool:
         return request.vssd_id not in self._vssd_blocked
 
-    def _vssd_acquire(self, vssd_id: int) -> None:
-        count = self._vssd_inflight[vssd_id] + 1
-        self._vssd_inflight[vssd_id] = count
-        if count >= self._vssd_limit[vssd_id]:
-            self._vssd_blocked.add(vssd_id)
-
-    def _vssd_release(self, vssd_id: int) -> None:
-        self._vssd_inflight[vssd_id] -= 1
-        self._vssd_blocked.discard(vssd_id)
-
     def _dispatch(self) -> None:
         """Move requests from the scheduler to the device while slots are
         free.  Runs whenever a request is queued or a slot is released.
@@ -216,7 +199,7 @@ class StorageServer:
         a flush queued by the refusal -- returns at once: this loop is
         already running and serves the next request in policy order, so
         a run of refusals never recurses."""
-        if self._dispatching:
+        if self._dispatching or not self._queued:
             return
         self._dispatching = True
         try:
@@ -227,7 +210,12 @@ class StorageServer:
                     return
                 self._queued -= 1
                 self._inflight += 1
-                self._vssd_acquire(request.vssd_id)
+                # The request takes one of its vSSD's device slots.
+                vssd_id = request.vssd_id
+                count = self._vssd_inflight[vssd_id] + 1
+                self._vssd_inflight[vssd_id] = count
+                if count >= self._vssd_limit[vssd_id]:
+                    self._vssd_blocked.add(vssd_id)
                 self._service(request)
         finally:
             self._dispatching = False
@@ -237,7 +225,7 @@ class StorageServer:
         trace = None
         context = request.context
         if isinstance(context, Packet):
-            trace = context.payload.get("trace")
+            trace = context.trace
             if trace is not None:
                 trace.add_span(
                     "server.queue", request.arrival_time, self.sim.now,
@@ -259,7 +247,8 @@ class StorageServer:
         read is dropped unanswered (its client times out), a flush hands
         its cache slot back."""
         self._inflight -= 1
-        self._vssd_release(request.vssd_id)
+        self._vssd_inflight[request.vssd_id] -= 1
+        self._vssd_blocked.discard(request.vssd_id)
         self._dispatch()
         self.requests_failed += 1
         if request.kind != "read":
@@ -270,7 +259,8 @@ class StorageServer:
         # Free the slot and refill it before completing this request, so a
         # queued request reaches the device before our response leaves.
         self._inflight -= 1
-        self._vssd_release(request.vssd_id)
+        self._vssd_inflight[request.vssd_id] -= 1
+        self._vssd_blocked.discard(request.vssd_id)
         self._dispatch()
         gc_seen = gc_seen or vssd.gc_active
         if request.kind == "read" and gc_seen:
@@ -281,20 +271,17 @@ class StorageServer:
                 server=self.name, vssd=request.vssd_id, gc=gc_seen,
             )
         latency = self.sim.now - request.arrival_time
-        self.scheduler.record_completion(request.kind, latency, request=request)
+        self.scheduler.record_completion(request.kind, latency, request)
         if request.kind == "read":
             self.reads_completed += 1
             pkt = request.context
             if isinstance(pkt, Packet):
                 pkt.turn_around(4.0).payload["storage_us"] = latency
-                self._respond(pkt)
+                if self.respond_fn is not None:
+                    self.respond_fn(pkt, self)
         else:
             self.flushes_completed += 1
             request.context()
-
-    def _respond(self, response: Packet) -> None:
-        if self.respond_fn is not None:
-            self.respond_fn(response, self)
 
     def queue_depth(self) -> int:
         """Requests waiting in the I/O scheduler (excludes in-flight)."""

@@ -109,10 +109,6 @@ class WriteCache:
         then()
         self._run_flusher()
 
-    def _wake_one_admission(self) -> None:
-        if self._admission_waiters:
-            self._admit_or_park(*self._admission_waiters.popleft())
-
     def _run_flusher(self) -> None:
         """Drain dirty pages, lazily below the watermark, aggressively
         above it, with bounded parallelism.  Runs whenever a page is
@@ -154,7 +150,8 @@ class WriteCache:
     def _flush_done(self) -> None:
         self._outstanding -= 1
         self.flushes += 1
-        self._wake_one_admission()
+        if self._admission_waiters:  # wake one parked admission
+            self._admit_or_park(*self._admission_waiters.popleft())
         self._run_flusher()
         if self.on_clean is not None and self.clean:
             self.on_clean()

@@ -5,7 +5,8 @@ matches the latency scales the paper reports (tens of microseconds for
 flash reads, milliseconds for GC pauses).
 """
 
-import heapq
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -53,7 +54,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (self.now + delay, seq, fn))
+        heappush(self._heap, (self.now + delay, seq, fn))
 
     def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run at absolute time ``when``.
@@ -67,7 +68,7 @@ class Simulator:
                 f"cannot schedule at {when:.3f} before now={self.now:.3f}"
             )
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (when, seq, fn))
+        heappush(self._heap, (when, seq, fn))
 
     def stop(self) -> None:
         """End the current :meth:`run` from inside a callback.
@@ -82,7 +83,7 @@ class Simulator:
         if self._running and not self._stopping:
             self._stopping = True
             self._seq = seq = self._seq + 1
-            heapq.heappush(self._heap, (self.now, seq, _raise_stop))
+            heappush(self._heap, (self.now, seq, _raise_stop))
 
     def spawn(self, generator: Generator) -> "Any":
         """Start a new :class:`~repro.sim.process.Process` from a generator."""
@@ -109,29 +110,29 @@ class Simulator:
                 f"run(until={until:.3f}) is in the past (now={self.now:.3f})"
             )
         self._running = True
-        # Hot loop: bind invariants to locals.  ``heap`` aliases the live
-        # list -- callbacks push into the same object -- while the
-        # executed-event count is kept local and flushed in ``finally``.
+        # Hot loop: one pop per event.  ``heap`` aliases the live list --
+        # callbacks push into the same object -- while the executed-event
+        # count is kept local and flushed in ``finally``.  The entry that
+        # lies past the horizon goes back with its ``(time, seq)`` key, so
+        # it keeps its place for the next run.  ``target`` is the count at
+        # which ``max_events`` ends the run; unreachable without one.
         heap = self._heap
-        heappop = heapq.heappop
+        horizon = inf if until is None else until
         count = self._event_count
+        target = count + max_events if max_events else -1
         try:
             try:
-                budget = max_events if max_events is not None else -1
                 while heap:
-                    head = heap[0]
-                    when = head[0]
-                    if until is not None and when > until:
+                    when, seq, fn = heappop(heap)
+                    if when > horizon:
+                        heappush(heap, (when, seq, fn))
                         self.now = until
                         break
-                    heappop(heap)
                     self.now = when
                     count += 1
-                    head[2]()
-                    if budget > 0:
-                        budget -= 1
-                        if budget == 0:
-                            break
+                    fn()
+                    if count == target:
+                        break
                 else:
                     # Heap drained; if an explicit horizon was given, honour it.
                     if until is not None and until > self.now:

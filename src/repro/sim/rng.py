@@ -7,6 +7,7 @@ substreams that do not perturb each other when one consumes more numbers.
 """
 
 import random
+from bisect import bisect_left
 from typing import Optional, Sequence
 
 
@@ -64,7 +65,4 @@ class ZipfianSampler:
         self._cdf[-1] = 1.0  # guard against float drift
 
     def sample(self) -> int:
-        import bisect
-
-        u = self._rng.random()
-        return bisect.bisect_left(self._cdf, u)
+        return bisect_left(self._cdf, self._rng.random())

@@ -17,26 +17,24 @@ rack's job.  Counters expose redirects/accepts/delays/recirculations for
 the evaluation harness.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.errors import SwitchError
-from repro.net.packet import GcKind, OpType, Packet
+from repro.net.packet import OP_READ, OP_WRITE, GcKind, OpType, Packet
 from repro.switch.pipeline import rackblox_passes
 from repro.switch.tables import DestinationTable, ReplicaTable
 
 
-@dataclass(frozen=True)
-class ForwardAction:
-    """Forward the packet to a storage server."""
+class ForwardAction(NamedTuple):
+    """Forward the packet to a storage server (a named tuple: one is
+    built per packet)."""
 
     packet: Packet
     dst_ip: str
     redirected: bool = False
 
 
-@dataclass(frozen=True)
-class ReplyAction:
+class ReplyAction(NamedTuple):
     """Send a (gc_op) reply straight back to the requesting server."""
 
     packet: Packet
@@ -52,6 +50,8 @@ class SwitchDataPlane:
     #: One pipeline traversal on a Tofino-class ASIC (ns-scale; we charge a
     #: conservative fraction of a microsecond).
     PIPELINE_PASS_US = 0.4
+    #: Per-packet data-plane latency (one pass).
+    pipeline_delay_us = PIPELINE_PASS_US
 
     def __init__(
         self,
@@ -73,13 +73,13 @@ class SwitchDataPlane:
 
     def process_packet(self, pkt: Packet) -> SwitchAction:
         """One pipeline pass of Algorithm 1; returns the forwarding action."""
-        if pkt.op is OpType.WRITE:
+        if pkt.op is OP_WRITE:
             # Line 2-3: writes go to every replica; never redirected.
             self.writes_forwarded += 1
             dst = self.destination_table.server_ip(pkt.vssd_id)
-            return ForwardAction(packet=pkt, dst_ip=dst)
+            return ForwardAction(pkt, dst)
 
-        if pkt.op is OpType.READ:
+        if pkt.op is OP_READ:
             return self._process_read(pkt)
 
         if pkt.op is OpType.GC_OP:
@@ -89,11 +89,6 @@ class SwitchDataPlane:
             f"op {pkt.op.name} is a control-plane packet; the data plane "
             "only handles read/write/gc_op"
         )
-
-    @property
-    def pipeline_delay_us(self) -> float:
-        """Per-packet data-plane latency (one pass)."""
-        return self.PIPELINE_PASS_US
 
     # ------------------------------------------------------------- read path
 
@@ -115,7 +110,7 @@ class SwitchDataPlane:
             self.reads_redirected += 1
         else:
             self.reads_forwarded += 1
-        return ForwardAction(packet=pkt, dst_ip=dst, redirected=redirected)
+        return ForwardAction(pkt, dst, redirected)
 
     # ----------------------------------------------------------- gc_op path
 

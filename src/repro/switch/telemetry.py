@@ -17,8 +17,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
+#: Flows whose sketch cells :class:`FlowTelemetry` keeps at once (the
+#: cells are recomputed after the table is dropped).
+_MAX_CELL_FLOWS = 4096
 
-@functools.lru_cache(maxsize=4096)
+
+@functools.lru_cache(maxsize=_MAX_CELL_FLOWS)
 def _sketch_positions(key: str, width: int, depth: int) -> Tuple[int, ...]:
     # A pure function of its arguments, and a rack sees a handful of flow
     # ids for millions of packets: hash each once.
@@ -66,14 +70,6 @@ class FlowStats:
     bytes_kb: float = 0.0
     latency_ewma_us: float = 0.0
 
-    def update(self, size_kb: float, hop_latency_us: float, alpha: float) -> None:
-        self.packets += 1
-        self.bytes_kb += size_kb
-        if self.latency_ewma_us == 0.0:
-            self.latency_ewma_us = hop_latency_us
-        else:
-            self.latency_ewma_us += alpha * (hop_latency_us - self.latency_ewma_us)
-
 
 class FlowTelemetry:
     """Sketch-backed flow accounting with an exact heavy-hitter table.
@@ -103,25 +99,54 @@ class FlowTelemetry:
         self.promote_threshold = promote_threshold
         self.ewma_alpha = ewma_alpha
         self._tracked: Dict[str, FlowStats] = {}
+        #: Each flow's sketch cells, one ``(row, position)`` per row, so a
+        #: packet does not re-hash or re-pair them.  Dropped by
+        #: :meth:`forget`, and wholesale past ``_MAX_CELL_FLOWS`` flows.
+        self._cells: Dict[str, Tuple[Tuple[List[int], int], ...]] = {}
         self.packets_seen = 0
         self.promotions = 0
+
+    def _cells_of(self, flow_id: str) -> Tuple[Tuple[List[int], int], ...]:
+        if len(self._cells) >= _MAX_CELL_FLOWS:
+            self._cells.clear()
+        sketch = self.sketch
+        cells = tuple(zip(sketch._rows, _sketch_positions(  # noqa: SLF001
+            flow_id, sketch.width, sketch.depth)))
+        self._cells[flow_id] = cells
+        return cells
 
     def record(self, flow_id: str, size_kb: float, hop_latency_us: float) -> None:
         """Account one packet of ``flow_id`` crossing the switch."""
         self.packets_seen += 1
-        self.sketch.add(flow_id)
+        cells = self._cells.get(flow_id) or self._cells_of(flow_id)
+        for row, pos in cells:
+            row[pos] += 1
+        self.sketch.total += 1
         stats = self._tracked.get(flow_id)
         if stats is None:
             if (
                 len(self._tracked) < self.max_tracked_flows
-                and self.sketch.estimate(flow_id) >= self.promote_threshold
+                and min(row[pos] for row, pos in cells) >= self.promote_threshold
             ):
                 stats = FlowStats(flow_id=flow_id)
                 self._tracked[flow_id] = stats
                 self.promotions += 1
             else:
                 return
-        stats.update(size_kb, hop_latency_us, self.ewma_alpha)
+        stats.packets += 1
+        stats.bytes_kb += size_kb
+        ewma = stats.latency_ewma_us
+        if ewma == 0.0:
+            stats.latency_ewma_us = hop_latency_us
+        else:
+            stats.latency_ewma_us = ewma + self.ewma_alpha * (hop_latency_us - ewma)
+
+    def forget(self, flow_id: str) -> None:
+        """Drop a flow that will not send again: its exact-table entry
+        (freeing the slot for a live flow) and its cells.  The sketch is
+        an aggregate and keeps its counts."""
+        self._tracked.pop(flow_id, None)
+        self._cells.pop(flow_id, None)
 
     def estimated_packets(self, flow_id: str) -> int:
         return self.sketch.estimate(flow_id)

@@ -5,10 +5,10 @@ Two implementations share one duck type:
 * :class:`Tracer` -- probabilistic *head* sampling (the decision is made
   once, when the request is issued, so a sampled request is traced end to
   end); finished traces accumulate in memory, bounded by ``max_traces``.
-* :class:`NullTracer` -- the zero-overhead default.  ``start_request``
-  returns ``None``, so every instrumentation site degrades to one method
-  call per request plus ``payload.get("trace")`` lookups that miss; no
-  span objects are ever allocated.
+* :class:`NullTracer` -- the zero-overhead default (``enabled`` is
+  false, so the rack does not call ``start_request`` at all); every
+  instrumentation site degrades to a ``pkt.trace is None`` check, and
+  no span objects are ever allocated.
 
 Sampling is driven by a dedicated seeded RNG, so the *same* run traced at
 the same rate samples the same requests in any process -- and, crucially,

@@ -93,24 +93,24 @@ class VSsd:
         ``fail(exc)`` when given, so one bad request fails alone; without
         it the error propagates to whoever runs the simulator.
         """
-        self._throttled(partial(self._read_media, lpn, then, fail))
+        self._throttled(self._read_media, lpn, then, fail)
 
     def start_write(self, lpn: int, then: Callable[[], None],
                     fail: Optional[Callable[[FlashError], None]] = None) -> None:
         """Program one logical page out-of-place; ``then()`` runs when the
         program completes.  Mapping and out-of-space errors go to
         ``fail(exc)`` as for :meth:`start_read`."""
-        self._throttled(partial(self._program_media, lpn, then, fail))
+        self._throttled(self._program_media, lpn, then, fail)
 
-    def _throttled(self, media_op: Callable[[], None]) -> None:
+    def _throttled(self, media_op: Callable[..., None], *args) -> None:
         # Software isolation: an op over its tenant's rate waits out the
         # token bucket before it may touch the shared channels.
         if self.rate_limiter is not None:
             wait = self.rate_limiter.delay_for(1)
             if wait > 0:
-                self.sim.schedule_after(wait, media_op)
+                self.sim.schedule_after(wait, partial(media_op, *args))
                 return
-        media_op()
+        media_op(*args)
 
     def _read_media(self, lpn: int, then: Callable[[], None],
                     fail: Optional[Callable[[FlashError], None]]) -> None:

@@ -11,8 +11,8 @@ Two arrival disciplines:
   throughput figures.
 """
 
+import math
 import random
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import ConfigError
@@ -20,14 +20,21 @@ from repro.sim.rng import ZipfianSampler
 from repro.workloads.spec import Pattern, WorkloadSpec
 
 
-@dataclass
 class Request:
-    """One logical operation produced by a generator."""
+    """One logical operation produced by a generator (a hand-written
+    ``__slots__`` class: one is built per simulated request)."""
 
-    kind: str  # "read" | "write"
-    lpn: int
-    #: Inter-arrival gap before this request (open loop), microseconds.
-    gap_us: float = 0.0
+    __slots__ = ("kind", "lpn", "gap_us")
+
+    def __init__(self, kind: str, lpn: int, gap_us: float = 0.0) -> None:
+        self.kind = kind  # "read" | "write"
+        self.lpn = lpn
+        #: Inter-arrival gap before this request (open loop), microseconds.
+        self.gap_us = gap_us
+
+    def __repr__(self) -> str:
+        return (f"Request(kind={self.kind!r}, lpn={self.lpn}, "
+                f"gap_us={self.gap_us})")
 
 
 class _OpPicker:
@@ -42,14 +49,16 @@ class _OpPicker:
         self._zipf = ZipfianSampler(key_space, theta=max(spec.zipf_theta, 1e-6), rng=rng)
         self._phase_kind = "write"
         self._phase_left = spec.phase_length
+        # The (frozen) spec's per-op fields, read once.
+        self._phased = spec.pattern is Pattern.PHASED
+        self._write_ratio = spec.write_ratio
 
     def next_op(self) -> Request:
-        if self.spec.pattern is Pattern.PHASED:
+        if self._phased:
             kind = self._next_phased_kind()
         else:
-            kind = "write" if self._rng.random() < self.spec.write_ratio else "read"
-        lpn = self._zipf.sample()
-        return Request(kind=kind, lpn=lpn)
+            kind = "write" if self._rng.random() < self._write_ratio else "read"
+        return Request(kind, self._zipf.sample())
 
     def _next_phased_kind(self) -> str:
         """AuctionMark-style bursts: runs of writes, then runs of reads,
@@ -88,9 +97,11 @@ class OpenLoopGenerator:
         """Yield ``count`` requests with exponential inter-arrival gaps."""
         if count < 0:
             raise ConfigError(f"count must be >= 0, got {count}")
+        rng_random = self._rng.random
         for _ in range(count):
             request = self._picker.next_op()
-            request.gap_us = self._rng.expovariate(1.0 / self.mean_gap_us)
+            # ``rng.expovariate(1.0 / mean_gap_us)``, its formula inline.
+            request.gap_us = -math.log(1.0 - rng_random()) / (1.0 / self.mean_gap_us)
             yield request
 
 

@@ -144,7 +144,7 @@ class TestWriteCache:
             respond_fn=lambda pkt, srv: responses.append((pkt, sim.now))
         )
         pkt = write_request(vssd.vssd_id, "client", server.ip, 0.0)
-        pkt.payload["lpn"] = 3
+        pkt.lpn = 3
         server.receive_packet(pkt)
         sim.run(until=50.0)
         # Completed at cache-admission time, long before flash program time.
@@ -153,7 +153,7 @@ class TestWriteCache:
     def test_flusher_eventually_writes_to_flash(self):
         sim, server, vssd = make_server()
         pkt = write_request(vssd.vssd_id, "client", server.ip, 0.0)
-        pkt.payload["lpn"] = 3
+        pkt.lpn = 3
         server.receive_packet(pkt)
         sim.run(until=100 * MSEC)
         assert vssd.writes_served >= 1
@@ -164,7 +164,7 @@ class TestWriteCache:
         sim2, server, vssd = make_server(sim)
         for _ in range(5):
             pkt = write_request(vssd.vssd_id, "client", server.ip, 0.0)
-            pkt.payload["lpn"] = 7
+            pkt.lpn = 7
             server.receive_packet(pkt)
         sim.run(until=10.0)
         assert server.write_cache.coalesced >= 3
@@ -175,7 +175,7 @@ class TestWriteCache:
         server.respond_fn = lambda pkt, srv: responses.append(sim.now)
         for lpn in range(12):
             pkt = write_request(vssd.vssd_id, "client", server.ip, 0.0)
-            pkt.payload["lpn"] = lpn
+            pkt.lpn = lpn
             server.receive_packet(pkt)
         sim.run(until=500 * MSEC)
         assert len(responses) == 12
@@ -306,7 +306,7 @@ class TestStorageServerReads:
             respond_fn=lambda pkt, srv: responses.append((pkt, sim.now))
         )
         pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
-        pkt.payload["lpn"] = 0
+        pkt.lpn = 0
         server.receive_packet(pkt)
         sim.run(until=10 * MSEC)
         assert len(responses) == 1
@@ -318,7 +318,7 @@ class TestStorageServerReads:
         sim, server, vssd = make_server()
         pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
         pkt.lat = 321.0
-        pkt.payload["lpn"] = 0
+        pkt.lpn = 0
         server.receive_packet(pkt)
         sim.run(until=10 * MSEC)
         assert server.predictor.predict(vssd.vssd_id, "read") == pytest.approx(321.0)
@@ -328,7 +328,7 @@ class TestStorageServerReads:
         server.max_inflight = 2
         for lpn in range(6):
             pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
-            pkt.payload["lpn"] = lpn
+            pkt.lpn = lpn
             server.receive_packet(pkt)
         sim.run(until=1.0)
         # Only 2 dispatched; 4 still queued.
@@ -345,7 +345,7 @@ class TestStorageServerReads:
         server.max_inflight = 1
         for lpn in range(3):
             pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
-            pkt.payload["lpn"] = lpn
+            pkt.lpn = lpn
             server.receive_packet(pkt)
         sim.run(until=10 * MSEC)
         assert seen == [(1, 1, 1), (2, 0, 1), (3, 0, 0)]
@@ -376,12 +376,12 @@ class TestStorageServerReads:
         # around it carry on.
         responses = []
         sim, server, vssd = make_server(
-            respond_fn=lambda pkt, srv: responses.append(pkt.payload["lpn"])
+            respond_fn=lambda pkt, srv: responses.append(pkt.lpn)
         )
         server.max_inflight = 1
         for lpn in (0, vssd.logical_pages + 7, 1):
             pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
-            pkt.payload["lpn"] = lpn
+            pkt.lpn = lpn
             server.receive_packet(pkt)
         sim.run(until=10 * MSEC)
         assert server.requests_failed == 1
@@ -395,7 +395,7 @@ class TestStorageServerReads:
         responses = []
         sim, server, vssd = make_server(
             respond_fn=lambda pkt, srv: responses.append(
-                (pkt.payload["lpn"], sim.now))
+                (pkt.lpn, sim.now))
         )
         server.max_inflight = 1
         accepted = []
@@ -413,7 +413,7 @@ class TestStorageServerReads:
         lpns = [0] + [bad + i for i in range(3 * sys.getrecursionlimit())] + [1]
         for lpn in lpns:
             pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
-            pkt.payload["lpn"] = lpn
+            pkt.lpn = lpn
             server.receive_packet(pkt)
         sim.run(until=10 * MSEC)
         assert server.requests_failed == len(lpns) - 2
@@ -435,7 +435,7 @@ class TestStorageServerReads:
         vssd.rate_limiter = TokenBucket(sim, rate_per_sec=1e4, capacity=1)
         for lpn in (0, vssd.logical_pages):
             pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
-            pkt.payload["lpn"] = lpn
+            pkt.lpn = lpn
             server.receive_packet(pkt)
         sim.run(until=10 * MSEC)
         assert server.reads_completed == 1 and server.requests_failed == 1
@@ -445,7 +445,7 @@ class TestStorageServerReads:
         sim, server, vssd = make_server(cache_pages=2)
         for lpn in (vssd.logical_pages, 2, 3):
             pkt = write_request(vssd.vssd_id, "client", server.ip, 0.0)
-            pkt.payload["lpn"] = lpn
+            pkt.lpn = lpn
             server.receive_packet(pkt)
         sim.run(until=100 * MSEC)
         cache = server.write_cache

@@ -119,3 +119,36 @@ class TestFlowTelemetry:
             FlowTelemetry(promote_threshold=0)
         with pytest.raises(ConfigError):
             FlowTelemetry(ewma_alpha=0.0)
+
+    def test_sketch_counts_match_add(self):
+        # ``record`` bumps the cells ``CountMinSketch.add`` would.
+        telemetry = FlowTelemetry(sketch_width=64, sketch_depth=3)
+        twin = CountMinSketch(width=64, depth=3)
+        rng = random.Random(3)
+        for _ in range(2000):
+            key = f"flow-{rng.randrange(50)}"
+            telemetry.record(key, 4.0, 1.0)
+            twin.add(key)
+        assert telemetry.sketch._rows == twin._rows
+        assert telemetry.sketch.total == twin.total
+
+
+class TestForgetClient:
+    def test_closed_connections_leave_the_exact_table(self):
+        # Served connections each ride their own flow; once 64 of them
+        # have been promoted, only forgetting them lets a later one in.
+        from repro.cluster.config import RackConfig
+        from repro.cluster.rack import Rack
+
+        rack = Rack(RackConfig(num_servers=2, num_pairs=2))
+        telemetry = rack.telemetry
+        for i in range(70):
+            for _ in range(telemetry.promote_threshold):
+                telemetry.record(f"conn-{i}", 4.0, 1.0)
+            assert telemetry.tracked(f"conn-{i}") is not None
+            rack.forget_client(f"conn-{i}")
+        for _ in range(telemetry.promote_threshold):
+            telemetry.record("conn-live", 4.0, 1.0)
+        assert telemetry.tracked("conn-live") is not None
+        assert not any(telemetry.tracked(f"conn-{i}") for i in range(70))
+        assert telemetry.promotions == 71

@@ -715,8 +715,7 @@ def _cmd_fleet(args) -> int:
         change = body.get("change")
         if change:
             print(f"  in flight: {change.get('kind')} rack "
-                  f"{change.get('rack')} attempt {change.get('attempt')}"
-                  + (" (tainted)" if change.get("tainted") else ""))
+                  f"{change.get('rack')} attempt {change.get('attempt')}")
         counters = body.get("counters", {})
         if counters:
             moved = counters.get("keys_moved", 0)

@@ -121,11 +121,12 @@ class SimTimeBridge:
         self._pump_task: Optional["asyncio.Task"] = None
         self._wakeup: Optional["asyncio.Event"] = None
         #: Called after every pump turn, once the completions in it
-        #: have resolved their futures.  The server hangs its response
-        #: flush here: one socket write per connection per chunk instead
-        #: of one per response (each tiny cross-process send pays a
-        #: scheduler wakeup, which at thousands of requests per second
-        #: costs more than the simulation itself).
+        #: have resolved their futures (and as the pump parks after a
+        #: request that completed with no turn).  The server hangs its
+        #: response flush here: one socket write per connection per
+        #: chunk instead of one per response (each tiny cross-process
+        #: send pays a scheduler wakeup, which at thousands of requests
+        #: per second costs more than the simulation itself).
         self.after_chunk: Optional[Any] = None
 
     # -------------------------------------------------------------- lifecycle
@@ -324,8 +325,14 @@ class SimTimeBridge:
         sim = self.rack.sim
         assert self._wakeup is not None
         loop = asyncio.get_running_loop()
+        # ``submitted`` at the last flush queued: a request that came
+        # since and completed with no simulated work runs no turn.
+        flushed = 0
         while True:
             if not self._live:
+                if self.submitted != flushed and self.after_chunk is not None:
+                    loop.call_soon(self.after_chunk)
+                flushed = self.submitted
                 if not self._running:
                     return
                 self._wakeup.clear()
@@ -344,6 +351,7 @@ class SimTimeBridge:
                 self._fail_live(exc)
             self.sim_chunks += 1
             self._expire(sim.now)
+            flushed = self.submitted
             if self.after_chunk is not None:
                 # Futures resolve their done-callbacks via call_soon, so
                 # the flush must queue *behind* them, not run here.

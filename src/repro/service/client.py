@@ -314,7 +314,9 @@ class ServiceClient:
             await asyncio.sleep(backoff)
 
     async def _attempt(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        if self._writer is None or self._writer.is_closing():
+        # A read loop that ended (server gone) would never answer.
+        if self._writer is None or self._writer.is_closing() \
+                or self._reader_task.done():
             if self._closing or (self.max_retries <= 0 and self._writer is None):
                 raise ConnectionError("not connected (call connect() first)")
             await self._reconnect()

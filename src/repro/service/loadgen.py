@@ -151,8 +151,6 @@ class LoadgenReport:
                     f"  migration: epoch {migration.get('epoch', 0):.0f}  "
                     f"keys_moved {migration.get('keys_moved', 0):.0f}  "
                     f"forwards {migration.get('write_forwards', 0):.0f}  "
-                    f"dual_reads "
-                    f"{migration.get('dual_read_fallbacks', 0):.0f}  "
                     f"aborts {migration.get('aborts', 0):.0f}"
                 )
             for key in sorted(metrics):

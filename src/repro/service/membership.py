@@ -12,17 +12,15 @@ increasing **epoch**, and walks one membership change at a time through a
    the candidate ring with :meth:`HashRing.ranges_moving` -- the exact
    slices of ring space (~``1/(N+1)`` of it for a single add) that change
    owner;
-2. while the plan is active, every key route consults the plan:
+2. while the plan is active, the old owner of a moving key stays its
+   one authority, in both deployment shapes:
 
-   * **writes** are applied to the *old* owner first (it stays fully
-     authoritative, so an abort at any instant loses nothing), then
-     **forwarded** to the new owner so the streamed copy can never go
-     stale;
-   * **reads** are served dual: new owner first, falling back to the old
-     owner on a miss, so freshly-moved keys are cheap and not-yet-moved
-     keys still resolve.  If a previous attempt at the same change was
-     aborted (the destination may hold stale shadows), reads pin to the
-     old owner instead;
+   * **reads** and scans go to :meth:`FleetController.read_owner` -- the
+     old owner until the cutover;
+   * **writes** run :func:`~repro.service.migration.forwarded_write`:
+     applied at the old owner first (so an abort at any instant loses
+     nothing), then **forwarded** to the new owner so the streamed copy
+     can never go stale;
 
 3. a :class:`~repro.service.migration.MigrationStream` copies the cold
    keys over (skipping anything the write path already forwarded);
@@ -68,26 +66,24 @@ class MigrationPlan:
     new_ring: HashRing            # installed at commit
     ranges: Tuple[KeyRange, ...]  # sorted, non-overlapping
     attempt: int = 1
-    #: True when the destination may hold stale shadow copies from an
-    #: earlier aborted attempt -- reads then pin to the old owner.
-    tainted: bool = False
+    #: Keys any attempt wrote at their destination (streamed or
+    #: forwarded); an abort deletes them there, so no stale copy outlives
+    #: the change that made it.
+    copied: Set[str] = field(default_factory=set, repr=False)
     _starts: List[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         self._starts = [r.start for r in self.ranges]
 
-    def moving_range_for(self, point: int) -> Optional[KeyRange]:
-        """The moving range containing ``point``, if any."""
-        idx = bisect.bisect_right(self._starts, point) - 1
-        if idx >= 0 and self.ranges[idx].contains(point):
-            return self.ranges[idx]
-        return None
-
     def moving_range_for_key(self, key: str) -> Optional[KeyRange]:
         """The moving range a kv ``key`` falls in, if any.  The label
         derivation must match the router's (``key:<key>``), which is why
         it lives here rather than at every call site."""
-        return self.moving_range_for(self.old_ring.point_for(f"key:{key}"))
+        point = self.old_ring.point_for(f"key:{key}")
+        idx = bisect.bisect_right(self._starts, point) - 1
+        if idx >= 0 and self.ranges[idx].contains(point):
+            return self.ranges[idx]
+        return None
 
     @property
     def moved_fraction(self) -> float:
@@ -99,12 +95,12 @@ class FleetController:
     """Owns the current ring, the epoch, and at most one live migration.
 
     The controller is pure routing policy -- it never touches a socket or
-    a bridge.  The router (or proxy) asks it three questions per request:
+    a bridge.  The router (or proxy) asks it two questions per request:
 
-    * :meth:`read_route` -- where to read first, and where to fall back;
-    * :meth:`write_route` -- where to apply, and where to forward;
     * :meth:`read_owner` -- which single shard is *authoritative* for a
-      key right now (scan results from anyone else are shadow copies).
+      key right now: every keyed read goes there, and scan results from
+      anyone else are shadow copies;
+    * :meth:`write_route` -- where to apply, and where to forward.
 
     and drives the lifecycle with :meth:`begin_add` / :meth:`begin_drain`
     -> :meth:`commit` | :meth:`abort`.
@@ -113,9 +109,9 @@ class FleetController:
     #: Counter names reported in the ``migration`` stats section
     #: (mirrored by ``schema.MIGRATION_FIELDS``).
     COUNTER_NAMES = (
-        "keys_moved", "bytes_streamed", "batches", "dual_read_fallbacks",
-        "write_forwards", "aborts", "cutovers", "cleanup_deletes",
-        "racks_added", "racks_drained",
+        "keys_moved", "bytes_streamed", "batches", "write_forwards",
+        "aborts", "cutovers", "cleanup_deletes", "racks_added",
+        "racks_drained",
     )
 
     def __init__(self, ring: HashRing, epoch: int = 0) -> None:
@@ -124,19 +120,16 @@ class FleetController:
         self.plan: Optional[MigrationPlan] = None
         self.counters: Dict[str, int] = {name: 0 for name in
                                          self.COUNTER_NAMES}
-        #: Keys dual-written while a plan is active; the stream must not
+        #: Keys forwarded during the current attempt; the stream must not
         #: clobber them with the older value it read from the source.
         self._forwarded: Set[str] = set()
+        #: A key whose forward failed this attempt, failing the attempt.
+        self._failed_forward: Optional[str] = None
         #: Keys with a stream put in flight to the destination.  The
         #: write path's forward step waits these out before issuing its
         #: own destination put, so the forwarded (fresher) value is
         #: deterministically the last writer.
         self._stream_puts: Dict[str, asyncio.Event] = {}
-        #: Nodes whose last *drain* attempt aborted: the surviving
-        #: destinations may hold stale shadows, so the next drain of the
-        #: same node starts tainted.  (An aborted *add* destroys the
-        #: joining shard, so adds only taint in-call retries.)
-        self._tainted_nodes: Set[int] = set()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -152,7 +145,11 @@ class FleetController:
                 f"{self.plan.attempt}); one at a time"
             )
 
-    def begin_add(self, node: int, *, tainted: bool = False) -> MigrationPlan:
+    def _new_attempt(self) -> None:
+        self._forwarded.clear()
+        self._failed_forward = None
+
+    def begin_add(self, node: int) -> MigrationPlan:
         """Start admitting ``node``; returns the plan (ranges to stream)."""
         self._check_idle()
         node = int(node)
@@ -160,13 +157,11 @@ class FleetController:
             raise MembershipError(f"rack {node} is already on the ring")
         new_ring = self.ring.with_node(node)
         ranges = tuple(HashRing.ranges_moving(self.ring, new_ring))
-        self.plan = MigrationPlan("add", node, self.ring, new_ring, ranges,
-                                  tainted=tainted)
-        self._forwarded.clear()
+        self.plan = MigrationPlan("add", node, self.ring, new_ring, ranges)
+        self._new_attempt()
         return self.plan
 
-    def begin_drain(self, node: int, *,
-                    tainted: bool = False) -> MigrationPlan:
+    def begin_drain(self, node: int) -> MigrationPlan:
         """Start draining ``node``; returns the plan (ranges to stream)."""
         self._check_idle()
         node = int(node)
@@ -178,23 +173,19 @@ class FleetController:
             )
         new_ring = self.ring.without_node(node)
         ranges = tuple(HashRing.ranges_moving(self.ring, new_ring))
-        self.plan = MigrationPlan(
-            "drain", node, self.ring, new_ring, ranges,
-            tainted=tainted or node in self._tainted_nodes,
-        )
-        self._forwarded.clear()
+        self.plan = MigrationPlan("drain", node, self.ring, new_ring, ranges)
+        self._new_attempt()
         return self.plan
 
     def retry(self) -> MigrationPlan:
         """Roll the active plan into its next attempt after a mid-stream
-        failure.  The destination kept whatever partially streamed, so
-        the new attempt is tainted: reads pin to the old owner."""
+        failure.  The new attempt re-streams every key it does not see
+        forwarded again, overwriting whatever the last one left behind."""
         if self.plan is None:
             raise MembershipError("no migration in flight to retry")
         self.counters["aborts"] += 1
         self.plan.attempt += 1
-        self.plan.tainted = True
-        self._forwarded.clear()
+        self._new_attempt()
         return self.plan
 
     def abort(self) -> None:
@@ -203,12 +194,8 @@ class FleetController:
         if self.plan is None:
             return
         self.counters["aborts"] += 1
-        if self.plan.kind == "drain":
-            # The surviving destinations keep whatever was streamed;
-            # a later drain of the same node must not dual-read it.
-            self._tainted_nodes.add(self.plan.node)
         self.plan = None
-        self._forwarded.clear()
+        self._new_attempt()
 
     def commit(self) -> int:
         """Install the new ring, bump the epoch, end the plan.  This is
@@ -223,20 +210,34 @@ class FleetController:
             self.counters["racks_added"] += 1
         else:
             self.counters["racks_drained"] += 1
-            self._tainted_nodes.discard(plan.node)
         self.plan = None
-        self._forwarded.clear()
+        self._new_attempt()
         return self.epoch
 
     # -------------------------------------------------------------- routing
 
     def note_forwarded(self, key: str) -> None:
-        """Record that ``key`` was dual-written during the active plan."""
+        """Record that ``key`` is being forwarded during the active plan."""
         if self.plan is not None:
             self._forwarded.add(key)
+            self.plan.copied.add(key)
 
     def is_forwarded(self, key: str) -> bool:
         return key in self._forwarded
+
+    def forward_failed(self, key: str) -> None:
+        """A forward of ``key`` did not reach the destination."""
+        if self.plan is not None:
+            self._failed_forward = key
+
+    def check_forwards(self) -> None:
+        """Raise if a forward failed this attempt -- its destination
+        copy may be stale, so the attempt must not cut over."""
+        if self._failed_forward is not None:
+            raise MembershipError(
+                f"the forwarded write of {self._failed_forward!r} did not "
+                f"reach the destination"
+            )
 
     def stream_put_begin(self, key: str) -> asyncio.Event:
         """The stream is about to put ``key`` at the destination."""
@@ -256,56 +257,25 @@ class FleetController:
         if event is not None:
             await event.wait()
 
-    def read_route(self, key: str) -> Tuple[int, Optional[int]]:
-        """``(first, fallback)`` shards for a keyed read (raw kv key).
-
-        Outside a migration window ``fallback`` is ``None``.  Inside it,
-        keys in a moving range read the *new* owner first and fall back
-        to the old owner on a miss -- unless the plan is tainted (a
-        prior aborted attempt may have left stale shadows at the
-        destination), in which case reads pin to the old owner, except
-        for keys the write path has since re-forwarded (those are
-        provably fresh at the destination).
-        """
-        owner = self.ring.node_for(f"key:{key}")
-        plan = self.plan
-        if plan is None:
-            return owner, None
-        rng = plan.moving_range_for_key(key)
-        if rng is None:
-            return owner, None
-        if plan.tainted and not self.is_forwarded(key):
-            return rng.src, None
-        return rng.dst, rng.src
-
     def write_route(self, key: str) -> Tuple[int, Optional[int]]:
-        """``(primary, forward)`` shards for a keyed write (raw kv key).
-
-        The primary is always the currently authoritative (old) owner --
-        it must ack before the client does, so an abort at any moment
-        leaves every acked write durable.  ``forward`` is the new owner
-        during a migration window: the write is chained there after the
-        primary acks, keeping the streamed copy from ever going stale.
-        """
-        owner = self.ring.node_for(f"key:{key}")
+        """``(primary, forward)`` shards for a keyed write (raw kv key):
+        the authoritative (old) owner, which acks first so an abort at
+        any moment leaves every acked write durable, and in a migration
+        window the new owner, where
+        :func:`~repro.service.migration.forwarded_write` chains it."""
         plan = self.plan
-        if plan is None:
-            return owner, None
-        rng = plan.moving_range_for_key(key)
+        rng = None if plan is None else plan.moving_range_for_key(key)
         if rng is None:
-            return owner, None
+            return self.ring.node_for(f"key:{key}"), None
         return rng.src, rng.dst
 
     def read_owner(self, key: str) -> int:
         """The single shard whose copy of ``key`` is authoritative right
         now -- the old owner until commit, the ring owner after.  Scan
         merges drop items reported by anyone else (shadow copies)."""
-        owner = self.ring.node_for(f"key:{key}")
         plan = self.plan
-        if plan is None:
-            return owner
-        rng = plan.moving_range_for_key(key)
-        return owner if rng is None else rng.src
+        rng = None if plan is None else plan.moving_range_for_key(key)
+        return self.ring.node_for(f"key:{key}") if rng is None else rng.src
 
     # ------------------------------------------------------------ reporting
 
@@ -323,7 +293,6 @@ class FleetController:
                 "kind": self.plan.kind,
                 "rack": self.plan.node,
                 "attempt": self.plan.attempt,
-                "tainted": self.plan.tainted,
                 "ranges": len(self.plan.ranges),
                 "moved_fraction": round(self.plan.moved_fraction, 6),
             }

@@ -22,17 +22,19 @@ Two properties keep it correct under live load:
 
 * **bounded + throttled**: keys move in ``batch_size`` chunks with an
   asyncio pause between batches, so foreground p99 survives the copy;
-* **forward-aware**: a key the write path dual-forwarded after the
-  stream read it would be *clobbered* by applying the stream's older
-  value, so forwarded keys are skipped at apply time (the forward
-  already delivered the freshest value to the destination).
+* **forward-aware**: a key the write path forwarded after the stream
+  read it would be *clobbered* by applying the stream's older value, so
+  forwarded keys are skipped at apply time (the forward already
+  delivered the freshest value to the destination).
 
-Any endpoint failure (a rack crash mid-migration surfaces here as a
-timeout or connection error) aborts the run with the partial tally
-attached.  :func:`run_membership_change` is the one driver around the
-stream -- retry tainted with back-off, then abort or commit, fence the
-read cache, clean up, report -- that both deployment shapes call with
-their own endpoints.
+:func:`forwarded_write` is that write path, one routine for both
+shapes.  Any endpoint failure (a rack crash mid-migration surfaces here
+as a timeout or connection error), or a forward that did not land,
+aborts the run with the partial tally attached.
+:func:`run_membership_change` is the one driver around the stream --
+retry with back-off, then abort (deleting what reached the destinations)
+or commit, fence the read cache, clean up, report -- that both
+deployment shapes call with their own endpoints.
 """
 
 import asyncio
@@ -61,6 +63,11 @@ CloseFn = Callable[[], Awaitable[None]]
 #: Builds one attempt's ``(scan, put, delete, close)``; called afresh
 #: per attempt so a crashed peer gets a new dial.
 EndpointFactory = Callable[[], Tuple[ScanFn, PutFn, DeleteFn, CloseFn]]
+#: Applies one client write at a node: the response payload, or raises.
+ApplyFn = Callable[[int], Awaitable[Dict[str, Any]]]
+#: How a stream endpoint or a forwarded write's leg fails.
+_ENDPOINT_ERRORS = (asyncio.TimeoutError, ConnectionError, OSError,
+                    ReproError, ServiceError)
 
 
 class MigrationStreamError(ReproError):
@@ -112,8 +119,9 @@ class MigrationStream:
             for src in sources:
                 await self._stream_source(src, report)
                 report.sources_drained += 1
-        except (asyncio.TimeoutError, ConnectionError, OSError,
-                ReproError, ServiceError) as exc:
+            # Nothing may suspend between this check and the cutover.
+            self.controller.check_forwards()
+        except _ENDPOINT_ERRORS as exc:
             raise MigrationStreamError(
                 f"migration stream failed after {report.keys_moved} keys "
                 f"({type(exc).__name__}: {exc})", report
@@ -131,17 +139,11 @@ class MigrationStream:
             items = await self._scan(src, start, self.batch_size)
             if not items:
                 return
-            moving: List[Tuple[str, str]] = []
+            moving = []
             for key, value in items:
                 rng = plan.moving_range_for_key(key)
-                if rng is None or rng.src != src:
-                    continue
-                if self.controller.is_forwarded(key):
-                    # The write path already delivered a fresher value to
-                    # the destination; applying ours would clobber it.
-                    report.skipped_forwarded += 1
-                    continue
-                moving.append((key, value))
+                if rng is not None and rng.src == src:
+                    moving.append((key, value))
             if moving:
                 await asyncio.gather(*(
                     self._apply(src, key, value, report)
@@ -160,11 +162,14 @@ class MigrationStream:
         rng = self.plan.moving_range_for_key(key)
         assert rng is not None
         if self.controller.is_forwarded(key):
+            # The write path already delivered a fresher value to the
+            # destination; applying ours would clobber it.
             report.skipped_forwarded += 1
             return
         # Register the in-flight put so a concurrent forwarded write to
         # the same key orders itself *after* us at the destination.
         token = self.controller.stream_put_begin(key)
+        self.plan.copied.add(key)
         try:
             await self._put(rng.dst, key, value)
         finally:
@@ -174,20 +179,21 @@ class MigrationStream:
             len(str(value).encode("utf-8"))
         report.moved.append((src, key))
 
-    async def cleanup(self, report: StreamReport) -> int:
-        """Post-commit: delete the moved keys' shadow copies from their
-        old owners (best-effort -- the copies are harmless to reads,
-        they only pad scans).  Returns the number deleted."""
+    async def cleanup(self, copies: List[Tuple[int, str]]) -> int:
+        """Delete ``(node, key)`` copies nobody reads any more: moved
+        keys' shadows at their old owners after an add, or what an
+        aborted change left at its destinations.  Best-effort; returns
+        the number deleted."""
         if self._delete is None:
             return 0
         deleted = 0
-        for offset in range(0, len(report.moved), self.batch_size):
-            batch = report.moved[offset:offset + self.batch_size]
+        for offset in range(0, len(copies), self.batch_size):
+            batch = copies[offset:offset + self.batch_size]
             results = await asyncio.gather(*(
-                self._delete(src, key) for src, key in batch
+                self._delete(node, key) for node, key in batch
             ), return_exceptions=True)
             deleted += sum(1 for r in results if not isinstance(r, Exception))
-            if self.pause_s and offset + self.batch_size < len(report.moved):
+            if self.pause_s and offset + self.batch_size < len(copies):
                 await asyncio.sleep(self.pause_s)
         self.controller.counters["cleanup_deletes"] += deleted
         return deleted
@@ -203,16 +209,17 @@ async def run_membership_change(
     """Drive a begun ``plan`` to its cutover, or abort it.
 
     Streams the moving keys through ``endpoints()``; a mid-stream
-    failure (a rack crash during migration lands here) retries tainted
-    -- reads pin to the old owner -- with linear back-off.  Past
-    ``max_attempts`` the plan aborts, the old ring keeps ruling, and
-    :class:`MembershipError` is raised: no acked write is lost either
-    way.  On success the epoch commits, ``read_cache`` is fenced, an add
-    deletes the moved keys' shadow copies from their old owners (a
-    drained rack's copies leave with it), and the report both shapes
-    answer ``admin`` with is returned.  Stream puts and deletes bypass
-    the front door, so they invalidate ``read_cache`` here.  The caller
-    owns the node bookkeeping on either side of this call.
+    failure (a rack crash during migration lands here) retries with
+    linear back-off.  Past ``max_attempts`` the attempts' copies are
+    deleted from the destinations (best-effort: a key deleted later must
+    not come back with the next change), the plan aborts, the old ring
+    keeps ruling, and :class:`MembershipError` is raised: no acked write
+    is lost either way.  On success the epoch commits, ``read_cache`` is
+    fenced, an add deletes the moved keys' shadow copies from their old
+    owners (a drained rack's copies leave with it), and the report both
+    shapes answer ``admin`` with is returned.  Stream puts and deletes
+    bypass the front door, so they invalidate ``read_cache`` here.  The
+    caller owns the node bookkeeping on either side of this call.
     """
     while True:
         scan, put, delete, close = endpoints()
@@ -227,8 +234,14 @@ async def run_membership_change(
             report = await stream.run()
             break
         except MigrationStreamError as exc:
-            await close()
             if plan.attempt >= max_attempts:
+                # Still under the plan, so no other change can start
+                # streaming to these nodes while the copies go.
+                await stream.cleanup([
+                    (plan.moving_range_for_key(key).dst, key)
+                    for key in sorted(plan.copied)
+                ])
+                await close()
                 attempts = plan.attempt
                 controller.abort()
                 verb = "admitting" if plan.kind == "add" else "draining"
@@ -236,6 +249,7 @@ async def run_membership_change(
                     f"{verb} rack {plan.node} failed after {attempts} "
                     f"attempt(s): {exc}"
                 ) from exc
+            await close()
             plan = controller.retry()
             await asyncio.sleep(retry_backoff_s * plan.attempt)
     epoch = controller.commit()
@@ -243,7 +257,7 @@ async def run_membership_change(
         read_cache.fence(epoch)
     try:
         if plan.kind == "add":
-            await stream.cleanup(report)
+            await stream.cleanup(report.moved)
     finally:
         await close()
     return {
@@ -263,3 +277,38 @@ def _then_invalidate(endpoint: Callable[..., Awaitable[None]],
         await endpoint(node, key, *value)
         read_cache.invalidate(key)
     return wrapped
+
+
+async def forwarded_write(controller: FleetController, key: str,
+                          apply: ApplyFn) -> Dict[str, Any]:
+    """A client write to ``key`` while its range is moving.
+
+    Applied at the authoritative old owner first, whose answer is the
+    client's: a shed or failed primary raises as-is, forwarded nowhere.
+    After an ok the key is marked forwarded (the stream will not
+    overwrite it), any stream put of it in flight is waited out, and the
+    write lands last at the new owner.  A failed forward fails the
+    attempt like a failed stream put, so the ack stands -- unless the
+    change cut over meanwhile.  Returns the old owner's payload, its
+    latency summed over both legs.
+    """
+    plan, epoch = controller.plan, controller.epoch
+    src, dst = controller.write_route(key)
+    payload = dict(await apply(src))
+    if dst is None or (controller.plan is not plan
+                       and controller.epoch == epoch):
+        return payload  # no window, or it aborted: the old owner rules
+    controller.note_forwarded(key)
+    controller.counters["write_forwards"] += 1
+    await controller.await_stream_put(key)
+    if controller.plan is not plan and controller.epoch == epoch:
+        return payload  # aborted meanwhile
+    try:
+        forwarded = await apply(dst)
+    except _ENDPOINT_ERRORS:
+        if controller.epoch != epoch:
+            raise
+        controller.forward_failed(key)
+        return payload
+    payload["latency_us"] += forwarded["latency_us"]
+    return payload

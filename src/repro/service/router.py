@@ -26,8 +26,12 @@ Routing rules (both shapes):
   ``[0, racks * pairs_per_rack)``; the owner is
   ``ring.node_for(f"pair:{g}")`` and the local pair is
   ``g % pairs_per_rack``;
-* ``get``/``put`` route by key; ``scan`` scatter-gathers every shard
-  in-process (the proxy routes a scan to the start-key owner);
+* ``get``/``put``/``del`` route by key to its authoritative owner -- the
+  old one until a migration's cutover -- where a write to a moving key
+  is then forwarded to the new one (one routine for both shapes,
+  :func:`~repro.service.migration.forwarded_write`); ``scan``
+  scatter-gathers every shard in-process (the proxy routes a scan to
+  the start-key owner);
 * when the router's *view* of the owner says both in-rack copies of the
   target pair are collecting, a raw read falls back to the next distinct
   ring node -- a cross-rack redirect, with a staleness caveat: the view
@@ -47,7 +51,7 @@ import dataclasses
 import re
 import time
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.config import RackConfig
 from repro.errors import ConfigError
@@ -55,8 +59,9 @@ from repro.metrics.collector import ExperimentMetrics
 from repro.service import frontdoor, protocol, schema
 from repro.service.admission import AdmissionController
 from repro.service.bridge import BridgeStats, SimTimeBridge
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.membership import FleetController, MembershipError
-from repro.service.migration import run_membership_change
+from repro.service.migration import forwarded_write, run_membership_change
 from repro.service.qos import QosScheduler
 from repro.service.readcache import ReadCache
 from repro.service.selector import (
@@ -556,104 +561,50 @@ class ShardRouter:
 
     def submit_get(self, key: str, client: str = "live") -> "asyncio.Future":
         key = str(key)
-        first, fallback = self.fleet.read_route(key)
+        shard = self._by_index[self.fleet.read_owner(key)]
         self.routed += 1
-        if fallback is None:
-            shard = self._by_index[first]
-            future = shard.bridge.submit_get(key, client)
-            return self._finish(shard, "read", future, {"rack": shard.index})
-        return asyncio.ensure_future(
-            self._dual_read(key, client, first, fallback)
-        )
-
-    async def _dual_read(self, key: str, client: str,
-                         first_idx: int, fallback_idx: int) -> Dict[str, Any]:
-        """Migration-window read: new owner first, old owner on a miss.
-
-        The new owner serves freshly-moved (and forwarded) keys without
-        touching the source; keys the stream has not reached yet miss
-        and resolve at the still-authoritative old owner.  Latency is
-        the sum of the legs actually taken.
-        """
-        first = self._by_index[first_idx]
-        payload = dict(await first.bridge.submit_get(key, client))
-        if payload.get("found"):
-            payload["rack"] = first.index
-            self.metrics.record("read", payload["latency_us"],
-                                at=first.bridge.rack.sim.now)
-            return payload
-        self.fleet.counters["dual_read_fallbacks"] += 1
-        second = self._by_index[fallback_idx]
-        fell_back = dict(await second.bridge.submit_get(key, client))
-        fell_back["rack"] = second.index
-        fell_back["dual_read"] = True
-        fell_back["latency_us"] = (payload["latency_us"] +
-                                   fell_back["latency_us"])
-        self.metrics.record("read", fell_back["latency_us"],
-                            at=second.bridge.rack.sim.now)
-        return fell_back
+        future = shard.bridge.submit_get(key, client)
+        return self._finish(shard, "read", future, {"rack": shard.index})
 
     def submit_put(self, key: str, value: str,
                    client: str = "live") -> "asyncio.Future":
-        key = str(key)
-        primary, forward = self.fleet.write_route(key)
-        self.routed += 1
-        if forward is None:
-            shard = self._by_index[primary]
-            future = shard.bridge.submit_put(key, value, client)
-            return self._finish(shard, "write", future,
-                                {"rack": shard.index})
-        return asyncio.ensure_future(
-            self._forwarded_write(key, value, client, primary, forward)
-        )
+        return self._write(str(key), lambda bridge: bridge.submit_put(
+            key, value, client))
 
     def submit_delete(self, key: str,
                       client: str = "live") -> "asyncio.Future":
-        key = str(key)
+        return self._write(str(key), lambda bridge: bridge.submit_delete(
+            key, client))
+
+    def _write(self, key: str,
+               submit: Callable[[SimTimeBridge], "asyncio.Future"],
+               ) -> "asyncio.Future":
+        """A keyed write at its authoritative owner; to a moving key,
+        :func:`forwarded_write` over the shards' bridges, whose answer
+        can settle after the last pump flush (hence the flush behind)."""
         primary, forward = self.fleet.write_route(key)
         self.routed += 1
+        shard = self._by_index[primary]
         if forward is None:
-            shard = self._by_index[primary]
-            future = shard.bridge.submit_delete(key, client)
-            return self._finish(shard, "write", future,
+            return self._finish(shard, "write", submit(shard.bridge),
                                 {"rack": shard.index})
-        return asyncio.ensure_future(
-            self._forwarded_write(key, None, client, primary, forward,
-                                  delete=True)
-        )
 
-    async def _forwarded_write(self, key: str, value: Optional[str],
-                               client: str, primary_idx: int,
-                               forward_idx: int,
-                               delete: bool = False) -> Dict[str, Any]:
-        """Migration-window write: old owner first (it stays fully
-        authoritative, so an abort at any instant loses nothing), then
-        chained to the new owner so the streamed copy never goes stale.
-        The client's ack covers both legs; a failed forward surfaces as
-        a retryable error with the primary already durably applied.
-        """
-        self.fleet.note_forwarded(key)
-        self.fleet.counters["write_forwards"] += 1
-        src = self._by_index[primary_idx]
-        dst = self._by_index[forward_idx]
+        async def write() -> Dict[str, Any]:
+            payload = await forwarded_write(
+                self.fleet, key, lambda n: submit(self._by_index[n].bridge))
+            payload["rack"] = shard.index
+            self.metrics.record("write", payload["latency_us"],
+                                at=shard.bridge.rack.sim.now)
+            return payload
 
-        def submit(bridge: SimTimeBridge) -> "asyncio.Future":
-            if delete:
-                return bridge.submit_delete(key, client)
-            return bridge.submit_put(key, value, client)
+        task = asyncio.ensure_future(write())
+        task.add_done_callback(self._flush_behind)
+        return task
 
-        payload = dict(await submit(src.bridge))
-        # Order after any in-flight stream put for this key, so the
-        # forwarded value is deterministically the last writer at dst.
-        await self.fleet.await_stream_put(key)
-        forwarded = dict(await submit(dst.bridge))
-        payload["rack"] = src.index
-        payload["forwarded"] = True
-        payload["latency_us"] = (payload["latency_us"] +
-                                 forwarded["latency_us"])
-        self.metrics.record("write", payload["latency_us"],
-                            at=src.bridge.rack.sim.now)
-        return payload
+    def _flush_behind(self, _done: "asyncio.Future") -> None:
+        # Runs before the server's done-callback: flushes after it.
+        if self._after_chunk is not None:
+            asyncio.get_running_loop().call_soon(self._after_chunk)
 
     def submit_scan(self, start_key: str, count: int,
                     client: str = "live") -> "asyncio.Future":
@@ -849,8 +800,8 @@ class ShardRouter:
         the plan to :func:`~repro.service.migration.run_membership_change`
         (``knobs`` are its ``batch_size``/``pause_s``/``max_attempts``/
         ``retry_backoff_s``): the moving ~1/(N+1) of keys stream over
-        while dual-read and write-forwarding keep every request correct,
-        then the epoch cuts over.  If the change aborts, the new shard
+        while reads stay on the old owner and writes are forwarded, then
+        the epoch cuts over.  If the change aborts, the new shard
         is torn down and the fleet is exactly as before.
         """
         base = config if config is not None else self._base_config
@@ -1234,12 +1185,13 @@ class ShardProxy:
     pair index to the backend's local index); binary (protocol v2)
     requests are routed *without decoding at all* -- the pair/key is
     read at its fixed offset and the only rewrite patches 4 bytes --
-    and responses relay as raw frames in both directions.  Admission, simulation, and draining all
-    happen in the backends; the proxy adds only placement.  GC-aware
-    cross-rack fallback is an in-process-router feature -- the proxy has
-    no switch-state channel -- so reads rely on the backends' own
-    in-rack redirect (documented in ``docs/serving.md``), and scans go
-    to the start-key owner only.
+    and responses relay as raw frames in both directions (save a write
+    to a moving key: :meth:`_forward`).  Admission, simulation, and
+    draining all happen in the backends; the proxy adds only placement.
+    GC-aware cross-rack fallback is an in-process-router feature -- the
+    proxy has no switch-state channel -- so reads rely on the backends'
+    own in-rack redirect (documented in ``docs/serving.md``), and scans
+    go to the start-key owner only.
     """
 
     def __init__(self, backends: Sequence[Tuple[str, int]],
@@ -1280,12 +1232,14 @@ class ShardProxy:
         self.drained: Set[int] = set()
         self._server: Optional["asyncio.base_events.Server"] = None
         self._connections: Set["asyncio.Task"] = set()
-        self._admin_tasks: Set["asyncio.Task"] = set()
+        #: Admin mutations and migration-window writes in flight, and the
+        #: per-backend clients those writes ride (dialed on first use).
+        self._tasks: Set["asyncio.Task"] = set()
+        self._window_clients: Dict[Tuple[str, int], ServiceClient] = {}
         self._draining = False
         self.connections_accepted = 0
         self.routed = 0
         self.unroutable = 0
-        self.write_dups = 0
         #: Multi-tenant QoS + DRAM read cache, proxy flavour: the front
         #: door runs here (the backends keep their own per-client
         #: admission).  Both default off, keeping the plain relay
@@ -1326,11 +1280,13 @@ class ShardProxy:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in list(self._admin_tasks):
+        for task in list(self._tasks):
             task.cancel()
-        if self._admin_tasks:
-            await asyncio.gather(*self._admin_tasks, return_exceptions=True)
-        self._admin_tasks.clear()
+        if self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._tasks.clear()
+        for client in self._window_clients.values():
+            await client.close()
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -1341,15 +1297,10 @@ class ShardProxy:
 
     def _route(self, request: Dict[str, Any],
                ) -> Tuple[Optional[int], Optional[int]]:
-        """``(node, forward)``: where the frame goes, plus the second
-        backend a write is duplicated to during a migration window.
-
-        The proxy relays frames without response matching, so it cannot
-        dual-*read*; reads and scans pin to the authoritative (old)
-        owner until the cutover -- correct, just without the in-proc
-        router's new-owner-first optimisation (documented asymmetry,
-        like the GC-fallback).
-        """
+        """``(node, forward)``: the backend a decoded request goes to
+        (``None``: unroutable) -- a key's authoritative owner, the old
+        one until a cutover -- and where :meth:`_forward` forwards a
+        write to a moving key."""
         rtype = request.get("type")
         try:
             if rtype in ("read", "write"):
@@ -1477,8 +1428,8 @@ class ShardProxy:
             fields["read_policy"] = self.read_policy
         return ["raw", "kv", "sharded", "proxy", "bin"], fields
 
-    def _decode_response(self, frame: Any) -> Optional[Dict[str, Any]]:
-        """Decode one complete response frame (either codec); None if bad."""
+    def _decode(self, frame: Any) -> Optional[Dict[str, Any]]:
+        """Decode one complete frame (either codec); None if bad."""
         try:
             messages = protocol.FrameDecoder(self.max_frame_bytes).feed(
                 bytes(frame)
@@ -1495,9 +1446,6 @@ class ShardProxy:
         responses pay one decode: the QoS ledger needs the ok bit and
         cache fills need the value; latency is the wall-clock turnaround
         measured at the relay, the only one the proxy can see.
-        Dup-written frames carry the same id on two links; the ticket
-        pops on the first response and the second is a no-op, matching
-        the client's own first-response-wins dedup.
         """
         if not self.door.tracks_completions:
             return None
@@ -1507,7 +1455,7 @@ class ShardProxy:
             ticket = conn.pending.pop(request_id, None)
             if ticket is None:
                 return
-            response = (self._decode_response(frame)
+            response = (self._decode(frame)
                         if frame is not None else None)
             ok = response is not None and response.get("ok")
             ticket.complete(response if ok else None, latency_us)
@@ -1515,22 +1463,10 @@ class ShardProxy:
         return hook
 
     async def _relay(self, conn: _ClientConn, ticket: frontdoor.Ticket,
-                     frame: Any, request_id: Any, binary: bool, node: int,
-                     forward_node: Optional[int], key: str) -> None:
+                     frame: Any, request_id: Any, binary: bool,
+                     node: int) -> None:
         """Queue an admitted request's frame for backend ``node`` and
-        hold its ticket until the relay sees the response.
-
-        ``forward_node`` is the future owner of a migrating ``key``: the
-        proxy relays frames without matching responses, so it cannot
-        chain the two legs of a write the way the in-proc router does;
-        instead the *same* frame -- same id -- goes to both backends.
-        Both client implementations resolve an id exactly once and drop
-        the duplicate response, so whichever leg answers first wins.  If
-        the destination leg dies, its orphan ``TIMEOUT`` either arrives
-        second (ignored) or first (a retryable error while the
-        authoritative old owner durably applied the write) -- never a
-        lost ack.
-        """
+        hold its ticket until the relay sees the response."""
         link = await self._link_for(node, conn, request_id, binary)
         if link is None:
             return
@@ -1539,19 +1475,46 @@ class ShardProxy:
         if conn.hook is not None and request_id is not None:
             ticket.submitted()
             conn.pending[request_id] = ticket
-        if forward_node is None:
-            return
-        self.fleet.note_forwarded(key)
-        self.fleet.counters["write_forwards"] += 1
-        self.write_dups += 1
-        # Order after any in-flight stream copy of the same key so the
-        # forwarded (fresher) value lands last at the destination.
-        await self.fleet.await_stream_put(key)
-        # Dial errors reply with id ``None`` (clients ignore them): the
-        # primary leg is already queued and must own the id's response.
-        link = await self._link_for(forward_node, conn, None, binary)
-        if link is not None:
-            conn.enqueue(link, frame, request_id)
+
+    def _forward(self, conn: _ClientConn, ticket: frontdoor.Ticket,
+                 request: Dict[str, Any], binary: bool) -> None:
+        """A write to a moving key, decoded and run off the connection's
+        read loop (rare: only moving keys, only during a change) through
+        :func:`forwarded_write`.  Each leg is a request on that backend's
+        window client under the caller's own ``client`` name (its address
+        if it gave none), so backend admission still meters the caller;
+        the answer goes back in the request's codec."""
+        request_id = request.pop("id", None)
+        request.pop("epoch", None)
+        if not request.get("client"):
+            peer = conn.writer.get_extra_info("peername")
+            request["client"] = f"{peer[0]}:{peer[1]}" if peer else "unknown"
+
+        async def apply(node: int) -> Dict[str, Any]:
+            client = await _dial(self._window_clients, self.backends[node])
+            return await client.request(request)
+
+        async def write() -> None:
+            self.routed += 1
+            ticket.submitted()
+            started = time.monotonic()
+            try:
+                response = dict(await forwarded_write(
+                    self.fleet, str(request["key"]), apply), id=request_id)
+            except ServiceError as exc:
+                response = protocol.error_response(exc.code, exc.message,
+                                                   request_id)
+            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+                response = protocol.error_response(
+                    protocol.TIMEOUT, f"backend rack unreachable: {exc}",
+                    request_id)
+            ticket.complete(response if response["ok"] else None,
+                            (time.monotonic() - started) * 1e6)
+            conn.reply(response, binary)
+
+        task = asyncio.ensure_future(write())
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def _begin_binary(self, frame: Any, conn: _ClientConn) -> None:
         """Route one binary frame without decoding it.
@@ -1589,7 +1552,6 @@ class ShardProxy:
         if ticket.__class__ is dict:
             conn.reply(ticket, True)
             return
-        forward_node: Optional[int] = None
         if kind == "pair":
             total = self.pairs_per_rack * len(self.ring)
             if not 0 <= value < total:
@@ -1606,12 +1568,14 @@ class ShardProxy:
             frame = protocol.rewrite_bin_pair(
                 frame, value % self.pairs_per_rack
             )
-        elif frame[1] == protocol.OP_PUT:
-            node, forward_node = self.fleet.write_route(value)
         else:
-            node = self.fleet.read_owner(value)
-        await self._relay(conn, ticket, frame, request_id, True, node,
-                          forward_node, value)
+            node, forward = self.fleet.write_route(value)
+            if forward is not None and frame[1] == protocol.OP_PUT:
+                request = self._decode(frame)
+                if request is not None:  # else the owner answers it
+                    self._forward(conn, ticket, request, True)
+                    return
+        await self._relay(conn, ticket, frame, request_id, True, node)
 
     async def _begin(self, request: Dict[str, Any],
                      conn: _ClientConn) -> None:
@@ -1636,7 +1600,10 @@ class ShardProxy:
             self._begin_admin(request, conn)
             return
         rtype = request.get("type")
-        node, forward_node = self._route(request)
+        node, forward = self._route(request)
+        if forward is not None:
+            self._forward(conn, ticket, request, False)
+            return
         if node is None:
             self.unroutable += 1
             conn.reply(protocol.error_response(
@@ -1651,8 +1618,7 @@ class ShardProxy:
         if rtype in ("read", "write"):
             out_request["pair"] = int(request["pair"]) % self.pairs_per_rack
         await self._relay(conn, ticket, protocol.encode_frame(out_request),
-                          request_id, False, node, forward_node,
-                          str(request.get("key", "")))
+                          request_id, False, node)
 
     # ----------------------------------------------------------- membership
 
@@ -1674,10 +1640,10 @@ class ShardProxy:
             return
         request_id = request.get("id")
         task = asyncio.ensure_future(pending)
-        self._admin_tasks.add(task)
+        self._tasks.add(task)
 
         def _respond(done: "asyncio.Task") -> None:
-            self._admin_tasks.discard(done)
+            self._tasks.discard(done)
             conn.reply(frontdoor.admin_outcome(done, request_id), False)
 
         task.add_done_callback(_respond)
@@ -1700,18 +1666,10 @@ class ShardProxy:
         stream: one :class:`~repro.service.client.ServiceClient` per
         involved backend under the ``migrate`` client name, dialed
         lazily."""
-        from repro.service.client import ServiceClient
+        clients: Dict[Tuple[str, int], ServiceClient] = {}
 
-        clients: Dict[int, "ServiceClient"] = {}
-
-        async def client_for(node: int) -> "ServiceClient":
-            client = clients.get(node)
-            if client is None:
-                host, port = self.backends[node]
-                client = ServiceClient(host, port, "migrate")
-                await client.connect()
-                clients[node] = client
-            return client
+        def client_for(node: int) -> Any:
+            return _dial(clients, self.backends[node], "migrate")
 
         async def scan(src: int, start: str, count: int):
             result = await (await client_for(src)).scan(start, count)
@@ -1820,6 +1778,20 @@ class ShardProxy:
             out[schema.SECTION_READCACHE] = self.read_cache.stats_section()
         out[schema.FIELD_CONNECTIONS] = float(self.connections_accepted)
         return out
+
+
+async def _dial(clients: Dict[Tuple[str, int], ServiceClient],
+                endpoint: Tuple[str, int],
+                name: Optional[str] = None) -> ServiceClient:
+    """``clients[endpoint]``, connected on first use under ``name``."""
+    client = clients.get(endpoint)
+    if client is None:
+        client = await ServiceClient(*endpoint, name).connect()
+        if endpoint in clients:  # a concurrent dial got there first
+            await client.close()
+            return clients[endpoint]
+        clients[endpoint] = client
+    return client
 
 
 # --------------------------------------------------------------------------

@@ -36,10 +36,9 @@ collector, since per-shard percentiles do not merge), plus::
     "readcache": {capacity, segments, entries, hits, misses, hit_rate,
                   fills, fill_races, invalidations, evictions, epoch}
                                # when the DRAM read cache is on
-    "migration": {keys_moved, bytes_streamed, batches,
-                  dual_read_fallbacks, write_forwards, aborts, cutovers,
-                  cleanup_deletes, racks_added, racks_drained, epoch,
-                  active},
+    "migration": {keys_moved, bytes_streamed, batches, write_forwards,
+                  aborts, cutovers, cleanup_deletes, racks_added,
+                  racks_drained, epoch, active},
     "shards": {"0": {bridge, metrics, kvstore, admission[, chaos]}, ...}
     "routing": {policy_p2c, decisions, p2c_picks, ..., "replicas":
                 {"0": {depth, ewma_us, age_s}, ...}}
@@ -100,9 +99,9 @@ ROUTER_FIELDS = (
 #: Fleet-membership counters (:meth:`FleetController.stats_section`);
 #: present on every sharded payload, absent from single-rack ones.
 MIGRATION_FIELDS = (
-    "keys_moved", "bytes_streamed", "batches", "dual_read_fallbacks",
-    "write_forwards", "aborts", "cutovers", "cleanup_deletes",
-    "racks_added", "racks_drained", "epoch", "active",
+    "keys_moved", "bytes_streamed", "batches", "write_forwards",
+    "aborts", "cutovers", "cleanup_deletes", "racks_added",
+    "racks_drained", "epoch", "active",
 )
 #: Load-aware read-routing counters (:class:`ReplicaSelector`); present
 #: only when the fleet serves under ``--read-policy p2c`` -- the hash

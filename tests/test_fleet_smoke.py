@@ -9,9 +9,10 @@ Every acked write must survive the migration, the epoch must bump, and
 a follow-up drain must hand the rack's keys back to the survivors.
 
 This is the slowest drill in the suite (three interpreters), so it
-covers only what the in-process tests in ``test_migration.py`` cannot:
-the proxy's wire-streamed migration, its dual-write relay, and the
-admin frames end to end.
+covers only what the in-process tests in ``test_migration.py`` and
+``test_migration_window.py`` cannot: the proxy's wire-streamed
+migration between real backend processes and the admin frames end to
+end.
 """
 
 import asyncio

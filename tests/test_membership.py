@@ -6,10 +6,12 @@ here first, cheaply:
 
 * one membership change at a time; ``commit`` is the single atomic
   ring+epoch flip; ``abort`` leaves the old ring ruling;
-* writes always hit the old owner first (abort-safety), reads go
-  new-owner-first with an old-owner fallback -- unless the plan is
-  tainted by an earlier aborted attempt, in which case reads pin old;
-* the forwarded-key set keeps the stream from clobbering dual-written
+* reads stay on the old owner until the cutover; writes always hit the
+  old owner first (abort-safety) and are then forwarded to the new one;
+* :func:`forwarded_write` forwards only what the old owner acked, and a
+  forward that fails fails the attempt rather than leaving a stale copy
+  marked fresh;
+* the forwarded-key set keeps the stream from clobbering forwarded
   keys, and the stream-put barrier orders a concurrent forward *after*
   the stream's copy;
 * :class:`MigrationStream` moves exactly the plan's keys (paginated,
@@ -27,7 +29,11 @@ from repro.service.membership import (
     MembershipBusy,
     MembershipError,
 )
-from repro.service.migration import MigrationStream, MigrationStreamError
+from repro.service.migration import (
+    MigrationStream,
+    MigrationStreamError,
+    forwarded_write,
+)
 from repro.service.schema import MIGRATION_FIELDS
 from repro.service.shard import HashRing
 
@@ -98,10 +104,14 @@ class TestLifecycle:
         fleet = controller()
         plan = fleet.begin_add(2)
         fleet.note_forwarded("k1")
+        fleet.forward_failed("k1")
         same = fleet.retry()
         assert same is plan
-        assert plan.attempt == 2 and plan.tainted
+        assert plan.attempt == 2
         assert not fleet.is_forwarded("k1")     # forwards reset per attempt
+        fleet.check_forwards()                  # ...and so do failures
+        # What the destination may hold outlives the attempt.
+        assert plan.copied == {"k1"}
         assert fleet.counters["aborts"] == 1
 
 
@@ -110,37 +120,29 @@ class TestRouting:
         fleet = controller()
         for key in KEYS:
             owner = fleet.ring.node_for(f"key:{key}")
-            assert fleet.read_route(key) == (owner, None)
             assert fleet.write_route(key) == (owner, None)
             assert fleet.read_owner(key) == owner
 
-    def test_writes_old_first_reads_new_first_in_the_window(self):
-        fleet = controller()
-        plan = fleet.begin_add(2)
+    @pytest.mark.parametrize("kind", ["add", "drain"])
+    def test_window_reads_pin_to_the_old_owner(self, kind):
+        fleet = controller(racks=2 if kind == "add" else 3)
+        plan = fleet.begin_add(2) if kind == "add" else fleet.begin_drain(2)
         moved = moving_keys(plan)
         assert moved, "the diff must move some test keys"
-        for key in moved:
-            rng = plan.moving_range_for_key(key)
-            assert rng.dst == 2
-            assert fleet.write_route(key) == (rng.src, 2)
-            assert fleet.read_route(key) == (2, rng.src)
-            # The old owner stays authoritative until the cutover.
-            assert fleet.read_owner(key) == rng.src
-        for key in set(KEYS) - set(moved):
-            owner = fleet.ring.node_for(f"key:{key}")
-            assert fleet.write_route(key) == (owner, None)
-            assert fleet.read_route(key) == (owner, None)
-
-    def test_tainted_plan_pins_reads_to_the_old_owner(self):
-        fleet = controller()
-        plan = fleet.begin_add(2)
-        fleet.retry()
-        key = moving_keys(plan)[0]
-        rng = plan.moving_range_for_key(key)
-        assert fleet.read_route(key) == (rng.src, None)
-        # ...except keys re-forwarded since: provably fresh at the dst.
-        fleet.note_forwarded(key)
-        assert fleet.read_route(key) == (2, rng.src)
+        for attempt in range(2):
+            for key in moved:
+                rng = plan.moving_range_for_key(key)
+                assert (rng.dst == 2) == (kind == "add")
+                assert fleet.write_route(key) == (rng.src, rng.dst)
+                # Forwarded or not, the old owner stays authoritative
+                # until the cutover, on every attempt.
+                fleet.note_forwarded(key)
+                assert fleet.read_owner(key) == rng.src
+            for key in set(KEYS) - set(moved):
+                owner = fleet.ring.node_for(f"key:{key}")
+                assert fleet.write_route(key) == (owner, None)
+                assert fleet.read_owner(key) == owner
+            fleet.retry()
 
     def test_routes_take_raw_keys_not_ring_labels(self):
         # Regression guard for the label convention: the controller owns
@@ -159,36 +161,97 @@ class TestRouting:
         moved = moving_keys(plan)
         fleet.commit()
         for key in moved:
-            assert fleet.read_route(key) == (2, None)
             assert fleet.write_route(key) == (2, None)
             assert fleet.read_owner(key) == 2
 
 
-class TestTaintLifecycle:
-    def test_aborted_drain_taints_the_node_persistently(self):
-        fleet = controller(racks=3)
-        fleet.begin_drain(2)
-        fleet.abort()
-        plan = fleet.begin_drain(2)
-        assert plan.tainted, "survivor shards may hold stale shadows"
+class TestForwardedWrite:
+    """The one forwarded-write routine, against a scripted ``apply``."""
 
-    def test_committed_drain_clears_the_taint(self):
-        fleet = controller(racks=3)
-        fleet.begin_drain(2)
-        fleet.abort()
-        fleet.begin_drain(2)
-        fleet.commit()
-        fleet.begin_add(2)
-        fleet.commit()
-        assert not fleet.begin_drain(2).tainted
+    def run(self, fleet, key, answers, between=None):
+        """``answers[node]``: a payload, or an exception to raise."""
+        legs = []
 
-    def test_aborted_add_does_not_taint_across_calls(self):
-        # A failed add tears the joining shard down, so a later attempt
-        # streams into a *fresh* destination.
+        async def apply(node):
+            legs.append(node)
+            if between is not None and len(legs) == 1:
+                between()
+            answer = answers[node]
+            if isinstance(answer, Exception):
+                raise answer
+            return dict(answer)
+
+        return asyncio.run(forwarded_write(fleet, key, apply)), legs
+
+    def window(self):
         fleet = controller()
-        fleet.begin_add(2)
-        fleet.abort()
-        assert not fleet.begin_add(2).tainted
+        plan = fleet.begin_add(2)
+        key = moving_keys(plan)[0]
+        return fleet, plan, key, plan.moving_range_for_key(key).src
+
+    def test_old_owner_first_then_forwarded(self):
+        fleet, plan, key, src = self.window()
+        payload, legs = self.run(fleet, key, {src: {"latency_us": 5.0},
+                                              2: {"latency_us": 7.0}})
+        assert legs == [src, 2]
+        assert payload == {"latency_us": 12.0}
+        assert fleet.is_forwarded(key) and key in plan.copied
+        assert fleet.counters["write_forwards"] == 1
+        fleet.check_forwards()
+
+    def test_a_shed_primary_is_answered_as_is_and_nothing_forwarded(self):
+        fleet, plan, key, src = self.window()
+        shed = ConnectionError("BUSY")
+        with pytest.raises(ConnectionError):
+            self.run(fleet, key, {src: shed, 2: {"latency_us": 1.0}})
+        # Not marked forwarded: the stream still copies the acked value.
+        assert not fleet.is_forwarded(key) and not plan.copied
+        assert fleet.counters["write_forwards"] == 0
+
+    def test_a_failed_forward_fails_the_attempt_and_the_ack_stands(self):
+        fleet, plan, key, src = self.window()
+        payload, legs = self.run(fleet, key, {
+            src: {"latency_us": 5.0}, 2: ConnectionError("gone")})
+        assert legs == [src, 2] and payload == {"latency_us": 5.0}
+        with pytest.raises(MembershipError, match="did not reach"):
+            fleet.check_forwards()
+        fleet.retry()                           # re-streams from scratch
+        fleet.check_forwards()
+        assert not fleet.is_forwarded(key)
+
+    def test_a_forward_failing_after_the_cutover_is_an_error(self):
+        fleet, plan, key, src = self.window()
+
+        async def apply(node):
+            if node == src:
+                return {"latency_us": 1.0}
+            fleet.commit()          # the cutover lands while it is out
+            raise ConnectionError("gone")
+
+        with pytest.raises(ConnectionError):
+            asyncio.run(forwarded_write(fleet, key, apply))
+
+    def test_nothing_is_forwarded_once_the_change_aborted(self):
+        fleet, plan, key, src = self.window()
+
+        def abort_and_begin_again():
+            fleet.abort()
+            fleet.begin_add(2)
+
+        payload, legs = self.run(fleet, key, {src: {"latency_us": 1.0},
+                                              2: {"latency_us": 1.0}},
+                                 between=abort_and_begin_again)
+        assert legs == [src] and payload == {"latency_us": 1.0}
+        # The next change's stream still copies the key.
+        assert not fleet.is_forwarded(key)
+        assert fleet.counters["write_forwards"] == 0
+
+    def test_outside_a_window_it_is_a_plain_write(self):
+        fleet = controller()
+        key = KEYS[0]
+        owner = fleet.ring.node_for(f"key:{key}")
+        payload, legs = self.run(fleet, key, {owner: {"latency_us": 3.0}})
+        assert legs == [owner] and payload == {"latency_us": 3.0}
 
 
 class TestStreamPutBarrier:
@@ -278,8 +341,9 @@ class TestMigrationStream:
         assert shards.data[2][moved[0]] == f"v-{moved[0]}"
         assert report.batches >= len(moved) // 7
         assert fleet.counters["keys_moved"] == len(moved)
+        assert plan.copied == set(moved)
         # Cleanup erases the sources' shadow copies, nothing else.
-        deleted = asyncio.run(stream.cleanup(report))
+        deleted = asyncio.run(stream.cleanup(report.moved))
         assert deleted == len(moved)
         for key in moved:
             src = plan.moving_range_for_key(key).src
@@ -309,6 +373,16 @@ class TestMigrationStream:
         assert shards.data[2][fresh] == "forwarded-fresh-value"
         assert report.skipped_forwarded >= 1
         assert fresh not in [k for _, k in report.moved]
+
+    def test_a_failed_forward_fails_the_run(self):
+        fleet = controller()
+        shards = FakeShards(fleet)
+        shards.seed(KEYS)
+        plan = fleet.begin_add(2)
+        shards.data[2] = {}
+        fleet.forward_failed(moving_keys(plan)[0])
+        with pytest.raises(MigrationStreamError, match="did not reach"):
+            self.run_stream(fleet, plan, shards, pause_s=0.0)
 
     def test_endpoint_failure_surfaces_with_partial_tally(self):
         fleet = controller()

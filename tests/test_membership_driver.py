@@ -18,27 +18,34 @@ REPORT_KEYS = {"rack", "epoch", "kind", "keys_moved", "bytes_streamed",
 
 class FakeFleet:
     """Per-node dicts behind ``(scan, put, delete, close)``; ``put``
-    raises for as many attempts as ``failing_attempts`` says."""
+    raises for as many attempts as ``failing_attempts`` says, after the
+    first ``puts_before_failing`` of each such attempt succeed."""
 
-    def __init__(self, controller, keys, failing_attempts=0):
+    def __init__(self, controller, keys, failing_attempts=0,
+                 puts_before_failing=0):
         self.controller = controller
         self.stores = {node: {} for node in controller.ring.nodes}
         for key in keys:
             self.stores[controller.ring.node_for(f"key:{key}")][key] = "v"
         self.failing_attempts = failing_attempts
-        self.tainted_at_dial = []
+        self.puts_before_failing = puts_before_failing
+        self.dials = 0
         self.closes = 0
 
     def endpoints(self):
-        attempt = len(self.tainted_at_dial) + 1
-        self.tainted_at_dial.append(self.controller.plan.tainted)
+        self.dials += 1
+        attempt = self.dials
+        puts = 0
 
         async def scan(src, start, count):
             keys = sorted(k for k in self.stores[src] if k >= start)[:count]
             return [(k, self.stores[src][k]) for k in keys]
 
         async def put(dst, key, value):
-            if attempt <= self.failing_attempts:
+            nonlocal puts
+            puts += 1
+            if attempt <= self.failing_attempts \
+                    and puts > self.puts_before_failing:
                 raise ConnectionResetError(f"rack {dst} went away")
             self.stores.setdefault(dst, {})[key] = value
 
@@ -72,13 +79,39 @@ def test_mid_stream_failure_retries_tainted_then_aborts():
 
     exc = asyncio.run(scenario())
     assert "admitting rack 2 failed after 2 attempt(s)" in str(exc)
-    assert fleet.tainted_at_dial == [False, True]   # the retry pinned reads
+    assert fleet.dials == 2                         # one per attempt
     assert fleet.closes == 2                        # one per failed attempt
     assert (controller.epoch, controller.ring.nodes,
             controller.migrating) == (0, [0, 1], False)
     assert controller.counters["aborts"] == 2
     assert cache.epoch == 0                         # never fenced
     assert {n: fleet.stores[n] for n in (0, 1)} == before
+
+
+@pytest.mark.parametrize("kind", ["add", "drain"])
+def test_abort_deletes_what_reached_the_destinations(kind):
+    controller = FleetController(HashRing(range(3 if kind == "drain" else 2)))
+    fleet = FakeFleet(controller, KEYS, failing_attempts=2,
+                      puts_before_failing=5)
+    before = {node: dict(store) for node, store in fleet.stores.items()}
+
+    async def scenario():
+        plan = (controller.begin_add(2) if kind == "add"
+                else controller.begin_drain(2))
+        with pytest.raises(MembershipError):
+            await run_membership_change(
+                controller, plan, fleet.endpoints, batch_size=4,
+                pause_s=0.0, max_attempts=2, retry_backoff_s=0.0,
+            )
+        return plan
+
+    plan = asyncio.run(scenario())
+    assert len(plan.copied) >= 5, "the attempts must have copied keys"
+    # Every node holds exactly what it held before the change: a key
+    # deleted at its owner later has no stale copy left to come back.
+    assert {n: s for n, s in fleet.stores.items() if s or n in before} \
+        == before
+    assert controller.counters["cleanup_deletes"] == len(plan.copied)
 
 
 @pytest.mark.parametrize("kind", ["add", "drain"])

@@ -13,8 +13,9 @@ The acceptance drills:
   survivors; draining a rack that is *crashed* rides the retry path and
   still completes once the rack recovers;
 * **abort + retry** -- a migration that cannot finish aborts cleanly
-  (old ring keeps ruling, zero lost writes) and the same change retried
-  later succeeds;
+  (old ring keeps ruling, zero lost writes, no copy left behind at a
+  destination to resurrect a key deleted later) and the same change
+  retried later succeeds;
 * **epoch fencing** -- a client that pinned a routing epoch gets
   ``WRONG_SHARD`` after the cutover and transparently refreshes;
 * **load-aware reads across the window** -- under ``--read-policy p2c``
@@ -233,8 +234,8 @@ class TestWriteDuringMigration:
         result, acked, rewritten, reads, counters = asyncio.run(scenario())
         assert rewritten, "no key was rewritten inside the window"
         assert counters["write_forwards"] >= len(rewritten)
-        # The dual-written value -- not the stream's older copy -- is
-        # what the new owner serves after the cutover.
+        # The forwarded value -- not the stream's older copy -- is what
+        # the new owner serves after the cutover.
         for key, value in acked.items():
             assert reads[key]["found"] and reads[key]["value"] == value, key
         assert result["epoch"] == 1
@@ -380,8 +381,7 @@ class TestAbortAndRetry:
             assert final_reads[key]["found"] and \
                 final_reads[key]["value"] == value, key
 
-    def test_mid_stream_failure_retries_tainted_within_the_call(self,
-                                                                monkeypatch):
+    def test_mid_stream_failure_retries_within_the_call(self, monkeypatch):
         flaky_migrate_puts(monkeypatch, fails=1)
 
         async def scenario():
@@ -433,6 +433,50 @@ class TestAbortAndRetry:
         assert dict(items) == acked
         for key, value in acked.items():
             assert reads[key]["found"] and reads[key]["value"] == value, key
+
+
+    def test_a_key_deleted_after_an_aborted_drain_stays_deleted(
+            self, monkeypatch):
+        # The first drain streams k00002 to a survivor, then aborts; the
+        # key is deleted at its owner; a second drain must not bring the
+        # survivor's copy back to life.
+        real = SimTimeBridge.submit_put
+        streamed = []
+
+        def first_put_then_fail(self, key, value, client="live"):
+            if client == "migrate":
+                if streamed:
+                    raise ConnectionError("injected migrate-put failure")
+                streamed.append(key)
+            return real(self, key, value, client)
+
+        async def scenario():
+            service = await start_sharded(racks=3)
+            router = service.router
+            try:
+                async with ServiceClient("127.0.0.1", service.port) as c:
+                    acked = await seed_keys(c, 60)
+                    monkeypatch.setattr(SimTimeBridge, "submit_put",
+                                        first_put_then_fail)
+                    with pytest.raises(MembershipError):
+                        await router.drain_rack(2, batch_size=4,
+                                                max_attempts=1)
+                    monkeypatch.setattr(SimTimeBridge, "submit_put", real)
+                    key = streamed[0]
+                    deleted = await c.delete(key)
+                    gone = await c.get(key)
+                    await router.drain_rack(2)
+                    after = await c.get(key)
+                    counters = dict(router.fleet.counters)
+                return acked, key, deleted, gone, after, counters
+            finally:
+                await service.stop()
+
+        acked, key, deleted, gone, after, counters = asyncio.run(scenario())
+        assert key in acked
+        assert deleted["deleted"] and not gone["found"]
+        assert not after["found"], f"{key} came back after the drain"
+        assert counters["cleanup_deletes"] >= 1
 
 
 class TestEpochFencing:

@@ -27,7 +27,6 @@ import os
 import pytest
 
 from repro.cluster.config import RackConfig, SystemType
-from repro.service import schema
 from repro.service.admission import AdmissionController
 from repro.service.bridge import SimTimeBridge
 from repro.service.loadgen import run_loadgen
@@ -38,6 +37,8 @@ from repro.service.router import (
 )
 from repro.service.selector import POLICY_HASH, POLICY_P2C
 from repro.service.shard import HashRing, RackShard
+
+from tests import stats_schema
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _OUT_PATH = os.environ.get(
@@ -112,7 +113,7 @@ def test_both_runs_are_functionally_clean(measured):
         assert report.errors == 0 and report.busy == 0
         assert report.ok == CLIENTS * REQUESTS_PER_CLIENT
         assert report.key_dist == "zipf"
-        schema.validate_stats(report.server_stats)
+        stats_schema.validate_stats(report.server_stats)
     # Hash mode carries no routing section; p2c reports one, and the
     # policy demonstrably engaged on this host.
     assert "routing" not in hash_report.server_stats

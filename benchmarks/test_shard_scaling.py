@@ -20,8 +20,9 @@ import time
 
 import pytest
 
-from repro.service import schema
 from repro.service.loadgen import run_loadgen
+
+from tests import stats_schema
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -102,13 +103,13 @@ def test_sharded_run_is_functionally_clean(measured):
         assert report.errors == 0
         assert report.ok == CLIENTS * REQUESTS_PER_CLIENT
     stats = sharded.server_stats
-    schema.validate_stats(stats)
-    assert schema.is_sharded(stats)
-    assert schema.shard_ids(stats) == list(range(RACKS))
+    stats_schema.validate_stats(stats)
+    assert stats_schema.is_sharded(stats)
+    assert stats_schema.shard_ids(stats) == list(range(RACKS))
     # Every shard simulated its slice of the keyspace-wide load.
     for shard_id, section in stats["shards"].items():
         assert section["bridge"]["submitted"] > 0, f"shard {shard_id} idle"
-    assert not schema.is_sharded(single.server_stats)
+    assert not stats_schema.is_sharded(single.server_stats)
 
 
 def test_four_racks_scale_throughput(measured):

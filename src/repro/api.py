@@ -20,16 +20,14 @@ The surface, by layer:
   :class:`RackShard`, :class:`ShardRouter`,
   :class:`ShardedRackService`, :class:`ShardProxy`,
   :func:`build_shard_configs`); load-aware read routing
-  (:class:`ReplicaSelector`, :class:`RoutingTrace`,
-  :class:`FakeLoadView`, :class:`Decision`, :class:`ZipfSampler`);
+  (:class:`ReplicaSelector`, :class:`Decision`, :class:`ZipfSampler`);
   the elastic fleet (:class:`FleetController`, :class:`MigrationPlan`,
   :class:`MigrationStream`, :class:`KeyRange`,
   :class:`MembershipError`, :class:`MembershipBusy`,
   :class:`MigrationStreamError`); multi-tenant QoS
   (:class:`TenantSpec`, :class:`TenantSpecError`,
   :func:`load_tenant_specs`, :class:`QosScheduler`,
-  :class:`ReadCache`); the stats schema (:func:`validate_stats`,
-  :class:`StatsSchemaError`);
+  :class:`ReadCache`);
 * **chaos** (fault injection) -- :class:`FaultEvent`,
   :class:`FaultSchedule`, :func:`run_chaos_experiment`,
   :class:`ChaosReport`.
@@ -63,12 +61,9 @@ from repro.service.router import (
     ShardRouter,
     build_shard_configs,
 )
-from repro.service.schema import StatsSchemaError, validate_stats
 from repro.service.selector import (
     Decision,
-    FakeLoadView,
     ReplicaSelector,
-    RoutingTrace,
 )
 from repro.service.server import RackService
 from repro.service.shard import HashRing, KeyRange, RackShard
@@ -99,8 +94,6 @@ __all__ = [
     "build_shard_configs",
     # service: load-aware read routing
     "ReplicaSelector",
-    "RoutingTrace",
-    "FakeLoadView",
     "Decision",
     "ZipfSampler",
     # service: elastic fleet
@@ -117,9 +110,6 @@ __all__ = [
     "load_tenant_specs",
     "QosScheduler",
     "ReadCache",
-    # service: stats schema
-    "validate_stats",
-    "StatsSchemaError",
     # chaos: fault injection
     "FaultEvent",
     "FaultSchedule",

@@ -88,9 +88,3 @@ class VdcController:
 
     def finish_gc(self, vssd_id: int) -> None:
         self._gc_state[vssd_id] = False
-
-    def is_collecting(self, vssd_id: int) -> bool:
-        return self._gc_state.get(vssd_id, False)
-
-    def replica_of(self, vssd_id: int) -> Optional[Tuple[int, str]]:
-        return self._replicas.get(vssd_id)

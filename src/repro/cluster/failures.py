@@ -78,10 +78,6 @@ class FailureManager:
         """
         self._running = False
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def _heartbeat(self, check: bool = False) -> None:
         # One turn: check the servers (not on the first), then wait an
         # interval, re-read each time: heartbeat_jitter changes it mid-run.

@@ -38,7 +38,6 @@ from repro.net.packet import OpType, Packet, read_request, write_request
 from repro.net.schedulers import (
     EgressPort,
     FairQueueScheduler,
-    FifoScheduler,
     PriorityScheduler,
     TokenBucketScheduler,
 )
@@ -50,7 +49,6 @@ from repro.sim import Event, Join, Simulator
 from repro.sim.rng import RandomSource
 from repro.switch.controlplane import SwitchControlPlane
 from repro.switch.dataplane import SwitchDataPlane
-from repro.switch.telemetry import FlowTelemetry
 from repro.trace.tracer import make_tracer
 from repro.vssd.allocator import VssdAllocator
 from repro.vssd.channel_group import ChannelGroup
@@ -75,9 +73,7 @@ def _make_network_scheduler(name: str, tb_flow_rate: float = 50_000.0):
         return FairQueueScheduler()
     if name == "priority":
         return PriorityScheduler()
-    if name == "fifo":
-        return FifoScheduler()
-    raise ConfigError(f"unknown network scheduler {name!r} (tb/fq/priority/fifo)")
+    raise ConfigError(f"unknown network scheduler {name!r} (tb/fq/priority)")
 
 
 class Rack:
@@ -102,9 +98,6 @@ class Rack:
         # --- ToR switch -------------------------------------------------
         self.switch = SwitchDataPlane()
         self.control_plane = SwitchControlPlane(self.switch)
-        #: Per-flow telemetry the control plane can read (heavy hitters,
-        #: per-flow hop-latency trends).
-        self.telemetry = FlowTelemetry()
         self._egress: Dict[str, EgressPort] = {}
 
         # --- controller (VDC family only) --------------------------------
@@ -399,15 +392,14 @@ class Rack:
         return process
 
     def forget_client(self, client_name: str) -> None:
-        """Release a client that will not send again: its network path,
-        the idle per-flow state its packets left in the server-facing
-        egress policies, and its flow telemetry.  A long-lived caller
-        (the service, once per closed connection) uses this to keep all
-        three bounded by the clients it has open."""
+        """Release a client that will not send again: its network path
+        and the idle per-flow state its packets left in the server-facing
+        egress policies.  A long-lived caller (the service, once per
+        closed connection) uses this to keep both bounded by the clients
+        it has open."""
         self._client_latency.pop(client_name, None)
         for port in self._egress.values():
             port.forget_flow(client_name)
-        self.telemetry.forget(client_name)
 
     def set_link_degradation(self, factor: float) -> None:
         """Scale every network path by ``factor`` (fault injection).
@@ -458,9 +450,7 @@ class Rack:
         and no waitable of its own.
 
         ``target="replica"`` addresses the replica vSSD instead of the
-        primary -- the hedged-read path: a duplicate request sent after a
-        tail delay so a slow or silently dead primary cannot hold the
-        operation hostage.
+        primary (a wire read with ``replica: true``).
         """
         if target not in ("primary", "replica"):
             raise ConfigError(f"read target must be primary|replica, got {target!r}")
@@ -474,8 +464,6 @@ class Rack:
                 rid, "read", client, t0, lpn=lpn, vssd=pkt.vssd_id
             )
             if trace is not None:
-                if target == "replica":
-                    trace.attrs["hedged"] = True
                 self._carry_trace(trace, pkt)
         self._pending[rid] = then
         self.send_from_client(pkt, client, priority)
@@ -576,7 +564,6 @@ class Rack:
         has now arrived at the server NIC."""
         hop = (sent_at - enqueued_at) + self.switch.pipeline_delay_us
         add_hop_latency(pkt, hop)
-        self.telemetry.record(flow_id, pkt.size_kb, hop)
         trace = pkt.trace
         if trace is not None:
             trace.add_span("net.tor_egress", enqueued_at, sent_at, flow=flow_id)
@@ -743,28 +730,6 @@ class Rack:
             self._background_burst, burst, period_us, priority, size_kb))
 
     # ----------------------------------------------------------------- stats
-
-    def delete_pair(self, pair: ReplicaPair) -> None:
-        """Tear down a replica pair: del_vssd both members (Table 1).
-
-        Removes the switch entries, the rack lookup tables, and the
-        hosting servers' vSSD registrations.  In-flight requests to the
-        pair are the caller's responsibility to drain first.
-        """
-        if pair not in self.pairs:
-            raise ConfigError(f"pair {pair.name!r} is not part of this rack")
-        self.pairs.remove(pair)
-        for vssd, ip in (
-            (pair.primary, pair.primary_server_ip),
-            (pair.replica, pair.replica_server_ip),
-        ):
-            self.control_plane.deregister_vssd(vssd.vssd_id)
-            self.pair_by_vssd.pop(vssd.vssd_id, None)
-            self.vssd_by_id.pop(vssd.vssd_id, None)
-            server = self.server_by_ip.get(ip)
-            if server is not None:
-                server._vssds.pop(vssd.vssd_id, None)  # noqa: SLF001
-                server.idle_predictors.pop(vssd.vssd_id, None)
 
     def redirect_count(self) -> int:
         switch_redirects = self.switch.reads_redirected

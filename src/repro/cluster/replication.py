@@ -33,10 +33,6 @@ class ReplicaPair:
                 "(rack-aware placement)"
             )
 
-    @property
-    def vssds(self) -> List[VSsd]:
-        return [self.primary, self.replica]
-
     def peer_of(self, vssd_id: int) -> VSsd:
         if vssd_id == self.primary.vssd_id:
             return self.replica

@@ -13,7 +13,6 @@ from repro.experiments.parallel import (
     RunSpec,
     default_jobs,
     get_runner,
-    set_jobs,
     using_jobs,
 )
 from repro.experiments.regression import compare_figures, compare_runs
@@ -40,6 +39,5 @@ __all__ = [
     "RunSpec",
     "default_jobs",
     "get_runner",
-    "set_jobs",
     "using_jobs",
 ]

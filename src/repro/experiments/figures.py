@@ -57,9 +57,6 @@ class FigureResult:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
 
-    def series(self, column: str) -> List[object]:
-        return [row.get(column) for row in self.rows]
-
 
 def _fmt(value) -> str:
     if value is None:

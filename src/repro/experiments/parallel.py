@@ -196,9 +196,6 @@ class ParallelRunner:
             self.cache.put(spec, result)
         return [self.cache.get(spec) for spec in specs]
 
-    def run_spec(self, spec: RunSpec) -> RackResult:
-        return self.run_specs([spec])[0]
-
     # ------------------------------------------------------------ generic
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
@@ -266,18 +263,6 @@ _active_runner = ParallelRunner(jobs=1, cache=shared_cache)
 
 def get_runner() -> ParallelRunner:
     """The runner figure sweeps currently execute through."""
-    return _active_runner
-
-
-def set_jobs(jobs: int) -> ParallelRunner:
-    """Install a runner with ``jobs`` workers (0 means all cores).
-
-    The shared cache is preserved, so flipping parallelism never forces
-    re-runs.  Returns the new active runner.
-    """
-    global _active_runner
-    resolved = default_jobs() if jobs == 0 else jobs
-    _active_runner = ParallelRunner(jobs=resolved, cache=shared_cache)
     return _active_runner
 
 

@@ -43,13 +43,6 @@ class Sweep:
             axis: list(values) for axis, values in axes.items()
         }
 
-    @property
-    def num_points(self) -> int:
-        product = 1
-        for values in self.axes.values():
-            product *= len(values)
-        return product
-
     def points(self) -> Iterable[Dict[str, object]]:
         """Every axis combination, in row-major order."""
         names = list(self.axes)

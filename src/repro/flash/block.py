@@ -106,10 +106,3 @@ class Block:
                 f"page {page} out of range [0,{self.pages_per_block}) "
                 f"in block {self.block_id}"
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Block(id={self.block_id}, valid={self.valid_count}, "
-            f"invalid={self.invalid_count}, free={self.free_pages}, "
-            f"erases={self.erase_count})"
-        )

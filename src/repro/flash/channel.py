@@ -128,9 +128,3 @@ class Channel:
             self.suspensions += 1
             remaining += self.resume_penalty_us
         self._erase_rest(remaining, then)
-
-    def utilization(self, now: float) -> float:
-        """Fraction of elapsed simulated time the channel was busy."""
-        if now <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / now)

@@ -117,6 +117,3 @@ class FlashChip:
     @property
     def average_erase_count(self) -> float:
         return sum(b.erase_count for b in self.blocks) / len(self.blocks)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FlashChip(id={self.chip_id}, free_blocks={self.free_block_count})"

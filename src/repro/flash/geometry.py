@@ -59,10 +59,6 @@ class FlashGeometry:
     def capacity_kb(self) -> int:
         return self.total_pages * self.page_size_kb
 
-    @property
-    def capacity_gb(self) -> float:
-        return self.capacity_kb / (1024.0 * 1024.0)
-
     def chip_of(self, channel: int, chip_in_channel: int) -> int:
         """Flatten (channel, chip-in-channel) to a global chip index."""
         if not 0 <= channel < self.channels:

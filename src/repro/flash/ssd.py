@@ -67,9 +67,3 @@ class Ssd:
     def average_erase_count(self) -> float:
         """φ for this SSD (the wear-leveling currency)."""
         return self.wear.average_erase_count()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Ssd(id={self.ssd_id!r}, profile={self.profile.name}, "
-            f"channels={self.geometry.channels})"
-        )

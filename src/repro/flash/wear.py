@@ -29,18 +29,6 @@ class WearTracker:
                 blocks += 1
         return total / blocks if blocks else 0.0
 
-    def max_erase_count(self) -> int:
-        return max(
-            (block.erase_count for chip in self.chips for block in chip.blocks),
-            default=0,
-        )
-
-    def min_erase_count(self) -> int:
-        return min(
-            (block.erase_count for chip in self.chips for block in chip.blocks),
-            default=0,
-        )
-
 
 def wear_imbalance(wears: Sequence[float]) -> float:
     """λ = φ_max / φ_avg across a set of devices.

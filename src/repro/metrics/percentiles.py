@@ -90,11 +90,6 @@ class LatencyRecorder:
     def p999(self) -> float:
         return self.p(99.9)
 
-    def max(self) -> float:
-        if not self._values:
-            raise ConfigError(f"no samples recorded in {self.name!r}")
-        return max(self._values)
-
     def throughput_kiops(self) -> float:
         """Completions per millisecond == kIOPS, over the recording span."""
         span = self.last_at - self.first_at

@@ -19,7 +19,6 @@ from repro.net.packet import GcKind, OpType, Packet
 from repro.net.schedulers import (
     EgressPort,
     FairQueueScheduler,
-    FifoScheduler,
     PriorityScheduler,
     TokenBucketScheduler,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "NETWORK_PROFILES",
     "add_hop_latency",
     "EgressPort",
-    "FifoScheduler",
     "TokenBucketScheduler",
     "FairQueueScheduler",
     "PriorityScheduler",

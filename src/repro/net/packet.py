@@ -102,12 +102,6 @@ class Packet:
         #: The sampled request's trace, ``None`` when not traced.
         self.trace = None
 
-    def __repr__(self) -> str:
-        return (f"Packet(op={self.op!r}, vssd_id={self.vssd_id}, "
-                f"src={self.src!r}, dst={self.dst!r}, lat={self.lat}, "
-                f"size_kb={self.size_kb}, is_response={self.is_response}, "
-                f"packet_id={self.packet_id}, rid={self.rid}, lpn={self.lpn})")
-
     @property
     def gc_kind(self) -> Optional[GcKind]:
         """The gc payload field, if this is a gc_op packet."""

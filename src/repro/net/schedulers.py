@@ -24,35 +24,6 @@ from repro.net.packet import Packet
 from repro.sim import Simulator
 
 
-class FifoScheduler:
-    """Baseline: one queue, first come first served."""
-
-    def __init__(self) -> None:
-        self._queue: Deque[Tuple[Packet, str, int]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def enqueue(self, packet: Packet, flow_id: str, priority: int = 0) -> None:
-        """Queue a packet (flow and priority ignored by FIFO)."""
-        self._queue.append((packet, flow_id, priority))
-
-    def next(self, now: float) -> Optional[Tuple[Packet, float]]:
-        """Head packet and the earliest time it may start transmitting."""
-        if not self._queue:
-            return None
-        packet, _, _ = self._queue.popleft()
-        return packet, now
-
-    def pass_through(self, packet: Packet, flow_id: str, priority: int,
-                     now: float) -> float:
-        """``enqueue`` + ``next`` on an empty queue: ready at once."""
-        return now
-
-    def forget_flow(self, flow_id: str) -> None:
-        """Nothing is kept per flow."""
-
-
 class TokenBucketScheduler:
     """Per-flow token buckets (the paper's TB / VDC isolation policy).
 

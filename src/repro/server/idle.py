@@ -45,11 +45,6 @@ class IdlePredictor:
         self._last_request_at = now
         self._seen_any = True
 
-    @property
-    def predicted_idle_us(self) -> float:
-        """The current T_i^predict."""
-        return self._predicted
-
     def should_background_gc(self) -> bool:
         """True when the predicted idle interval exceeds the threshold."""
         return self._seen_any and self._predicted > self.threshold_us

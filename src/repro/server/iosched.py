@@ -81,11 +81,6 @@ class IoRequest:
         storage_time = now - self.arrival_time
         return self.net_time + storage_time + self.predict_time
 
-    def __repr__(self) -> str:
-        return (f"IoRequest(kind={self.kind!r}, vssd_id={self.vssd_id}, "
-                f"lpn={self.lpn}, arrival_time={self.arrival_time}, "
-                f"net_time={self.net_time}, predict_time={self.predict_time})")
-
 
 class FifoIoScheduler:
     """no-op: a single FIFO queue (the NVMe default)."""

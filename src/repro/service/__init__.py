@@ -44,10 +44,8 @@ from repro.service.loadgen import (
 from repro.service.selector import (
     READ_POLICIES,
     Decision,
-    FakeLoadView,
     ReplicaSelector,
     ReplicaStats,
-    RoutingTrace,
 )
 from repro.service.membership import (
     FleetController,
@@ -98,7 +96,6 @@ from repro.service.router import (
     ShardRouter,
     build_shard_configs,
 )
-from repro.service.schema import StatsSchemaError, validate_stats
 from repro.service.server import RackService
 from repro.service.shard import HashRing, KeyRange, RackShard
 
@@ -116,10 +113,8 @@ __all__ = [
     "make_key_sampler",
     "READ_POLICIES",
     "Decision",
-    "FakeLoadView",
     "ReplicaSelector",
     "ReplicaStats",
-    "RoutingTrace",
     "BIN_CODEC",
     "BIN_MAGIC",
     "DEFAULT_MAX_FRAME_BYTES",
@@ -163,6 +158,4 @@ __all__ = [
     "QosScheduler",
     "load_tenant_specs",
     "ReadCache",
-    "StatsSchemaError",
-    "validate_stats",
 ]

@@ -182,8 +182,7 @@ class SimTimeBridge:
 
         ``client`` names the simulated network path the request rides
         (see :meth:`forget_client`).  ``replica=True`` addresses the
-        pair's replica vSSD directly -- the hedged-read escape hatch
-        clients use when the primary is slow or silently dead.
+        pair's replica vSSD directly.
         """
         pair = self._pair(pair_index)
         start = partial(self.rack.start_read, pair, self._lpn(pair, lpn),

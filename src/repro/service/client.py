@@ -9,24 +9,15 @@ connection at depth > 1).
 
 Behaviour is configured with one :class:`ClientConfig` object
 (``ServiceClient(host, port, name, config=ClientConfig(...))``).
-Resilience is opt-in and off by default (``max_retries=0`` keeps the
-historical fail-fast behaviour):
+Retry is opt-in and off by default (``max_retries=0`` keeps the
+historical fail-fast behaviour): ``max_retries`` re-attempts on the
+retryable outcomes -- ``BUSY``/``TIMEOUT`` answers, connection loss
+(with an automatic reconnect), and client-side ``request_timeout_s``
+expiry.  Backoff is exponential from ``retry_backoff_s``.
 
-* **Retry** -- ``max_retries`` re-attempts on the retryable outcomes:
-  ``BUSY``/``TIMEOUT`` answers, connection loss (with an automatic
-  reconnect), and client-side ``request_timeout_s`` expiry.  Backoff is
-  exponential from ``retry_backoff_s``.
-* **Hedged reads** -- with ``hedge_reads``, a read still unanswered
-  after a tail-latency delay fires a duplicate addressed at the
-  *replica* vSSD; first success wins.  The delay defaults to the p99 of
-  this client's recent read latencies (the classic "tied request"
-  policy), so hedges only spawn for genuine stragglers.
-
-Counters (``retries``, ``hedged``, ``hedged_wins``, ``reconnects``,
-``timeouts``, ``bytes_sent``, ``bytes_received``,
-``ring_refreshes``) accumulate in
-:attr:`counters` and are merged into :meth:`stats` responses under
-``"client"``.
+Counters (``retries``, ``reconnects``, ``timeouts``, ``bytes_sent``,
+``bytes_received``, ``ring_refreshes``) accumulate in :attr:`counters`
+and are merged into :meth:`stats` responses under ``"client"``.
 
 Protocol selection (``wire_protocol``): ``"json"`` (default) speaks v1
 length-prefixed JSON only -- byte-identical to older clients.
@@ -40,8 +31,7 @@ capability.  Either way the first bytes on the wire are a JSON
 import asyncio
 import dataclasses
 import itertools
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.service import protocol
 
@@ -62,9 +52,6 @@ class ClientConfig:
     retry_backoff_s: float = 0.02
     retry_backoff_max_s: float = 0.5
     request_timeout_s: Optional[float] = None
-    hedge_reads: bool = False
-    hedge_delay_s: Optional[float] = None
-    hedge_delay_floor_s: float = 0.002
     wire_protocol: str = "json"
     track_epoch: bool = False
     tenant: Optional[str] = None
@@ -109,12 +96,6 @@ RETRYABLE_CODES = (protocol.BUSY, protocol.TIMEOUT)
 _DATA_OPS = ("read", "write", "get", "put", "del", "scan")
 
 
-def _swallow(task: "asyncio.Task") -> None:
-    """Reap a losing hedge task so its exception is never 'unretrieved'."""
-    if not task.cancelled():
-        task.exception()
-
-
 class ServiceClient:
     """A pipelined connection to a :class:`~repro.service.server.RackService`."""
 
@@ -135,13 +116,9 @@ class ServiceClient:
         self.retry_backoff_s = config.retry_backoff_s
         self.retry_backoff_max_s = config.retry_backoff_max_s
         self.request_timeout_s = config.request_timeout_s
-        self.hedge_reads = config.hedge_reads
-        self.hedge_delay_s = config.hedge_delay_s
-        self.hedge_delay_floor_s = config.hedge_delay_floor_s
         self.tenant = config.tenant
         self.counters: Dict[str, int] = {
-            "retries": 0, "hedged": 0, "hedged_wins": 0,
-            "reconnects": 0, "timeouts": 0,
+            "retries": 0, "reconnects": 0, "timeouts": 0,
             "bytes_sent": 0, "bytes_received": 0,
             "ring_refreshes": 0,
         }
@@ -163,9 +140,6 @@ class ServiceClient:
         # socket write -- at depth > 1 this halves the syscall count.
         self._outbox = bytearray()
         self._flush_scheduled = False
-        # Recent successful read wall-latencies (seconds), for the
-        # p99-based hedge delay.
-        self._read_latencies_s: List[float] = []
 
     async def connect(self) -> "ServiceClient":
         self._reader, self._writer = await asyncio.open_connection(
@@ -320,8 +294,7 @@ class ServiceClient:
             if self._closing or (self.max_retries <= 0 and self._writer is None):
                 raise ConnectionError("not connected (call connect() first)")
             await self._reconnect()
-        hedging = self.hedge_reads and payload.get("type") == "read"
-        coro = self._race_hedge(payload) if hedging else self._send_and_wait(payload)
+        coro = self._send_and_wait(payload)
         if self.request_timeout_s is None:
             return await coro
         try:
@@ -348,72 +321,12 @@ class ServiceClient:
         if not self._flush_scheduled:
             self._flush_scheduled = True
             loop.call_soon(self._flush_outbox)
-        started = time.monotonic()
         response = await future
         if not response.get("ok"):
             raise ServiceError(
                 response.get("error", "UNKNOWN"), response.get("message", "")
             )
-        if payload.get("type") == "read":
-            self._note_read_latency(time.monotonic() - started)
         return response
-
-    # ---------------------------------------------------------------- hedging
-
-    def _note_read_latency(self, seconds: float) -> None:
-        lat = self._read_latencies_s
-        lat.append(seconds)
-        if len(lat) > 512:
-            del lat[:256]
-
-    def _hedge_delay(self) -> float:
-        """When to fire the duplicate: p99 of recent reads, floored."""
-        if self.hedge_delay_s is not None:
-            return self.hedge_delay_s
-        lat = self._read_latencies_s
-        if len(lat) < 20:
-            return self.hedge_delay_floor_s
-        ordered = sorted(lat)
-        p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-        return max(p99, self.hedge_delay_floor_s)
-
-    async def _race_hedge(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Primary read, then a replica-addressed duplicate after the
-        hedge delay; first success wins, the loser is reaped quietly."""
-        loop = asyncio.get_running_loop()
-        primary = loop.create_task(self._send_and_wait(payload))
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(primary), self._hedge_delay()
-            )
-        except asyncio.TimeoutError:
-            pass  # still pending: hedge below
-        except BaseException:
-            _swallow(primary)
-            raise
-        hedge_payload = dict(payload)
-        hedge_payload["replica"] = True
-        self.counters["hedged"] += 1
-        hedge = loop.create_task(self._send_and_wait(hedge_payload))
-        pending = {primary, hedge}
-        last_exc: Optional[BaseException] = None
-        while pending:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                if task.cancelled():
-                    continue
-                exc = task.exception()
-                if exc is None:
-                    if task is hedge:
-                        self.counters["hedged_wins"] += 1
-                    for loser in pending:
-                        loser.add_done_callback(_swallow)
-                    return task.result()
-                last_exc = exc
-        assert last_exc is not None
-        raise last_exc
 
     # ---------------------------------------------------------------- helpers
 

@@ -187,10 +187,6 @@ class ZipfSampler:
         self._cumulative = cumulative
         self._total = total
 
-    def probability(self, rank: int) -> float:
-        """The exact probability of drawing ``rank`` (for shape tests)."""
-        return (1.0 / float(rank + 1) ** self.s) / self._total
-
     def sample(self) -> int:
         return bisect.bisect_right(
             self._cumulative, self._rng.random() * self._total

@@ -256,9 +256,6 @@ class QosScheduler:
         """Per-tenant relative cache shares, for :class:`ReadCache`."""
         return {name: st.spec.cache_share for name, st in self._states.items()}
 
-    def guaranteed_share(self, tenant: str) -> float:
-        return self._shares[tenant]
-
     # -- admission -----------------------------------------------------
 
     def try_admit(self, tenant: str, now: Optional[float] = None) -> bool:

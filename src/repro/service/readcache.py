@@ -87,7 +87,6 @@ class ReadCache:
         self.invalidations = 0
         self.evictions = 0
         self.entries = 0
-        self._tenant_hits: Dict[str, int] = {}
 
     def _segment(self, key: str) -> Tuple[int, _Segment]:
         index = zlib.crc32(key.encode("utf-8")) % self.segments
@@ -119,7 +118,6 @@ class ReadCache:
             if epoch == self.epoch:
                 lru.move_to_end(key)
                 self.hits += 1
-                self._tenant_hits[tenant] = self._tenant_hits.get(tenant, 0) + 1
                 return True, value, NO_FILL
             # Stale epoch: the fleet changed under this entry; purge it.
             del lru[key]
@@ -190,9 +188,6 @@ class ReadCache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def tenant_hits(self, tenant: str) -> int:
-        return self._tenant_hits.get(tenant, 0)
 
     def stats_section(self) -> Dict[str, float]:
         """The ``readcache`` stats section (flat numeric map)."""

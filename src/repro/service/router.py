@@ -72,7 +72,6 @@ from repro.service.selector import (
     READ_POLICIES,
     ReplicaSelector,
     ReplicaStats,
-    RoutingTrace,
 )
 from repro.service.server import RackService
 from repro.service.shard import (
@@ -224,7 +223,7 @@ class ShardRouter:
                  gc_sync_s: float = DEFAULT_GC_SYNC_S,
                  read_policy: str = POLICY_HASH,
                  stale_after_s: float = DEFAULT_STALE_AFTER_S,
-                 routing_trace: Optional[RoutingTrace] = None) -> None:
+                 routing_trace=None) -> None:
         if not shards:
             raise ConfigError("a router needs at least one shard")
         if gc_sync_s < 0:
@@ -873,7 +872,7 @@ class ShardRouter:
                     gc_sync_s: float = DEFAULT_GC_SYNC_S,
                     read_policy: str = POLICY_HASH,
                     stale_after_s: float = DEFAULT_STALE_AFTER_S,
-                    routing_trace: Optional[RoutingTrace] = None,
+                    routing_trace=None,
                     queue_depth: int = 256,
                     client_rate_per_sec: float = 0.0,
                     client_burst: float = 64.0,
@@ -1202,7 +1201,7 @@ class ShardProxy:
                  max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
                  read_policy: str = POLICY_HASH,
                  stale_after_s: float = DEFAULT_STALE_AFTER_S,
-                 routing_trace: Optional[RoutingTrace] = None,
+                 routing_trace=None,
                  qos: Optional[QosScheduler] = None,
                  read_cache: Optional[ReadCache] = None,
                  ) -> None:

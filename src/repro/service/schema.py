@@ -4,9 +4,8 @@ Three producers used to improvise their own dicts -- the bridge
 (:meth:`BridgeStats.as_dict`), the server's ``stats`` response, and
 :meth:`ServiceClient.stats` -- which left consumers key-guessing.  This
 module is now the single source of truth: the section names, the fields
-each section carries, an assembler both server flavours use, and a
-validator the tests (and any consumer that wants a hard guarantee) can
-run against a live payload.
+each section carries, and an assembler both server flavours use (the
+tests validate live payloads against these names).
 
 A **single-rack** stats payload looks like::
 
@@ -46,8 +45,8 @@ collector, since per-shard percentiles do not merge), plus::
 
 :meth:`ServiceClient.stats` adds one more section client-side::
 
-    "client": {retries, hedged, hedged_wins, reconnects, timeouts,
-               bytes_sent, bytes_received}
+    "client": {retries, reconnects, timeouts, bytes_sent,
+               bytes_received, ring_refreshes}
 
 All leaf values are numbers (floats on the wire) except inside
 ``metrics`` / ``traces`` / ``chaos``, whose keys are owned by their
@@ -57,7 +56,6 @@ injector) and may be numbers or null.
 
 from typing import Any, Dict, Mapping, Optional
 
-from repro.errors import ReproError
 
 # ------------------------------------------------------------- section names
 
@@ -89,8 +87,8 @@ ADMISSION_FIELDS = (
     "clients",
 )
 CLIENT_FIELDS = (
-    "retries", "hedged", "hedged_wins", "reconnects", "timeouts",
-    "bytes_sent", "bytes_received", "ring_refreshes",
+    "retries", "reconnects", "timeouts", "bytes_sent", "bytes_received",
+    "ring_refreshes",
 )
 ROUTER_FIELDS = (
     "racks", "virtual_nodes", "routed", "cross_rack_redirects",
@@ -148,10 +146,6 @@ _TENANT_MAX_FIELDS = ("weight", "slo_target_ms", "slo_burn")
 #: Read-cache fields that take the max when sections merge; ``hit_rate``
 #: is recomputed from the merged hits/misses instead.
 _READCACHE_MAX_FIELDS = ("segments", "epoch")
-
-
-class StatsSchemaError(ReproError):
-    """A stats payload does not match the documented schema."""
 
 
 # ---------------------------------------------------------------- assembly
@@ -269,145 +263,3 @@ def merge_metric_summaries(summaries: "list[Mapping[str, Any]]",
         if weight > 0:
             out[key] /= weight
     return out
-
-
-# -------------------------------------------------------------- validation
-
-
-def _require_number(payload: Mapping, section: str, field: str,
-                    where: str) -> None:
-    value = payload.get(field)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise StatsSchemaError(
-            f"{where}: section {section!r} field {field!r} must be a "
-            f"number, got {type(value).__name__}"
-        )
-
-
-def _validate_section(payload: Mapping, section: str, fields: tuple,
-                      where: str, required: bool = True) -> None:
-    body = payload.get(section)
-    if body is None:
-        if required:
-            raise StatsSchemaError(f"{where}: missing section {section!r}")
-        return
-    if not isinstance(body, Mapping):
-        raise StatsSchemaError(
-            f"{where}: section {section!r} must be a mapping, "
-            f"got {type(body).__name__}"
-        )
-    for field in fields:
-        _require_number(body, section, field, where)
-
-
-def validate_stats(payload: Mapping, *, client: bool = False,
-                   where: str = "stats") -> None:
-    """Raise :class:`StatsSchemaError` unless ``payload`` fits the schema.
-
-    Accepts both single-rack and sharded payloads; ``client=True``
-    additionally requires the ``client`` section a
-    :meth:`ServiceClient.stats` response carries.
-    """
-    if not isinstance(payload, Mapping):
-        raise StatsSchemaError(
-            f"{where}: payload must be a mapping, got {type(payload).__name__}"
-        )
-    _validate_section(payload, SECTION_BRIDGE, BRIDGE_FIELDS, where)
-    _validate_section(payload, SECTION_KVSTORE, KVSTORE_FIELDS, where)
-    _validate_section(payload, SECTION_ADMISSION, ADMISSION_FIELDS, where)
-    metrics = payload.get(SECTION_METRICS)
-    if not isinstance(metrics, Mapping):
-        raise StatsSchemaError(
-            f"{where}: missing or non-mapping section "
-            f"{SECTION_METRICS!r}"
-        )
-    _require_number(payload, "<top>", FIELD_CONNECTIONS, where)
-    if client:
-        _validate_section(payload, SECTION_CLIENT, CLIENT_FIELDS, where)
-    router = payload.get(SECTION_ROUTER)
-    shards = payload.get(SECTION_SHARDS)
-    if (router is None) != (shards is None):
-        raise StatsSchemaError(
-            f"{where}: sharded payloads carry both {SECTION_ROUTER!r} and "
-            f"{SECTION_SHARDS!r}, or neither"
-        )
-    _validate_section(payload, SECTION_MIGRATION, MIGRATION_FIELDS, where,
-                      required=False)
-    _validate_section(payload, SECTION_ROUTING, ROUTING_FIELDS, where,
-                      required=False)
-    _validate_section(payload, SECTION_READCACHE, READCACHE_FIELDS, where,
-                      required=False)
-    tenants = payload.get(SECTION_TENANTS)
-    if tenants is not None:
-        if not isinstance(tenants, Mapping) or not tenants:
-            raise StatsSchemaError(
-                f"{where}: {SECTION_TENANTS!r} must be a non-empty mapping "
-                f"of tenant name to counters"
-            )
-        for tenant, body in tenants.items():
-            tenant_where = f"{where}.tenants[{tenant!r}]"
-            if not isinstance(tenant, str) or not tenant:
-                raise StatsSchemaError(
-                    f"{tenant_where}: tenant keys are non-empty names"
-                )
-            if not isinstance(body, Mapping):
-                raise StatsSchemaError(f"{tenant_where}: must be a mapping")
-            for field in TENANT_FIELDS:
-                _require_number(body, SECTION_TENANTS, field, tenant_where)
-    routing = payload.get(SECTION_ROUTING)
-    if routing is not None:
-        replicas = routing.get(FIELD_ROUTING_REPLICAS)
-        if not isinstance(replicas, Mapping):
-            raise StatsSchemaError(
-                f"{where}: {SECTION_ROUTING!r} must carry a "
-                f"{FIELD_ROUTING_REPLICAS!r} mapping"
-            )
-        for node, view in replicas.items():
-            node_where = f"{where}.routing.replicas[{node!r}]"
-            if not str(node).isdigit():
-                raise StatsSchemaError(
-                    f"{node_where}: replica keys are decimal rack indices"
-                )
-            if not isinstance(view, Mapping):
-                raise StatsSchemaError(f"{node_where}: must be a mapping")
-            for field in ROUTING_REPLICA_FIELDS:
-                _require_number(view, SECTION_ROUTING, field, node_where)
-    if router is not None:
-        _validate_section(payload, SECTION_ROUTER, ROUTER_FIELDS, where)
-        if not isinstance(shards, Mapping) or not shards:
-            raise StatsSchemaError(
-                f"{where}: {SECTION_SHARDS!r} must be a non-empty mapping"
-            )
-        for shard_id, section in shards.items():
-            shard_where = f"{where}.shards[{shard_id!r}]"
-            if not str(shard_id).isdigit():
-                raise StatsSchemaError(
-                    f"{shard_where}: shard keys are decimal rack indices"
-                )
-            if not isinstance(section, Mapping):
-                raise StatsSchemaError(
-                    f"{shard_where}: must be a mapping"
-                )
-            _validate_section(section, SECTION_BRIDGE, BRIDGE_FIELDS,
-                              shard_where)
-            _validate_section(section, SECTION_KVSTORE, KVSTORE_FIELDS,
-                              shard_where)
-            _validate_section(section, SECTION_ADMISSION, ADMISSION_FIELDS,
-                              shard_where)
-            if not isinstance(section.get(SECTION_METRICS), Mapping):
-                raise StatsSchemaError(
-                    f"{shard_where}: missing section {SECTION_METRICS!r}"
-                )
-
-
-def is_sharded(payload: Mapping) -> bool:
-    """True when a validated payload came from a sharded front-end."""
-    return SECTION_ROUTER in payload
-
-
-def shard_ids(payload: Mapping) -> "list[int]":
-    """The rack indices a sharded payload reports, sorted."""
-    shards: Optional[Mapping] = payload.get(SECTION_SHARDS)
-    if not shards:
-        return []
-    return sorted(int(k) for k in shards.keys())

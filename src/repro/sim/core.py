@@ -44,11 +44,6 @@ class Simulator:
         """Number of callbacks executed so far (useful for budget checks)."""
         return self._event_count
 
-    @property
-    def pending_count(self) -> int:
-        """Callbacks still scheduled."""
-        return len(self._heap)
-
     def schedule_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run ``delay`` microseconds from now."""
         if delay < 0:
@@ -144,11 +139,6 @@ class Simulator:
             self._event_count = count
             self._running = False
         return self.now
-
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None``."""
-        heap = self._heap
-        return heap[0][0] if heap else None
 
 
 class _StopRun(Exception):

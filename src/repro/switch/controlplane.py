@@ -6,7 +6,7 @@ replica/destination entries for a new vSSD (GC state initialised to 0,
 repopulation hook used by the failure-handling machinery (§3.7 "Others").
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import SwitchError
 from repro.net.packet import OpType, Packet
@@ -68,9 +68,6 @@ class SwitchControlPlane:
         if vssd_id in self.dataplane.destination_table:
             self.dataplane.destination_table.remove(vssd_id)
         self.vssds_deleted += 1
-
-    def registered_vssds(self) -> List[int]:
-        return sorted(self._registrations)
 
     def registration_log(self) -> Dict[int, Tuple[str, int, str]]:
         """Snapshot of the log: vssd_id -> (server_ip, replica_id, replica_ip).

@@ -79,12 +79,6 @@ class Span:
     def __setstate__(self, state) -> None:
         self.name, self.start_us, self.end_us, self.attrs = state
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Span({self.name!r}, {self.start_us:.1f}..{self.end_us:.1f}"
-            f"{', ' + repr(self.attrs) if self.attrs else ''})"
-        )
-
 
 class RequestTrace:
     """The full per-stage record of one traced request."""
@@ -137,13 +131,6 @@ class RequestTrace:
 
     # ------------------------------------------------------------- analysis
 
-    def stage_totals(self) -> Dict[str, float]:
-        """Summed duration per span name."""
-        out: Dict[str, float] = {}
-        for span in self.spans:
-            out[span.name] = out.get(span.name, 0.0) + span.duration_us
-        return out
-
     def category_totals(self) -> Dict[str, float]:
         """Summed duration per attribution category (markers excluded)."""
         out: Dict[str, float] = {}
@@ -186,13 +173,6 @@ class RequestTrace:
             self.trace_id, self.kind, self.client, self.start_us,
             self.end_us, self.spans, self.attrs,
         ) = state
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"RequestTrace(id={self.trace_id}, kind={self.kind!r}, "
-            f"client={self.client!r}, spans={len(self.spans)}, "
-            f"total={self.total_us:.1f}us)"
-        )
 
 
 def finished_traces(traces: Iterable[RequestTrace]) -> List[RequestTrace]:

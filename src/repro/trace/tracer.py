@@ -165,9 +165,3 @@ class TraceCollection:
 
     def __setstate__(self, state) -> None:
         self.traces, self.sample_rate, self.started, self.sampled = state
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"TraceCollection({len(self.traces)} traces, "
-            f"rate={self.sample_rate})"
-        )

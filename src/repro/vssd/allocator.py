@@ -35,10 +35,6 @@ class VssdAllocator:
         self._owned_channels: Dict[int, List[int]] = {}
         self._owned_chips: Dict[int, List[int]] = {}
 
-    @property
-    def vssds(self) -> List[VSsd]:
-        return list(self._vssds.values())
-
     def create_hardware_isolated(
         self,
         name: str,

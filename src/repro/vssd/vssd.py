@@ -227,10 +227,3 @@ class VSsd:
         if self.gc_policy.wants_soft_gc(self.ftl):
             return "soft"
         return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"VSsd(id={self.vssd_id}, name={self.name!r}, "
-            f"isolation={self.isolation.value}, "
-            f"free={self.free_block_ratio():.2f})"
-        )

@@ -11,7 +11,7 @@ relaxed to 8 weeks by default.
 from typing import Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.flash.wear import wear_imbalance, wear_variance
+from repro.flash.wear import wear_imbalance
 from repro.wear.local import DEFAULT_SWAP_COST
 from repro.wear.model import SsdWearState, WearRack
 
@@ -40,10 +40,6 @@ class GlobalWearBalancer:
     def server_imbalance(self) -> float:
         """λ across servers, using server wear (mean SSD erase count)."""
         return wear_imbalance([server.wear for server in self.rack.servers])
-
-    def rack_variance(self) -> float:
-        """Variance of server wear -- Figure 23's balance metric."""
-        return wear_variance([server.wear for server in self.rack.servers])
 
     def pick_swap(self) -> Optional[Tuple[SsdWearState, SsdWearState]]:
         servers = self.rack.servers

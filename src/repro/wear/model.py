@@ -76,10 +76,6 @@ class WearServer:
         """Server wear: average erase count of its SSDs (§3.6)."""
         return sum(s.wear for s in self.ssds) / len(self.ssds)
 
-    @property
-    def wear_rate(self) -> float:
-        return sum(s.wear_rate for s in self.ssds) / len(self.ssds)
-
     def advance(self, days: float = 1.0) -> None:
         for ssd in self.ssds:
             ssd.advance(days)

@@ -6,8 +6,8 @@ profiles (TPC-H, Seats, AuctionMark, TPC-C, Twitter) characterised by
 their write ratios and request patterns.
 """
 
-from repro.workloads.arrival import DiurnalArrivals, MmppArrivals
-from repro.workloads.generator import ClosedLoopGenerator, OpenLoopGenerator, Request
+from repro.workloads.arrival import MmppArrivals
+from repro.workloads.generator import OpenLoopGenerator, Request
 from repro.workloads.ycsb_suite import (
     YCSB_A,
     YCSB_B,
@@ -40,9 +40,7 @@ __all__ = [
     "TABLE2_WORKLOADS",
     "Request",
     "OpenLoopGenerator",
-    "ClosedLoopGenerator",
     "MmppArrivals",
-    "DiurnalArrivals",
     "YcsbWorkload",
     "YcsbGenerator",
     "YCSB_A",

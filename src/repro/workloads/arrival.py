@@ -1,16 +1,11 @@
 """Arrival processes beyond Poisson.
 
 The open-loop generator's exponential gaps model a well-multiplexed
-tenant; real tenants are burstier.  These processes plug into the same
-``gap_us`` slot:
-
-* :class:`MmppArrivals` -- a two-state Markov-modulated Poisson process
-  (calm/burst), the standard bursty-traffic model;
-* :class:`DiurnalArrivals` -- a slow sinusoidal rate swing (day/night),
-  for wear- and soak-style experiments.
+tenant; real tenants are burstier.  :class:`MmppArrivals` plugs into the
+same ``gap_us`` slot: a two-state Markov-modulated Poisson process
+(calm/burst), the standard bursty-traffic model.
 """
 
-import math
 import random
 from typing import Iterator, Optional
 
@@ -94,37 +89,3 @@ class BurstyWorkloadGenerator:
             request = self._picker.next_op()
             request.gap_us = self.arrivals.next_gap_us()
             yield request
-
-
-class DiurnalArrivals:
-    """Sinusoidal rate: peak at mid-'day', trough at mid-'night'."""
-
-    def __init__(
-        self,
-        mean_iops: float,
-        swing: float = 0.5,
-        period_us: float = 86_400.0 * 1e6,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if mean_iops <= 0:
-            raise ConfigError("mean rate must be positive")
-        if not 0.0 <= swing < 1.0:
-            raise ConfigError("swing must be in [0,1)")
-        if period_us <= 0:
-            raise ConfigError("period must be positive")
-        self.mean_iops = mean_iops
-        self.swing = swing
-        self.period_us = period_us
-        self._rng = rng if rng is not None else random.Random(0)
-        self._now = 0.0
-
-    def rate_at(self, t_us: float) -> float:
-        phase = 2.0 * math.pi * (t_us % self.period_us) / self.period_us
-        return self.mean_iops * (1.0 + self.swing * math.sin(phase))
-
-    def next_gap_us(self) -> float:
-        """Thinning-free approximation: sample at the current phase rate."""
-        rate = self.rate_at(self._now)
-        gap = self._rng.expovariate(rate / 1e6)
-        self._now += gap
-        return gap

@@ -1,14 +1,9 @@
 """Request stream generation.
 
-Two arrival disciplines:
-
-* :class:`OpenLoopGenerator` -- Poisson arrivals at a target rate; the
-  right model for tail-latency experiments because slow responses do not
-  throttle the offered load (the coordinated-vs-uncoordinated gap would
-  otherwise self-hide).
-* :class:`ClosedLoopGenerator` -- a fixed number of outstanding requests
-  with optional think time (YCSB's default client model); used by the
-  throughput figures.
+:class:`OpenLoopGenerator` draws Poisson arrivals at a target rate: the
+right model for tail-latency experiments, because slow responses do not
+throttle the offered load (the coordinated-vs-uncoordinated gap would
+otherwise self-hide).
 """
 
 import math
@@ -31,10 +26,6 @@ class Request:
         self.lpn = lpn
         #: Inter-arrival gap before this request (open loop), microseconds.
         self.gap_us = gap_us
-
-    def __repr__(self) -> str:
-        return (f"Request(kind={self.kind!r}, lpn={self.lpn}, "
-                f"gap_us={self.gap_us})")
 
 
 class _OpPicker:
@@ -103,25 +94,3 @@ class OpenLoopGenerator:
             # ``rng.expovariate(1.0 / mean_gap_us)``, its formula inline.
             request.gap_us = -math.log(1.0 - rng_random()) / (1.0 / self.mean_gap_us)
             yield request
-
-
-class ClosedLoopGenerator:
-    """A fixed-concurrency client: next op is released on completion."""
-
-    def __init__(
-        self,
-        spec: WorkloadSpec,
-        key_space: int,
-        think_time_us: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if think_time_us < 0:
-            raise ConfigError(f"think_time must be >= 0, got {think_time_us}")
-        self._rng = rng if rng is not None else random.Random(0)
-        self._picker = _OpPicker(spec, key_space, self._rng)
-        self.think_time_us = think_time_us
-
-    def next_request(self) -> Request:
-        request = self._picker.next_op()
-        request.gap_us = self.think_time_us
-        return request

@@ -51,8 +51,6 @@ class TestFacadeSurface:
             "ShardProxy": "repro.service.router",
             "build_shard_configs": "repro.service.router",
             "ReplicaSelector": "repro.service.selector",
-            "RoutingTrace": "repro.service.selector",
-            "FakeLoadView": "repro.service.selector",
             "Decision": "repro.service.selector",
             "ZipfSampler": "repro.service.loadgen",
             "FleetController": "repro.service.membership",
@@ -66,8 +64,6 @@ class TestFacadeSurface:
             "load_tenant_specs": "repro.service.qos",
             "QosScheduler": "repro.service.qos",
             "ReadCache": "repro.service.readcache",
-            "validate_stats": "repro.service.schema",
-            "StatsSchemaError": "repro.service.schema",
         }
         assert sorted(sites) == sorted(repro.api.__all__)
         for name, module_path in sites.items():

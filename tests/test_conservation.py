@@ -87,7 +87,7 @@ class TestLatencySanity:
             if recorder.count == 0:
                 continue
             assert min(recorder.values) > 0
-            assert recorder.max() < 10_000_000  # < 10 simulated seconds
+            assert max(recorder.values) < 10_000_000  # < 10 simulated seconds
 
     def test_storage_component_never_exceeds_total(self):
         _, result = run(SystemType.RACKBLOX)

@@ -27,7 +27,7 @@ class TestVdcController:
         verdict, redirect = controller.decide_gc(1, "soft")
         assert verdict == "accept"
         assert redirect == "10.0.0.20"
-        assert controller.is_collecting(1)
+        assert controller._gc_state[1]
 
     def test_gc_aware_delays_when_replica_collecting(self):
         sim = Simulator()
@@ -54,7 +54,7 @@ class TestVdcController:
         controller.register_pair(1, 2, "b")
         controller.decide_gc(1, "soft")
         controller.finish_gc(1)
-        assert not controller.is_collecting(1)
+        assert not controller._gc_state[1]
 
     def test_unregistered_vssd_rejected_when_aware(self):
         sim = Simulator()
@@ -71,7 +71,7 @@ class TestVdcController:
         assert done.triggered
         assert sim.now == 2 * controller.ONE_WAY_US + controller.PROCESSING_US
         # Nothing else lives on the controller's heap: no perpetual loop.
-        assert sim.pending_count == 0
+        assert not sim._heap
 
     def test_custom_latency_fn(self):
         sim = Simulator()

@@ -47,6 +47,12 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "GET P99.9 improvement" in out
 
+    def test_service_client(self, capsys):
+        load_example("service_client").main()
+        out = capsys.readouterr().out
+        assert "get user:3 -> profile-3" in out
+        assert "after delete, found=False" in out
+
     @pytest.mark.parametrize("name", [
         "quickstart",
         "coordinated_gc_deep_dive",
@@ -54,6 +60,7 @@ class TestExamples:
         "failure_drill",
         "device_network_pairing",
         "kvstore_app",
+        "service_client",
     ])
     def test_examples_importable(self, name):
         module = load_example(name)

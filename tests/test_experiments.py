@@ -75,7 +75,7 @@ class TestFigureResult:
 
     def test_series_extraction(self):
         result = self._sample()
-        assert result.series("b") == [1.25, None]
+        assert [row.get("b") for row in result.rows] == [1.25, None]
 
     def test_all_figures_registry_complete(self):
         expected = {f"fig{n}" for n in range(9, 24)} | {"predictor"}

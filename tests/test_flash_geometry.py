@@ -20,7 +20,7 @@ class TestGeometry:
             pages_per_block=64, page_size_kb=4,
         )
         # 4 chips * 64 blocks * 64 pages * 4KB = 64 MB
-        assert geo.capacity_gb == pytest.approx(64 / 1024)
+        assert geo.capacity_kb == 64 * 1024
 
     def test_chip_flattening_roundtrip(self):
         geo = FlashGeometry(channels=4, chips_per_channel=3)

@@ -19,13 +19,14 @@ import asyncio
 
 import pytest
 
-from repro.service import schema
 from repro.service.client import ServiceClient
 from repro.service.router import (
     ShardProxy,
     launch_backends,
     shutdown_backends,
 )
+
+from tests import stats_schema
 
 pytestmark = [pytest.mark.shard, pytest.mark.fleet, pytest.mark.slow]
 
@@ -95,8 +96,8 @@ class TestProcessModeFleet:
         assert hello["racks"] == 3 and hello["epoch"] == 1
         assert status["epoch"] == 1 and status["racks"] == [0, 1, 2]
         assert status["migrating"] is False and status["drained"] == []
-        schema.validate_stats(stats, client=True)
-        assert schema.shard_ids(stats) == [0, 1, 2]
+        stats_schema.validate_stats(stats, client=True)
+        assert stats_schema.shard_ids(stats) == [0, 1, 2]
         assert stats["migration"]["racks_added"] == 1.0
 
         # --- the drain -------------------------------------------------
@@ -107,5 +108,5 @@ class TestProcessModeFleet:
             assert after_drain[key]["value"] == value, key
         assert end_status["epoch"] == 2 and end_status["racks"] == [0, 2]
         assert end_status["drained"] == [1]
-        assert schema.shard_ids(end_stats) == [0, 2]
+        assert stats_schema.shard_ids(end_stats) == [0, 2]
         assert end_stats["migration"]["racks_drained"] == 1.0

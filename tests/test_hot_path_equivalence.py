@@ -22,12 +22,13 @@ from repro.net.latency import (
 from repro.net.packet import OpType, Packet
 from repro.net.schedulers import (
     FairQueueScheduler,
-    FifoScheduler,
     PriorityScheduler,
     TokenBucketScheduler,
 )
 from repro.server.iosched import IoRequest
 from repro.sim import Simulator
+
+from tests.test_net_schedulers import FifoScheduler
 
 PROFILES = [FAST_NETWORK, MEDIUM_NETWORK, SLOW_NETWORK]
 
@@ -252,7 +253,7 @@ def test_an_entry_past_the_horizon_keeps_its_place():
         sim.schedule_at(10.0, lambda tag=tag: fired.append(tag))
     sim.schedule_at(5.0, lambda: fired.append("early"))
     assert sim.run(until=7.0) == 7.0
-    assert fired == ["early"] and sim.pending_count == 5
+    assert fired == ["early"] and len(sim._heap) == 5
     sim.run(until=9.0)
     sim.run()
     assert fired == ["early", 0, 1, 2, 3, 4]

@@ -77,7 +77,7 @@ class TestLatencyRecorder:
         assert rec.count == 3
         assert rec.mean() == 20.0
         assert rec.p50() == 20.0
-        assert rec.max() == 30.0
+        assert max(rec.values) == 30.0
 
     def test_throughput(self):
         rec = LatencyRecorder()

@@ -30,12 +30,15 @@ import pytest
 
 from repro.chaos import FaultEvent, FaultSchedule
 from repro.cluster.config import RackConfig, SystemType
-from repro.service import protocol, schema
+from repro.service import protocol
 from repro.service.bridge import SimTimeBridge
 from repro.service.client import ClientConfig, ServiceClient, ServiceError
 from repro.service.membership import MembershipError
 from repro.service.router import ShardedRackService, ShardRouter
-from repro.service.selector import REASON_P2C, POLICY_P2C, RoutingTrace
+from repro.service.selector import REASON_P2C, POLICY_P2C
+
+from tests import stats_schema
+from tests.routing_harness import RoutingTrace
 
 pytestmark = [pytest.mark.fleet, pytest.mark.shard]
 
@@ -153,13 +156,13 @@ class TestAddRackLive:
         for key, value in acked.items():
             response = survived[key]
             assert response["found"] and response["value"] == value, key
-        schema.validate_stats(stats, client=True)
+        stats_schema.validate_stats(stats, client=True)
         migration = stats["migration"]
         assert migration["epoch"] == 1.0 and migration["racks_added"] == 1.0
         assert migration["keys_moved"] == float(result["keys_moved"])
         assert migration["aborts"] == 0.0
         assert stats["router"]["epoch"] == 1.0
-        assert schema.shard_ids(stats) == [0, 1, 2]
+        assert stats_schema.shard_ids(stats) == [0, 1, 2]
         assert status["epoch"] == 1 and status["migrating"] is False
 
     def test_add_to_empty_fleet_streams_nothing(self):
@@ -261,7 +264,7 @@ class TestDrainRack:
         assert result["racks"] == [0, 2] and result["epoch"] == 1
         for key, value in acked.items():
             assert reads[key]["found"] and reads[key]["value"] == value, key
-        assert schema.shard_ids(stats) == [0, 2]
+        assert stats_schema.shard_ids(stats) == [0, 2]
         assert {r["rack"] for r in reads.values()} <= {0, 2}
         keys = [k for k, _ in items]
         assert len(keys) == len(set(keys)) and dict(items) == acked
@@ -720,5 +723,5 @@ class TestReadCacheAcrossMigration:
         # Post-rewrite reads see the rewrite, never the cached original.
         for key, value in acked.items():
             assert reads[key]["found"] and reads[key]["value"] == value, key
-        schema.validate_stats(stats, client=True)
+        stats_schema.validate_stats(stats, client=True)
         assert stats["readcache"]["invalidations"] >= 120

@@ -2,8 +2,8 @@
 
 A scripted sequence runs against the in-process fleet
 (:class:`ShardedRackService`) and against a :class:`ShardProxy` over
-in-process :class:`RackService` backends: seed keys, start a slow add,
-then -- while the window is open -- put and delete moving and
+in-process :class:`RackService` backends: seed keys, start a slow add
+(or drain), then -- while the window is open -- put and delete moving and
 non-moving keys, including a put the old owner's admission sheds and a
 put whose forward leg fails, read everything, let the change cut over
 and read again.  Both shapes must answer identically; no shed write may
@@ -70,11 +70,21 @@ def fail_one_put(bridge: SimTimeBridge, value: str) -> None:
     bridge.submit_put = submit_put
 
 
-def window_keys():
-    """``(moving, staying)`` keys of adding rack 2 to racks 0 and 1, and
-    each key's old owner (both shapes build the same default ring)."""
+ADD, DRAIN = "add", "drain"
+
+
+def window_plan(change=ADD):
+    """The plan of adding rack 2 to racks 0 and 1, or of draining rack 0
+    into rack 1 (both shapes build the same default ring)."""
     fleet = FleetController(HashRing(range(2)))
-    plan = fleet.begin_add(2)
+    plan = fleet.begin_add(2) if change == ADD else fleet.begin_drain(0)
+    return fleet, plan
+
+
+def window_keys(change=ADD):
+    """``(moving, staying)`` keys of the change, and each key's old
+    owner."""
+    fleet, plan = window_plan(change)
     moving = [k for k in KEYS if plan.moving_range_for_key(k) is not None]
     staying = [k for k in KEYS if k not in moving]
     return moving, staying, {k: fleet.read_owner(k) for k in KEYS}
@@ -146,8 +156,8 @@ async def answer(call):
     return (True, None, response.get("found"), response.get("value"))
 
 
-async def run_window_script(shape):
-    moving, staying, owner = window_keys()
+async def run_window_script(shape, change=ADD):
+    moving, staying, owner = window_keys(change)
     m_put, m_del, m_shed, m_fail = moving[:4]
     s_put, s_del = staying[:2]
     await shape.start()
@@ -161,13 +171,18 @@ async def run_window_script(shape):
         async with user, greedy, admin:
             for key in KEYS:
                 await user.put(key, SEED_VALUE)
-            add = asyncio.ensure_future(admin.fleet_add_rack(
-                batch_size=2, pause_s=0.05, **shape.add_options))
-            fail_one_put(await shape.joining_bridge(), FORWARD_FAILS)
+            if change == ADD:
+                add = asyncio.ensure_future(admin.fleet_add_rack(
+                    batch_size=2, pause_s=0.05, **shape.add_options))
+                destination = await shape.joining_bridge()
+            else:
+                add = asyncio.ensure_future(admin.fleet_drain_rack(
+                    0, batch_size=2, pause_s=0.05))
+                destination = shape.rack(1).bridge
+            fail_one_put(destination, FORWARD_FAILS)
             while not shape.fleet.migrating:
                 await asyncio.sleep(0.001)
-            assert shape.fleet.plan.ranges == \
-                FleetController(HashRing(range(2))).begin_add(2).ranges
+            assert shape.fleet.plan.ranges == window_plan(change)[1].ranges
             rows = [
                 ("put moving", await answer(user.put(m_put, "w1"))),
                 ("put staying", await answer(user.put(s_put, "w1"))),
@@ -192,37 +207,44 @@ async def run_window_script(shape):
         await shape.stop()
 
 
+def check_same_answers(change):
+    async def scenario():
+        return (await run_window_script(InProc(), change),
+                await run_window_script(Proxy(), change))
+
+    (inproc, report, keys), (proxy, proxy_report, _) = \
+        asyncio.run(scenario())
+    assert proxy == inproc
+    m_put, s_put, m_del, s_del, m_shed, m_fail = keys
+    answers = dict(inproc)
+    ok = (True, None, None, None)
+    assert answers["put moving"] == ok
+    assert answers["put staying"] == ok
+    assert answers["delete moving"] == ok
+    assert answers["delete staying"] == ok
+    assert answers["put shed by the old owner"] == \
+        (False, protocol.BUSY, None, None)
+    # The forward failed after the old owner acked: the attempt
+    # failed instead, and the retry re-streamed the acked value.
+    assert answers["put whose forward fails"] == ok
+    for report_of in (report, proxy_report):
+        assert report_of["epoch"] == 1 and report_of["attempts"] == 2
+    expected = {key: SEED_VALUE for key in KEYS}
+    expected.update({m_put: "w1", s_put: "w1", m_del: None,
+                     s_del: None, m_fail: FORWARD_FAILS})
+    for when in ("window", "after"):
+        for key in (keys if when == "window" else KEYS):
+            value = expected[key]
+            assert answers[f"{when} get {key}"] == \
+                (True, None, value is not None, value), (when, key)
+
+
 class TestOneWindowTwoShapes:
     def test_same_script_same_answers(self):
-        async def scenario():
-            return (await run_window_script(InProc()),
-                    await run_window_script(Proxy()))
+        check_same_answers(ADD)
 
-        (inproc, report, keys), (proxy, proxy_report, _) = \
-            asyncio.run(scenario())
-        assert proxy == inproc
-        m_put, s_put, m_del, s_del, m_shed, m_fail = keys
-        answers = dict(inproc)
-        ok = (True, None, None, None)
-        assert answers["put moving"] == ok
-        assert answers["put staying"] == ok
-        assert answers["delete moving"] == ok
-        assert answers["delete staying"] == ok
-        assert answers["put shed by the old owner"] == \
-            (False, protocol.BUSY, None, None)
-        # The forward failed after the old owner acked: the attempt
-        # failed instead, and the retry re-streamed the acked value.
-        assert answers["put whose forward fails"] == ok
-        for report_of in (report, proxy_report):
-            assert report_of["epoch"] == 1 and report_of["attempts"] == 2
-        expected = {key: SEED_VALUE for key in KEYS}
-        expected.update({m_put: "w1", s_put: "w1", m_del: None,
-                         s_del: None, m_fail: FORWARD_FAILS})
-        for when in ("window", "after"):
-            for key in (keys if when == "window" else KEYS):
-                value = expected[key]
-                assert answers[f"{when} get {key}"] == \
-                    (True, None, value is not None, value), (when, key)
+    def test_same_script_same_answers_for_a_drain(self):
+        check_same_answers(DRAIN)
 
 
 class TestWorkFreeRequests:

@@ -5,15 +5,40 @@ import random
 import pytest
 
 from repro.errors import ConfigError
+from collections import deque
+
 from repro.net import (
     EgressPort,
     FairQueueScheduler,
-    FifoScheduler,
     PriorityScheduler,
     TokenBucketScheduler,
 )
 from repro.net.packet import OpType, Packet
 from repro.sim import Simulator
+
+
+class FifoScheduler:
+    """The simplest egress policy, the port tests' reference: one queue,
+    first come first served (no figure selects it, so it lives here)."""
+
+    def __init__(self) -> None:
+        self._queue = deque()
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    def enqueue(self, packet: Packet, flow_id: str, priority: int = 0) -> None:
+        self._queue.append(packet)
+
+    def next(self, now: float):
+        return (self._queue.popleft(), now) if self._queue else None
+
+    def pass_through(self, packet: Packet, flow_id: str, priority: int,
+                     now: float) -> float:
+        return now
+
+    def forget_flow(self, flow_id: str) -> None:
+        """Nothing is kept per flow."""
 
 
 def pkt(size_kb=1.0, vssd=1):

@@ -13,7 +13,6 @@ from repro.experiments.parallel import (
     RunSpec,
     default_jobs,
     get_runner,
-    set_jobs,
     shared_cache,
     using_jobs,
 )
@@ -129,8 +128,8 @@ class TestParallelRunner:
         cache = RunCache()
         runner = ParallelRunner(jobs=1, cache=cache)
         spec = _spec()
-        first = runner.run_spec(spec)
-        again = runner.run_spec(spec)
+        first = runner.run_specs([spec])[0]
+        again = runner.run_specs([spec])[0]
         assert first is again
 
     def test_process_pool_results_match_serial(self):
@@ -162,15 +161,11 @@ class TestParallelRunner:
 
 
 class TestRunnerConfiguration:
-    def test_set_jobs_preserves_shared_cache(self):
-        original = get_runner()
-        try:
-            runner = set_jobs(3)
+    def test_using_jobs_preserves_shared_cache(self):
+        with using_jobs(3) as runner:
             assert runner.jobs == 3
             assert runner.cache is shared_cache
             assert get_runner() is runner
-        finally:
-            set_jobs(original.jobs)
 
     def test_using_jobs_restores_previous_runner(self):
         before = get_runner()

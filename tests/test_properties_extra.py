@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Rack, RackConfig, SystemType
+from repro.cluster import RackConfig, SystemType
 from repro.experiments import run_rack_experiment
 from repro.sim import Simulator
 from repro.vssd import TokenBucket
@@ -99,17 +99,3 @@ class TestRackDeterminismProperty:
         a, b = one(), one()
         assert a.metrics.read_total.values == b.metrics.read_total.values
         assert a.redirects == b.redirects
-
-
-class TestTelemetryWiring:
-    def test_rack_records_flows(self):
-        config = RackConfig(system=SystemType.RACKBLOX, num_servers=3,
-                            num_pairs=3, seed=23)
-        rack = Rack(config)
-        run_rack_experiment(config, ycsb(0.5),
-                            requests_per_pair=300, rack=rack)
-        assert rack.telemetry.packets_seen > 0
-        # Client flows are heavy enough to be promoted to exact tracking.
-        top = rack.telemetry.top_flows()
-        assert top and top[0][1] > 0
-        assert rack.telemetry.hot_flow_share() > 0.5

@@ -105,8 +105,9 @@ class TestQosScheduler:
                             TenantSpec("bronze", weight=1)],
                            max_queue_depth=100)
         # gold:bronze:default = 3:1:1 over 100 slots.
-        assert qos.guaranteed_share("gold") == pytest.approx(60.0)
-        assert qos.guaranteed_share("bronze") == pytest.approx(20.0)
+        shares = qos.stats_section()
+        assert shares["gold"]["share"] == pytest.approx(60.0)
+        assert shares["bronze"]["share"] == pytest.approx(20.0)
 
     def test_rate_gate_sheds_regardless_of_idle_capacity(self):
         import time
@@ -175,7 +176,7 @@ class TestReadCache:
         hit, value, _ = cache.lookup("k", "t")
         assert hit and value == "v"
         assert cache.hit_rate() == pytest.approx(0.5)
-        assert cache.tenant_hits("t") == 1
+        assert cache.hits == 1
 
     def test_lru_evicts_within_the_filling_tenants_budget(self):
         # capacity 8, one segment: each tenant's budget is its share.

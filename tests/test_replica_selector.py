@@ -2,9 +2,9 @@
 
 Load-dependent routing is nondeterministic in production, so the
 contract is tested against the scripted half of the harness: a
-:class:`FakeLoadView` timeline drives the selector and a
-:class:`RoutingTrace` replays exactly which replica every read chose
-*and why*.  The ladder of honest fallbacks (policy off, single, dead,
+:class:`FakeLoadView` timeline (``tests/routing_harness.py``) drives
+the selector and a :class:`RoutingTrace` replays exactly which replica
+every read chose *and why*.  The ladder of honest fallbacks (policy off, single, dead,
 migrating, stale) each has a pinned reason; a seeded property sweep
 then checks the global invariants -- the selector never *diverts* onto
 a dead, draining, migrating, or epoch-retired replica, and with no
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.errors import ConfigError
-from repro.service import protocol, schema
+from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.router import ShardedRackService, ShardRouter
 from repro.service.selector import (
@@ -32,12 +32,12 @@ from repro.service.selector import (
     REASON_SINGLE,
     REASON_STALE,
     Decision,
-    FakeLoadView,
     ReplicaSelector,
     ReplicaStats,
-    RoutingTrace,
 )
 
+from tests import stats_schema
+from tests.routing_harness import FakeLoadView, RoutingTrace
 from tests.test_migration import base_config, start_sharded
 
 pytestmark = [pytest.mark.routing]
@@ -376,7 +376,7 @@ class TestRouterIntegration:
         hello, reads, stats = asyncio.run(scenario())
         assert hello["read_policy"] == POLICY_P2C
         assert all(r["ok"] for r in reads)
-        schema.validate_stats(stats, client=True)
+        stats_schema.validate_stats(stats, client=True)
         routing = stats["routing"]
         assert routing["policy_p2c"] == 1.0
         assert routing["decisions"] == 12.0

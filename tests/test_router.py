@@ -18,6 +18,8 @@ from repro.service import schema
 from repro.service.router import ShardRouter, build_shard_configs
 from repro.service.shard import HashRing
 
+from tests import stats_schema
+
 pytestmark = pytest.mark.shard
 
 MS = 1000.0
@@ -660,9 +662,9 @@ class TestAggregateStats:
 
         payload, bridge_stats = run(scenario())
         payload[schema.FIELD_CONNECTIONS] = 0.0
-        schema.validate_stats(payload)
-        assert schema.is_sharded(payload)
-        assert schema.shard_ids(payload) == [0, 1, 2]
+        stats_schema.validate_stats(payload)
+        assert stats_schema.is_sharded(payload)
+        assert stats_schema.shard_ids(payload) == [0, 1, 2]
         assert payload["router"]["racks"] == 3.0
         assert payload["router"]["routed"] == 7.0
         assert payload["router"]["gc_view_commits"] == 1.0

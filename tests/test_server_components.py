@@ -92,9 +92,9 @@ class TestIdlePredictor:
         pred = IdlePredictor(alpha=0.5)
         pred.record_request(0.0)
         pred.record_request(100.0)  # real interval 100
-        assert pred.predicted_idle_us == pytest.approx(50.0)  # 0.5*100 + 0.5*0
+        assert pred._predicted == pytest.approx(50.0)  # 0.5*100 + 0.5*0
         pred.record_request(300.0)  # real interval 200
-        assert pred.predicted_idle_us == pytest.approx(125.0)  # 0.5*200 + 0.5*50
+        assert pred._predicted == pytest.approx(125.0)  # 0.5*200 + 0.5*50
 
     def test_threshold_gate(self):
         pred = IdlePredictor(alpha=1.0, threshold_us=30 * MSEC)

@@ -17,6 +17,8 @@ from repro.service.bridge import SimTimeBridge
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import RackService
 
+from tests import stats_schema
+
 
 def small_config(**overrides) -> RackConfig:
     defaults = dict(
@@ -691,8 +693,7 @@ class TestMultiTenantServingEndToEnd:
         assert third["value"] == "v2"              # never the cached v1
         assert stats["readcache"]["hits"] >= 1.0
         assert stats["tenants"]["gold"]["admitted"] >= 4.0
-        from repro.service import schema
-        schema.validate_stats(stats, client=True)
+        stats_schema.validate_stats(stats, client=True)
 
     def test_undeclared_tenant_rejected_at_hello(self):
         from repro.service.client import ClientConfig

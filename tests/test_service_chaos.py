@@ -1,10 +1,9 @@
-"""Chaos over the live service: crash mid-load, client retry + hedging.
+"""Chaos over the live service: crash mid-load, client retry.
 
 The acceptance scenario for the serving layer: a schedule kills a server
 while a client streams requests, and a :class:`ServiceClient` configured
-with timeout+retry+hedged-reads completes the whole run with zero
-application-level errors -- the failure surfaces only as nonzero
-``retries``/``hedged_wins`` counters.
+with timeout+retry completes the whole run with zero application-level
+errors -- the failure surfaces only as a nonzero ``retries`` counter.
 """
 
 import asyncio
@@ -33,7 +32,7 @@ def chaos_config(schedule=None, **overrides) -> RackConfig:
 
 def crash_mid_load_schedule() -> FaultSchedule:
     # A wide blind window (detection bound 12 ms sim) so plenty of
-    # requests hit the dead-but-undetected primary and must hedge/retry.
+    # requests hit the dead-but-undetected primary and must retry.
     return FaultSchedule(
         events=(
             FaultEvent(10.0 * MS, "server_crash", "server:0"),
@@ -52,7 +51,7 @@ async def _start_service(config, **kwargs) -> RackService:
 
 class TestCrashMidLoad:
     @pytest.mark.slow
-    def test_retry_and_hedging_mask_a_server_crash(self):
+    def test_retries_mask_a_server_crash(self):
         async def scenario():
             service = await _start_service(
                 chaos_config(crash_mid_load_schedule()),
@@ -65,7 +64,6 @@ class TestCrashMidLoad:
                     config=ClientConfig(
                         max_retries=8, retry_backoff_s=0.001,
                         request_timeout_s=30.0,
-                        hedge_reads=True, hedge_delay_s=0.0,
                     ),
                 )
                 # Concurrent load matters: sim time only advances while
@@ -73,8 +71,7 @@ class TestCrashMidLoad:
                 # exactly one op in the crash->detection blind window (its
                 # hang carries sim time past detection).  A window of
                 # concurrent ops keeps the blind window populated: several
-                # in-flight writes must time out and retry, and reads to the
-                # dead primary are rescued by their hedge to the replica.
+                # in-flight ops must time out and retry.
                 window = asyncio.Semaphore(8)
 
                 async def one_op(i):
@@ -96,10 +93,8 @@ class TestCrashMidLoad:
             return errors, stats
 
         errors, stats = asyncio.run(scenario())
-        assert errors == [], f"ops failed through retry+hedging: {errors[:5]}"
-        client_counters = stats["client"]
-        assert client_counters["retries"] > 0
-        assert client_counters["hedged_wins"] > 0
+        assert errors == [], f"ops failed through retries: {errors[:5]}"
+        assert stats["client"]["retries"] > 0
         # The schedule really ran on the served rack: the outage is in
         # the chaos counters the /stats endpoint now exposes.
         assert stats["chaos"]["crashes"] == 1.0
@@ -161,31 +156,9 @@ class TestRetryPolicy:
         exc = asyncio.run(scenario())
         assert isinstance(exc, ConnectionError)
 
-    def test_hedges_fire_on_healthy_rack_without_errors(self):
-        async def scenario():
-            service = await _start_service(chaos_config())
-            try:
-                client = ServiceClient(
-                    "127.0.0.1", service.port,
-                    config=ClientConfig(max_retries=2, hedge_reads=True,
-                                        hedge_delay_s=0.0),
-                )
-                async with client:
-                    results = await asyncio.gather(
-                        *(client.read(i % 2, i) for i in range(12))
-                    )
-                    stats = await client.stats()
-            finally:
-                await service.stop()
-            return results, stats
-
-        results, stats = asyncio.run(scenario())
-        assert all(r["latency_us"] > 0 for r in results)
-        assert stats["client"]["hedged"] > 0
-
     def test_replica_reads_are_served_directly(self):
-        # The wire-level escape hatch hedging uses: replica=True reads
-        # address the pair's replica vSSD instead of the primary.
+        # The wire-level escape hatch: replica=True reads address the
+        # pair's replica vSSD instead of the primary.
         async def scenario():
             service = await _start_service(chaos_config())
             try:

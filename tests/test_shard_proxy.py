@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigError
-from repro.service import protocol, schema
+from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.router import (
     ShardProxy,
@@ -22,6 +22,8 @@ from repro.service.router import (
     shutdown_backends,
 )
 from repro.service.shard import HashRing
+
+from tests import stats_schema
 
 pytestmark = [pytest.mark.shard, pytest.mark.slow]
 
@@ -70,8 +72,8 @@ class TestRelay:
         assert hello["racks"] == 2
         assert "proxy" in hello["capabilities"]
         assert got["value"] == "v1"
-        schema.validate_stats(stats, client=True)
-        assert schema.shard_ids(stats) == [0, 1]
+        stats_schema.validate_stats(stats, client=True)
+        assert stats_schema.shard_ids(stats) == [0, 1]
         # Both backends really simulated their slice of the writes.
         submitted = [s["bridge"]["submitted"]
                      for s in stats["shards"].values()]

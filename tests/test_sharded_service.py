@@ -13,10 +13,12 @@ import pytest
 
 from repro.chaos import FaultEvent, FaultSchedule
 from repro.cluster.config import RackConfig, SystemType
-from repro.service import protocol, schema
+from repro.service import protocol
 from repro.service.client import ClientConfig, ServiceClient, ServiceError
 from repro.service.loadgen import run_loadgen
 from repro.service.router import ShardedRackService, ShardRouter
+
+from tests import stats_schema
 
 pytestmark = pytest.mark.shard
 
@@ -108,9 +110,9 @@ class TestWireContract:
                 await service.stop()
 
         stats = asyncio.run(scenario())
-        schema.validate_stats(stats, client=True)
-        assert schema.is_sharded(stats)
-        assert schema.shard_ids(stats) == [0, 1, 2]
+        stats_schema.validate_stats(stats, client=True)
+        assert stats_schema.is_sharded(stats)
+        assert stats_schema.shard_ids(stats) == [0, 1, 2]
         assert stats["router"]["racks"] == 3.0
         assert stats["bridge"]["completed"] == 6.0
         per_shard = [s["bridge"]["submitted"]
@@ -132,7 +134,7 @@ class TestWireContract:
 
         hello, stats = asyncio.run(scenario())
         assert hello["racks"] == 1
-        schema.validate_stats(stats, client=True)
+        stats_schema.validate_stats(stats, client=True)
 
     def test_bad_requests_reject_like_a_single_rack(self):
         async def scenario():
@@ -211,8 +213,8 @@ class TestKeyspaceCoverage:
         report = asyncio.run(scenario())
         assert report.errors == 0 and report.ok == 160
         stats = report.server_stats
-        schema.validate_stats(stats)
-        assert schema.shard_ids(stats) == [0, 1, 2, 3]
+        stats_schema.validate_stats(stats)
+        assert stats_schema.shard_ids(stats) == [0, 1, 2, 3]
         for shard_id, section in stats["shards"].items():
             kv = section["kvstore"]
             assert kv["gets"] + kv["puts"] > 0, f"shard {shard_id} idle"
@@ -239,7 +241,7 @@ class TestRackQualifiedChaos:
     @pytest.mark.slow
     def test_one_rack_dies_and_only_that_shard_retries(self):
         # The acceptance drill: a rack-qualified crash window, load
-        # spread over every shard, clients armed with retry+hedging.
+        # spread over every shard, clients armed with retries.
         # The blast radius must be shard 1 alone.
         async def scenario():
             service = await start_sharded(
@@ -253,7 +255,6 @@ class TestRackQualifiedChaos:
                     config=ClientConfig(
                         max_retries=8, retry_backoff_s=0.001,
                         request_timeout_s=30.0,
-                        hedge_reads=True, hedge_delay_s=0.0,
                     ),
                 )
                 window = asyncio.Semaphore(8)
@@ -277,8 +278,8 @@ class TestRackQualifiedChaos:
             return errors, stats
 
         errors, stats = asyncio.run(scenario())
-        assert errors == [], f"ops failed through retry+hedging: {errors[:5]}"
-        schema.validate_stats(stats, client=True)
+        assert errors == [], f"ops failed through retries: {errors[:5]}"
+        stats_schema.validate_stats(stats, client=True)
         # The outage really happened -- on rack 1 and nowhere else.
         shards = stats["shards"]
         assert shards["1"]["chaos"]["crashes"] == 1.0

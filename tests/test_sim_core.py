@@ -55,7 +55,7 @@ class TestSimulatorClock:
         sim.schedule_after(100.0, lambda: None)
         final = sim.run(until=50.0)
         assert final == 50.0
-        assert sim.peek() == 100.0
+        assert sim._heap[0][0] == 100.0
 
     def test_run_until_past_all_events(self):
         sim = Simulator()
@@ -113,7 +113,7 @@ class TestStop:
         assert sim.run(until=100.0) == 5.0
         assert seen == ["a"] and sim.now == 5.0
         # The later event stayed queued and fires on the next run.
-        assert sim.peek() == 9.0
+        assert sim._heap[0][0] == 9.0
         assert sim.run() == 9.0
         assert seen == ["a", "late"]
 
@@ -133,7 +133,7 @@ class TestStop:
     def test_stop_outside_run_is_a_no_op(self):
         sim = Simulator()
         sim.stop()
-        assert sim.pending_count == 0
+        assert not sim._heap
         seen = []
         sim.schedule_after(1.0, lambda: seen.append(1))
         sim.schedule_after(2.0, lambda: seen.append(2))
@@ -145,7 +145,7 @@ class TestStop:
         sim.schedule_after(1.0, lambda: (sim.stop(), sim.stop()))
         sim.schedule_after(2.0, lambda: None)
         sim.run()
-        assert sim.now == 1.0 and sim.pending_count == 1
+        assert sim.now == 1.0 and len(sim._heap) == 1
         assert sim.run() == 2.0
 
     def test_event_count_excludes_the_sentinel(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.metrics.slo import SloMonitor, SloTarget
-from repro.workloads.arrival import DiurnalArrivals, MmppArrivals
+from repro.workloads.arrival import MmppArrivals
 
 
 class TestSloTarget:
@@ -114,27 +114,3 @@ class TestMmpp:
             process.next_gap_us()
             states.add(process.in_burst)
         assert states == {True, False}
-
-
-class TestDiurnal:
-    def test_rate_swings_around_mean(self):
-        process = DiurnalArrivals(mean_iops=1000.0, swing=0.5,
-                                  period_us=1_000_000.0)
-        quarter = 250_000.0
-        assert process.rate_at(quarter) == pytest.approx(1500.0)
-        assert process.rate_at(3 * quarter) == pytest.approx(500.0)
-
-    def test_gaps_follow_phase(self):
-        process = DiurnalArrivals(mean_iops=1000.0, swing=0.8,
-                                  period_us=1_000_000.0,
-                                  rng=random.Random(4))
-        gaps = [process.next_gap_us() for _ in range(5000)]
-        assert all(g > 0 for g in gaps)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            DiurnalArrivals(mean_iops=0)
-        with pytest.raises(ConfigError):
-            DiurnalArrivals(mean_iops=10, swing=1.5)
-        with pytest.raises(ConfigError):
-            DiurnalArrivals(mean_iops=10, period_us=0)

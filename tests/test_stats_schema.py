@@ -12,6 +12,8 @@ from repro.cluster.config import RackConfig, SystemType
 from repro.service import schema
 from repro.service.bridge import SimTimeBridge
 
+from tests import stats_schema
+
 
 def bridge_section(**overrides):
     out = {field: 0.0 for field in schema.BRIDGE_FIELDS}
@@ -47,91 +49,91 @@ def sharded_payload(racks=2):
 
 class TestValidate:
     def test_single_rack_payload_passes(self):
-        schema.validate_stats(single_rack_payload())
+        stats_schema.validate_stats(single_rack_payload())
 
     def test_sharded_payload_passes(self):
-        schema.validate_stats(sharded_payload())
+        stats_schema.validate_stats(sharded_payload())
 
     def test_client_section_required_when_asked(self):
         payload = single_rack_payload()
-        with pytest.raises(schema.StatsSchemaError, match="client"):
-            schema.validate_stats(payload, client=True)
+        with pytest.raises(stats_schema.StatsSchemaError, match="client"):
+            stats_schema.validate_stats(payload, client=True)
         payload["client"] = {f: 0.0 for f in schema.CLIENT_FIELDS}
-        schema.validate_stats(payload, client=True)
+        stats_schema.validate_stats(payload, client=True)
 
     def test_missing_section_named_in_error(self):
         payload = single_rack_payload()
         del payload["admission"]
-        with pytest.raises(schema.StatsSchemaError, match="admission"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="admission"):
+            stats_schema.validate_stats(payload)
 
     def test_non_numeric_field_rejected(self):
         payload = single_rack_payload()
         payload["bridge"]["completed"] = "4"
-        with pytest.raises(schema.StatsSchemaError, match="completed"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="completed"):
+            stats_schema.validate_stats(payload)
 
     def test_bool_is_not_a_number(self):
         payload = single_rack_payload()
         payload["bridge"]["inflight"] = True
-        with pytest.raises(schema.StatsSchemaError, match="inflight"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="inflight"):
+            stats_schema.validate_stats(payload)
 
     def test_router_without_shards_rejected(self):
         payload = single_rack_payload()
         payload["router"] = {f: 0.0 for f in schema.ROUTER_FIELDS}
-        with pytest.raises(schema.StatsSchemaError, match="shards"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="shards"):
+            stats_schema.validate_stats(payload)
 
     def test_shards_without_router_rejected(self):
         payload = sharded_payload()
         del payload["router"]
-        with pytest.raises(schema.StatsSchemaError):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError):
+            stats_schema.validate_stats(payload)
 
     def test_router_section_carries_the_scan_reask_counter(self):
         payload = sharded_payload()
         assert "scan_reasks" in payload["router"]
         del payload["router"]["scan_reasks"]
-        with pytest.raises(schema.StatsSchemaError, match="scan_reasks"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="scan_reasks"):
+            stats_schema.validate_stats(payload)
 
     def test_migration_section_is_optional_but_typed(self):
         # Sharded payloads may carry the fleet's migration counters;
         # when present the section is validated like any other.
         payload = sharded_payload()
-        schema.validate_stats(payload)        # absent: fine
+        stats_schema.validate_stats(payload)        # absent: fine
         payload["migration"] = {f: 0.0 for f in schema.MIGRATION_FIELDS}
-        schema.validate_stats(payload)        # present and complete: fine
+        stats_schema.validate_stats(payload)        # present and complete: fine
         del payload["migration"]["epoch"]
-        with pytest.raises(schema.StatsSchemaError, match="epoch"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="epoch"):
+            stats_schema.validate_stats(payload)
         payload["migration"]["epoch"] = "1"
-        with pytest.raises(schema.StatsSchemaError, match="epoch"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="epoch"):
+            stats_schema.validate_stats(payload)
 
     def test_non_decimal_shard_key_rejected(self):
         payload = sharded_payload()
         payload["shards"]["rack-0"] = payload["shards"].pop("0")
-        with pytest.raises(schema.StatsSchemaError, match="decimal"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="decimal"):
+            stats_schema.validate_stats(payload)
 
     def test_broken_shard_section_located(self):
         payload = sharded_payload()
         del payload["shards"]["1"]["kvstore"]
-        with pytest.raises(schema.StatsSchemaError, match=r"shards\['1'\]"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match=r"shards\['1'\]"):
+            stats_schema.validate_stats(payload)
 
     def test_non_mapping_rejected(self):
-        with pytest.raises(schema.StatsSchemaError):
-            schema.validate_stats([("bridge", {})])
+        with pytest.raises(stats_schema.StatsSchemaError):
+            stats_schema.validate_stats([("bridge", {})])
 
     def test_helpers(self):
-        assert not schema.is_sharded(single_rack_payload())
+        assert not stats_schema.is_sharded(single_rack_payload())
         payload = sharded_payload(racks=3)
-        assert schema.is_sharded(payload)
-        assert schema.shard_ids(payload) == [0, 1, 2]
-        assert schema.shard_ids(single_rack_payload()) == []
+        assert stats_schema.is_sharded(payload)
+        assert stats_schema.shard_ids(payload) == [0, 1, 2]
+        assert stats_schema.shard_ids(single_rack_payload()) == []
 
 
 def tenant_section(**overrides):
@@ -151,30 +153,30 @@ class TestTenancySections:
         payload = single_rack_payload()
         payload["tenants"] = {"gold": tenant_section(weight=3.0)}
         payload["readcache"] = readcache_section(capacity=1024.0)
-        schema.validate_stats(payload)
+        stats_schema.validate_stats(payload)
 
     def test_readcache_missing_field_named(self):
         payload = single_rack_payload()
         payload["readcache"] = readcache_section()
         del payload["readcache"]["hit_rate"]
-        with pytest.raises(schema.StatsSchemaError, match="hit_rate"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="hit_rate"):
+            stats_schema.validate_stats(payload)
 
     def test_tenants_must_be_a_non_empty_mapping(self):
         payload = single_rack_payload()
         payload["tenants"] = {}
-        with pytest.raises(schema.StatsSchemaError, match="non-empty"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="non-empty"):
+            stats_schema.validate_stats(payload)
         payload["tenants"] = ["gold"]
-        with pytest.raises(schema.StatsSchemaError, match="mapping"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="mapping"):
+            stats_schema.validate_stats(payload)
 
     def test_broken_tenant_body_located(self):
         payload = single_rack_payload()
         payload["tenants"] = {"gold": tenant_section()}
         payload["tenants"]["gold"]["slo_burn"] = "0.5"
-        with pytest.raises(schema.StatsSchemaError, match="slo_burn"):
-            schema.validate_stats(payload)
+        with pytest.raises(stats_schema.StatsSchemaError, match="slo_burn"):
+            stats_schema.validate_stats(payload)
 
     def test_assembled_with_tenancy_validates(self):
         bridge = SimTimeBridge(
@@ -188,7 +190,7 @@ class TestTenancySections:
             tenants={"default": tenant_section(weight=1.0)},
             readcache=readcache_section(capacity=4096.0, segments=8.0),
         )
-        schema.validate_stats(payload)
+        stats_schema.validate_stats(payload)
         assert payload["tenants"]["default"]["weight"] == 1.0
         assert payload["readcache"]["capacity"] == 4096.0
 
@@ -260,5 +262,5 @@ class TestAggregation:
             bridge.stats_payload(), {f: 0.0 for f in schema.ADMISSION_FIELDS},
             3,
         )
-        schema.validate_stats(payload)
+        stats_schema.validate_stats(payload)
         assert payload["connections"] == 3.0

@@ -9,15 +9,15 @@ from repro.experiments.sweeps import Sweep, best_point
 class TestSweep:
     def test_cartesian_points(self):
         sweep = Sweep("s", axes={"a": [1, 2], "b": ["x", "y", "z"]})
-        assert sweep.num_points == 6
         points = list(sweep.points())
+        assert len(points) == 6
         assert {"a": 1, "b": "x"} in points
         assert {"a": 2, "b": "z"} in points
 
     def test_run_collects_rows(self):
         sweep = Sweep("s", axes={"n": [1, 2, 3]})
         result = sweep.run(lambda n: {"square": float(n * n)})
-        assert result.series("square") == [1.0, 4.0, 9.0]
+        assert [row.get("square") for row in result.rows] == [1.0, 4.0, 9.0]
         assert result.columns == ["n", "square"]
 
     def test_axis_values_rendered_as_labels(self):
@@ -76,7 +76,7 @@ class TestSweepDedupAndParallel:
         sweep = Sweep("s", axes={"n": [1, 2, 1, 1]})
         result = sweep.run(run_fn)
         assert calls == [1, 2]  # deduped execution...
-        assert result.series("v") == [1.0, 2.0, 1.0, 1.0]  # ...full rows
+        assert [row.get("v") for row in result.rows] == [1.0, 2.0, 1.0, 1.0]  # ...full rows
 
     def test_progress_reports_unique_points(self):
         seen = []
@@ -94,14 +94,14 @@ class TestSweepDedupAndParallel:
     def test_parallel_with_unpicklable_fn_degrades(self):
         sweep = Sweep("s", axes={"n": [1, 2]})
         result = sweep.run(lambda n: {"v": float(n)}, jobs=4)
-        assert result.series("v") == [1.0, 2.0]
+        assert [row.get("v") for row in result.rows] == [1.0, 2.0]
 
     def test_explicit_runner(self):
         from repro.experiments.parallel import ParallelRunner
 
         sweep = Sweep("s", axes={"n": [2, 3]})
         result = sweep.run(_square_metrics, runner=ParallelRunner(jobs=2))
-        assert result.series("square") == [4.0, 9.0]
+        assert [row.get("square") for row in result.rows] == [4.0, 9.0]
 
 
 class TestBestPoint:

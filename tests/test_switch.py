@@ -252,4 +252,4 @@ class TestControlPlane:
 
     def test_registered_listing(self):
         _, cp = make_plane()
-        assert cp.registered_vssds() == [1, 2]
+        assert sorted(cp.registration_log()) == [1, 2]

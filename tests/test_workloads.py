@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.workloads import (
     AUCTIONMARK,
-    ClosedLoopGenerator,
     OpenLoopGenerator,
     TABLE2_WORKLOADS,
     TPCC,
@@ -99,23 +98,3 @@ class TestOpenLoop:
         gen = OpenLoopGenerator(ycsb(0.5), 10, 100)
         with pytest.raises(ConfigError):
             list(gen.requests(-1))
-
-
-class TestClosedLoop:
-    def test_think_time_attached(self):
-        gen = ClosedLoopGenerator(ycsb(0.2), key_space=100, think_time_us=50.0,
-                                  rng=random.Random(8))
-        req = gen.next_request()
-        assert req.gap_us == 50.0
-        assert req.kind in ("read", "write")
-
-    def test_deterministic_with_seed(self):
-        a = ClosedLoopGenerator(ycsb(0.5), 100, rng=random.Random(9))
-        b = ClosedLoopGenerator(ycsb(0.5), 100, rng=random.Random(9))
-        for _ in range(50):
-            ra, rb = a.next_request(), b.next_request()
-            assert (ra.kind, ra.lpn) == (rb.kind, rb.lpn)
-
-    def test_negative_think_time_rejected(self):
-        with pytest.raises(ConfigError):
-            ClosedLoopGenerator(ycsb(0.5), 100, think_time_us=-1.0)

@@ -3,22 +3,33 @@
 Figure 15 reports latency *breakdowns* (storage-stack time vs end-to-end),
 so the collector keeps parallel recorders for the total and for the
 storage-only component of each request.
+
+Batch runs keep every sample (:class:`LatencyRecorder`, exact); the live
+service, which runs for as long as it is up, builds the same collector
+from :class:`LogHistogram` recorders, whose memory does not grow with the
+requests served and which merge across racks.
 """
 
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import ConfigError
+from repro.metrics.histogram import LogHistogram
 from repro.metrics.percentiles import LatencyRecorder
+
+#: The collector's recorders, by attribute name (also the names their
+#: histograms travel under in a ``stats`` payload).
+RECORDERS = ("read_total", "write_total", "read_storage", "write_storage")
 
 
 class ExperimentMetrics:
     """End-to-end and storage-component latencies for reads and writes."""
 
-    def __init__(self) -> None:
-        self.read_total = LatencyRecorder("read-total")
-        self.write_total = LatencyRecorder("write-total")
-        self.read_storage = LatencyRecorder("read-storage")
-        self.write_storage = LatencyRecorder("write-storage")
+    def __init__(self, recorder: Callable[[str], Any] = LatencyRecorder,
+                 ) -> None:
+        self.read_total = recorder("read-total")
+        self.write_total = recorder("write-total")
+        self.read_storage = recorder("read-storage")
+        self.write_storage = recorder("write-storage")
         self.redirected_reads = 0
         self.gc_blocked_reads = 0
         #: Fault-injection counters (filled by the chaos runner; empty
@@ -68,6 +79,19 @@ class ExperimentMetrics:
         for key in sorted(self.chaos):
             out[f"chaos_{key}"] = float(self.chaos[key])
         return out
+
+    def histograms(self) -> Dict[str, Dict[str, Any]]:
+        """Each recorder's wire form (a collector of histograms only)."""
+        return {name: getattr(self, name).to_wire() for name in RECORDERS}
+
+    def merge_histograms(self, wires: Mapping[str, Mapping[str, Any]],
+                         ) -> None:
+        """Add the histograms :meth:`histograms` shipped to this
+        collector's own (unknown names are ignored)."""
+        for name in RECORDERS:
+            wire = wires.get(name)
+            if wire is not None:
+                getattr(self, name).merge(LogHistogram.from_wire(wire, name))
 
     def total_kiops(self) -> float:
         spans = []

@@ -38,6 +38,7 @@ from repro.cluster.rack import Rack
 from repro.errors import ConfigError
 from repro.kvstore.store import RackKvStore
 from repro.metrics.collector import ExperimentMetrics
+from repro.metrics.histogram import LogHistogram
 from repro.sim.core import MSEC, SEC
 
 logger = logging.getLogger(__name__)
@@ -100,9 +101,10 @@ class SimTimeBridge:
             self.rack.precondition()
         #: Sim-time latencies of live requests (read/write classes), the
         #: same collector the batch runner uses -- so ``/stats`` reports
-        #: the service with the experiment engine's vocabulary.  The KV
-        #: store records its operations here too, each exactly once.
-        self.metrics = ExperimentMetrics()
+        #: the service with the experiment engine's vocabulary -- built
+        #: from histograms, so it holds nothing per request served.  The
+        #: KV store records its operations here too, each exactly once.
+        self.metrics = ExperimentMetrics(LogHistogram)
         self.kv = RackKvStore(self.rack, client_name="svc-kv",
                               metrics=self.metrics)
         self._write_caches = [s.write_cache for s in self.rack.servers]
@@ -410,6 +412,7 @@ class SimTimeBridge:
         """Everything ``/stats`` reports: bridge + collector + traces."""
         out: Dict[str, Any] = {"bridge": self.stats().as_dict()}
         out["metrics"] = self.metrics.summary()
+        out["histograms"] = self.metrics.histograms()
         kv = self.kv
         out["kvstore"] = {
             "keys": float(len(kv)),

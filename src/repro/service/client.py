@@ -145,6 +145,7 @@ class ServiceClient:
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
+        protocol.cap_reads(self._writer)
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop()
         )
@@ -226,7 +227,7 @@ class ServiceClient:
         decoder = protocol.FrameDecoder()
         try:
             while True:
-                data = await self._reader.read(65536)
+                data = await self._reader.read(protocol.READ_BYTES)
                 if not data:
                     break
                 self.counters["bytes_received"] += len(data)

@@ -67,6 +67,13 @@ PROTOCOL_VERSION = 2
 #: without a ``v`` field are version-1 traffic by definition.
 SUPPORTED_VERSIONS = (1, 2)
 
+#: Bytes a connection reads off its socket at a time.  asyncio's selector
+#: transport asks ``recv`` for 256 KiB, a buffer glibc serves with a
+#: fresh ``mmap`` (above its 128 KiB threshold) and unmaps again on every
+#: read: two page faults per request at queue depth 1.  64 KiB comes off
+#: the heap.
+READ_BYTES = 1 << 16
+
 _LEN = struct.Struct(">I")
 
 # Error codes the service emits.
@@ -95,6 +102,12 @@ class UnencodableFrame(Exception):
     """A message the binary codec cannot express (callers fall back to
     JSON).  Deliberately *not* a :class:`FrameError`: nothing was wrong
     on the wire."""
+
+
+def cap_reads(writer: Any) -> None:
+    """Make the transport under ``writer`` receive at most
+    :data:`READ_BYTES` at a time."""
+    writer.transport.max_size = READ_BYTES
 
 
 def encode_frame(obj: Dict[str, Any]) -> bytes:

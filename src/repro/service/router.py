@@ -56,6 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.cluster.config import RackConfig
 from repro.errors import ConfigError
 from repro.metrics.collector import ExperimentMetrics
+from repro.metrics.histogram import LogHistogram
 from repro.service import frontdoor, protocol, schema
 from repro.service.admission import AdmissionController
 from repro.service.bridge import BridgeStats, SimTimeBridge
@@ -250,10 +251,10 @@ class ShardRouter:
         self._precondition = False
         self._bridge_kwargs: Dict[str, Any] = {}
         self._admission_kwargs: Dict[str, Any] = {}
-        #: Aggregate latency collector.  Per-shard collectors cannot be
-        #: merged (percentiles do not add), so the router records every
-        #: completed request itself.
-        self.metrics = ExperimentMetrics()
+        #: Aggregate latency collector: the router records every request
+        #: it answers once, as the client saw it (a scatter scan is one
+        #: read here, one per leg in the shards' collectors).
+        self.metrics = ExperimentMetrics(LogHistogram)
         #: The router's (possibly stale) view of each shard's per-pair
         #: "both copies collecting" state -- what the fallback decides on.
         self._gc_views: Dict[int, Tuple[bool, ...]] = {
@@ -740,6 +741,7 @@ class ShardRouter:
         }
         out = schema.aggregate_sections(list(sections.values()))
         out[schema.SECTION_METRICS] = self.metrics.summary()
+        out[schema.SECTION_HISTOGRAMS] = self.metrics.histograms()
         out[schema.SECTION_ROUTER] = self.router_section()
         out[schema.SECTION_MIGRATION] = self.fleet.stats_section()
         out[schema.SECTION_SHARDS] = sections
@@ -1051,6 +1053,7 @@ class _BackendLink:
 
     async def open(self, host: str, port: int) -> None:
         self.reader, self.writer = await asyncio.open_connection(host, port)
+        protocol.cap_reads(self.writer)
         self.relay_task = asyncio.get_running_loop().create_task(
             self._relay()
         )
@@ -1079,7 +1082,7 @@ class _BackendLink:
         splitter = protocol.FrameSplitter(self.max_frame_bytes)
         try:
             while True:
-                data = await self.reader.read(65536)
+                data = await self.reader.read(protocol.READ_BYTES)
                 if not data:
                     break
                 batch = []
@@ -1358,9 +1361,10 @@ class ShardProxy:
         conn = _ClientConn(writer)
         conn.hook = self._make_response_hook(conn)
         splitter = protocol.FrameSplitter(self.max_frame_bytes)
+        protocol.cap_reads(writer)
         try:
             while True:
-                data = await reader.read(65536)
+                data = await reader.read(protocol.READ_BYTES)
                 if not data:
                     break
                 try:
@@ -1588,7 +1592,8 @@ class ShardProxy:
                 response = protocol.ok_response(
                     request_id, **(await self._gather_stats())
                 )
-            except (ConnectionError, OSError, protocol.FrameError) as exc:
+            except (ConnectionError, OSError, protocol.FrameError,
+                    ConfigError) as exc:  # ConfigError: a malformed histogram
                 response = protocol.error_response(
                     protocol.INTERNAL, f"stats gather failed: {exc}",
                     request_id,
@@ -1744,14 +1749,13 @@ class ShardProxy:
             sections[str(node)] = {
                 key: response[key]
                 for key in (schema.SECTION_BRIDGE, schema.SECTION_METRICS,
+                            schema.SECTION_HISTOGRAMS,
                             schema.SECTION_KVSTORE, schema.SECTION_ADMISSION,
                             schema.SECTION_CHAOS)
                 if key in response
             }
         out = schema.aggregate_sections(list(sections.values()))
-        out[schema.SECTION_METRICS] = schema.merge_metric_summaries(
-            [s.get(schema.SECTION_METRICS, {}) for s in sections.values()]
-        )
+        out.update(schema.merge_metric_summaries(list(sections.values())))
         out[schema.SECTION_ROUTER] = {
             "racks": float(len(self.ring)),
             "virtual_nodes": float(self.ring.vnodes),

@@ -13,6 +13,8 @@ A **single-rack** stats payload looks like::
       "bridge":     {sim_now_us, inflight, submitted, completed,
                      timed_out, sim_chunks},
       "metrics":    {...ExperimentMetrics.summary()...},
+      "histograms": {read_total, write_total, read_storage,
+                     write_storage},   # LogHistogram.to_wire() each
       "kvstore":    {keys, gets, puts, scans, misses},
       "admission":  {admitted, shed_queue_full, shed_rate_limited,
                      max_queue_depth, clients},
@@ -21,10 +23,14 @@ A **single-rack** stats payload looks like::
       "traces": {...}            # only when tracing samples
     }
 
+The percentiles in ``metrics`` are read off the histograms (within 1 %
+of the exact sample); counts and means are exact.
+
 A **sharded** payload is a strict superset: the same top-level sections
 hold the *aggregate* view (counters summed across shards; ``sim_now_us``
-is the max; aggregate latency percentiles come from the router's own
-collector, since per-shard percentiles do not merge), plus::
+is the max; latency comes from the in-process router's own collector,
+or, behind the process-mode proxy, from the backends' histograms merged
+bucket by bucket), plus::
 
     "router": {racks, virtual_nodes, routed, cross_rack_redirects,
                scatter_scans, scan_reasks, unroutable, gc_view_commits,
@@ -38,7 +44,8 @@ collector, since per-shard percentiles do not merge), plus::
     "migration": {keys_moved, bytes_streamed, batches, write_forwards,
                   aborts, cutovers, cleanup_deletes, racks_added,
                   racks_drained, epoch, active},
-    "shards": {"0": {bridge, metrics, kvstore, admission[, chaos]}, ...}
+    "shards": {"0": {bridge, metrics, histograms, kvstore, admission
+                     [, chaos]}, ...}
     "routing": {policy_p2c, decisions, p2c_picks, ..., "replicas":
                 {"0": {depth, ewma_us, age_s}, ...}}
                                # only under --read-policy p2c
@@ -51,16 +58,21 @@ collector, since per-shard percentiles do not merge), plus::
 All leaf values are numbers (floats on the wire) except inside
 ``metrics`` / ``traces`` / ``chaos``, whose keys are owned by their
 producers (`ExperimentMetrics.summary`, the trace collector, the chaos
-injector) and may be numbers or null.
+injector) and may be numbers or null, and ``histograms``, whose bodies
+are :meth:`LogHistogram.to_wire` forms.
 """
 
 from typing import Any, Dict, Mapping, Optional
+
+from repro.metrics.collector import ExperimentMetrics
+from repro.metrics.histogram import LogHistogram
 
 
 # ------------------------------------------------------------- section names
 
 SECTION_BRIDGE = "bridge"
 SECTION_METRICS = "metrics"
+SECTION_HISTOGRAMS = "histograms"
 SECTION_KVSTORE = "kvstore"
 SECTION_ADMISSION = "admission"
 SECTION_CHAOS = "chaos"
@@ -146,6 +158,9 @@ _TENANT_MAX_FIELDS = ("weight", "slo_target_ms", "slo_burn")
 #: Read-cache fields that take the max when sections merge; ``hit_rate``
 #: is recomputed from the merged hits/misses instead.
 _READCACHE_MAX_FIELDS = ("segments", "epoch")
+#: ``metrics`` keys a fleet reads off its merged histograms; every other
+#: key (rates, redirect and chaos counters) sums across shards.
+_HISTOGRAM_KEYS = ("_count", "_avg_us", "_p99_us", "_p999_us")
 
 
 # ---------------------------------------------------------------- assembly
@@ -181,8 +196,8 @@ def aggregate_sections(shard_sections: "list[Dict[str, Any]]",
 
     Counters sum; ``sim_now_us`` is the max (each shard owns its own
     simulated clock, so "the" time is the furthest one).  ``metrics`` is
-    deliberately *not* folded here -- percentiles do not merge -- the
-    router supplies its own aggregate collector for that.
+    not folded here: the in-process router keeps its own collector, and
+    the proxy merges the shards' histograms (:func:`merge_metric_summaries`).
     """
     agg: Dict[str, Any] = {
         SECTION_BRIDGE: {field: 0.0 for field in BRIDGE_FIELDS},
@@ -234,32 +249,25 @@ def aggregate_sections(shard_sections: "list[Dict[str, Any]]",
     return agg
 
 
-def merge_metric_summaries(summaries: "list[Mapping[str, Any]]",
-                           ) -> Dict[str, float]:
-    """Best-effort fold of per-shard ``ExperimentMetrics.summary()`` dicts.
+def merge_metric_summaries(sections: "list[Mapping[str, Any]]",
+                           ) -> Dict[str, Any]:
+    """Fold per-shard ``metrics`` + ``histograms`` sections into the
+    fleet's (used where no shared collector exists: the proxy).
 
-    Used only where no shared collector exists (the multi-process proxy):
-    counts and rates sum, tail percentiles take the worst shard (a valid
-    upper bound -- the aggregate p99 cannot exceed the worst shard's),
-    and means weight by their shard's count.
+    The histograms merge bucket by bucket, so the fleet's counts, means
+    and percentiles are those of one histogram of every shard's samples.
+    Rates and counters sum: each shard runs its own simulated clock, so
+    the fleet's kIOPS is the sum of its racks'.
     """
-    out: Dict[str, float] = {}
-    weights: Dict[str, float] = {}
-    for summary in summaries:
-        for key, value in summary.items():
-            if value is None:
-                continue
-            value = float(value)
-            if key.endswith("_avg_us"):
-                count = float(summary.get(
-                    key.replace("_avg_us", "_count"), 1.0) or 1.0)
-                out[key] = out.get(key, 0.0) + value * count
-                weights[key] = weights.get(key, 0.0) + count
-            elif key.endswith(("_p99_us", "_p999_us")):
-                out[key] = max(out.get(key, 0.0), value)
-            else:  # counts, kiops, redirected/chaos counters: additive
-                out[key] = out.get(key, 0.0) + value
-    for key, weight in weights.items():
-        if weight > 0:
-            out[key] /= weight
-    return out
+    merged = ExperimentMetrics(LogHistogram)
+    summary: Dict[str, float] = {}
+    for section in sections:
+        merged.merge_histograms(section.get(SECTION_HISTOGRAMS, {}))
+        for key, value in section.get(SECTION_METRICS, {}).items():
+            if value is not None and not key.endswith(_HISTOGRAM_KEYS):
+                summary[key] = summary.get(key, 0.0) + float(value)
+    for key, value in merged.summary().items():
+        if key.endswith(_HISTOGRAM_KEYS):
+            summary[key] = value
+    return {SECTION_METRICS: summary,
+            SECTION_HISTOGRAMS: merged.histograms()}

@@ -134,10 +134,11 @@ class RackService:
         default_client = f"{peer[0]}:{peer[1]}" if peer else "unknown"
         outstanding: Set["asyncio.Future"] = set()
         decoder = protocol.FrameDecoder(self.max_frame_bytes)
+        protocol.cap_reads(writer)
         conn = frontdoor.Conn()
         try:
             while True:
-                data = await reader.read(65536)
+                data = await reader.read(protocol.READ_BYTES)
                 if not data:
                     break
                 try:

@@ -4,6 +4,7 @@
 from typing import Mapping, Optional
 
 from repro.errors import ReproError
+from repro.metrics.histogram import LogHistogram
 from repro.service.schema import (
     ADMISSION_FIELDS,
     BRIDGE_FIELDS,
@@ -19,6 +20,7 @@ from repro.service.schema import (
     SECTION_ADMISSION,
     SECTION_BRIDGE,
     SECTION_CLIENT,
+    SECTION_HISTOGRAMS,
     SECTION_KVSTORE,
     SECTION_METRICS,
     SECTION_MIGRATION,
@@ -61,6 +63,24 @@ def _validate_section(payload: Mapping, section: str, fields: tuple,
         _require_number(body, section, field, where)
 
 
+def _validate_histograms(payload: Mapping, where: str) -> None:
+    """Each body of an optional ``histograms`` section must parse as a
+    :meth:`LogHistogram.to_wire` form."""
+    histograms = payload.get(SECTION_HISTOGRAMS)
+    if histograms is None:
+        return
+    if not isinstance(histograms, Mapping):
+        raise StatsSchemaError(
+            f"{where}: section {SECTION_HISTOGRAMS!r} must be a mapping")
+    for name, wire in histograms.items():
+        try:
+            LogHistogram.from_wire(wire, name)
+        except ReproError as exc:
+            raise StatsSchemaError(
+                f"{where}: histogram {name!r} is not a wire form: {exc}"
+            ) from exc
+
+
 def validate_stats(payload: Mapping, *, client: bool = False,
                    where: str = "stats") -> None:
     """Raise :class:`StatsSchemaError` unless ``payload`` fits the schema.
@@ -82,6 +102,7 @@ def validate_stats(payload: Mapping, *, client: bool = False,
             f"{where}: missing or non-mapping section "
             f"{SECTION_METRICS!r}"
         )
+    _validate_histograms(payload, where)
     _require_number(payload, "<top>", FIELD_CONNECTIONS, where)
     if client:
         _validate_section(payload, SECTION_CLIENT, CLIENT_FIELDS, where)
@@ -159,6 +180,7 @@ def validate_stats(payload: Mapping, *, client: bool = False,
                 raise StatsSchemaError(
                     f"{shard_where}: missing section {SECTION_METRICS!r}"
                 )
+            _validate_histograms(section, shard_where)
 
 
 def is_sharded(payload: Mapping) -> bool:

@@ -353,6 +353,28 @@ class TestGcDelayMechanism:
         assert rack.switch.gc_delayed == 2 and rack.sim.event_count == 206
 
 
+class TestGcMonitorLiveness:
+    @pytest.mark.parametrize("system", [SystemType.VDC, SystemType.RACKBLOX])
+    def test_every_monitor_keeps_deciding_and_is_rearmed_at_drain(self, system):
+        # A monitor whose pass never ends (a coordinator notice that
+        # forgets to answer) makes one GC decision and stops: its timer
+        # is never re-armed.  Under a write-heavy load every monitor of a
+        # VDC rack (LocalGcCoordinator) and of a RackBlox rack (the
+        # switch) must keep deciding, and wait for its next pass when
+        # the clients drain.
+        config = RackConfig(system=system, num_servers=2, num_pairs=2,
+                            seed=7, precondition_fill=0.7)
+        rack = Rack(config)
+        run_rack_experiment(config, ycsb(0.9), requests_per_pair=1500,
+                            rate_iops_per_pair=2000, rack=rack)
+        assert len(rack.gc_monitors) == 2
+        for monitor in rack.gc_monitors:
+            assert sum(monitor.requests_sent.values()) >= 2
+            assert monitor.halted_by is None
+            armed = [fn for _, _, fn in rack.sim._heap if fn == monitor._pass]
+            assert len(armed) == 1
+
+
 class TestFailureHandling:
     def test_heartbeat_detects_crash_and_redirects(self):
         config = small_config(SystemType.RACKBLOX)

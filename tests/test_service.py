@@ -6,12 +6,14 @@ localhost benchmark exercises, minus the scale.
 """
 
 import asyncio
+import gc
 from functools import partial
 
 import pytest
 
 from repro.cluster.config import RackConfig, SystemType
 from repro.errors import ConfigError
+from repro.service import protocol
 from repro.service.admission import AdmissionController, WallClockTokenBucket
 from repro.service.bridge import SimTimeBridge
 from repro.service.client import ServiceClient, ServiceError
@@ -279,7 +281,8 @@ class TestSimTimeBridge:
     def test_a_served_kv_operation_is_recorded_once(self):
         # The store records into the bridge's own collector and the
         # bridge does not record KV operations again: N operations leave
-        # N samples, each the latency the caller was answered with.
+        # a count of N, and the latencies the caller was answered with
+        # sum to the collector's exact sum.
         async def scenario():
             bridge = SimTimeBridge(small_config())
             await bridge.start()
@@ -300,8 +303,10 @@ class TestSimTimeBridge:
 
         bridge, seen = asyncio.run(scenario())
         assert bridge.kv.metrics is bridge.metrics
-        assert bridge.metrics.read_total.values == seen["read"]
-        assert bridge.metrics.write_total.values == seen["write"]
+        for kind, recorder in (("read", bridge.metrics.read_total),
+                               ("write", bridge.metrics.write_total)):
+            assert recorder.count == len(seen[kind])
+            assert recorder.sum == sum(seen[kind])
         summary = bridge.stats_payload()["metrics"]
         assert summary["read_count"] == 6 and summary["write_count"] == 6
 
@@ -441,6 +446,34 @@ class TestRackServiceEndToEnd:
         assert scanned["count"] == 1
         assert stats["bridge"]["completed"] >= 4.0
         assert stats["admission"]["admitted"] >= 4.0
+
+    def test_every_connection_reads_in_heap_sized_chunks(self):
+        # asyncio's selector transport asks ``recv`` for 256 KiB, which
+        # glibc maps and unmaps on every read (two page faults per
+        # request at queue depth 1); both ends of a served connection
+        # read at most protocol.READ_BYTES at a time instead.
+        async def scenario():
+            service = await _start_service()
+            try:
+                async with ServiceClient("127.0.0.1", service.port) as c:
+                    await c.read(0, 1)
+                    client = c._writer.transport
+                    # The server's end of this connection: on this loop,
+                    # with the client's address as its peer.
+                    loop = asyncio.get_running_loop()
+                    server = [obj for obj in gc.get_objects()
+                              if isinstance(obj, asyncio.Transport)
+                              and getattr(obj, "_loop", None) is loop
+                              and obj.get_extra_info("peername")
+                              == client.get_extra_info("sockname")]
+                    return [client.max_size] + [t.max_size for t in server]
+            finally:
+                await service.stop()
+
+        # The client's end and the server's, each under glibc's default
+        # mmap threshold (128 KiB).
+        assert asyncio.run(scenario()) == [protocol.READ_BYTES] * 2
+        assert protocol.READ_BYTES < 128 * 1024
 
     def test_pipelined_requests_on_one_connection(self):
         async def scenario():

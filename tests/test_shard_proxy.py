@@ -14,6 +14,7 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigError
+from repro.metrics import LogHistogram
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.router import (
@@ -79,6 +80,15 @@ class TestRelay:
                      for s in stats["shards"].values()]
         assert all(n > 0 for n in submitted)
         assert stats["router"]["routed"] >= 6.0
+        # The fleet's write latency is the backends' histograms merged.
+        merged = LogHistogram()
+        for shard in stats["shards"].values():
+            merged.merge(LogHistogram.from_wire(
+                shard["histograms"]["write_total"]))
+        assert merged.count == stats["metrics"]["write_count"] == 5.0
+        assert stats["metrics"]["write_p99_us"] == merged.p99()
+        assert stats["histograms"]["write_total"]["counts"] \
+            == merged.to_wire()["counts"]
 
     def test_version_check_happens_at_the_proxy(self):
         async def scenario():

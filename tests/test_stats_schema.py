@@ -9,6 +9,8 @@ producers (a live bridge's payload must validate unchanged).
 import pytest
 
 from repro.cluster.config import RackConfig, SystemType
+from repro.metrics import ExperimentMetrics, LogHistogram, percentile
+from repro.metrics.collector import RECORDERS
 from repro.service import schema
 from repro.service.bridge import SimTimeBridge
 
@@ -210,17 +212,40 @@ class TestAggregation:
         assert agg["admission"]["admitted"] == 12.0
 
     def test_merge_metric_summaries(self):
-        merged = schema.merge_metric_summaries([
-            {"read_count": 3.0, "read_avg_us": 100.0, "read_p99_us": 400.0,
-             "read_kiops": 1.0},
-            {"read_count": 1.0, "read_avg_us": 500.0, "read_p99_us": 900.0,
-             "read_kiops": 2.0, "write_count": None},
-        ])
-        assert merged["read_count"] == 4.0
-        assert merged["read_p99_us"] == 900.0  # worst shard bounds the tail
-        assert merged["read_avg_us"] == pytest.approx(200.0)  # count-weighted
-        assert merged["read_kiops"] == 3.0
-        assert "write_count" not in merged  # nulls are skipped, not zeroed
+        # Two shards' histograms merge into the histogram of all their
+        # samples: the fleet's p99 is the merged one, not the worst
+        # shard's (900 here), and count and mean are exact.
+        shards = [[100.0] * 150 + [400.0] * 2, [500.0] * 49 + [900.0]]
+        sections = []
+        for samples in shards:
+            metrics = ExperimentMetrics(LogHistogram)
+            for at, latency in enumerate(samples):
+                metrics.record("read", latency, at=float(at))
+            summary = metrics.summary()
+            summary["write_count"] = None
+            sections.append({"metrics": summary,
+                             "histograms": metrics.histograms()})
+        merged = schema.merge_metric_summaries(sections)
+        everything = ExperimentMetrics(LogHistogram)
+        for samples in shards:
+            for at, latency in enumerate(samples):
+                everything.record("read", latency, at=float(at))
+        fleet = merged["metrics"]
+        assert fleet["read_count"] == 202.0
+        assert fleet["read_avg_us"] == pytest.approx(
+            sum(map(sum, shards)) / 202)
+        assert fleet["read_p99_us"] == everything.read_total.p99()
+        assert fleet["read_p99_us"] == pytest.approx(
+            percentile(shards[0] + shards[1], 99.0), rel=0.01)
+        assert fleet["read_p99_us"] < 890.0  # not the worst shard's tail
+        # Rates sum (each shard runs its own clock); nulls are skipped.
+        assert fleet["read_kiops"] == pytest.approx(
+            sum(s["metrics"]["read_kiops"] for s in sections))
+        assert "write_count" not in fleet
+        wire = dict(merged["histograms"]["read_total"])
+        want = everything.read_total.to_wire()
+        assert wire.pop("sum") == pytest.approx(want.pop("sum"))
+        assert wire == want
 
     def test_tenancy_sections_merge(self):
         sections = [
@@ -264,3 +289,12 @@ class TestAggregation:
         )
         stats_schema.validate_stats(payload)
         assert payload["connections"] == 3.0
+        assert sorted(payload["histograms"]) == sorted(RECORDERS)
+
+    def test_broken_histogram_located(self):
+        payload = sharded_payload()
+        payload["shards"]["1"]["histograms"] = {
+            "read_total": {"count": 2, "lo": 3, "counts": [1]}}
+        with pytest.raises(stats_schema.StatsSchemaError,
+                           match=r"shards\['1'\].*read_total"):
+            stats_schema.validate_stats(payload)

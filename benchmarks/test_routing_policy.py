@@ -9,7 +9,7 @@ latency; power-of-two-choices should divert the hot pair's reads to
 its idle cross-rack replica and collapse read p99.
 
 Latencies compare in **simulated** microseconds
-(``stats["metrics"]["read_p99_us"]``, the router's aggregate), so the
+(``stats["metrics"]["read_p99_us"]``, the racks' histograms merged), so the
 headline is host-independent -- but the selector's freshness window
 rides wall-clock syncs, so the >= 25% improvement gate still arms only
 at ``GATE_CORES`` cores (a saturated single core starves the sync loop

@@ -75,7 +75,6 @@ class GcMonitor:
         self.retries = retries
         self.restore_margin = restore_margin
         self.requests_sent = {"soft": 0, "regular": 0, "bg": 0}
-        self.delays_received = 0
         self.forced_after_retries = 0
         #: The error that ended this monitor, if a GC pass ran out of space.
         self.halted_by: Optional[FlashError] = None
@@ -185,7 +184,6 @@ class GcMonitor:
             if verdicts == ["accept"]:
                 self._in_turn(then, partial(self._run_gc, vssd))
             else:
-                self.delays_received += 1
                 then()
 
         self._in_turn(decided, partial(self._request_with_retries, vssd, kind, verdicts))
@@ -213,7 +211,6 @@ class GcMonitor:
                 self._in_turn(then, partial(group.group_gc, target, fail=self._halt),
                               *(partial(finish, member) for member in members))
                 return
-            self.delays_received += 1
             # Roll back accepted members: their GC did not actually start.
             self._in_turn(then, *(partial(finish, member)
                                   for member, verdict in zip(members, verdicts)

@@ -26,7 +26,6 @@ class ReturnLatencyPredictor:
         self.window = window
         self._windows: Dict[Tuple[int, str], Deque[float]] = {}
         self._sums: Dict[Tuple[int, str], float] = {}
-        self.observations = 0
 
     def _key(self, vssd_id: int, kind: str) -> Tuple[int, str]:
         if kind not in ("read", "write"):
@@ -49,7 +48,6 @@ class ReturnLatencyPredictor:
             total -= window[0]
         window.append(net_latency_us)
         self._sums[key] = total + net_latency_us
-        self.observations += 1
 
     def predict(self, vssd_id: int, kind: str) -> float:
         """Predicted return latency; 0 before any observation."""

@@ -50,13 +50,10 @@ import asyncio
 import dataclasses
 import re
 import time
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.config import RackConfig
 from repro.errors import ConfigError
-from repro.metrics.collector import ExperimentMetrics
-from repro.metrics.histogram import LogHistogram
 from repro.service import frontdoor, protocol, schema
 from repro.service.admission import AdmissionController
 from repro.service.bridge import BridgeStats, SimTimeBridge
@@ -145,11 +142,13 @@ def _live_replica(fleet: FleetController, node: int, depth: float,
     )
 
 
-def _routing_section(selector: ReplicaSelector, load_view: Any,
-                     nodes: Sequence[int]) -> Dict[str, Any]:
+def _routing_section(selector: Optional[ReplicaSelector], load_view: Any,
+                     nodes: Sequence[int]) -> Optional[Dict[str, Any]]:
     """The ``routing`` stats section: selector counters plus the live
-    per-replica load view of ``nodes`` (absent entirely under hash
-    policy, keeping that mode's payload byte-identical)."""
+    per-replica load view of ``nodes`` (``None`` under hash policy, whose
+    payload carries no such section)."""
+    if selector is None:
+        return None
     out: Dict[str, Any] = selector.stats_section()
     replicas: Dict[str, Dict[str, float]] = {}
     for node in nodes:
@@ -213,9 +212,11 @@ class ShardRouter:
     """Owns N :class:`RackShard`s and routes requests onto them.
 
     The router implements the same surface the server expects of a
-    bridge (``start``/``stop``/``inflight``/``stats``/``stats_payload``/
-    ``submit_*``/``after_chunk``), so :class:`ShardedRackService` can
-    hand it to the unmodified :class:`RackService` machinery.
+    bridge (``start``/``stop``/``inflight``/``stats``/``submit_*``/
+    ``after_chunk``), so :class:`ShardedRackService` can hand it to the
+    unmodified :class:`RackService` machinery.  A routed answer is the
+    shard bridge's own future; the router records nothing of it (the
+    fleet's latency is the shards' histograms merged).
     """
 
     def __init__(self, shards: Sequence[RackShard], *,
@@ -251,10 +252,6 @@ class ShardRouter:
         self._precondition = False
         self._bridge_kwargs: Dict[str, Any] = {}
         self._admission_kwargs: Dict[str, Any] = {}
-        #: Aggregate latency collector: the router records every request
-        #: it answers once, as the client saw it (a scatter scan is one
-        #: read here, one per leg in the shards' collectors).
-        self.metrics = ExperimentMetrics(LogHistogram)
         #: The router's (possibly stale) view of each shard's per-pair
         #: "both copies collecting" state -- what the fallback decides on.
         self._gc_views: Dict[int, Tuple[bool, ...]] = {
@@ -335,21 +332,10 @@ class ShardRouter:
     @after_chunk.setter
     def after_chunk(self, hook: Optional[Any]) -> None:
         # Every shard pump flushes the server's write buffers after its
-        # own chunk; responses from other shards that completed in the
-        # meantime ride along for free.  The flush is deferred one extra
-        # event-loop tick: routed completions cross *two* futures (the
-        # shard's, then the router's), so the server buffers the
-        # response one callback batch later than a single-rack service
-        # would -- an undeferred flush would run before the response
-        # exists and, with nothing left in flight, never run again.
+        # own chunk; responses from other shards ride along for free.
         self._after_chunk = hook
-        if hook is None:
-            wrapped = None
-        else:
-            def wrapped(hook: Any = hook) -> None:
-                asyncio.get_running_loop().call_soon(hook)
         for shard in self.shards:
-            shard.bridge.after_chunk = wrapped
+            shard.bridge.after_chunk = hook
 
     # -------------------------------------------------------------- GC view
 
@@ -487,43 +473,29 @@ class ShardRouter:
 
     # ----------------------------------------------------------- submission
 
-    def _finish(self, shard: RackShard, kind: str,
-                inner: "asyncio.Future",
-                extra: Dict[str, Any]) -> "asyncio.Future":
-        """Wrap a shard future: tag the response with its rack and feed
-        the aggregate collector (cancellation propagates both ways)."""
-        loop = asyncio.get_running_loop()
-        outer: "asyncio.Future" = loop.create_future()
+    def _answer(self, shard: RackShard, future: "asyncio.Future", *,
+                cross_rack: bool = False,
+                read: bool = False) -> "asyncio.Future":
+        """The shard's own future, its answer tagged with the rack.
 
-        def _done(fut: "asyncio.Future") -> None:
-            if outer.done():
+        The tag is a done-callback registered before the caller's, so
+        the caller reads a payload that already carries ``rack`` (and
+        ``cross_rack``); the bridge builds a fresh payload per answer.
+        A read's latency also feeds the p2c load view.
+        """
+        def _tag(fut: "asyncio.Future") -> None:
+            if fut.cancelled() or fut.exception() is not None:
                 return
-            if fut.cancelled():
-                outer.cancel()
-                return
-            exc = fut.exception()
-            if exc is not None:
-                outer.set_exception(exc)
-                return
-            payload = dict(fut.result())
-            payload.update(extra)
+            payload = fut.result()
+            if cross_rack:
+                payload["cross_rack"] = True
+            payload["rack"] = shard.index
             latency = payload.get("latency_us")
-            if latency is not None:
-                self.metrics.record(
-                    kind, latency, at=shard.bridge.rack.sim.now,
-                    storage_us=payload.get("storage_us"),
-                )
-                if kind == "read" and self.load_view is not None:
-                    self.load_view.observe(shard.index, float(latency))
-            outer.set_result(payload)
+            if read and self.load_view is not None and latency is not None:
+                self.load_view.observe(shard.index, float(latency))
 
-        def _cancelled(out: "asyncio.Future") -> None:
-            if out.cancelled() and not inner.done():
-                inner.cancel()
-
-        inner.add_done_callback(_done)
-        outer.add_done_callback(_cancelled)
-        return outer
+        future.add_done_callback(_tag)
+        return future
 
     def forget_client(self, client: str) -> None:
         """Release ``client``'s simulated path on every rack it may have
@@ -534,7 +506,7 @@ class ShardRouter:
     def submit_read(self, pair_index: int, lpn: int,
                     client: str = "live", replica: bool = False,
                     ) -> "asyncio.Future":
-        extra: Dict[str, Any] = {}
+        redirected = False
         if self.selector is not None:
             shard, local, diverted = self._route_read_p2c(int(pair_index))
             if diverted:
@@ -544,11 +516,9 @@ class ShardRouter:
             if redirected:
                 self.cross_rack_redirects += 1
                 shard.redirected_in += 1
-                extra["cross_rack"] = True
         self.routed += 1
-        extra["rack"] = shard.index
         future = shard.bridge.submit_read(local, lpn, client, replica=replica)
-        return self._finish(shard, "read", future, extra)
+        return self._answer(shard, future, cross_rack=redirected, read=True)
 
     def submit_write(self, pair_index: int, lpn: int,
                      client: str = "live") -> "asyncio.Future":
@@ -557,14 +527,14 @@ class ShardRouter:
         future = shard.bridge.submit_write(
             self._local_pair(shard, int(pair_index)), lpn, client
         )
-        return self._finish(shard, "write", future, {"rack": shard.index})
+        return self._answer(shard, future)
 
     def submit_get(self, key: str, client: str = "live") -> "asyncio.Future":
         key = str(key)
         shard = self._by_index[self.fleet.read_owner(key)]
         self.routed += 1
-        future = shard.bridge.submit_get(key, client)
-        return self._finish(shard, "read", future, {"rack": shard.index})
+        return self._answer(shard, shard.bridge.submit_get(key, client),
+                            read=True)
 
     def submit_put(self, key: str, value: str,
                    client: str = "live") -> "asyncio.Future":
@@ -581,20 +551,17 @@ class ShardRouter:
                ) -> "asyncio.Future":
         """A keyed write at its authoritative owner; to a moving key,
         :func:`forwarded_write` over the shards' bridges, whose answer
-        can settle after the last pump flush (hence the flush behind)."""
+        settles from a leg's callback (hence the flush behind)."""
         primary, forward = self.fleet.write_route(key)
         self.routed += 1
         shard = self._by_index[primary]
         if forward is None:
-            return self._finish(shard, "write", submit(shard.bridge),
-                                {"rack": shard.index})
+            return self._answer(shard, submit(shard.bridge))
 
         async def write() -> Dict[str, Any]:
             payload = await forwarded_write(
                 self.fleet, key, lambda n: submit(self._by_index[n].bridge))
             payload["rack"] = shard.index
-            self.metrics.record("write", payload["latency_us"],
-                                at=shard.bridge.rack.sim.now)
             return payload
 
         task = asyncio.ensure_future(write())
@@ -624,7 +591,8 @@ class ShardRouter:
         scan is out is not asked again -- after its cutover it owns
         nothing, so the merge filters its copies anyway.)  Each round
         completes when its slowest leg does; the latency is the sum
-        over rounds.
+        over rounds.  The fleet's latency statistics count each leg
+        once, as a read at its shard.
         """
         count = int(count)
         self.routed += 1
@@ -643,7 +611,7 @@ class ShardRouter:
             ]
             remaining = len(inflight)
 
-            def _leg_done(shard: RackShard, fut: "asyncio.Future") -> None:
+            def _leg_done(fut: "asyncio.Future") -> None:
                 nonlocal remaining
                 remaining -= 1
                 if outer.done():
@@ -653,12 +621,12 @@ class ShardRouter:
                 elif fut.exception() is not None:
                     outer.set_exception(fut.exception())
                 elif remaining == 0:
-                    _round_done(shard)
+                    _round_done()
 
-            for shard, leg in inflight:
-                leg.add_done_callback(partial(_leg_done, shard))
+            for _, leg in inflight:
+                leg.add_done_callback(_leg_done)
 
-        def _round_done(last: RackShard) -> None:
+        def _round_done() -> None:
             nonlocal latency
             legs = [(shard, leg.result()) for shard, leg in inflight]
             latency += max(r["latency_us"] for _, r in legs)
@@ -688,7 +656,6 @@ class ShardRouter:
                 self.scan_reasks += 1
                 _ask(again)
                 return
-            self.metrics.record("read", latency, at=last.bridge.rack.sim.now)
             outer.set_result({
                 "items": [list(item) for item in merged],
                 "count": len(merged),
@@ -703,6 +670,7 @@ class ShardRouter:
                         leg.cancel()
 
         _ask([(shard, start_key) for shard in shards])
+        outer.add_done_callback(self._flush_behind)
         outer.add_done_callback(_cancelled)
         return outer
 
@@ -732,25 +700,6 @@ class ShardRouter:
             "unroutable": float(self.unroutable),
             "gc_view_commits": float(self.gc_view_commits),
         }
-
-    def stats_payload(self) -> Dict[str, Any]:
-        """The sharded stats body: aggregate sections + per-shard slices
-        (see :mod:`repro.service.schema`)."""
-        sections = {
-            str(shard.index): shard.stats_section() for shard in self.shards
-        }
-        out = schema.aggregate_sections(list(sections.values()))
-        out[schema.SECTION_METRICS] = self.metrics.summary()
-        out[schema.SECTION_HISTOGRAMS] = self.metrics.histograms()
-        out[schema.SECTION_ROUTER] = self.router_section()
-        out[schema.SECTION_MIGRATION] = self.fleet.stats_section()
-        out[schema.SECTION_SHARDS] = sections
-        if self.selector is not None:
-            out[schema.SECTION_ROUTING] = _routing_section(
-                self.selector, self.load_view,
-                [shard.index for shard in self.shards],
-            )
-        return out
 
     # ------------------------------------------------------------ membership
 
@@ -955,13 +904,18 @@ class ShardedRackService(RackService):
         return None
 
     def _stats_payload(self) -> Dict[str, Any]:
-        out = self.router.stats_payload()
-        if self.qos is not None:
-            out[schema.SECTION_TENANTS] = self.qos.stats_section()
-        if self.read_cache is not None:
-            out[schema.SECTION_READCACHE] = self.read_cache.stats_section()
-        out[schema.FIELD_CONNECTIONS] = float(self.connections_accepted)
-        return out
+        router = self.router
+        return schema.assemble_fleet_stats(
+            {str(shard.index): shard.stats_section()
+             for shard in router.shards},
+            router.router_section(), router.fleet.stats_section(),
+            self.connections_accepted,
+            routing=_routing_section(router.selector, router.load_view,
+                                     [shard.index for shard in router.shards]),
+            tenants=self.qos.stats_section() if self.qos is not None else None,
+            readcache=(self.read_cache.stats_section()
+                       if self.read_cache is not None else None),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -1754,33 +1708,26 @@ class ShardProxy:
                             schema.SECTION_CHAOS)
                 if key in response
             }
-        out = schema.aggregate_sections(list(sections.values()))
-        out.update(schema.merge_metric_summaries(list(sections.values())))
-        out[schema.SECTION_ROUTER] = {
-            "racks": float(len(self.ring)),
-            "virtual_nodes": float(self.ring.vnodes),
-            "routed": float(self.routed),
-            "cross_rack_redirects": 0.0,
-            "scatter_scans": 0.0,
-            "scan_reasks": 0.0,
-            "unroutable": float(self.unroutable),
-            "gc_view_commits": 0.0,
-            "epoch": float(self.fleet.epoch),
-        }
-        out[schema.SECTION_MIGRATION] = self.fleet.stats_section()
-        out[schema.SECTION_SHARDS] = sections
-        if self.selector is not None:
-            out[schema.SECTION_ROUTING] = _routing_section(
+        return schema.assemble_fleet_stats(
+            sections, {
+                "racks": float(len(self.ring)),
+                "virtual_nodes": float(self.ring.vnodes),
+                "routed": float(self.routed),
+                "cross_rack_redirects": 0.0,
+                "scatter_scans": 0.0,
+                "scan_reasks": 0.0,
+                "unroutable": float(self.unroutable),
+                "gc_view_commits": 0.0,
+                "epoch": float(self.fleet.epoch),
+            }, self.fleet.stats_section(), self.connections_accepted,
+            routing=_routing_section(
                 self.selector, self.load_view,
                 [node for node in range(len(self.backends))
-                 if node not in self.drained],
-            )
-        if self.qos is not None:
-            out[schema.SECTION_TENANTS] = self.qos.stats_section()
-        if self.read_cache is not None:
-            out[schema.SECTION_READCACHE] = self.read_cache.stats_section()
-        out[schema.FIELD_CONNECTIONS] = float(self.connections_accepted)
-        return out
+                 if node not in self.drained]),
+            tenants=self.qos.stats_section() if self.qos is not None else None,
+            readcache=(self.read_cache.stats_section()
+                       if self.read_cache is not None else None),
+        )
 
 
 async def _dial(clients: Dict[Tuple[str, int], ServiceClient],

@@ -28,9 +28,11 @@ of the exact sample); counts and means are exact.
 
 A **sharded** payload is a strict superset: the same top-level sections
 hold the *aggregate* view (counters summed across shards; ``sim_now_us``
-is the max; latency comes from the in-process router's own collector,
-or, behind the process-mode proxy, from the backends' histograms merged
-bucket by bucket), plus::
+is the max), plus the fleet's own sections below.  Both fleet shapes
+build it with one assembler (:func:`assemble_fleet_stats`), and a
+fleet's latency is the shards' histograms merged bucket by bucket: one
+sample is one request one rack executed, so a scatter scan or a
+forwarded write counts once per leg.  Added::
 
     "router": {racks, virtual_nodes, routed, cross_rack_redirects,
                scatter_scans, scan_reasks, unroutable, gc_view_commits,
@@ -148,16 +150,6 @@ REQUIRED_SECTIONS = (
 #: Aggregating a bridge section across shards: every counter sums except
 #: the clock, which reads as the furthest-ahead shard.
 _BRIDGE_MAX_FIELDS = ("sim_now_us",)
-_ADMISSION_SUM_FIELDS = (
-    "admitted", "shed_queue_full", "shed_rate_limited", "max_queue_depth",
-    "clients",
-)
-#: Tenant fields that take the worst/declared value when sections merge
-#: (everything else is an additive counter).
-_TENANT_MAX_FIELDS = ("weight", "slo_target_ms", "slo_burn")
-#: Read-cache fields that take the max when sections merge; ``hit_rate``
-#: is recomputed from the merged hits/misses instead.
-_READCACHE_MAX_FIELDS = ("segments", "epoch")
 #: ``metrics`` keys a fleet reads off its merged histograms; every other
 #: key (rates, redirect and chaos counters) sums across shards.
 _HISTOGRAM_KEYS = ("_count", "_avg_us", "_p99_us", "_p999_us")
@@ -190,14 +182,48 @@ def assemble_server_stats(
     return out
 
 
+def assemble_fleet_stats(
+    shards: Dict[str, Dict[str, Any]],
+    router: Dict[str, float],
+    migration: Dict[str, float],
+    connections: int,
+    routing: Optional[Dict[str, Any]] = None,
+    tenants: Optional[Dict[str, Dict[str, float]]] = None,
+    readcache: Optional[Dict[str, float]] = None,
+) -> Dict[str, Any]:
+    """The canonical sharded ``stats`` response body, for both fleet
+    shapes.
+
+    ``shards`` maps rack index to that rack's sections; they fold into
+    the aggregate ones (:func:`aggregate_sections`,
+    :func:`merge_metric_summaries`) and are kept as ``shards``.  The
+    rest are the front-end's own sections; the optional ones appear
+    only when given.
+    """
+    sections = list(shards.values())
+    out = aggregate_sections(sections)
+    out.update(merge_metric_summaries(sections))
+    out[SECTION_ROUTER] = router
+    out[SECTION_MIGRATION] = migration
+    out[SECTION_SHARDS] = shards
+    if routing is not None:
+        out[SECTION_ROUTING] = routing
+    if tenants is not None:
+        out[SECTION_TENANTS] = tenants
+    if readcache is not None:
+        out[SECTION_READCACHE] = readcache
+    out[FIELD_CONNECTIONS] = float(connections)
+    return out
+
+
 def aggregate_sections(shard_sections: "list[Dict[str, Any]]",
                        ) -> Dict[str, Any]:
     """Fold per-shard bridge/kvstore/admission sections into aggregates.
 
     Counters sum; ``sim_now_us`` is the max (each shard owns its own
     simulated clock, so "the" time is the furthest one).  ``metrics`` is
-    not folded here: the in-process router keeps its own collector, and
-    the proxy merges the shards' histograms (:func:`merge_metric_summaries`).
+    not folded here: a fleet's latency is the shards' histograms merged
+    bucket by bucket (:func:`merge_metric_summaries`).
     """
     agg: Dict[str, Any] = {
         SECTION_BRIDGE: {field: 0.0 for field in BRIDGE_FIELDS},
@@ -218,46 +244,20 @@ def aggregate_sections(shard_sections: "list[Dict[str, Any]]",
                     dst[field] = max(dst[field], value)
                 else:
                     dst[field] += value
-        # QoS sections appear only where a front-end carries them: fold
-        # when present, never synthesize an empty section.
-        cache = section.get(SECTION_READCACHE)
-        if isinstance(cache, Mapping):
-            dst = agg.setdefault(
-                SECTION_READCACHE, {f: 0.0 for f in READCACHE_FIELDS})
-            for field in READCACHE_FIELDS:
-                value = float(cache.get(field, 0.0))
-                if field in _READCACHE_MAX_FIELDS:
-                    dst[field] = max(dst[field], value)
-                elif field != "hit_rate":
-                    dst[field] += value
-        tenants = section.get(SECTION_TENANTS)
-        if isinstance(tenants, Mapping):
-            dst = agg.setdefault(SECTION_TENANTS, {})
-            for tenant, body in tenants.items():
-                tdst = dst.setdefault(
-                    tenant, {f: 0.0 for f in TENANT_FIELDS})
-                for field in TENANT_FIELDS:
-                    value = float(body.get(field, 0.0))
-                    if field in _TENANT_MAX_FIELDS:
-                        tdst[field] = max(tdst[field], value)
-                    else:
-                        tdst[field] += value
-    cache = agg.get(SECTION_READCACHE)
-    if cache is not None:
-        total = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = cache["hits"] / total if total else 0.0
     return agg
 
 
 def merge_metric_summaries(sections: "list[Mapping[str, Any]]",
                            ) -> Dict[str, Any]:
     """Fold per-shard ``metrics`` + ``histograms`` sections into the
-    fleet's (used where no shared collector exists: the proxy).
+    fleet's: the one way either fleet shape gathers its latency.
 
     The histograms merge bucket by bucket, so the fleet's counts, means
-    and percentiles are those of one histogram of every shard's samples.
-    Rates and counters sum: each shard runs its own simulated clock, so
-    the fleet's kIOPS is the sum of its racks'.
+    and percentiles are those of one histogram of every shard's samples
+    -- a sample per request a rack executed, so a scatter scan or a
+    forwarded write counts once per leg.  Rates and counters sum: each
+    shard runs its own simulated clock, so the fleet's kIOPS is the sum
+    of its racks'.
     """
     merged = ExperimentMetrics(LogHistogram)
     summary: Dict[str, float] = {}

@@ -105,10 +105,14 @@ class RackService:
         await self.bridge.stop(drain=True, drain_timeout_s=drain_timeout_s)
         # Let queued done-callbacks buffer their final responses
         # (cancellations from a cut-short drain), then push them out
-        # before closing the connections under them.  Routed completions
-        # cross two chained futures, so yield a few ticks, not one.
-        for _ in range(3):
-            await asyncio.sleep(0)
+        # before closing the connections under them.  One tick is enough:
+        # a fleet too answers on its shard bridges' own futures, since
+        # nothing records an answer a second time (a fleet's latency is
+        # the shards' histograms merged, a scatter scan or forwarded
+        # write counting once per leg); the scans and forwarded writes a
+        # fleet settles from a leg's callback settle during its shards'
+        # stops.
+        await asyncio.sleep(0)
         self._flush_writes()
         for task in list(self._connections):
             task.cancel()

@@ -2,6 +2,7 @@
 
 import os
 import sys
+from functools import partial
 
 import pytest
 
@@ -354,17 +355,43 @@ class TestGcDelayMechanism:
 
 
 class TestGcMonitorLiveness:
-    @pytest.mark.parametrize("system", [SystemType.VDC, SystemType.RACKBLOX])
-    def test_every_monitor_keeps_deciding_and_is_rearmed_at_drain(self, system):
+    @pytest.mark.parametrize("system, sw_isolated, seed", [
+        (SystemType.VDC, False, 7),
+        (SystemType.RACKBLOX, False, 7),
+        (SystemType.RACKBLOX, True, 8),
+    ])
+    def test_every_monitor_keeps_deciding_and_is_rearmed_at_drain(
+            self, system, sw_isolated, seed):
         # A monitor whose pass never ends (a coordinator notice that
         # forgets to answer) makes one GC decision and stops: its timer
         # is never re-armed.  Under a write-heavy load every monitor of a
-        # VDC rack (LocalGcCoordinator) and of a RackBlox rack (the
-        # switch) must keep deciding, and wait for its next pass when
-        # the clients drain.
+        # VDC rack (LocalGcCoordinator), of a RackBlox rack (the switch)
+        # and of a software-isolated RackBlox rack (channel groups, whose
+        # members a delay verdict rolls back) must keep deciding, and
+        # wait for its next pass when the clients drain.
         config = RackConfig(system=system, num_servers=2, num_pairs=2,
-                            seed=7, precondition_fill=0.7)
+                            seed=seed, precondition_fill=0.7,
+                            sw_isolated=sw_isolated)
         rack = Rack(config)
+        # GC-bit audit: a vSSD whose switch GC bit is set is collecting
+        # or still owes a finish notice.  A pass ends only once its GC
+        # has run and its notices have landed, so at every pass's end
+        # none of the monitor's vSSDs may hold a bit (a delay verdict
+        # that forgot to roll back an accepted member would).
+        tables = (rack.switch.replica_table, rack.switch.destination_table)
+        leaked = []
+
+        def audited(monitor, check, then):
+            def audit():
+                leaked.extend(
+                    v.vssd_id for v in monitor.vssds
+                    if any(table.gc_status(v.vssd_id) for table in tables))
+                then()
+            check(audit)
+
+        for monitor in rack.gc_monitors:
+            monitor.check_all_once = partial(audited, monitor,
+                                             monitor.check_all_once)
         run_rack_experiment(config, ycsb(0.9), requests_per_pair=1500,
                             rate_iops_per_pair=2000, rack=rack)
         assert len(rack.gc_monitors) == 2
@@ -373,6 +400,38 @@ class TestGcMonitorLiveness:
             assert monitor.halted_by is None
             armed = [fn for _, _, fn in rack.sim._heap if fn == monitor._pass]
             assert len(armed) == 1
+        assert leaked == []
+        if sw_isolated:
+            # Seed 8 has a delay verdict roll back an accepted member: a
+            # finish notice with no group GC behind it.
+            groups = {id(v.channel_group): v.channel_group
+                      for v in rack.vssd_by_id.values()}.values()
+            collected = sum(len(g.members) * g.group_gcs for g in groups)
+            assert rack.switch.gc_finished > collected
+        # At drain nothing but the monitors' timers is left to run, so no
+        # notice is on its way: a set bit must be a vSSD collecting.
+        assert all(fn in [m._pass for m in rack.gc_monitors]
+                   for _, _, fn in rack.sim._heap)
+        for vssd_id, vssd in rack.vssd_by_id.items():
+            if any(table.gc_status(vssd_id) for table in tables):
+                assert vssd.gc_active, f"vSSD {vssd_id} left its GC bit set"
+
+    def test_rackblox_software_tells_the_controller_of_background_gc(self):
+        # Requests 50 ms apart on average predict an idle gap past the
+        # 30 ms threshold, so every monitor runs background GC, and each
+        # notice is the controller's GC decision (the redirect grant).
+        config = RackConfig(system=SystemType.RACKBLOX_SOFTWARE,
+                            num_servers=2, num_pairs=2, seed=7)
+        rack = Rack(config)
+        run_rack_experiment(config, ycsb(0.5), requests_per_pair=40,
+                            rate_iops_per_pair=20, rack=rack)
+        sent = [monitor.requests_sent for monitor in rack.gc_monitors]
+        assert all(counts["bg"] >= 2 and counts["soft"] == counts["regular"]
+                   == 0 for counts in sent)
+        # One decision per notice; a monitor's last may still be on its
+        # way at drain.
+        undecided = sum(c["bg"] for c in sent) - rack.controller.gc_requests
+        assert 0 <= undecided <= len(sent)
 
 
 class TestFailureHandling:

@@ -247,30 +247,6 @@ class TestAggregation:
         assert wire.pop("sum") == pytest.approx(want.pop("sum"))
         assert wire == want
 
-    def test_tenancy_sections_merge(self):
-        sections = [
-            {"bridge": bridge_section(),
-             "readcache": readcache_section(hits=6.0, misses=2.0,
-                                            segments=8.0, epoch=1.0),
-             "tenants": {"gold": tenant_section(weight=3.0, admitted=5.0,
-                                                slo_burn=0.2)}},
-            {"bridge": bridge_section(),
-             "readcache": readcache_section(hits=2.0, misses=2.0,
-                                            segments=8.0, epoch=3.0),
-             "tenants": {"gold": tenant_section(weight=3.0, admitted=7.0,
-                                                slo_burn=0.6),
-                         "bronze": tenant_section(admitted=1.0)}},
-        ]
-        agg = schema.aggregate_sections(sections)
-        cache = agg["readcache"]
-        assert cache["hits"] == 8.0 and cache["misses"] == 4.0
-        assert cache["hit_rate"] == pytest.approx(8.0 / 12.0)  # recomputed
-        assert cache["segments"] == 8.0 and cache["epoch"] == 3.0  # maxed
-        gold = agg["tenants"]["gold"]
-        assert gold["admitted"] == 12.0  # counters sum
-        assert gold["weight"] == 3.0 and gold["slo_burn"] == 0.6  # maxed
-        assert agg["tenants"]["bronze"]["admitted"] == 1.0  # union of names
-
     def test_tenancy_sections_absent_stay_absent(self):
         agg = schema.aggregate_sections([
             {"bridge": bridge_section()}, {"bridge": bridge_section()},

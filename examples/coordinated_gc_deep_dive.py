@@ -14,7 +14,7 @@ Run:
     python examples/coordinated_gc_deep_dive.py
 """
 
-from repro.net.packet import GcKind, OpType, Packet, gc_op
+from repro.net.packet import GcKind, OpType, Packet, create_vssd, gc_op
 from repro.switch import SwitchControlPlane, SwitchDataPlane
 
 
@@ -37,9 +37,10 @@ def send_gc(plane: SwitchDataPlane, vssd_id: int, kind: GcKind, src: str) -> GcK
 def main() -> None:
     plane = SwitchDataPlane()
     control = SwitchControlPlane(plane)
-    # Two vSSDs that replicate each other, on different servers.
-    control.register_vssd(1, "10.0.0.16", 2, "10.0.0.20")
-    control.register_vssd(2, "10.0.0.20", 1, "10.0.0.16")
+    # Two vSSDs that replicate each other, on different servers; each
+    # announces itself with a Table 1 create_vssd packet.
+    control.handle_packet(create_vssd(1, "10.0.0.16", 2, "10.0.0.20"))
+    control.handle_packet(create_vssd(2, "10.0.0.20", 1, "10.0.0.16"))
 
     print("[1] both idle: reads go to the primary")
     show_read_routing(plane, 1)

@@ -34,7 +34,13 @@ from repro.flash.gc import GreedyGcPolicy
 from repro.flash.ssd import Ssd
 from repro.net.int_telemetry import add_hop_latency
 from repro.net.latency import LatencyProcess
-from repro.net.packet import OpType, Packet, read_request, write_request
+from repro.net.packet import (
+    OpType,
+    Packet,
+    create_vssd,
+    read_request,
+    write_request,
+)
 from repro.net.schedulers import (
     EgressPort,
     FairQueueScheduler,
@@ -224,11 +230,12 @@ class Rack:
         self.pair_by_vssd[replica.vssd_id] = pair
         self.vssd_by_id[primary.vssd_id] = primary
         self.vssd_by_id[replica.vssd_id] = replica
-        self.control_plane.register_vssd(
-            primary.vssd_id, primary_ip, replica.vssd_id, replica_ip
+        # Table 1: each member announces itself to the ToR switch.
+        self.control_plane.handle_packet(
+            create_vssd(primary.vssd_id, primary_ip, replica.vssd_id, replica_ip)
         )
-        self.control_plane.register_vssd(
-            replica.vssd_id, replica_ip, primary.vssd_id, primary_ip
+        self.control_plane.handle_packet(
+            create_vssd(replica.vssd_id, replica_ip, primary.vssd_id, primary_ip)
         )
         if self.controller is not None:
             self.controller.register_pair(primary.vssd_id, replica.vssd_id, replica_ip)

@@ -13,7 +13,7 @@ from repro.flash.block import Block, PageState
 from repro.flash.channel import Channel
 from repro.flash.chip import FlashChip
 from repro.flash.ftl import PageMappedFtl
-from repro.flash.gc import GcResult, GreedyGcPolicy, WearAwareGcPolicy
+from repro.flash.gc import GcResult, GreedyGcPolicy
 from repro.flash.geometry import FlashGeometry
 from repro.flash.ssd import Ssd
 from repro.flash.timing import (
@@ -38,7 +38,6 @@ __all__ = [
     "Channel",
     "PageMappedFtl",
     "GreedyGcPolicy",
-    "WearAwareGcPolicy",
     "GcResult",
     "WearTracker",
     "Ssd",

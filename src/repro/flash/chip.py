@@ -58,14 +58,6 @@ class FlashChip:
             raise FlashError(f"block {block.block_id} is already in the free pool")
         self._free_blocks.append(block.block_id)
 
-    def take_specific_block(self, block_id: int) -> Block:
-        """Remove a specific block from the free pool (used by borrowing)."""
-        try:
-            self._free_blocks.remove(block_id)
-        except ValueError:
-            raise FlashError(f"block {block_id} is not free on chip {self.chip_id}")
-        return self.blocks[block_id]
-
     def invalidate(self, block_id: int, page: int) -> None:
         """Mark a page of one of this chip's blocks stale."""
         block = self.blocks[block_id]
@@ -98,21 +90,6 @@ class FlashChip:
                     and (best is None or block.invalid_count > best.invalid_count)):
                 best = block
         return best
-
-    def victim_candidates(self) -> List[Block]:
-        """Blocks eligible for GC: full (or partially written) with stale pages."""
-        return [
-            block
-            for block in self.blocks
-            if block.invalid_count > 0
-        ]
-
-    def best_victim(self) -> Optional[Block]:
-        """Greedy GC victim: the block with the most invalid pages."""
-        candidates = self.victim_candidates()
-        if not candidates:
-            return None
-        return max(candidates, key=lambda b: (b.invalid_count, -b.erase_count))
 
     @property
     def average_erase_count(self) -> float:

@@ -221,47 +221,30 @@ class PageMappedFtl:
 
     # ------------------------------------------------------------------- GC
 
-    def select_victim(self, scorer=None) -> Optional[PhysicalAddr]:
-        """Victim among the blocks this FTL collects; highest
-        ``scorer(block)`` wins.
+    def select_victim(self) -> Optional[PhysicalAddr]:
+        """Greedy victim among the blocks this FTL collects: the most
+        invalid pages (§3.7's greedy GC).
 
-        The default scorer is greedy (most invalid pages).  Wear-aware
-        policies pass their own scorer to fold erase counts in.  Returns
-        the victim as a ``PhysicalAddr`` with ``page=0`` (the block is what
-        matters), or ``None`` when no block has stale pages.  Owned blocks
-        are candidates except the active write blocks and blocks lent out;
-        borrowed blocks are candidates once full.
+        Returns the victim as a ``PhysicalAddr`` with ``page=0`` (the
+        block is what matters), or ``None`` when no block has stale pages.
+        Owned blocks are candidates except the active write blocks and
+        blocks lent out; borrowed blocks are candidates once full.  Ties
+        go to the first in order: owned chips, then borrowed blocks.
         """
         lent = self._lent
-        best: Optional[Tuple[float, FlashChip, Block]] = None
-        # (chip, blocks with stale pages, the block exempt as active)
-        pools: List[Tuple[FlashChip, List[Block], Optional[Block]]] = []
-        if scorer is None:
-            # Greedy: each owned chip's stale-page counts name its first
-            # maximum in block order, without a scan of its blocks.
-            for chip, active in zip(self.chips, self._active):
-                block = chip.most_stale(active, lent)
-                if block is not None and (
-                        best is None or block.invalid_count > best[0]):
-                    best = (block.invalid_count, chip, block)
-        else:
-            pools = [
-                (chip, chip.victim_candidates(), active)
-                for chip, active in zip(self.chips, self._active)
-            ]
-        if self._borrowed:
-            pools += [
-                (borrowed.chip, [borrowed.block], None)
-                for borrowed in self._borrowed.values()
-                if borrowed.block.invalid_count > 0 and borrowed.block.is_full
-            ]
-        for chip, blocks, active in pools:
-            for block in blocks:
-                if block is active or block in lent:
-                    continue
-                score = block.invalid_count if scorer is None else scorer(block)
-                if best is None or score > best[0]:
-                    best = (score, chip, block)
+        best: Optional[Tuple[int, FlashChip, Block]] = None
+        # Each owned chip's stale-page counts name its first maximum in
+        # block order, without a scan of its blocks.
+        for chip, active in zip(self.chips, self._active):
+            block = chip.most_stale(active, lent)
+            if block is not None and (
+                    best is None or block.invalid_count > best[0]):
+                best = (block.invalid_count, chip, block)
+        for borrowed in self._borrowed.values():
+            block = borrowed.block
+            if block.invalid_count and block.is_full and (
+                    best is None or block.invalid_count > best[0]):
+                best = (block.invalid_count, borrowed.chip, block)
         if best is None:
             return None
         _, chip, block = best

@@ -56,13 +56,9 @@ class GreedyGcPolicy:
         """Below the soft threshold: request GC, accepting a possible delay."""
         return ftl.free_block_ratio() < self.soft_threshold
 
-    def victim_scorer(self, ftl: PageMappedFtl):
-        """Block scorer used for victim selection; ``None`` means greedy."""
-        return None
-
     def collect_once(self, ftl: PageMappedFtl) -> Optional[GcResult]:
         """Collect the single best victim; ``None`` when nothing is stale."""
-        victim = ftl.select_victim(self.victim_scorer(ftl))
+        victim = ftl.select_victim()
         if victim is None:
             return None
         result = GcResult(victim=victim)
@@ -94,41 +90,3 @@ class GreedyGcPolicy:
         per_move = profile.read_latency(page_kb) + profile.program_latency(page_kb)
         return result.pages_moved * per_move + profile.erase_us
 
-
-class WearAwareGcPolicy(GreedyGcPolicy):
-    """Device-level wear leveling folded into victim selection.
-
-    The vSSD's "local wear leveling (i.e., the default wear leveling) for
-    flash block management" (§3.3, Figure 4b): instead of pure greed, the
-    victim score discounts blocks that have already been erased more than
-    their peers, steering erases toward younger blocks and rotating cold
-    data out of them.  ``wear_weight`` trades write amplification against
-    erase-count spread; 0 reduces to pure greedy.
-    """
-
-    def __init__(
-        self,
-        gc_threshold: float = 0.25,
-        soft_threshold: float = 0.35,
-        wear_weight: float = 0.5,
-    ) -> None:
-        super().__init__(gc_threshold=gc_threshold, soft_threshold=soft_threshold)
-        if wear_weight < 0:
-            raise ValueError(f"wear_weight must be >= 0, got {wear_weight}")
-        self.wear_weight = wear_weight
-
-    def victim_scorer(self, ftl: PageMappedFtl):
-        total = 0
-        count = 0
-        for chip in ftl.chips:
-            for block in chip.blocks:
-                total += block.erase_count
-                count += 1
-        avg_erase = total / count if count else 0.0
-
-        def score(block) -> float:
-            return block.invalid_count - self.wear_weight * (
-                block.erase_count - avg_erase
-            )
-
-        return score

@@ -3,7 +3,9 @@
 RackBlox tracks ``Net_time`` by having each programmable switch add its
 per-hop latency (routing + queuing dominate, per [24, 29]) into the LAT
 field of the packet as it passes (§3.4).  The accumulated value reaches the
-storage server inside the packet itself -- no control-plane involvement.
+storage server inside the packet itself -- no control-plane involvement --
+and ``packet.lat`` is the priority's ``Net_time`` term as the server's
+scheduler reads it.
 """
 
 from repro.errors import NetworkError
@@ -17,7 +19,3 @@ def add_hop_latency(packet: Packet, hop_latency_us: float) -> Packet:
     packet.lat += hop_latency_us
     return packet
 
-
-def net_time(packet: Packet) -> float:
-    """The Net_time component of the scheduling priority (§3.4)."""
-    return packet.lat

@@ -7,20 +7,26 @@ The RackBlox header rides inside the L4 payload of ordinary packets:
 * ``LAT`` (4 bytes) -- accumulated network latency in microseconds,
   filled in by In-band Network Telemetry as the packet crosses switches.
 
+On the wire that is 9 bytes, network order: ``struct.Struct("!BIi")``
+over (op, vssd_id, lat rounded to whole microseconds).  The simulator
+passes packets as objects, so nothing here packs or parses it.
+
 ``gc_op`` packets carry a 1-byte ``gc`` field in the payload whose values
 are given in §3.5: soft=0, regular=1, bg=2, accept=3, delay=4, finish=5.
 """
 
 import enum
 import itertools
-import struct
 from typing import Any, Dict, Optional
 
 from repro.errors import NetworkError
 
 
 class OpType(enum.IntEnum):
-    """The five RackBlox operations (Table 1)."""
+    """The five RackBlox operations (Table 1).
+
+    ``DEL_VSSD`` is a code of the format only: no run deletes a vSSD.
+    """
 
     CREATE_VSSD = 1
     DEL_VSSD = 2
@@ -48,7 +54,6 @@ class GcKind(enum.IntEnum):
     FINISH = 5
 
 
-_HEADER = struct.Struct("!BIi")  # op, vssd_id, lat (us, rounded)
 _next_packet_id = itertools.count(1).__next__
 
 
@@ -113,24 +118,6 @@ class Packet:
         self.payload["gc"] = int(kind)
         return self
 
-    def encode_header(self) -> bytes:
-        """Pack the RackBlox header exactly as in Figure 6 (9 bytes)."""
-        return _HEADER.pack(int(self.op), self.vssd_id, int(round(self.lat)))
-
-    @classmethod
-    def decode_header(cls, data: bytes) -> "Packet":
-        """Parse a RackBlox header back into a packet skeleton."""
-        if len(data) < _HEADER.size:
-            raise NetworkError(
-                f"header needs {_HEADER.size} bytes, got {len(data)}"
-            )
-        op_raw, vssd_id, lat = _HEADER.unpack_from(data)
-        try:
-            op = OpType(op_raw)
-        except ValueError:
-            raise NetworkError(f"unknown op code {op_raw}") from None
-        return cls(op=op, vssd_id=vssd_id, lat=float(lat))
-
     def turn_around(self, size_kb: float) -> "Packet":
         """Make this request its own reply, in place: src/dst swapped,
         ``size_kb`` the reply's size, LAT and payload carried forward."""
@@ -175,8 +162,3 @@ def create_vssd(
             "replica_ip": replica_ip,
         },
     )
-
-
-def del_vssd(vssd_id: int, server_ip: str) -> Packet:
-    """The deregistration packet removing a vSSD from the switch tables."""
-    return Packet(op=OpType.DEL_VSSD, vssd_id=vssd_id, src=server_ip, dst="switch")

@@ -159,9 +159,8 @@ class GcMonitor:
     # -------------------------------------------------- hardware-isolated
 
     def _check_vssd(self, vssd: VSsd, then: Callable[[], None]) -> None:
-        if vssd.gc_active:
-            then()
-            return
+        # No GC is running here: this monitor is the vSSD's only one, and
+        # its pass waits for the vSSD's GC before the next check.
         kind = vssd.gc_needed()
         if kind is None:
             predictor = self.idle_predictors.get(vssd.vssd_id)

@@ -135,6 +135,16 @@ class FrontDoor:
         can skip both when this is false."""
         return self.qos is not None or self.read_cache is not None
 
+    def stats_sections(self) -> Dict[str, Any]:
+        """The door's own ``stats`` sections, as the ``tenants`` and
+        ``readcache`` keywords of the schema's assemblers (``None`` when
+        off)."""
+        return {
+            "tenants": self.qos.stats_section() if self.qos is not None else None,
+            "readcache": (self.read_cache.stats_section()
+                          if self.read_cache is not None else None),
+        }
+
     def admit(self, request: Dict[str, Any], conn: Conn, draining: bool,
               ) -> Union[Dict[str, Any], str, Ticket]:
         """Walk one request through the door.

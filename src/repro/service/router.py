@@ -912,9 +912,7 @@ class ShardedRackService(RackService):
             self.connections_accepted,
             routing=_routing_section(router.selector, router.load_view,
                                      [shard.index for shard in router.shards]),
-            tenants=self.qos.stats_section() if self.qos is not None else None,
-            readcache=(self.read_cache.stats_section()
-                       if self.read_cache is not None else None),
+            **self.door.stats_sections(),
         )
 
 
@@ -1200,7 +1198,6 @@ class ShardProxy:
         #: door runs here (the backends keep their own per-client
         #: admission).  Both default off, keeping the plain relay
         #: byte-identical.
-        self.qos = qos
         self.read_cache = read_cache
         self.door = frontdoor.FrontDoor(
             qos, read_cache, epoch=lambda: self.fleet.epoch,
@@ -1724,9 +1721,7 @@ class ShardProxy:
                 self.selector, self.load_view,
                 [node for node in range(len(self.backends))
                  if node not in self.drained]),
-            tenants=self.qos.stats_section() if self.qos is not None else None,
-            readcache=(self.read_cache.stats_section()
-                       if self.read_cache is not None else None),
+            **self.door.stats_sections(),
         )
 
 

@@ -49,14 +49,12 @@ class RackService:
     ) -> None:
         self.host = host
         self.port = port
-        #: Optional multi-tenant QoS scheduler; when set, connections
-        #: may declare a tenant in ``hello`` and every data op passes
-        #: weighted-fair tenant admission before per-client admission.
-        self.qos = qos
-        #: Optional DRAM read-through cache for KV ``get``\ s.
-        self.read_cache = read_cache
         #: Everything between a decoded frame and dispatch, and the
-        #: completion accounting after it (see :mod:`.frontdoor`).
+        #: completion accounting after it (see :mod:`.frontdoor`): the
+        #: optional multi-tenant QoS scheduler (connections may declare a
+        #: tenant in ``hello``; every data op passes weighted-fair tenant
+        #: admission before per-client admission) and the optional DRAM
+        #: read-through cache for KV ``get``\ s.
         self.door = frontdoor.FrontDoor(
             qos, read_cache, epoch=self._current_epoch,
             describe=lambda: (self._capabilities(), self._hello_fields()),
@@ -295,11 +293,7 @@ class RackService:
         """The full body of a ``stats`` response."""
         return schema.assemble_server_stats(
             self.bridge.stats_payload(), self.admission.stats(),
-            self.connections_accepted,
-            tenants=(self.qos.stats_section()
-                     if self.qos is not None else None),
-            readcache=(self.read_cache.stats_section()
-                       if self.read_cache is not None else None),
+            self.connections_accepted, **self.door.stats_sections(),
         )
 
     # ----------------------------------------------------------------- admin

@@ -1,8 +1,8 @@
 """The switch control plane.
 
-Handles the slow-path operations of Table 1: ``create_vssd`` installs the
-replica/destination entries for a new vSSD (GC state initialised to 0,
-§3.3), ``del_vssd`` removes them.  Also provides the switch-recovery
+Handles the slow-path operation of Table 1 that the rack runs:
+``create_vssd`` installs the replica/destination entries for a new vSSD
+(GC state initialised to 0, §3.3).  Also provides the switch-recovery
 repopulation hook used by the failure-handling machinery (§3.7 "Others").
 """
 
@@ -14,17 +14,16 @@ from repro.switch.dataplane import SwitchDataPlane
 
 
 class SwitchControlPlane:
-    """Thrift-API stand-in: installs and removes table entries."""
+    """Thrift-API stand-in: installs table entries."""
 
     def __init__(self, dataplane: SwitchDataPlane) -> None:
         self.dataplane = dataplane
         #: Registration log, kept so a recovered switch can be repopulated.
         self._registrations: Dict[int, Tuple[str, int, str]] = {}
-        self.vssds_created = 0
-        self.vssds_deleted = 0
 
     def handle_packet(self, pkt: Packet) -> None:
-        """Dispatch a control packet (create_vssd / del_vssd)."""
+        """Apply a control packet.  ``create_vssd`` is the only one: the
+        rack registers every vSSD this way."""
         if pkt.op is OpType.CREATE_VSSD:
             payload = pkt.payload
             missing = {"server_ip", "replica_vssd_id", "replica_ip"} - set(payload)
@@ -36,16 +35,15 @@ class SwitchControlPlane:
                 payload["replica_vssd_id"],
                 payload["replica_ip"],
             )
-        elif pkt.op is OpType.DEL_VSSD:
-            self.deregister_vssd(pkt.vssd_id)
         else:
             raise SwitchError(f"control plane cannot handle op {pkt.op.name}")
 
     def register_vssd(
         self, vssd_id: int, server_ip: str, replica_vssd_id: int, replica_ip: str
     ) -> None:
-        """Install both directions: the vSSD and its replica are each
-        routable, and each names the other as its replica."""
+        """``create_vssd``'s effect (:meth:`handle_packet` runs it):
+        install both directions, so the vSSD and its replica are each
+        routable and each names the other as its replica."""
         if vssd_id in self._registrations:
             raise SwitchError(f"vSSD {vssd_id} already registered")
         self.dataplane.replica_table.insert(vssd_id, replica_vssd_id, gc_status=0)
@@ -58,16 +56,6 @@ class SwitchControlPlane:
                 replica_vssd_id, replica_ip, gc_status=0
             )
         self._registrations[vssd_id] = (server_ip, replica_vssd_id, replica_ip)
-        self.vssds_created += 1
-
-    def deregister_vssd(self, vssd_id: int) -> None:
-        if vssd_id not in self._registrations:
-            raise SwitchError(f"vSSD {vssd_id} was never registered")
-        del self._registrations[vssd_id]
-        self.dataplane.replica_table.remove(vssd_id)
-        if vssd_id in self.dataplane.destination_table:
-            self.dataplane.destination_table.remove(vssd_id)
-        self.vssds_deleted += 1
 
     def registration_log(self) -> Dict[int, Tuple[str, int, str]]:
         """Snapshot of the log: vssd_id -> (server_ip, replica_id, replica_ip).

@@ -2,11 +2,12 @@
 
 The allocator owns the channel/chip inventory of one SSD and hands out
 non-overlapping slices: whole channels for hardware-isolated vSSDs, chips
-for software-isolated ones.  Deleting a vSSD returns its resources.
+for software-isolated ones.  A vSSD lives as long as its rack: no run
+deletes one, so nothing is handed back.
 """
 
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import VSSDError
 from repro.flash.gc import GreedyGcPolicy
@@ -31,9 +32,6 @@ class VssdAllocator:
         self._free_channels = set(range(ssd.geometry.channels))
         #: Chips available for software-isolated carving, by chip id.
         self._free_chips = {chip.chip_id for chip in ssd.chips}
-        self._vssds: Dict[int, VSsd] = {}
-        self._owned_channels: Dict[int, List[int]] = {}
-        self._owned_chips: Dict[int, List[int]] = {}
 
     def create_hardware_isolated(
         self,
@@ -64,7 +62,7 @@ class VssdAllocator:
             self._free_channels.discard(channel_id)
         for chip in chips:
             self._free_chips.discard(chip.chip_id)
-        vssd = VSsd(
+        return VSsd(
             next_vssd_id(),
             name,
             self.ssd,
@@ -73,10 +71,6 @@ class VssdAllocator:
             overprovision=overprovision,
             gc_policy=gc_policy,
         )
-        self._vssds[vssd.vssd_id] = vssd
-        self._owned_channels[vssd.vssd_id] = channels
-        self._owned_chips[vssd.vssd_id] = [chip.chip_id for chip in chips]
-        return vssd
 
     def create_software_isolated(
         self,
@@ -102,7 +96,7 @@ class VssdAllocator:
                 )
         for chip_id in chip_ids:
             self._free_chips.discard(chip_id)
-        vssd = VSsd(
+        return VSsd(
             next_vssd_id(),
             name,
             self.ssd,
@@ -112,19 +106,3 @@ class VssdAllocator:
             gc_policy=gc_policy,
             rate_limiter=rate_limiter,
         )
-        self._vssds[vssd.vssd_id] = vssd
-        self._owned_chips[vssd.vssd_id] = chip_ids
-        return vssd
-
-    def delete(self, vssd: VSsd) -> None:
-        """Delete a vSSD and return its channels/chips to the free pool."""
-        if vssd.vssd_id not in self._vssds:
-            raise VSSDError(f"vSSD {vssd.vssd_id} is not managed by this allocator")
-        del self._vssds[vssd.vssd_id]
-        for channel_id in self._owned_channels.pop(vssd.vssd_id, []):
-            self._free_channels.add(channel_id)
-        for chip_id in self._owned_chips.pop(vssd.vssd_id, []):
-            self._free_chips.add(chip_id)
-
-    def free_channel_count(self) -> int:
-        return len(self._free_channels)

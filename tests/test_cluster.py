@@ -17,9 +17,12 @@ from repro.cluster import (
 from repro.errors import ConfigError
 from repro.experiments import run_rack_experiment, runner
 from repro.experiments.parallel import RunSpec
+from repro.metrics.collector import ExperimentMetrics
 from repro.net.packet import OpType, Packet
+from repro.sim import AllOf
 from repro.sim.core import MSEC
-from repro.workloads import ycsb
+from repro.vssd import ChannelGroup
+from repro.workloads import OpenLoopGenerator, ycsb
 
 
 def small_config(system=SystemType.RACKBLOX, **kwargs):
@@ -432,6 +435,47 @@ class TestGcMonitorLiveness:
         # way at drain.
         undecided = sum(c["bg"] for c in sent) - rack.controller.gc_requests
         assert 0 <= undecided <= len(sent)
+
+
+def _skewed_sw_isolated_run(requests_per_heavy_pair):
+    """A software-isolated RackBlox rack whose collocated tenants are
+    skewed: the even pairs are all writes at 1,500 req/s, the odd pairs
+    (their channel-group partners) idle.  Returns ``(rack, flash
+    operations failed)``."""
+    config = RackConfig(system=SystemType.RACKBLOX, seed=42, sw_isolated=True)
+    rack = Rack(config)
+    rack.precondition(working_set_fraction=0.5)
+    metrics = ExperimentMetrics()
+    clients = []
+    for idx, pair in enumerate(rack.pairs[::2]):
+        generator = OpenLoopGenerator(
+            ycsb(1.0), key_space=rack.working_set_pages(pair, 0.5),
+            rate_iops=1500.0, rng=rack.rng.stream(f"client-{2 * idx}"),
+        )
+        client = Client(rack, name=f"client-{2 * idx}", pair=pair,
+                        generator=generator, metrics=metrics,
+                        working_set_fraction=0.5)
+        clients.append(rack.sim.spawn(client.run(requests_per_heavy_pair)))
+    runner.run_until(rack.sim, AllOf(rack.sim, clients))
+    return rack, sum(server.requests_failed for server in rack.servers)
+
+
+class TestBlockLending:
+    def test_a_write_only_tenant_borrows_from_its_idle_partner(self, monkeypatch):
+        # §3.5.2: a channel-group member that runs dry borrows free blocks
+        # from its collocated partner.  An even workload (Figure 21) never
+        # lends; this skew does, and without the loans ~9x as many
+        # write-cache flushes run the writer's vSSD out of pages.
+        rack, failed = _skewed_sw_isolated_run(6000)
+        groups = {id(v.channel_group): v.channel_group
+                  for v in rack.vssd_by_id.values()}.values()
+        assert sum(group.blocks_borrowed for group in groups) > 0
+        for vssd in rack.vssd_by_id.values():
+            vssd.ftl.check_invariants()
+        monkeypatch.setattr(ChannelGroup, "rebalance_free_blocks",
+                            lambda group: 0)
+        _, failed_without = _skewed_sw_isolated_run(6000)
+        assert failed_without >= 5 * failed
 
 
 class TestFailureHandling:

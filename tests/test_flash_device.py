@@ -39,14 +39,6 @@ class TestChip:
         with pytest.raises(FlashError):
             chip.release_block(block)
 
-    def test_take_specific_block(self):
-        chip = FlashChip(0, 4, 4)
-        block = chip.take_specific_block(2)
-        assert block.block_id == 2
-        assert chip.free_block_count == 3
-        with pytest.raises(FlashError):
-            chip.take_specific_block(2)
-
     def test_best_victim_prefers_most_invalid(self):
         chip = FlashChip(0, 3, 4)
         b0 = chip.allocate_block()
@@ -54,14 +46,17 @@ class TestChip:
         for _ in range(4):
             b0.program_next()
             b1.program_next()
-        b0.invalidate(0)
-        b1.invalidate(0)
-        b1.invalidate(1)
-        assert chip.best_victim() is b1
+        chip.invalidate(b0.block_id, 0)
+        chip.invalidate(b1.block_id, 0)
+        chip.invalidate(b1.block_id, 1)
+        assert chip.most_stale(None, frozenset()) is b1
+        # The active write block and exempt (lent) blocks are skipped.
+        assert chip.most_stale(b1, frozenset()) is b0
+        assert chip.most_stale(None, {b1}) is b0
 
     def test_no_victim_when_clean(self):
         chip = FlashChip(0, 3, 4)
-        assert chip.best_victim() is None
+        assert chip.most_stale(None, frozenset()) is None
 
 
 class TestChannel:

@@ -179,9 +179,9 @@ def test_priority_pass_through_checks_the_level():
 
 
 def _scan_victim(ftl):
-    """``select_victim()`` as a scan over every block (the old greedy
-    selection, kept for scorers)."""
-    pools = [(chip, chip.victim_candidates(), active)
+    """``select_victim()`` as a scan over every block: the reference
+    for its per-chip stale-page counts."""
+    pools = [(chip, [b for b in chip.blocks if b.invalid_count > 0], active)
              for chip, active in zip(ftl.chips, ftl._active)]
     pools += [(b.chip, [b.block], None) for b in ftl._borrowed.values()
               if b.block.invalid_count > 0 and b.block.is_full]

@@ -17,7 +17,6 @@ from repro.net import (
 )
 from repro.net.packet import (
     create_vssd,
-    del_vssd,
     gc_op,
     read_request,
     write_request,
@@ -39,29 +38,6 @@ class TestPacketFormat:
         assert GcKind.ACCEPT == 3
         assert GcKind.DELAY == 4
         assert GcKind.FINISH == 5
-
-    def test_header_roundtrip(self):
-        pkt = Packet(op=OpType.READ, vssd_id=12345, lat=678.0)
-        decoded = Packet.decode_header(pkt.encode_header())
-        assert decoded.op is OpType.READ
-        assert decoded.vssd_id == 12345
-        assert decoded.lat == 678.0
-
-    def test_header_is_nine_bytes(self):
-        # 1-byte OP + 4-byte vSSD_ID + 4-byte LAT (Figure 6).
-        pkt = Packet(op=OpType.WRITE, vssd_id=1)
-        assert len(pkt.encode_header()) == 9
-
-    def test_decode_rejects_short_buffer(self):
-        with pytest.raises(NetworkError):
-            Packet.decode_header(b"\x01\x02")
-
-    def test_decode_rejects_unknown_op(self):
-        import struct
-
-        data = struct.pack("!BIi", 99, 1, 0)
-        with pytest.raises(NetworkError):
-            Packet.decode_header(data)
 
     def test_vssd_id_must_fit_four_bytes(self):
         with pytest.raises(NetworkError):
@@ -100,10 +76,6 @@ class TestPacketFormat:
             "replica_vssd_id": 12,
             "replica_ip": "10.0.0.20",
         }
-
-    def test_del_vssd(self):
-        pkt = del_vssd(11, "10.0.0.16")
-        assert pkt.op is OpType.DEL_VSSD and pkt.dst == "switch"
 
     def test_packet_ids_unique(self):
         a = read_request(1, "c", "s", 0.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SwitchError
-from repro.net.packet import GcKind, OpType, Packet, create_vssd, del_vssd, gc_op
+from repro.net.packet import GcKind, OpType, Packet, create_vssd, gc_op
 from repro.switch import (
     DestinationTable,
     ForwardAction,
@@ -18,8 +18,8 @@ def make_plane():
     """A data plane with two vSSDs that are replicas of each other."""
     plane = SwitchDataPlane()
     cp = SwitchControlPlane(plane)
-    cp.register_vssd(1, "10.0.0.16", 2, "10.0.0.20")
-    cp.register_vssd(2, "10.0.0.20", 1, "10.0.0.16")
+    cp.handle_packet(create_vssd(1, "10.0.0.16", 2, "10.0.0.20"))
+    cp.handle_packet(create_vssd(2, "10.0.0.20", 1, "10.0.0.16"))
     return plane, cp
 
 
@@ -211,22 +211,19 @@ class TestControlPlane:
         assert plane.destination_table.server_ip(5) == "10.0.0.1"
         assert plane.destination_table.server_ip(6) == "10.0.0.2"
 
-    def test_delete_via_packet(self):
-        plane = SwitchDataPlane()
-        cp = SwitchControlPlane(plane)
-        cp.handle_packet(create_vssd(5, "10.0.0.1", 6, "10.0.0.2"))
-        cp.handle_packet(del_vssd(5, "10.0.0.1"))
-        assert 5 not in plane.replica_table
-
     def test_double_registration_rejected(self):
         _, cp = make_plane()
         with pytest.raises(SwitchError):
-            cp.register_vssd(1, "10.0.0.16", 2, "10.0.0.20")
+            cp.handle_packet(create_vssd(1, "10.0.0.16", 2, "10.0.0.20"))
 
-    def test_delete_unknown_rejected(self):
+    def test_only_create_vssd_is_handled(self):
+        # No run deletes a vSSD: del_vssd is a Table 1 code with no
+        # handler, and a data-path op is not a control packet.
         _, cp = make_plane()
-        with pytest.raises(SwitchError):
-            cp.deregister_vssd(42)
+        for op in (OpType.DEL_VSSD, OpType.READ):
+            with pytest.raises(SwitchError):
+                cp.handle_packet(Packet(op=op, vssd_id=1))
+        assert set(cp.registration_log()) == {1, 2}
 
     def test_create_payload_validated(self):
         plane = SwitchDataPlane()

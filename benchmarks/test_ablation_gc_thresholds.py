@@ -9,7 +9,7 @@ more GCs overlap between replicas and redirection loses coverage.
 from conftest import BENCH_RATE, BENCH_SEED, run_once
 
 from repro.cluster.config import RackConfig, SystemType
-from repro.experiments import Sweep
+from repro.experiments.sweeps import Sweep
 from repro.experiments.runner import run_rack_experiment
 from repro.workloads import ycsb
 

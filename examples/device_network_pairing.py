@@ -11,7 +11,7 @@ Run:
 """
 
 from repro.cluster import RackConfig, SystemType
-from repro.experiments import run_rack_experiment
+from repro.experiments.runner import run_rack_experiment
 from repro.flash.timing import profile_by_name
 from repro.net.latency import profile_by_name as net_by_name
 from repro.workloads import ycsb

@@ -12,7 +12,7 @@ Run:
 """
 
 from repro.cluster import FailureManager, Rack, RackConfig, SystemType
-from repro.experiments import run_rack_experiment
+from repro.experiments.runner import run_rack_experiment
 from repro.sim.core import MSEC
 from repro.workloads import ycsb
 

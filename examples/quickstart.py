@@ -11,7 +11,7 @@ Run:
 """
 
 from repro.cluster import RackConfig, SystemType
-from repro.experiments import run_rack_experiment
+from repro.experiments.runner import run_rack_experiment
 from repro.workloads import ycsb
 
 

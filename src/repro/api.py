@@ -7,6 +7,13 @@ build on is here, under names that will not move.  Internal module paths
 layout, free to be reorganised; ``repro.api`` is the surface the
 deprecation-shim test (``tests/test_api_facade.py``) holds stable.
 
+Importing ``repro.api`` loads nothing: each name's defining module is
+imported on the name's first use, so a batch simulation never loads
+the service (asyncio, ssl) and a served rack never loads the figure
+runners.  ``repro.api`` is the only facade; the package ``__init__``
+of each layer a run may skip (``repro.service``, ``repro.experiments``)
+re-exports nothing, so import names from their defining modules there.
+
 The surface, by layer:
 
 * **sim** (configuration for the discrete-event rack simulator) --
@@ -33,86 +40,69 @@ The surface, by layer:
   :class:`ChaosReport`.
 """
 
-from repro.chaos.runner import ChaosReport, run_chaos_experiment
-from repro.chaos.schedule import FaultEvent, FaultSchedule
-from repro.cluster.config import RackConfig, SystemType
-from repro.experiments.parallel import ParallelRunner, RunSpec
-from repro.experiments.runner import RackResult
-from repro.service.client import ClientConfig, ServiceClient, ServiceError
-from repro.service.loadgen import LoadgenReport, ZipfSampler, run_loadgen
-from repro.service.membership import (
-    FleetController,
-    MembershipBusy,
-    MembershipError,
-    MigrationPlan,
-)
-from repro.service.migration import MigrationStream, MigrationStreamError
-from repro.service.protocol import PROTOCOL_VERSION, SUPPORTED_VERSIONS
-from repro.service.qos import (
-    QosScheduler,
-    TenantSpec,
-    TenantSpecError,
-    load_tenant_specs,
-)
-from repro.service.readcache import ReadCache
-from repro.service.router import (
-    ShardedRackService,
-    ShardProxy,
-    ShardRouter,
-    build_shard_configs,
-)
-from repro.service.selector import (
-    Decision,
-    ReplicaSelector,
-)
-from repro.service.server import RackService
-from repro.service.shard import HashRing, KeyRange, RackShard
+import importlib
 
-__all__ = [
+#: Each public name -> the module that defines it, grouped by layer.
+#: A name's module is imported on its first use (PEP 562), so a run
+#: loads only the layers it touches.
+_SITES = {
     # sim: simulator configuration
-    "RackConfig",
-    "SystemType",
+    "RackConfig": "repro.cluster.config",
+    "SystemType": "repro.cluster.config",
     # experiments: batch runs over the simulator
-    "RunSpec",
-    "ParallelRunner",
-    "RackResult",
+    "RunSpec": "repro.experiments.parallel",
+    "ParallelRunner": "repro.experiments.parallel",
+    "RackResult": "repro.experiments.runner",
     # service: single-rack serving and the client
-    "RackService",
-    "ServiceClient",
-    "ClientConfig",
-    "ServiceError",
-    "LoadgenReport",
-    "run_loadgen",
-    "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
+    "RackService": "repro.service.server",
+    "ServiceClient": "repro.service.client",
+    "ClientConfig": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "LoadgenReport": "repro.service.loadgen",
+    "run_loadgen": "repro.service.loadgen",
+    "PROTOCOL_VERSION": "repro.service.protocol",
+    "SUPPORTED_VERSIONS": "repro.service.protocol",
     # service: sharded serving
-    "HashRing",
-    "RackShard",
-    "ShardRouter",
-    "ShardedRackService",
-    "ShardProxy",
-    "build_shard_configs",
+    "HashRing": "repro.service.shard",
+    "RackShard": "repro.service.shard",
+    "ShardRouter": "repro.service.router",
+    "ShardedRackService": "repro.service.router",
+    "ShardProxy": "repro.service.router",
+    "build_shard_configs": "repro.service.router",
     # service: load-aware read routing
-    "ReplicaSelector",
-    "Decision",
-    "ZipfSampler",
+    "ReplicaSelector": "repro.service.selector",
+    "Decision": "repro.service.selector",
+    "ZipfSampler": "repro.service.loadgen",
     # service: elastic fleet
-    "FleetController",
-    "MigrationPlan",
-    "MigrationStream",
-    "KeyRange",
-    "MembershipError",
-    "MembershipBusy",
-    "MigrationStreamError",
+    "FleetController": "repro.service.membership",
+    "MigrationPlan": "repro.service.membership",
+    "MigrationStream": "repro.service.migration",
+    "KeyRange": "repro.service.shard",
+    "MembershipError": "repro.service.membership",
+    "MembershipBusy": "repro.service.membership",
+    "MigrationStreamError": "repro.service.migration",
     # service: multi-tenant QoS and the read cache
-    "TenantSpec",
-    "TenantSpecError",
-    "load_tenant_specs",
-    "QosScheduler",
-    "ReadCache",
+    "TenantSpec": "repro.service.qos",
+    "TenantSpecError": "repro.service.qos",
+    "load_tenant_specs": "repro.service.qos",
+    "QosScheduler": "repro.service.qos",
+    "ReadCache": "repro.service.readcache",
     # chaos: fault injection
-    "FaultEvent",
-    "FaultSchedule",
-    "run_chaos_experiment",
-    "ChaosReport",
-]
+    "FaultEvent": "repro.chaos.schedule",
+    "FaultSchedule": "repro.chaos.schedule",
+    "run_chaos_experiment": "repro.chaos.runner",
+    "ChaosReport": "repro.chaos.runner",
+}
+
+__all__ = list(_SITES)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SITES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

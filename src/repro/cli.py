@@ -28,13 +28,9 @@ from typing import List, Optional
 
 from repro.cluster.config import RackConfig, SystemType
 from repro.errors import ReproError
-from repro.experiments.figures import ALL_FIGURES
-from repro.experiments.report import run_figures
-from repro.experiments.runner import run_rack_experiment
 from repro.flash.timing import DEVICE_PROFILES, profile_by_name
 from repro.net.latency import NETWORK_PROFILES
 from repro.net.latency import profile_by_name as net_profile_by_name
-from repro.wear.simulate import WearSimulation
 from repro.workloads.spec import TABLE2_WORKLOADS, ycsb
 
 
@@ -232,7 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figures_p = sub.add_parser("figures", help="reproduce paper figures")
     figures_p.add_argument("names", nargs="*",
-                           help=f"subset of {sorted(ALL_FIGURES)} (default all)")
+                           help="subset of the figures `list` prints "
+                                "(default all)")
     figures_p.add_argument("--quick", action="store_true")
     figures_p.add_argument("--jobs", type=int, default=None, metavar="N",
                            help="fan independent rack runs out over N worker "
@@ -287,6 +284,8 @@ def _validate_rack_args(args) -> None:
 
 
 def _cmd_run(args, trace_sample_rate: float = 0.0) -> int:
+    from repro.experiments.runner import run_rack_experiment
+
     _validate_rack_args(args)
     workload = _resolve_workload(args.workload)
     config = RackConfig(
@@ -731,6 +730,8 @@ def _cmd_fleet(args) -> int:
 
 
 def _cmd_wear(args) -> int:
+    from repro.wear.simulate import WearSimulation
+
     _require(args.servers >= 1, f"--servers must be >= 1, got {args.servers}")
     _require(args.ssds >= 1, f"--ssds must be >= 1, got {args.ssds}")
     _require(args.days >= 1, f"--days must be >= 1, got {args.days}")
@@ -752,6 +753,8 @@ def _cmd_wear(args) -> int:
 
 
 def _cmd_list() -> int:
+    from repro.experiments.figures import ALL_FIGURES
+
     print("systems:   " + ", ".join(s.value for s in SystemType))
     print("workloads: ycsb-<write%>, " + ", ".join(sorted(TABLE2_WORKLOADS)))
     print("devices:   " + ", ".join(sorted(DEVICE_PROFILES)))
@@ -792,6 +795,9 @@ def _dispatch(args) -> int:
     if args.command == "fleet":
         return _cmd_fleet(args)
     if args.command == "figures":
+        from repro.experiments.figures import ALL_FIGURES
+        from repro.experiments.report import run_figures
+
         _require(args.jobs is None or args.jobs >= 0,
                  f"--jobs must be >= 0, got {args.jobs}")
         unknown = [n for n in args.names if n not in ALL_FIGURES]

@@ -30,132 +30,8 @@ GET/PUT/SCAN over a small length-prefixed JSON wire protocol:
   cache with per-tenant capacity shares;
 * :mod:`repro.service.client` -- a pipelined async client;
 * :mod:`repro.service.loadgen` -- open/closed-loop load generation.
+
+The package re-exports nothing, so a run loads only the modules it
+imports: import from the defining module, or the public names from
+:mod:`repro.api`.
 """
-
-from repro.service.admission import AdmissionController, WallClockTokenBucket
-from repro.service.bridge import BridgeStats, SimTimeBridge
-from repro.service.client import ClientConfig, ServiceClient, ServiceError
-from repro.service.loadgen import (
-    LoadgenReport,
-    ZipfSampler,
-    make_key_sampler,
-    run_loadgen,
-)
-from repro.service.selector import (
-    READ_POLICIES,
-    Decision,
-    ReplicaSelector,
-    ReplicaStats,
-)
-from repro.service.membership import (
-    FleetController,
-    MembershipBusy,
-    MembershipError,
-    MigrationPlan,
-)
-from repro.service.migration import (
-    MigrationStream,
-    MigrationStreamError,
-    StreamReport,
-)
-from repro.service.protocol import (
-    BIN_CODEC,
-    BIN_MAGIC,
-    DEFAULT_MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
-    BinFrameCodec,
-    FrameDecoder,
-    FrameError,
-    FrameSplitter,
-    FrameTooLarge,
-    TruncatedFrame,
-    UnencodableFrame,
-    check_version,
-    encode_frame,
-    encode_frame_as,
-    error_response,
-    frame_is_binary,
-    hello_response,
-    ok_response,
-    read_frame,
-    write_frame,
-)
-from repro.service.qos import (
-    DEFAULT_TENANT,
-    QosScheduler,
-    QosSpec,
-    TenantSpec,
-    TenantSpecError,
-    load_tenant_specs,
-)
-from repro.service.readcache import ReadCache
-from repro.service.router import (
-    ShardedRackService,
-    ShardProxy,
-    ShardRouter,
-    build_shard_configs,
-)
-from repro.service.server import RackService
-from repro.service.shard import HashRing, KeyRange, RackShard
-
-__all__ = [
-    "AdmissionController",
-    "WallClockTokenBucket",
-    "BridgeStats",
-    "SimTimeBridge",
-    "ServiceClient",
-    "ClientConfig",
-    "ServiceError",
-    "LoadgenReport",
-    "run_loadgen",
-    "ZipfSampler",
-    "make_key_sampler",
-    "READ_POLICIES",
-    "Decision",
-    "ReplicaSelector",
-    "ReplicaStats",
-    "BIN_CODEC",
-    "BIN_MAGIC",
-    "DEFAULT_MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
-    "BinFrameCodec",
-    "FrameDecoder",
-    "FrameError",
-    "FrameSplitter",
-    "FrameTooLarge",
-    "TruncatedFrame",
-    "UnencodableFrame",
-    "check_version",
-    "encode_frame",
-    "encode_frame_as",
-    "error_response",
-    "frame_is_binary",
-    "hello_response",
-    "ok_response",
-    "read_frame",
-    "write_frame",
-    "RackService",
-    "HashRing",
-    "KeyRange",
-    "RackShard",
-    "ShardRouter",
-    "ShardedRackService",
-    "ShardProxy",
-    "build_shard_configs",
-    "FleetController",
-    "MembershipBusy",
-    "MembershipError",
-    "MigrationPlan",
-    "MigrationStream",
-    "MigrationStreamError",
-    "StreamReport",
-    "DEFAULT_TENANT",
-    "TenantSpec",
-    "TenantSpecError",
-    "QosSpec",
-    "QosScheduler",
-    "load_tenant_specs",
-    "ReadCache",
-]

@@ -78,21 +78,6 @@ class TestFacadeSurface:
 
 
 class TestOldPathsStillWork:
-    def test_service_package_reexports(self):
-        # The pre-facade import style: everything through repro.service.
-        from repro.service import (  # noqa: F401
-            AdmissionController,
-            QosScheduler,
-            RackService,
-            ReadCache,
-            ServiceClient,
-            ShardedRackService,
-            ShardRouter,
-            SimTimeBridge,
-            TenantSpec,
-            run_loadgen,
-        )
-
     def test_deep_module_paths(self):
         for path in (
             "repro.service.protocol",

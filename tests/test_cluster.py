@@ -15,7 +15,8 @@ from repro.cluster import (
     rack_aware_placement,
 )
 from repro.errors import ConfigError
-from repro.experiments import run_rack_experiment, runner
+from repro.experiments import runner
+from repro.experiments.runner import run_rack_experiment
 from repro.experiments.parallel import RunSpec
 from repro.metrics.collector import ExperimentMetrics
 from repro.net.packet import OpType, Packet

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Rack, RackConfig, SystemType
 from repro.errors import ConfigError
-from repro.experiments import run_rack_experiment
+from repro.experiments.runner import run_rack_experiment
 from repro.flash.geometry import FlashGeometry
 from repro.vssd.vssd import IsolationType
 from repro.workloads import ycsb

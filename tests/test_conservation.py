@@ -8,7 +8,7 @@ add up, and flash accounting balances.
 import pytest
 
 from repro.cluster import Rack, RackConfig, SystemType
-from repro.experiments import run_rack_experiment
+from repro.experiments.runner import run_rack_experiment
 from repro.workloads import ycsb
 
 ALL_SYSTEMS = (

@@ -6,15 +6,15 @@ import pytest
 
 from repro.cluster import RackConfig, SystemType
 from repro.errors import SimulationError
-from repro.experiments import ALL_FIGURES, run_rack_experiment
 from repro.experiments.figures import (
+    ALL_FIGURES,
     FigureResult,
     clear_cache,
     fig22_local_wear,
     predictor_accuracy,
 )
 from repro.experiments.report import run_figures
-from repro.experiments.runner import run_until
+from repro.experiments.runner import run_rack_experiment, run_until
 from repro.sim import Event, Simulator
 from repro.workloads import ycsb
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import RackConfig, SystemType
-from repro.experiments import run_rack_experiment
+from repro.experiments.runner import run_rack_experiment
 from repro.sim import Simulator
 from repro.vssd import TokenBucket
 from repro.workloads import ycsb

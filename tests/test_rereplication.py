@@ -109,7 +109,7 @@ class TestRereplication:
                                      target_ip=pair.primary_server_ip)
 
     def test_workload_runs_against_rebuilt_pair(self):
-        from repro.experiments import run_rack_experiment
+        from repro.experiments.runner import run_rack_experiment
         from repro.workloads import ycsb
 
         rack, manager, pair = failed_world()

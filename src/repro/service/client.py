@@ -145,7 +145,7 @@ class ServiceClient:
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
-        protocol.cap_reads(self._writer)
+        protocol.cap_reads(self._writer.transport)
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop()
         )

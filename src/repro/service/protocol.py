@@ -104,10 +104,9 @@ class UnencodableFrame(Exception):
     on the wire."""
 
 
-def cap_reads(writer: Any) -> None:
-    """Make the transport under ``writer`` receive at most
-    :data:`READ_BYTES` at a time."""
-    writer.transport.max_size = READ_BYTES
+def cap_reads(transport: Any) -> None:
+    """Make ``transport`` receive at most :data:`READ_BYTES` at a time."""
+    transport.max_size = READ_BYTES
 
 
 def encode_frame(obj: Dict[str, Any]) -> bytes:

@@ -56,7 +56,7 @@ from repro.cluster.config import RackConfig
 from repro.errors import ConfigError
 from repro.service import frontdoor, protocol, schema
 from repro.service.admission import AdmissionController
-from repro.service.bridge import BridgeStats, SimTimeBridge
+from repro.service.bridge import BridgeStats, SimTimeBridge, Then
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.membership import FleetController, MembershipError
 from repro.service.migration import forwarded_write, run_membership_change
@@ -164,6 +164,25 @@ def _routing_section(selector: Optional[ReplicaSelector], load_view: Any,
     return out
 
 
+def _deliver(future: "asyncio.Future",
+             then: Optional[Then]) -> Optional["asyncio.Future"]:
+    """``future`` itself for a caller that awaits; with ``then``, its
+    outcome goes to ``then`` from a done-callback and nothing is
+    returned (the bridge surface's two calling conventions)."""
+    if then is None:
+        return future
+
+    def _then(fut: "asyncio.Future") -> None:
+        if fut.cancelled():
+            then(None, asyncio.CancelledError())
+            return
+        exc = fut.exception()
+        then(None if exc is not None else fut.result(), exc)
+
+    future.add_done_callback(_then)
+    return None
+
+
 class RouterLoadView:
     """The in-process router's live load view, one signal per layer.
 
@@ -215,8 +234,9 @@ class ShardRouter:
     bridge (``start``/``stop``/``inflight``/``stats``/``submit_*``/
     ``after_chunk``), so :class:`ShardedRackService` can hand it to the
     unmodified :class:`RackService` machinery.  A routed answer is the
-    shard bridge's own future; the router records nothing of it (the
-    fleet's latency is the shards' histograms merged).
+    shard bridge's own future, handed to the caller's ``then`` from its
+    done-callback; the router records nothing of it (the fleet's latency
+    is the shards' histograms merged).
     """
 
     def __init__(self, shards: Sequence[RackShard], *,
@@ -282,7 +302,13 @@ class ShardRouter:
         #: invalidate on migration-stream writes (they bypass the
         #: server's submit path) and fence at every epoch commit.
         self.read_cache: Optional[ReadCache] = None
-        self._after_chunk: Optional[Any] = None
+        #: The server's flush.  Every shard pump calls :meth:`_flush_soon`
+        #: after its turn, which queues this behind the done-callbacks
+        #: the turn's futures queued; responses from other shards ride
+        #: along for free.
+        self.after_chunk: Optional[Callable[[], None]] = None
+        for shard in self.shards:
+            shard.bridge.after_chunk = self._flush_soon
         self._gc_task: Optional["asyncio.Task"] = None
         self._running = False
 
@@ -325,17 +351,13 @@ class ShardRouter:
     def inflight(self) -> int:
         return sum(shard.inflight for shard in self.shards)
 
-    @property
-    def after_chunk(self) -> Optional[Any]:
-        return self._after_chunk
-
-    @after_chunk.setter
-    def after_chunk(self, hook: Optional[Any]) -> None:
-        # Every shard pump flushes the server's write buffers after its
-        # own chunk; responses from other shards ride along for free.
-        self._after_chunk = hook
-        for shard in self.shards:
-            shard.bridge.after_chunk = hook
+    def _flush_soon(self, _done: Optional["asyncio.Future"] = None) -> None:
+        """Queue the server's flush behind the done-callbacks already
+        queued: a shard turn's completions, or (as a done-callback
+        registered ahead of the caller's) an answer that settles from a
+        leg's callback."""
+        if self.after_chunk is not None:
+            asyncio.get_running_loop().call_soon(self.after_chunk)
 
     # -------------------------------------------------------------- GC view
 
@@ -473,9 +495,9 @@ class ShardRouter:
 
     # ----------------------------------------------------------- submission
 
-    def _answer(self, shard: RackShard, future: "asyncio.Future", *,
-                cross_rack: bool = False,
-                read: bool = False) -> "asyncio.Future":
+    def _answer(self, shard: RackShard, future: "asyncio.Future",
+                then: Optional[Then], *, cross_rack: bool = False,
+                read: bool = False) -> Optional["asyncio.Future"]:
         """The shard's own future, its answer tagged with the rack.
 
         The tag is a done-callback registered before the caller's, so
@@ -495,7 +517,7 @@ class ShardRouter:
                 self.load_view.observe(shard.index, float(latency))
 
         future.add_done_callback(_tag)
-        return future
+        return _deliver(future, then)
 
     def forget_client(self, client: str) -> None:
         """Release ``client``'s simulated path on every rack it may have
@@ -505,7 +527,8 @@ class ShardRouter:
 
     def submit_read(self, pair_index: int, lpn: int,
                     client: str = "live", replica: bool = False,
-                    ) -> "asyncio.Future":
+                    then: Optional[Then] = None,
+                    ) -> Optional["asyncio.Future"]:
         redirected = False
         if self.selector is not None:
             shard, local, diverted = self._route_read_p2c(int(pair_index))
@@ -518,37 +541,41 @@ class ShardRouter:
                 shard.redirected_in += 1
         self.routed += 1
         future = shard.bridge.submit_read(local, lpn, client, replica=replica)
-        return self._answer(shard, future, cross_rack=redirected, read=True)
+        return self._answer(shard, future, then, cross_rack=redirected,
+                            read=True)
 
-    def submit_write(self, pair_index: int, lpn: int,
-                     client: str = "live") -> "asyncio.Future":
+    def submit_write(self, pair_index: int, lpn: int, client: str = "live",
+                     then: Optional[Then] = None,
+                     ) -> Optional["asyncio.Future"]:
         shard = self._owner_of_pair(int(pair_index))
         self.routed += 1
         future = shard.bridge.submit_write(
             self._local_pair(shard, int(pair_index)), lpn, client
         )
-        return self._answer(shard, future)
+        return self._answer(shard, future, then)
 
-    def submit_get(self, key: str, client: str = "live") -> "asyncio.Future":
+    def submit_get(self, key: str, client: str = "live",
+                   then: Optional[Then] = None) -> Optional["asyncio.Future"]:
         key = str(key)
         shard = self._by_index[self.fleet.read_owner(key)]
         self.routed += 1
         return self._answer(shard, shard.bridge.submit_get(key, client),
-                            read=True)
+                            then, read=True)
 
-    def submit_put(self, key: str, value: str,
-                   client: str = "live") -> "asyncio.Future":
+    def submit_put(self, key: str, value: str, client: str = "live",
+                   then: Optional[Then] = None) -> Optional["asyncio.Future"]:
         return self._write(str(key), lambda bridge: bridge.submit_put(
-            key, value, client))
+            key, value, client), then)
 
-    def submit_delete(self, key: str,
-                      client: str = "live") -> "asyncio.Future":
+    def submit_delete(self, key: str, client: str = "live",
+                      then: Optional[Then] = None,
+                      ) -> Optional["asyncio.Future"]:
         return self._write(str(key), lambda bridge: bridge.submit_delete(
-            key, client))
+            key, client), then)
 
     def _write(self, key: str,
                submit: Callable[[SimTimeBridge], "asyncio.Future"],
-               ) -> "asyncio.Future":
+               then: Optional[Then]) -> Optional["asyncio.Future"]:
         """A keyed write at its authoritative owner; to a moving key,
         :func:`forwarded_write` over the shards' bridges, whose answer
         settles from a leg's callback (hence the flush behind)."""
@@ -556,7 +583,7 @@ class ShardRouter:
         self.routed += 1
         shard = self._by_index[primary]
         if forward is None:
-            return self._answer(shard, submit(shard.bridge))
+            return self._answer(shard, submit(shard.bridge), then)
 
         async def write() -> Dict[str, Any]:
             payload = await forwarded_write(
@@ -565,16 +592,11 @@ class ShardRouter:
             return payload
 
         task = asyncio.ensure_future(write())
-        task.add_done_callback(self._flush_behind)
-        return task
+        task.add_done_callback(self._flush_soon)
+        return _deliver(task, then)
 
-    def _flush_behind(self, _done: "asyncio.Future") -> None:
-        # Runs before the server's done-callback: flushes after it.
-        if self._after_chunk is not None:
-            asyncio.get_running_loop().call_soon(self._after_chunk)
-
-    def submit_scan(self, start_key: str, count: int,
-                    client: str = "live") -> "asyncio.Future":
+    def submit_scan(self, start_key: str, count: int, client: str = "live",
+                    then: Optional[Then] = None) -> Optional["asyncio.Future"]:
         """Scatter-gather: every shard scans, the router merges.
 
         Keys are placed by hash, so a range is spread over all shards
@@ -670,9 +692,9 @@ class ShardRouter:
                         leg.cancel()
 
         _ask([(shard, start_key) for shard in shards])
-        outer.add_done_callback(self._flush_behind)
+        outer.add_done_callback(self._flush_soon)
         outer.add_done_callback(_cancelled)
-        return outer
+        return _deliver(outer, then)
 
     # ------------------------------------------------------------ reporting
 
@@ -731,9 +753,8 @@ class ShardRouter:
         self._gc_views[shard.index] = tuple(
             False for _ in range(shard.num_pairs)
         )
-        # Re-apply the after_chunk hook so the new shard's pump flushes
-        # the server's write buffers like every incumbent's does.
-        self.after_chunk = self._after_chunk
+        # The new shard's pump flushes like every incumbent's does.
+        shard.bridge.after_chunk = self._flush_soon
 
     def _deregister_shard(self, shard: RackShard) -> None:
         self.shards = [s for s in self.shards if s.index != shard.index]
@@ -1005,7 +1026,7 @@ class _BackendLink:
 
     async def open(self, host: str, port: int) -> None:
         self.reader, self.writer = await asyncio.open_connection(host, port)
-        protocol.cap_reads(self.writer)
+        protocol.cap_reads(self.writer.transport)
         self.relay_task = asyncio.get_running_loop().create_task(
             self._relay()
         )
@@ -1312,7 +1333,7 @@ class ShardProxy:
         conn = _ClientConn(writer)
         conn.hook = self._make_response_hook(conn)
         splitter = protocol.FrameSplitter(self.max_frame_bytes)
-        protocol.cap_reads(writer)
+        protocol.cap_reads(writer.transport)
         try:
             while True:
                 data = await reader.read(protocol.READ_BYTES)

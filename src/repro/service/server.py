@@ -1,23 +1,33 @@
 """The asyncio TCP front-end: one rack served over the wire.
 
-Connection handling is deliberately lean: read a frame, decide
-admission, dispatch to the :class:`~repro.service.bridge.SimTimeBridge`,
-and write the response from the request future's done-callback -- no
-per-request task, lock, or drain.  Requests on one connection are
-*pipelined* (the handler never waits for a response before reading the
-next frame), so a single connection can keep many simulated requests in
-flight; responses come back in completion order, matched by ``id``.
+Each connection is an :class:`asyncio.Protocol`, served from the event
+loop's read callback with no task of its own: ``data_received`` decodes
+the frames, runs each through the front door and admission, submits it
+to the :class:`~repro.service.bridge.SimTimeBridge` with a ``then`` that
+buffers the answer, and writes whatever the batch answered at once
+(rejections, pings, cache hits).  The bridge's pump turn, queued behind
+every connection read in the same loop pass, completes the requests
+inside the turn; its ``after_chunk`` hook then writes every buffered
+answer, one socket write per connection per turn.  No per-request task,
+future, lock or drain.  Requests on one connection are *pipelined*
+(nothing waits for a response before reading the next frame), so a
+single connection can keep many simulated requests in flight; responses
+come back in completion order, matched by ``id``.
 
 Backpressure is explicit: past the global queue-depth cap (or a
 client's token bucket) the server answers ``BUSY`` immediately instead
 of queueing, and during shutdown it answers ``SHUTTING_DOWN`` while the
-already-admitted requests drain.  The queue-depth cap also bounds the
-response bytes a slow reader can accumulate, which is why the write
-path can skip per-response drains.
+already-admitted requests drain.  Answers that skip admission (pings,
+``BUSY``/``BAD_REQUEST``, cache hits) are bounded by the transport
+instead: once a connection's unsent bytes pass the transport's
+high-water mark the server stops reading that connection
+(``pause_writing``) until its reader catches up (``resume_writing``), so
+a client that pipelines without reading stalls itself, not the server.
 """
 
 import asyncio
-from typing import Any, Dict, Optional, Set
+from functools import partial
+from typing import Any, Dict, List, Optional, Set
 
 from repro.cluster.config import RackConfig
 from repro.errors import ConfigError
@@ -27,6 +37,116 @@ from repro.service.bridge import SimTimeBridge
 from repro.service.frontdoor import CACHE_HIT_LATENCY_US  # noqa: F401 (re-export)
 from repro.service.qos import QosScheduler
 from repro.service.readcache import ReadCache
+
+
+class _Connection(frontdoor.Conn, asyncio.Protocol):
+    """One client connection of a :class:`RackService`: the front door's
+    state plus the socket's -- its transport, frame decoder and the
+    answers buffered for the next flush."""
+
+    __slots__ = ("service", "transport", "decoder", "pending", "outstanding",
+                 "finished", "lost", "path", "client")
+
+    def __init__(self, service: "RackService") -> None:
+        super().__init__()
+        self.service = service
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = protocol.FrameDecoder(service.max_frame_bytes)
+        #: Encoded answers not yet written (see ``RackService._flush_writes``).
+        self.pending = bytearray()
+        #: Requests (and admin mutations) not yet answered.
+        self.outstanding = 0
+        #: No more requests will be read: EOF, or the framing was lost.
+        self.finished = False
+        self.lost = False
+        self.path = self.client = ""
+
+    # ------------------------------------------------------- asyncio.Protocol
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        service = self.service
+        service.connections_accepted += 1
+        service._connections.add(self)
+        # The simulated network path this connection's raw requests ride
+        # is named by accept order, not by peer address: the name seeds
+        # the path's latency stream, so a seeded run repeats whatever
+        # ephemeral ports the kernel hands out, and the rack holds one
+        # path per open connection whatever ``client`` strings arrive.
+        self.path = f"conn-{service.connections_accepted}"
+        peer = transport.get_extra_info("peername")
+        self.client = f"{peer[0]}:{peer[1]}" if peer else "unknown"
+        protocol.cap_reads(transport)
+
+    def data_received(self, data: bytes) -> None:
+        if self.finished:
+            return
+        service = self.service
+        try:
+            requests = self.decoder.feed_tagged(data)
+        except protocol.FrameError as exc:
+            service._send(self, protocol.error_response(
+                protocol.BAD_REQUEST, str(exc)
+            ))
+            self.finish()  # framing is lost; drop the connection
+        else:
+            for request, binary in requests:
+                service._begin_request(request, self, binary)
+        # Push out whatever the batch answered synchronously (rejections,
+        # pings); completions flush after the pump turn.
+        service._flush_writes()
+
+    def eof_received(self) -> bool:
+        # Half-closed: requests still in the simulator are answered
+        # first, and the flush that writes the last of them closes.
+        self.finish()
+        self.service._flush_writes()
+        return True
+
+    def pause_writing(self) -> None:
+        # The peer is not reading its answers: read no more requests
+        # from it until it has.
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.lost = True
+        self.service._connections.discard(self)
+        self.service._connection_closed()
+        if not self.outstanding:
+            self.service.bridge.forget_client(self.path)
+
+    # --------------------------------------------------------------- service
+
+    def finish(self) -> None:
+        """Read no more; close once every answer owed is written."""
+        if not self.finished:
+            self.finished = True
+            self.service._dirty.append(self)
+
+    def answered(self) -> None:
+        """One owed answer is settled (and buffered, so the next flush
+        closes a finished connection, unless it is lost)."""
+        self.outstanding -= 1
+        if self.lost and not self.outstanding:
+            # Forget the closed connection's simulated path once nothing
+            # of it is left in the simulator (a reset can leave requests
+            # there, and their replies still ride the path).
+            self.service.bridge.forget_client(self.path)
+
+    def flush(self) -> None:
+        """Write the buffered answers; close a finished, settled one."""
+        transport = self.transport
+        if transport.is_closing():
+            self.pending.clear()
+            return
+        if self.pending:
+            transport.write(bytes(self.pending))
+            self.pending.clear()
+        if self.finished and not self.outstanding:
+            transport.close()
 
 
 class RackService:
@@ -54,7 +174,7 @@ class RackService:
         #: optional multi-tenant QoS scheduler (connections may declare a
         #: tenant in ``hello``; every data op passes weighted-fair tenant
         #: admission before per-client admission) and the optional DRAM
-        #: read-through cache for KV ``get``\ s.
+        #: read-through cache for KV ``get``\\ s.
         self.door = frontdoor.FrontDoor(
             qos, read_cache, epoch=self._current_epoch,
             describe=lambda: (self._capabilities(), self._hello_fields()),
@@ -70,14 +190,15 @@ class RackService:
         )
         self.max_frame_bytes = max_frame_bytes
         self._server: Optional["asyncio.base_events.Server"] = None
-        self._connections: Set["asyncio.Task"] = set()
+        self._connections: Set[_Connection] = set()
+        #: Resolved when the last connection is gone (a stopping service).
+        self._all_closed: Optional["asyncio.Future"] = None
         self._draining = False
         self.connections_accepted = 0
-        self.responses_sent = 0
-        # Completion responses accumulate here during a sim chunk and go
-        # out as one write per connection when the bridge's after_chunk
-        # hook fires; size is bounded by the admission queue-depth cap.
-        self._write_buffers: Dict["asyncio.StreamWriter", bytearray] = {}
+        # Connections with answers buffered (or a close owed) since the
+        # last flush: one write per connection per read batch or pump
+        # turn; bounded by the queue-depth cap plus one read's worth.
+        self._dirty: List[_Connection] = []
 
     # -------------------------------------------------------------- lifecycle
 
@@ -85,8 +206,9 @@ class RackService:
         """Bind, listen, and start the bridge pump."""
         self.bridge.after_chunk = self._flush_writes
         await self.bridge.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            partial(_Connection, self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -99,130 +221,61 @@ class RackService:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         await self.bridge.stop(drain=True, drain_timeout_s=drain_timeout_s)
-        # Let queued done-callbacks buffer their final responses
-        # (cancellations from a cut-short drain), then push them out
-        # before closing the connections under them.  One tick is enough:
-        # a fleet too answers on its shard bridges' own futures, since
-        # nothing records an answer a second time (a fleet's latency is
-        # the shards' histograms merged, a scatter scan or forwarded
-        # write counting once per leg); the scans and forwarded writes a
-        # fleet settles from a leg's callback settle during its shards'
-        # stops.
+        # Let queued done-callbacks buffer their final responses (a
+        # fleet's answers ride its shard bridges' futures), then push
+        # them out before closing the connections under them.  One tick
+        # is enough: nothing records an answer a second time (a fleet's
+        # latency is the shards' histograms merged, a scatter scan or
+        # forwarded write counting once per leg); the scans and
+        # forwarded writes a fleet settles from a leg's callback settle
+        # during its shards' stops.
         await asyncio.sleep(0)
         self._flush_writes()
-        for task in list(self._connections):
-            task.cancel()
         if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
+            self._all_closed = asyncio.get_running_loop().create_future()
+            for conn in list(self._connections):
+                conn.transport.close()
+            # A peer that never reads keeps its transport open with
+            # bytes unsent; past the drain budget it is cut off.
+            await asyncio.wait((self._all_closed,), timeout=drain_timeout_s)
+            for conn in list(self._connections):
+                conn.transport.abort()
+            self._all_closed = None
+        if self._server is not None:
+            await self._server.wait_closed()
+
+    def _connection_closed(self) -> None:
+        """A connection is gone; the last one releases a stopping
+        service."""
+        closed = self._all_closed
+        if closed is not None and not self._connections and not closed.done():
+            closed.set_result(None)
 
     # ------------------------------------------------------------ connections
 
-    async def _handle_connection(self, reader: "asyncio.StreamReader",
-                                 writer: "asyncio.StreamWriter") -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        self.connections_accepted += 1
-        # The simulated network path this connection's raw requests ride
-        # is named by accept order, not by peer address: the name seeds
-        # the path's latency stream, so a seeded run repeats whatever
-        # ephemeral ports the kernel hands out, and the rack holds one
-        # path per open connection whatever ``client`` strings arrive.
-        path = f"conn-{self.connections_accepted}"
-        peer = writer.get_extra_info("peername")
-        default_client = f"{peer[0]}:{peer[1]}" if peer else "unknown"
-        outstanding: Set["asyncio.Future"] = set()
-        decoder = protocol.FrameDecoder(self.max_frame_bytes)
-        protocol.cap_reads(writer)
-        conn = frontdoor.Conn()
-        try:
-            while True:
-                data = await reader.read(protocol.READ_BYTES)
-                if not data:
-                    break
-                try:
-                    requests = decoder.feed_tagged(data)
-                except protocol.FrameError as exc:
-                    self._send_batched(writer, protocol.error_response(
-                        protocol.BAD_REQUEST, str(exc)
-                    ))
-                    self._flush_writes()
-                    break  # framing is lost; drop the connection
-                for request, binary in requests:
-                    self._begin_request(request, default_client, path,
-                                        writer, outstanding, binary, conn)
-                # Push out whatever the batch produced synchronously
-                # (rejections, pings); completions flush per sim chunk.
-                self._flush_writes()
-            if outstanding:
-                # EOF with requests still in the simulator: finish them
-                # (their callbacks write into the closing socket, which
-                # is harmless if the peer is truly gone).
-                await asyncio.wait(outstanding)
-        except (asyncio.CancelledError, ConnectionResetError,
-                BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.CancelledError):
-                # A handler cancelled mid-drain re-raises CancelledError at
-                # its next await; the connection is closing either way.
-                pass
-            if task is not None:
-                self._connections.discard(task)
-            self._release_path(path, outstanding)
-
-    def _release_path(self, path: str,
-                      outstanding: Set["asyncio.Future"]) -> None:
-        """Forget a closed connection's simulated path -- once nothing of
-        the connection is left in the simulator (a reset can leave
-        requests there, and their replies still ride the path)."""
-        if not outstanding:
-            self.bridge.forget_client(path)
-            return
-
-        def _one_less(fut: "asyncio.Future") -> None:
-            outstanding.discard(fut)
-            self._release_path(path, outstanding)
-
-        next(iter(outstanding)).add_done_callback(_one_less)
-
-    def _send_batched(self, writer: "asyncio.StreamWriter",
-                      response: Dict[str, Any],
-                      binary: bool = False) -> None:
+    def _send(self, conn: _Connection, response: Dict[str, Any],
+              binary: bool = False) -> None:
         """Buffer a response for the next flush (end of the read batch
-        for immediate answers, end of the sim chunk for completions).
+        for immediate answers, end of the pump turn for completions).
 
         ``binary`` answers in the protocol-v2 codec (with automatic JSON
         fallback for shapes it cannot express) -- set iff the request
         arrived in binary, which is what keeps v1 clients on pure JSON.
         """
-        if writer.is_closing():
+        if conn.lost:
             return
-        buffer = self._write_buffers.get(writer)
-        if buffer is None:
-            buffer = self._write_buffers[writer] = bytearray()
-        buffer += protocol.encode_frame_as(response, binary)
-        self.responses_sent += 1
+        if not conn.pending:
+            self._dirty.append(conn)
+        conn.pending += protocol.encode_frame_as(response, binary)
 
     def _flush_writes(self) -> None:
         """One socket write per connection with pending responses."""
-        if not self._write_buffers:
+        if not self._dirty:
             return
-        buffers, self._write_buffers = self._write_buffers, {}
-        for writer, buffer in buffers.items():
-            if writer.is_closing():
-                continue
-            try:
-                writer.write(bytes(buffer))
-            except (ConnectionResetError, BrokenPipeError):
-                continue
+        dirty, self._dirty = self._dirty, []
+        for conn in dirty:
+            conn.flush()
 
     # ------------------------------------------------------- subclass hooks
 
@@ -258,9 +311,10 @@ class RackService:
         return self.admission.try_admit(client, self.bridge.inflight)
 
     def _submit(self, rtype: Optional[str], request: Dict[str, Any],
-                client: str) -> "asyncio.Future":
+                client: str, then: Any) -> None:
         """Dispatch an admitted request into the simulator; ``client``
-        is the simulated path it rides.
+        is the simulated path it rides, ``then(payload, exc)`` takes its
+        answer (see :data:`repro.service.bridge.Then`).
 
         Raises ``KeyError``/``TypeError``/``ValueError``/``ConfigError``
         for malformed operands or unknown types; the caller maps all of
@@ -268,26 +322,28 @@ class RackService:
         """
         bridge = self.bridge
         if rtype == "read":
-            return bridge.submit_read(
+            bridge.submit_read(
                 int(request["pair"]), int(request["lpn"]), client,
-                replica=bool(request.get("replica", False)),
+                replica=bool(request.get("replica", False)), then=then,
             )
-        if rtype == "write":
-            return bridge.submit_write(
-                int(request["pair"]), int(request["lpn"]), client
+        elif rtype == "write":
+            bridge.submit_write(
+                int(request["pair"]), int(request["lpn"]), client, then=then
             )
-        if rtype == "get":
-            return bridge.submit_get(request["key"], client)
-        if rtype == "put":
-            return bridge.submit_put(request["key"], request["value"], client)
-        if rtype == "del":
-            return bridge.submit_delete(request["key"], client)
-        if rtype == "scan":
-            return bridge.submit_scan(
+        elif rtype == "get":
+            bridge.submit_get(request["key"], client, then=then)
+        elif rtype == "put":
+            bridge.submit_put(request["key"], request["value"], client,
+                              then=then)
+        elif rtype == "del":
+            bridge.submit_delete(request["key"], client, then=then)
+        elif rtype == "scan":
+            bridge.submit_scan(
                 request.get("start", ""), int(request.get("count", 10)),
-                client,
+                client, then=then,
             )
-        raise ConfigError(f"unknown request type {rtype!r}")
+        else:
+            raise ConfigError(f"unknown request type {rtype!r}")
 
     def _stats_payload(self) -> Dict[str, Any]:
         """The full body of a ``stats`` response."""
@@ -298,9 +354,7 @@ class RackService:
 
     # ----------------------------------------------------------------- admin
 
-    def _begin_admin(self, request: Dict[str, Any],
-                     writer: "asyncio.StreamWriter",
-                     outstanding: Set["asyncio.Future"],
+    def _begin_admin(self, request: Dict[str, Any], conn: _Connection,
                      binary: bool = False) -> None:
         """In-band fleet administration on the v1 JSON wire.
 
@@ -311,93 +365,82 @@ class RackService:
         pending = frontdoor.begin_admin(request, self._fleet_status,
                                         self._admin_mutation)
         if pending.__class__ is dict:
-            self._send_batched(writer, pending, binary)
+            self._send(conn, pending, binary)
             return
         request_id = request.get("id")
-        task = asyncio.ensure_future(pending)
-        outstanding.add(task)
+        conn.outstanding += 1
 
         def _respond(fut: "asyncio.Future") -> None:
-            outstanding.discard(fut)
-            # No sim chunk is owed to this connection: flush now.
-            self._send_batched(
-                writer, frontdoor.admin_outcome(fut, request_id), binary)
+            # No pump turn is owed to this connection: flush now.
+            self._send(conn, frontdoor.admin_outcome(fut, request_id), binary)
+            conn.answered()
             self._flush_writes()
 
-        task.add_done_callback(_respond)
+        asyncio.ensure_future(pending).add_done_callback(_respond)
 
     # --------------------------------------------------------------- dispatch
 
-    def _begin_request(self, request: Dict[str, Any], default_client: str,
-                       path: str, writer: "asyncio.StreamWriter",
-                       outstanding: Set["asyncio.Future"],
-                       binary: bool, conn: frontdoor.Conn) -> None:
-        """Admit and dispatch one request; responses are written either
-        immediately (rejections, ping/stats) or from the sim future's
-        done-callback when the simulated request completes.  The
-        request's ``client`` (default: the peer address) keys admission;
-        ``path`` names the connection's simulated network path.
-        ``binary`` tags how the request arrived; every response to it
-        answers in the same codec.  ``conn`` carries per-connection state
-        (the hello-declared tenant)."""
+    def _begin_request(self, request: Dict[str, Any], conn: _Connection,
+                       binary: bool) -> None:
+        """Admit and dispatch one request; its answer is buffered either
+        at once (rejections, ping/stats) or by :meth:`_respond` when the
+        simulated request completes.  The request's ``client`` (default:
+        the peer address) keys admission; the connection's ``path`` names
+        its simulated network path.  ``binary`` tags how the request
+        arrived; every response to it answers in the same codec."""
         ticket = self.door.admit(request, conn, self._draining)
         if ticket.__class__ is dict:
-            self._send_batched(writer, ticket, binary)
+            self._send(conn, ticket, binary)
             return
         request_id = request.get("id")
         if ticket is frontdoor.STATS:
-            self._send_batched(writer, protocol.ok_response(
+            self._send(conn, protocol.ok_response(
                 request_id, **self._stats_payload()
             ), binary)
             return
         if ticket is frontdoor.ADMIN:
-            self._begin_admin(request, writer, outstanding, binary)
+            self._begin_admin(request, conn, binary)
             return
-        client = str(request.get("client") or default_client)
+        client = str(request.get("client") or conn.client)
         if not self._admit(client, request):
-            self._send_batched(writer, protocol.error_response(
+            self._send(conn, protocol.error_response(
                 protocol.BUSY, "admission control shed this request",
                 request_id,
             ), binary)
             return
         try:
-            future = self._submit(request.get("type"), request, path)
+            self._submit(request.get("type"), request, conn.path,
+                         partial(self._respond, conn, ticket, request_id,
+                                 binary))
         except frontdoor.BAD_OPERANDS as exc:
-            self._send_batched(
-                writer, frontdoor.bad_request(exc, request_id), binary)
+            self._send(conn, frontdoor.bad_request(exc, request_id), binary)
             return
-        outstanding.add(future)
+        conn.outstanding += 1
         ticket.submitted()
 
-        def _respond(fut: "asyncio.Future") -> None:
-            outstanding.discard(fut)
-            if fut.cancelled():
-                ticket.complete(None)
-                self._send_batched(writer, protocol.error_response(
-                    protocol.SHUTTING_DOWN, "request cancelled at shutdown",
-                    request_id,
-                ), binary)
-                return
-            exc = fut.exception()
-            if exc is None:
-                result = fut.result()
-                ticket.complete(result)
-                self._send_batched(
-                    writer, protocol.ok_response(request_id, **result),
-                    binary,
-                )
-                return
-            ticket.complete(None)
-            if isinstance(exc, asyncio.TimeoutError):
-                response = protocol.error_response(
-                    protocol.TIMEOUT, str(exc), request_id)
-            elif isinstance(exc, frontdoor.BAD_OPERANDS):
-                response = frontdoor.bad_request(exc, request_id)
-            else:
-                response = protocol.error_response(
-                    protocol.INTERNAL, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                )
-            self._send_batched(writer, response, binary)
-
-        future.add_done_callback(_respond)
+    def _respond(self, conn: _Connection, ticket: frontdoor.Ticket,
+                 request_id: Any, binary: bool,
+                 result: Optional[Dict[str, Any]],
+                 exc: Optional[BaseException]) -> None:
+        """A submitted request's ``then``: settle its ticket and buffer
+        its answer for the flush after the pump turn."""
+        ticket.complete(result if exc is None else None)
+        if exc is None:
+            response = protocol.ok_response(request_id, **result)
+        elif isinstance(exc, asyncio.CancelledError):
+            response = protocol.error_response(
+                protocol.SHUTTING_DOWN, "request cancelled at shutdown",
+                request_id,
+            )
+        elif isinstance(exc, asyncio.TimeoutError):
+            response = protocol.error_response(
+                protocol.TIMEOUT, str(exc), request_id)
+        elif isinstance(exc, frontdoor.BAD_OPERANDS):
+            response = frontdoor.bad_request(exc, request_id)
+        else:
+            response = protocol.error_response(
+                protocol.INTERNAL, f"{type(exc).__name__}: {exc}",
+                request_id,
+            )
+        self._send(conn, response, binary)
+        conn.answered()

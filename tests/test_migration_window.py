@@ -61,11 +61,11 @@ def fail_one_put(bridge: SimTimeBridge, value: str) -> None:
     """The next put of ``value`` at ``bridge`` is refused, once."""
     real = bridge.submit_put
 
-    def submit_put(key, put_value, client="live"):
+    def submit_put(key, put_value, client="live", then=None):
         if put_value == value:
             bridge.submit_put = real
             raise ConfigError("injected forward failure")
-        return real(key, put_value, client)
+        return real(key, put_value, client, then=then)
 
     bridge.submit_put = submit_put
 

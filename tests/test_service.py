@@ -7,6 +7,9 @@ localhost benchmark exercises, minus the scale.
 
 import asyncio
 import gc
+import json
+import socket
+import struct
 from functools import partial
 
 import pytest
@@ -325,19 +328,24 @@ class TestSimTimeBridge:
         assert asyncio.run(scenario())["latency_us"] > 0
 
     def test_paced_pump_sleeps_for_the_time_advanced(self, monkeypatch):
+        # The paced pump queues its next turn with ``call_later``; record
+        # the delays it asks for.
         slept = []
-        real_sleep = asyncio.sleep
-
-        async def recording_sleep(delay, *args):
-            slept.append(delay)
-            await real_sleep(0)
 
         async def scenario():
-            # A thousandth of real time: the sleep dwarfs the host time
+            # A thousandth of real time: the delay dwarfs the host time
             # the turn itself took.
             bridge = SimTimeBridge(small_config(), chunk_us=8000.0, pace=1e-3)
             await bridge.start()
-            monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+            loop = asyncio.get_running_loop()
+            real_call_later = loop.call_later
+
+            def recording_call_later(delay, callback, *args, **kwargs):
+                if callback == bridge._turn:
+                    slept.append(delay)
+                return real_call_later(delay, callback, *args, **kwargs)
+
+            monkeypatch.setattr(loop, "call_later", recording_call_later)
             try:
                 read = await bridge.submit_read(0, 5)
             finally:
@@ -608,6 +616,135 @@ class TestRackServiceEndToEnd:
         data, eof = asyncio.run(scenario())
         assert b"BAD_REQUEST" in data
         assert eof == b""  # the server hung up after the framing error
+
+
+def _server_transport(client: socket.socket) -> asyncio.Transport:
+    """The server's end of ``client``'s connection, on the running loop."""
+    loop = asyncio.get_running_loop()
+    sockname = client.getsockname()
+    return next(obj for obj in gc.get_objects()
+                if isinstance(obj, asyncio.Transport)
+                and getattr(obj, "_loop", None) is loop
+                and obj.get_extra_info("peername") == sockname)
+
+
+def _blocking_calls(port: int, requests) -> list:
+    """Send each request over a plain blocking socket and wait for its
+    answer before the next: queue depth 1, no asyncio on this side."""
+    answers = []
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        stream = sock.makefile("rb")
+        for request in requests:
+            sock.sendall(protocol.encode_frame(request))
+            (length,) = struct.unpack(">I", stream.read(4))
+            answers.append(json.loads(stream.read(length)))
+    return answers
+
+
+class TestOneLoopHop:
+    """The live front end is callback-native: a connection is an
+    ``asyncio.Protocol``, the pump a loop callback, a completion a
+    ``then`` called inside the turn."""
+
+    def test_serving_creates_no_task_or_future_per_request(self):
+        n = 200
+        requests = [{"type": "put", "key": "k", "value": "v", "id": 0}]
+        requests += [{"type": "read", "pair": i % 2, "lpn": i, "id": 1 + i}
+                     for i in range(n)]
+        requests += [{"type": "get", "key": "k", "id": 1 + n + i}
+                     for i in range(n)]
+
+        async def scenario():
+            service = await _start_service()
+            loop = asyncio.get_running_loop()
+            # No pump task, nor any other, besides this test's own.
+            tasks = asyncio.all_tasks()
+            owned = [value for value in vars(service.bridge).values()
+                     if isinstance(value, asyncio.Task)]
+            created = {"tasks": 0, "futures": 0}
+            create_future = loop.create_future
+
+            def counting_future():
+                created["futures"] += 1
+                return create_future()
+
+            def counting_task(loop, coro, **kwargs):
+                created["tasks"] += 1
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            loop.create_future = counting_future
+            loop.set_task_factory(counting_task)
+            try:
+                answers = await loop.run_in_executor(
+                    None, _blocking_calls, service.port, requests)
+            finally:
+                del loop.create_future
+                loop.set_task_factory(None)
+                await service.stop()
+            return tasks, owned, created, answers
+
+        tasks, owned, created, answers = asyncio.run(scenario())
+        assert all(answer["ok"] for answer in answers)
+        assert [a["id"] for a in answers] == [r["id"] for r in requests]
+        assert all(a["latency_us"] > 0 for a in answers[1:1 + n])
+        assert all(a["value"] == "v" for a in answers[1 + n:])
+        assert len(tasks) == 1 and not owned
+        # All of it per connection or per call: asyncio's own accept
+        # path (one task, one waiter) and the executor hand-off.
+        assert created == {"tasks": 1, "futures": 2}
+
+    def test_a_client_that_never_reads_stalls_only_itself(self):
+        # A client pipelines pings and never reads an answer.  Pings skip
+        # admission, so nothing but the transport bounds their answers:
+        # past its high-water mark the server stops reading from that
+        # connection, and the answers it holds stay bounded.
+        pings = b"".join(protocol.encode_frame({"type": "ping", "id": i})
+                         for i in range(100_000))
+        bound = 512 * 1024
+
+        def pipeline(sock: socket.socket) -> int:
+            sent = 0
+            try:
+                while sent < len(pings):
+                    sent += sock.send(pings[sent:sent + 65536])
+            except TimeoutError:  # the server stopped reading: stalled
+                pass
+            return sent
+
+        async def scenario():
+            service = await _start_service()
+            loop = asyncio.get_running_loop()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            try:
+                await loop.sock_connect(sock, ("127.0.0.1", service.port))
+                sock.settimeout(0.5)
+                while service.connections_accepted == 0:
+                    await asyncio.sleep(0.001)
+                server = _server_transport(sock)
+                # Small kernel buffers at both ends, so what is held for
+                # this reader is held in the server process, on any host.
+                server.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                sending = loop.run_in_executor(None, pipeline, sock)
+                peak = 0
+                while not sending.done():
+                    peak = max(peak, server.get_write_buffer_size())
+                    await asyncio.sleep(0.005)
+                for _ in range(40):  # whatever the kernel still holds
+                    peak = max(peak, server.get_write_buffer_size())
+                    await asyncio.sleep(0.005)
+                # The healthy client next to it is served as usual.
+                async with ServiceClient("127.0.0.1", service.port) as c:
+                    pong = await c.ping()
+                return peak, pong
+            finally:
+                sock.close()
+                await service.stop()
+
+        peak, pong = asyncio.run(scenario())
+        assert pong["pong"] is True
+        assert peak < bound, f"{peak} answer bytes held for a stalled reader"
 
 
 # ------------------------------------------------------- multi-tenant QoS

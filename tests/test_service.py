@@ -716,6 +716,7 @@ class TestOneLoopHop:
             loop = asyncio.get_running_loop()
             sock = socket.socket()
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
             try:
                 await loop.sock_connect(sock, ("127.0.0.1", service.port))
                 sock.settimeout(0.5)
